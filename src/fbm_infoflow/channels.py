@@ -112,12 +112,11 @@ class DensityField:
     hi: float
     pdf: Callable = field(repr=False)
     score_fn: Callable = field(repr=False)
-    mass_tolerance: float = 1e-8
     gaussian: Optional[Tuple[float, float]] = None   # (mean, variance) if exact
     breakpoints: Tuple[float, ...] = ()               # quadrature hints
 
 
-def gaussian_field(mean, variance, mass_tolerance=1e-8):
+def gaussian_field(mean, variance):
     mean, variance = float(mean), float(variance)
     if variance <= 0:
         raise DomainError("Gaussian field needs variance > 0")
@@ -136,12 +135,12 @@ def gaussian_field(mean, variance, mass_tolerance=1e-8):
     brk = tuple(mean + sd * k for k in (-6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0))
     return DensityField(
         lo=mean - _FIELD_STD * sd, hi=mean + _FIELD_STD * sd,
-        pdf=pdf, score_fn=score, mass_tolerance=mass_tolerance,
+        pdf=pdf, score_fn=score,
         gaussian=(mean, variance), breakpoints=brk,
     )
 
 
-def grid_field(grid, values, mass_tolerance=1e-8):
+def grid_field(grid, values):
     """DensityField from tabulated values (linear interpolation, FD score)."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -163,7 +162,6 @@ def grid_field(grid, values, mass_tolerance=1e-8):
 
     return DensityField(
         lo=float(grid[0]), hi=float(grid[-1]), pdf=pdf, score_fn=score,
-        mass_tolerance=mass_tolerance,
         breakpoints=tuple(np.quantile(grid, [0.25, 0.5, 0.75])),
     )
 
@@ -172,12 +170,11 @@ def _phi_for(channel, t):
     """Cached Doss-Sussmann flow wide enough for 8 std of B^H_t."""
     z_need = _Z_STD * float(t) ** channel.hurst.value
     bucket = 2.0 ** math.ceil(math.log2(max(1.02 * z_need, 1.0)))
-    key = bucket
-    if key not in channel._phi_cache:
-        channel._phi_cache[key] = doss.solve_phi(
+    if bucket not in channel._phi_cache:
+        channel._phi_cache[bucket] = doss.solve_phi(
             channel.sigma, channel.x0, (-bucket, bucket), tol=1e-11,
         )
-    return channel._phi_cache[key]
+    return channel._phi_cache[bucket]
 
 
 def _multiplicative_field(channel, t):

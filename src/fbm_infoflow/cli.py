@@ -9,10 +9,8 @@ import csv
 import datetime
 import io
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -44,6 +42,31 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
+# Every accepted config key; a dict lists the keys allowed inside that block.
+_SCHEMA = {
+    **dict.fromkeys(("suites", "t_grid", "hurst_grid", "min_t", "fd_step", "output")),
+    "channel": {"variant": None, "x0": None,
+                "sigma": dict.fromkeys(("kind", "c", "domain")),
+                "initial": dict.fromkeys(("kind", "mean", "variance", "points",
+                                          "density", "domain", "n", "shape"))},
+    "tolerances": dict.fromkeys(SUITES),
+    "oracle": dict.fromkeys(("kind", "samples", "seed")),
+    "kl": dict.fromkeys(("y0",)),
+    "stein": dict.fromkeys(("cases",)),
+    "fbm_stats": dict.fromkeys(("n", "dt", "n_paths", "seed")),
+}
+
+
+def _check_keys(cfg, schema, where=""):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where or 'the config'} must be a JSON object")
+    for key, value in cfg.items():
+        path = f"{where}.{key}" if where else key
+        if key not in schema:
+            raise ConfigError(f"unknown config key {path!r}")
+        if schema[key] is not None:
+            _check_keys(value, schema[key], path)
+
 
 def _build_sigma(cfg):
     cfg = cfg or {"kind": "constant", "c": 1.0}
@@ -64,8 +87,12 @@ def _build_initial(cfg):
     if kind == "gaussian":
         return ch.gaussian_law(cfg.get("mean", 0.0), cfg.get("variance", 1.0))
     if kind == "grid":
-        if "grid" in cfg and "values" in cfg:
-            return ch.grid_law(cfg["grid"], cfg["values"])
+        tabulated = {"points", "density"} & cfg.keys()
+        if tabulated:
+            if tabulated != {"points", "density"} or {"domain", "n", "shape"} & cfg.keys():
+                raise ConfigError("a grid initial law takes either points and density, "
+                                  "or domain, n and shape")
+            return ch.grid_law(cfg["points"], cfg["density"])
         lo, hi = cfg.get("domain", (-1.0, 1.0))
         n = int(cfg.get("n", 2001))
         grid = np.linspace(lo, hi, n)
@@ -77,6 +104,7 @@ def _build_initial(cfg):
 
 
 def _validate_config(cfg):
+    _check_keys(cfg, _SCHEMA)
     suites = cfg.get("suites")
     if not suites:
         raise ConfigError("config must name at least one suite")
@@ -104,7 +132,8 @@ class _SuiteRunner:
         self.initial = _build_initial(chan_cfg.get("initial"))
         self.y0 = float(cfg.get("kl", {}).get("y0", 1.0))
         self.min_t = float(cfg.get("min_t", 0.05))
-        self.fd_step = cfg.get("fd_step")
+        fd_step = cfg.get("fd_step")
+        self.fd_step = None if fd_step is None else float(fd_step)
         self.tolerances = {**DEFAULT_TOLERANCES, **cfg.get("tolerances", {})}
         self.oracle = cfg.get("oracle")
         self.excluded = []
@@ -127,65 +156,42 @@ class _SuiteRunner:
             self._add_cache[h] = ch.additive(self.initial, h)
         return self._add_cache[h]
 
-    def _step(self, t):
-        if self.fd_step is not None:
-            return float(self.fd_step)
-        return None
-
-    def _with_mc(self, report, channel, t, kind):
+    def _with_mc(self, report, t, oracle, *channels):
+        """Add the oracle's Monte Carlo estimate of rhs = scale * E[g(X_t)]."""
         if not self.oracle:
             return report
         n = int(self.oracle.get("samples", 100000))
         seed = int(self.oracle.get("seed", 0))
-        field = ch.density_at(channel, t)
-        hv = channel.hurst.value
-        pref = hv * t ** (2.0 * hv - 1.0)
-        sig = self.sigma
-        if kind == "debruijn-mult":
-            def g(x):
-                s = np.asarray(sig.fn(x))
-                curv = np.asarray(sig.d2(x)) * s + np.asarray(sig.d1(x)) ** 2
-                return s ** 2 * np.asarray(field.score_fn(x)) ** 2 - curv
-            est = mc.mc_expectation(channel, t, g, n, seed)
-            value, se = pref * est.mean, pref * est.std_error
-        elif kind == "debruijn-additive":
-            est = mc.mc_expectation(
-                channel, t, lambda x: np.asarray(field.score_fn(x)) ** 2, n, seed)
-            value, se = pref * est.mean, pref * est.std_error
-        elif kind == "kl-flow":
-            other = ch.density_at(self._mult_channel(hv, x0=self.y0), t)
-
-            def g(x):
-                ds = np.asarray(field.score_fn(x)) - np.asarray(other.score_fn(x))
-                return np.asarray(sig.fn(x)) ** 2 * ds ** 2
-            est = mc.mc_expectation(channel, t, g, n, seed)
-            value, se = -pref * est.mean, pref * est.std_error
-        else:
-            return report
+        scale, g = oracle(*channels, t)
+        est = mc.mc_expectation(channels[0], t, g, n, seed)
+        value, se = scale * est.mean, abs(scale) * est.std_error
+        # The quadrature rhs is itself only accurate to its declared tolerance,
+        # which dominates when g is constant and the standard error vanishes.
+        quad = nf.DEFAULT_QUAD
+        rhs_err = abs(scale) * quad.abs_tol + quad.rel_tol * abs(report.rhs)
         report.extras["mc_value"] = value
         report.extras["mc_std_error"] = se
-        report.extras["mc_ok"] = abs(value - report.rhs) <= 4.0 * se + 1e-12
+        report.extras["mc_ok"] = abs(value - report.rhs) <= 4.0 * se + rhs_err
         return report
 
     def run_combo(self, suite, t, h):
         tol = float(self.tolerances[suite])
         if suite == "debruijn-mult":
-            r = idn.debruijn_check_mult(self._mult_channel(h), t,
-                                        fd_step=self._step(t), tol=tol)
-            return self._with_mc(r, self._mult_channel(h), t, suite)
+            chan = self._mult_channel(h)
+            r = idn.debruijn_check_mult(chan, t, fd_step=self.fd_step, tol=tol)
+            return self._with_mc(r, t, idn.debruijn_mult_oracle, chan)
         if suite == "debruijn-additive":
-            r = idn.debruijn_check_additive(self._add_channel(h), t,
-                                            fd_step=self._step(t), tol=tol)
-            return self._with_mc(r, self._add_channel(h), t, suite)
+            chan = self._add_channel(h)
+            r = idn.debruijn_check_additive(chan, t, fd_step=self.fd_step, tol=tol)
+            return self._with_mc(r, t, idn.debruijn_additive_oracle, chan)
         if suite == "kl-flow":
-            r = idn.kl_flow_check(self._mult_channel(h),
-                                  self._mult_channel(h, x0=self.y0),
-                                  t, fd_step=self._step(t), tol=tol)
-            return self._with_mc(r, self._mult_channel(h), t, suite)
+            x, y = self._mult_channel(h), self._mult_channel(h, x0=self.y0)
+            r = idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol)
+            return self._with_mc(r, t, idn.kl_flow_oracle, x, y)
         if suite == "fokker-planck":
             x_grid = np.linspace(-4.0, 4.0, 81)
             resid = idn.fokker_planck_residual(self._mult_channel(h), t, x_grid,
-                                               fd_step_t=self._step(t))
+                                               fd_step_t=self.fd_step)
             worst = float(np.max(np.abs(resid)))
             return idn._report("fokker-planck", t, h, worst, 0.0, tol,
                                notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts")
@@ -219,21 +225,16 @@ class _SuiteRunner:
 
     def _entropy_power_row(self, t, h, tol):
         if h not in self._profile_cache:
+            times = [s for s in self.t_grid if s >= self.min_t]
             self._profile_cache[h] = idn.entropy_power_profile(
-                self._add_channel(h), self.t_grid, fd_step=1e-3)
+                self._add_channel(h), times, fd_step=1e-3)
         prof = self._profile_cache[h]
-        i = self.t_grid.index(t)
-        lhs = prof.d2n_fd[i]
+        i = list(prof.t_grid).index(t)
         rhs = prof.d2n_formula[i]
-        scale = max(1.0, abs(rhs))
-        rep = idn.IdentityReport(
-            identity_name="entropy-power", t=t, hurst=h,
-            lhs=float(lhs), rhs=float(rhs),
-            abs_discrepancy=abs(lhs - rhs), tolerance=tol * scale,
-            passed=abs(lhs - rhs) <= tol * scale,
-            method_notes=f"g={prof.g_values[i]:.9g} -> {prof.classifications[i]}; "
-                         f"N={prof.n_values[i]:.9g}",
-        )
+        rep = idn._report("entropy-power", t, h, prof.d2n_fd[i], rhs,
+                          tol * max(1.0, abs(rhs)),
+                          notes=f"g={prof.g_values[i]:.9g} -> {prof.classifications[i]}; "
+                                f"N={prof.n_values[i]:.9g}")
         self.entropy_power_rows.append(
             {"t": t, "hurst": h, "entropy_power": float(prof.n_values[i]),
              "g": float(prof.g_values[i]),
@@ -279,21 +280,14 @@ def run_suite(cfg):
     them to exit code 3.
     """
     runner = _SuiteRunner(cfg)
-    combos = [(s, t, h) for s in runner.suites
-              for h in runner.h_grid for t in runner.t_grid]
-    tasks = []
-    for s, t, h in combos:
-        if t < runner.min_t:
-            runner.excluded.append((s, t, h))
-            continue
-        tasks.append((s, t, h))
-
-    n_threads = int(os.environ.get("FBM_INFOFLOW_THREADS", "1"))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(lambda job: runner.run_combo(*job), tasks))
-    else:
-        rows = [runner.run_combo(*job) for job in tasks]
+    rows = []
+    for s in runner.suites:
+        for h in runner.h_grid:
+            for t in runner.t_grid:
+                if t < runner.min_t:
+                    runner.excluded.append((s, t, h))
+                else:
+                    rows.append(runner.run_combo(s, t, h))
     exit_code = 0 if all(r.passed for r in rows) else 1
     return exit_code, rows, runner
 
@@ -349,7 +343,6 @@ def write_reports(rows, runner, output):
     with open(output + ".json", "w") as fh:
         fh.write(render_json(rows))
     if runner.entropy_power_rows:
-        # Sort so the worker pool's completion order cannot leak into the file.
         runner.entropy_power_rows.sort(key=lambda rec: (rec["hurst"], rec["t"]))
         with open(output + "_entropy_power.csv", "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -32,7 +32,6 @@ class PhiSolution:
     z_domain: Tuple[float, float]
     z_grid: np.ndarray
     phi_grid: np.ndarray
-    ode_tolerance: float
     _interp: PchipInterpolator = field(repr=False, default=None)
     _inv_interp: PchipInterpolator = field(repr=False, default=None)
 
@@ -105,7 +104,7 @@ def solve_phi(sigma, x0, z_domain, tol=1e-10):
         raise FlowEscapeError("tabulated flow is not strictly increasing")
     return PhiSolution(
         sigma=sigma, x0=float(x0), z_domain=(z_lo, z_hi),
-        z_grid=z_full, phi_grid=phi_grid, ode_tolerance=tol,
+        z_grid=z_full, phi_grid=phi_grid,
     )
 
 

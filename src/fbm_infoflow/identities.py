@@ -8,17 +8,13 @@ discrepancy against a tolerance.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import channels as ch
 from . import infofunc as nf
 from .errors import DomainError, StepError
-from .fbm import as_hurst
-
-_CROSS_CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -78,6 +74,11 @@ def _check_step(t, fd_step):
     return fd_step
 
 
+def _rate(hv, t):
+    """H t^{2H-1}, the factor every flow identity carries: (d/dt t^{2H}) / 2."""
+    return hv * t ** (2.0 * hv - 1.0)
+
+
 def richardson_derivative(f, t, step):
     """First derivative by central differences at steps delta and delta/2,
     Richardson-combined to fourth order."""
@@ -89,10 +90,7 @@ def richardson_derivative(f, t, step):
 def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_QUAD):
     """Entropy flow of dX = sigma(X) o dB^H against its Fisher-information form.
 
-    rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[(sigma^2)''(X_t)]
-                       + E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] }.
-    Both the raw and the algebraically simplified form of the rhs are
-    computed and cross-checked.
+    rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] }.
     """
     if channel.variant != "multiplicative":
         raise DomainError("debruijn_check_mult needs a multiplicative channel")
@@ -105,27 +103,21 @@ def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_QUAD
 
     field_t = ch.density_at(channel, t)
     j_sig2 = nf.generalized_fisher(field_t, nf.sigma_squared_weight(sig), quad=quad)
+    e_curv = nf.expectation(field_t, sig.curvature, quad=quad)
+    rhs = _rate(hv, t) * (j_sig2 - e_curv)
+    return _report("debruijn-mult", t, hv, lhs, rhs, tol,
+                   notes=f"richardson fd_step={fd_step:g}")
 
-    def dd_sigma_sq(x):
-        return 2.0 * (np.asarray(sig.d2(x)) * np.asarray(sig.fn(x))
-                      + np.asarray(sig.d1(x)) ** 2)
 
-    def curvature(x):
-        return np.asarray(sig.d2(x)) * np.asarray(sig.fn(x)) + np.asarray(sig.d1(x)) ** 2
+def debruijn_mult_oracle(channel, t):
+    """Sampling form of debruijn_check_mult's rhs: (scale, g) with
+    rhs = scale * E[g(X_t)] and g = sigma^2 score^2 - (sigma'' sigma + sigma'^2)."""
+    sig = channel.sigma
+    score = ch.density_at(channel, t).score_fn
 
-    e_dd = nf.expectation(field_t, dd_sigma_sq, quad=quad)
-    e_curv = nf.expectation(field_t, curvature, quad=quad)
-
-    pref = hv * t ** (2.0 * hv - 1.0)
-    rhs_raw = pref * (j_sig2 - e_dd + e_curv)
-    rhs = pref * (j_sig2 - e_curv)
-    cross = abs(rhs_raw - rhs)
-
-    notes = (f"richardson fd_step={fd_step:g}; raw-vs-simplified rhs "
-             f"disagreement {cross:.3e}")
-    return _report("debruijn-mult", t, hv, lhs, rhs, tol, notes,
-                   extras={"rhs_raw": rhs_raw, "rhs_cross_check": cross,
-                           "rhs_cross_check_tol": _CROSS_CHECK_TOL})
+    def g(x):
+        return np.asarray(sig.fn(x)) ** 2 * np.asarray(score(x)) ** 2 - sig.curvature(x)
+    return _rate(channel.hurst.value, t), g
 
 
 def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_QUAD):
@@ -140,9 +132,16 @@ def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_
 
     field_t = ch.density_at(channel, t)
     j1 = nf.generalized_fisher(field_t, nf.WEIGHT_ONE, quad=quad)
-    rhs = hv * t ** (2.0 * hv - 1.0) * j1
+    rhs = _rate(hv, t) * j1
     notes = f"richardson fd_step={fd_step:g}; J_1={j1:.12g}"
     return _report("debruijn-additive", t, hv, lhs, rhs, tol, notes)
+
+
+def debruijn_additive_oracle(channel, t):
+    """Sampling form of debruijn_check_additive's rhs: (scale, g) with
+    rhs = scale * E[g(X_t)] and g = score^2."""
+    score = ch.density_at(channel, t).score_fn
+    return _rate(channel.hurst.value, t), lambda x: np.asarray(score(x)) ** 2
 
 
 def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
@@ -150,8 +149,9 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
     """d/dt K(X_t || Y_t) against -H t^{2H-1} J_{sigma^2}(X_t || Y_t).
 
     Both channels must be multiplicative with the same diffusion coefficient
-    and Hurst parameter.  Also records whether the KL values at t - delta, t,
-    t + delta are non-increasing.
+    and Hurst parameter; a custom coefficient counts as the same only when it
+    is the same model object.  Also records whether the KL values at
+    t - delta, t, t + delta are non-increasing.
     """
     for c in (x_channel, y_channel):
         if c.variant != "multiplicative":
@@ -159,7 +159,7 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
     if x_channel.hurst.value != y_channel.hurst.value:
         raise DomainError("channels must share the Hurst parameter")
     sx, sy = x_channel.sigma, y_channel.sigma
-    if sx.kind != sy.kind or sx.c != sy.c:
+    if sx is not sy and (sx.kind == "custom" or (sx.kind, sx.c) != (sy.kind, sy.c)):
         raise DomainError("channels must share the diffusion coefficient")
     fd_step = _check_step(t, fd_step)
     hv = x_channel.hurst.value
@@ -172,7 +172,7 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
     px = ch.density_at(x_channel, t)
     py = ch.density_at(y_channel, t)
     rel = nf.relative_fisher(px, py, nf.sigma_squared_weight(sx), quad=quad)
-    rhs = -hv * t ** (2.0 * hv - 1.0) * rel
+    rhs = -_rate(hv, t) * rel
 
     kls = [kl_at(t - fd_step), kl_at(t), kl_at(t + fd_step)]
     slack = 10 * quad.abs_tol
@@ -183,6 +183,19 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
     return _report("kl-flow", t, hv, lhs, rhs, tol, notes,
                    extras={"kl_values": kls, "monotone": monotone,
                            "relative_fisher": rel})
+
+
+def kl_flow_oracle(x_channel, y_channel, t):
+    """Sampling form of kl_flow_check's rhs: (scale, g) with
+    rhs = scale * E[g(X_t)] and g = sigma^2 (score_X - score_Y)^2."""
+    sig = x_channel.sigma
+    score_x = ch.density_at(x_channel, t).score_fn
+    score_y = ch.density_at(y_channel, t).score_fn
+
+    def g(x):
+        ds = np.asarray(score_x(x)) - np.asarray(score_y(x))
+        return np.asarray(sig.fn(x)) ** 2 * ds ** 2
+    return -_rate(x_channel.hurst.value, t), g
 
 
 def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
@@ -204,9 +217,7 @@ def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
     def pdf_at(s, pts):
         return np.atleast_1d(ch.density_at(channel, s).pdf(pts))
 
-    d1 = (pdf_at(t + fd_step_t, x) - pdf_at(t - fd_step_t, x)) / (2 * fd_step_t)
-    d2 = (pdf_at(t + fd_step_t / 2, x) - pdf_at(t - fd_step_t / 2, x)) / fd_step_t
-    dp_dt = (4.0 * d2 - d1) / 3.0
+    dp_dt = richardson_derivative(lambda s: pdf_at(s, x), t, fd_step_t)
 
     p0 = pdf_at(t, x)
     pp = pdf_at(t, x + dx)
@@ -216,25 +227,24 @@ def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
 
     s0 = np.asarray(sig.fn(x), dtype=float)
     s1 = np.asarray(sig.d1(x), dtype=float)
-    s2 = np.asarray(sig.d2(x), dtype=float)
     # -(sigma' sigma P)_x + (sigma^2 P)_xx, expanded in P, P_x, P_xx
-    spatial = ((s2 * s0 + s1 ** 2) * p0
+    spatial = (sig.curvature(x) * p0
                + 3.0 * s0 * s1 * p_x
                + s0 ** 2 * p_xx)
-    return dp_dt - hv * t ** (2.0 * hv - 1.0) * spatial
+    return dp_dt - _rate(hv, t) * spatial
 
 
-def stein_check(mu, variance, r, r_prime, tol=1e-10, n_nodes=128):
+def stein_check(mu, variance, r, r_prime, tol=1e-10):
     """Stein's identity E[r(Y)(Y-mu)] = variance * E[r'(Y)], Y ~ N(mu, variance),
     both sides by Gauss-Hermite quadrature."""
     if variance <= 0:
         raise DomainError("stein_check needs variance > 0")
-    u, w = hermgauss(n_nodes)
+    u, w = nf.gauss_hermite_rule()
     y = mu + math.sqrt(2.0 * variance) * u
     wn = w / math.sqrt(math.pi)
     lhs = float(np.sum(wn * np.asarray(r(y), dtype=float) * (y - mu)))
     rhs = variance * float(np.sum(wn * np.asarray(r_prime(y), dtype=float)))
-    notes = f"gauss-hermite n={n_nodes}"
+    notes = f"gauss-hermite n={u.size}"
     return _report("stein", 0.0, 0.0, lhs, rhs, tol, notes)
 
 

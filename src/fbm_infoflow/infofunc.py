@@ -5,6 +5,7 @@ information and entropy power, all by adaptive quadrature with exact branches
 when the field carries a Gaussian tag.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -18,15 +19,12 @@ from .sigma import SigmaModel
 
 _TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
-_GH_NODES = 128
-_GH_CACHE = {}
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Adaptive quadrature settings (scipy QUADPACK under the hood)."""
 
-    rule: str = "quadpack"
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 200
@@ -95,15 +93,15 @@ def _quad(fn, lo, hi, quad, points=()):
     return result[0]
 
 
-def _gh_rule():
-    if _GH_NODES not in _GH_CACHE:
-        _GH_CACHE[_GH_NODES] = hermgauss(_GH_NODES)
-    return _GH_CACHE[_GH_NODES]
+@functools.cache
+def gauss_hermite_rule():
+    """128-node Gauss-Hermite rule (nodes, weights), built once."""
+    return hermgauss(128)
 
 
 def _gauss_expect(mean, variance, g):
     """E[g(Y)], Y ~ N(mean, variance), by Gauss-Hermite quadrature."""
-    u, w = _gh_rule()
+    u, w = gauss_hermite_rule()
     x = mean + math.sqrt(2.0 * variance) * u
     return float(np.sum(w * np.asarray(g(x), dtype=float)) / math.sqrt(math.pi))
 

@@ -46,6 +46,11 @@ class SigmaModel:
     def __call__(self, x, order=0):
         return eval_sigma(self, x, order)
 
+    def curvature(self, x):
+        """sigma''(x) sigma(x) + sigma'(x)^2, i.e. (sigma^2)''(x) / 2."""
+        return (np.asarray(self.d2(x)) * np.asarray(self.fn(x))
+                + np.asarray(self.d1(x)) ** 2)
+
 
 def eval_sigma(model, x, order=0):
     """Evaluate sigma (order 0), sigma' (1) or sigma'' (2) at x.

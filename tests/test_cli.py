@@ -1,9 +1,14 @@
 import csv
+import dataclasses
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fbm_infoflow import cli, identities as idn
 from fbm_infoflow.cli import main
 
 
@@ -140,8 +145,78 @@ def test_fbm_sample_csv(tmp_path):
     assert float(rows[1][0]) == pytest.approx(0.015625)
 
 
-def test_fbm_sample_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FBM_INFOFLOW_THREADS", "4")
-    cfg = _base_config(tmp_path, suites=["debruijn-mult"])
+def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
+    # On sqrt1p, sigma^2 (score_X - score_Y)^2 is constant, so the oracle's
+    # standard error is ~1e-13 and the quadrature rhs's own error decides.
+    cfg = {"suites": ["kl-flow"], "channel": {"sigma": {"kind": "sqrt1p"}, "x0": 0.0},
+           "kl": {"y0": 1.0}, "t_grid": [1.0], "hurst_grid": [0.5],
+           "oracle": {"kind": "mc", "samples": 100000, "seed": 7}}
+    runner = cli._SuiteRunner(cfg)
+    rep = runner.run_combo("kl-flow", 1.0, 0.5)
+    assert rep.extras["mc_std_error"] < 1e-12
+    assert rep.extras["mc_ok"], rep.extras
+    off = dataclasses.replace(rep, rhs=rep.rhs + 1e-6 * abs(rep.rhs), extras={})
+    monkeypatch.setattr(idn, "kl_flow_check", lambda *args, **kwargs: off)
+    assert not runner.run_combo("kl-flow", 1.0, 0.5).extras["mc_ok"]
+
+
+def test_entropy_power_skips_times_below_min_t(tmp_path):
+    cfg = _base_config(tmp_path, suites=["entropy-power"],
+                       t_grid=[0.0005, 1.0], hurst_grid=[0.75])
     result = _run(tmp_path, cfg)
-    assert result.exit_code == 0
+    assert result.exit_code == 0, result.output
+    assert "1 checks, 0 failed (1 excluded below min_t)" in result.output
+    with open(tmp_path / "report_entropy_power.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+
+
+def test_grid_law_readme_keys(tmp_path):
+    points = np.linspace(0.0, 1.0, 201)
+    cfg = _base_config(tmp_path, suites=["debruijn-additive"],
+                       t_grid=[1.0], hurst_grid=[0.75])
+    cfg["channel"]["initial"] = {"kind": "grid", "points": points.tolist(),
+                                 "density": np.ones_like(points).tolist()}
+    law = cli._SuiteRunner(cfg).initial
+    assert law.kind == "grid" and law.grid[0] == 0.0 and law.grid[-1] == 1.0
+    assert _run(tmp_path, cfg).exit_code == 0
+    cfg["channel"]["initial"]["n"] = 201
+    result = _run(tmp_path, cfg)
+    assert result.exit_code == 2 and "points and density" in result.output
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda c: c.update(tolerance={"stein": 0.0}), "'tolerance'"),
+    (lambda c: c.update(tolerances={"stien": 0.0}), "'tolerances.stien'"),
+    (lambda c: c["channel"]["sigma"].update(cc=2.0), "'channel.sigma.cc'"),
+    (lambda c: c["channel"]["initial"].update(grid=[0.0, 1.0]),
+     "'channel.initial.grid'"),
+    (lambda c: c.update(oracle={"kind": "mc", "sample": 10}), "'oracle.sample'"),
+    (lambda c: c.update(kl=1.0), "kl must be a JSON object"),
+], ids=["tolerance", "tolerances.stien", "sigma.cc", "initial.grid", "oracle.sample",
+        "kl-not-an-object"])
+def test_unknown_config_keys_rejected(tmp_path, edit, key):
+    cfg = _base_config(tmp_path, suites=["stein"], t_grid=[1.0], hurst_grid=[0.5])
+    edit(cfg)
+    result = _run(tmp_path, cfg)
+    assert result.exit_code == 2
+    assert key in result.output
+
+
+def _schema_paths(schema, prefix=""):
+    for key, sub in schema.items():
+        if sub is None:
+            yield prefix + key
+        else:
+            yield from _schema_paths(sub, prefix + key + ".")
+
+
+def test_readme_documents_the_config_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### `fbm-infoflow run", 1)[1].split("\n### ", 1)[0]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    cli._SuiteRunner(example)
+    documented = set(re.findall(r"`([a-z_][a-z_0-9]*(?:\.[a-z_0-9<>]+)*)`", section))
+    accepted = {re.sub(r"^tolerances\..*", "tolerances.<suite>", path)
+                for path in _schema_paths(cli._SCHEMA)}
+    assert accepted <= documented
+    assert {d for d in documented if "." in d} <= accepted

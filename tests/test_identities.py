@@ -32,12 +32,6 @@ def test_nonconstant_sigma_debruijn():
     assert rep.abs_discrepancy <= 1e-4
 
 
-def test_rhs_cross_check_tight():
-    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6)
-    rep = idn.debruijn_check_mult(chan, 1.0)
-    assert rep.extras["rhs_cross_check"] <= 1e-9
-
-
 def test_report_invariant():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     rep = idn.debruijn_check_mult(chan, 1.0, tol=1e-6)
@@ -109,6 +103,19 @@ def test_kl_strictly_decreasing_closed_form():
         expected = [1.0 / (2 * t ** (2 * h)) for t in (0.5, 1.0, 2.0)]
         assert np.allclose(kls, expected, atol=1e-12)
         assert kls[0] > kls[1] > kls[2]
+
+
+def test_kl_flow_custom_sigma_must_be_the_same_model():
+    def model(c):
+        return sg.custom(lambda x: c + 0.0 * x, lambda x: 0.0 * x,
+                         lambda x: 0.0 * x, domain=(-50.0, 50.0))
+    s1, s2 = model(1.0), model(2.0)
+    with pytest.raises(DomainError):
+        idn.kl_flow_check(ch.multiplicative(s1, 0.0, 0.6),
+                          ch.multiplicative(s2, 1.0, 0.6), 1.0)
+    rep = idn.kl_flow_check(ch.multiplicative(s1, 0.0, 0.6),
+                            ch.multiplicative(s1, 1.0, 0.6), 1.0, tol=1e-4)
+    assert rep.passed, rep
 
 
 def test_kl_flow_nonconstant_sigma():
