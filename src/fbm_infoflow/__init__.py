@@ -27,10 +27,9 @@ from .identities import (
     stein_check,
 )
 from .infofunc import (
-    QuadratureSpec,
-    WeightFunction,
     entropy,
     entropy_power,
+    expectation,
     generalized_fisher,
     kl_divergence,
     relative_fisher,

@@ -7,7 +7,8 @@ Gaussian branch, numerical convolution for grid-specified initial laws).
 
 A DensityField bundles the density, its log-gradient (score) and domain
 metadata.  Fields that are exactly Gaussian carry a (mean, variance) tag so
-downstream functionals can take exact branches instead of quadrature.
+downstream functionals can use a Gauss-Hermite rule instead of adaptive
+quadrature.
 """
 
 import math
@@ -29,6 +30,7 @@ from .sigma import SigmaModel
 _TINY = 1e-300
 _Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
+_KERNEL_ROWS = 512      # grid-law kernel rows per block: 8 MB at 2001 grid points
 
 
 @dataclass(frozen=True)
@@ -220,24 +222,27 @@ def _convolved_field(channel, t):
         )
     norm = 1.0 / math.sqrt(2 * math.pi * var)
 
-    def _kernel(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.exp(-0.5 * (x[:, None] - y[None, :]) ** 2 / var) * norm
+    def _convolve(x, with_derivative):
+        """Trapezoid convolutions of p0 with the kernel and, if asked, with its
+        x-derivative, one block of _KERNEL_ROWS rows of the kernel at a time."""
+        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        f, df = np.empty(xa.size), np.empty(xa.size)
+        for i in range(0, xa.size, _KERNEL_ROWS):
+            xb = xa[i:i + _KERNEL_ROWS]
+            k = np.exp(-0.5 * (xb[:, None] - y[None, :]) ** 2 / var) * norm
+            f[i:i + xb.size] = np.trapezoid(k * p0[None, :], y, axis=1)
+            if with_derivative:
+                k *= -(xb[:, None] - y[None, :]) / var
+                df[i:i + xb.size] = np.trapezoid(k * p0[None, :], y, axis=1)
+        return f, df
 
     def pdf(x):
-        k = _kernel(x)
-        out = np.trapezoid(k * p0[None, :], y, axis=1)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def dpdf(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        k = _kernel(xa) * (-(xa[:, None] - y[None, :]) / var)
-        out = np.trapezoid(k * p0[None, :], y, axis=1)
+        out = _convolve(x, False)[0]
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def score(x):
-        f = np.maximum(np.atleast_1d(pdf(np.atleast_1d(x))), _TINY)
-        out = np.atleast_1d(dpdf(x)) / f
+        f, df = _convolve(x, True)
+        out = df / np.maximum(f, _TINY)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     lo = float(y[0] - _FIELD_STD * sd)

@@ -21,7 +21,7 @@ from . import identities as idn
 from . import infofunc as nf
 from . import montecarlo as mc
 from . import sigma as sg
-from .errors import ConfigError, FbmInfoflowError
+from .errors import ConfigError, DomainError, FbmInfoflowError
 
 SUITES = (
     "debruijn-mult", "debruijn-additive", "kl-flow",
@@ -68,39 +68,59 @@ def _check_keys(cfg, schema, where=""):
             _check_keys(value, schema[key], path)
 
 
+def _check_choice(value, key, choices):
+    if value not in choices:
+        raise ConfigError(f"config key {key!r} must be one of {', '.join(choices)}, "
+                          f"not {value!r}")
+
+
 def _build_sigma(cfg):
     cfg = cfg or {"kind": "constant", "c": 1.0}
     kind = cfg.get("kind", "constant")
+    _check_choice(kind, "channel.sigma.kind", ("constant", "identity", "sqrt1p"))
     domain = tuple(cfg.get("domain", (-1e9, 1e9)))
     if kind == "constant":
         return sg.constant(cfg.get("c", 1.0), domain=domain)
     if kind == "identity":
         return sg.identity_channel(domain=domain)
-    if kind == "sqrt1p":
-        return sg.sqrt_one_plus_square(domain=domain)
-    raise ConfigError(f"unknown sigma kind {kind!r}")
+    return sg.sqrt_one_plus_square(domain=domain)
+
+
+_INITIAL_KEYS = {"gaussian": ("mean", "variance"),
+                 "grid": ("points", "density", "domain", "n", "shape")}
 
 
 def _build_initial(cfg):
     cfg = cfg or {"kind": "gaussian", "mean": 0.0, "variance": 1.0}
     kind = cfg.get("kind", "gaussian")
+    _check_choice(kind, "channel.initial.kind", tuple(_INITIAL_KEYS))
+    wrong = [k for other, keys in _INITIAL_KEYS.items() if other != kind
+             for k in keys if k in cfg]
+    if wrong:
+        raise ConfigError(f"config key 'channel.initial.{wrong[0]}' does not apply "
+                          f"to a {kind} initial law")
     if kind == "gaussian":
         return ch.gaussian_law(cfg.get("mean", 0.0), cfg.get("variance", 1.0))
-    if kind == "grid":
-        tabulated = {"points", "density"} & cfg.keys()
-        if tabulated:
-            if tabulated != {"points", "density"} or {"domain", "n", "shape"} & cfg.keys():
-                raise ConfigError("a grid initial law takes either points and density, "
-                                  "or domain, n and shape")
-            return ch.grid_law(cfg["points"], cfg["density"])
-        lo, hi = cfg.get("domain", (-1.0, 1.0))
-        n = int(cfg.get("n", 2001))
-        grid = np.linspace(lo, hi, n)
-        shape = cfg.get("shape", "uniform")
-        if shape != "uniform":
-            raise ConfigError(f"unknown grid density shape {shape!r}")
-        return ch.grid_law(grid, np.full(n, 1.0 / (hi - lo)))
-    raise ConfigError(f"unknown initial law kind {kind!r}")
+    tabulated = {"points", "density"} & cfg.keys()
+    if tabulated:
+        if tabulated != {"points", "density"} or {"domain", "n", "shape"} & cfg.keys():
+            raise ConfigError("a grid initial law takes either points and density, "
+                              "or domain, n and shape")
+        return ch.grid_law(cfg["points"], cfg["density"])
+    lo, hi = cfg.get("domain", (-1.0, 1.0))
+    if not lo < hi:
+        raise ConfigError("config key 'channel.initial.domain' must be [lo, hi] with lo < hi")
+    n = int(cfg.get("n", 2001))
+    _check_choice(cfg.get("shape", "uniform"), "channel.initial.shape", ("uniform",))
+    return ch.grid_law(np.linspace(lo, hi, n), np.full(n, 1.0 / (hi - lo)))
+
+
+def _build(key, build, cfg):
+    """build(cfg); a DomainError from the constructors is a config error naming key."""
+    try:
+        return build(cfg)
+    except DomainError as exc:
+        raise ConfigError(f"invalid {key!r}: {exc}") from exc
 
 
 def _validate_config(cfg):
@@ -119,6 +139,9 @@ def _validate_config(cfg):
         raise ConfigError("all times must be strictly positive")
     if any(not 0.0 < h < 1.0 for h in h_grid):
         raise ConfigError("all Hurst values must lie in (0, 1)")
+    _check_choice(cfg.get("channel", {}).get("variant", "multiplicative"),
+                  "channel.variant", ("multiplicative", "additive"))
+    _check_choice((cfg.get("oracle") or {}).get("kind", "mc"), "oracle.kind", ("mc",))
     return suites, t_grid, h_grid
 
 
@@ -127,9 +150,9 @@ class _SuiteRunner:
         self.cfg = cfg
         self.suites, self.t_grid, self.h_grid = _validate_config(cfg)
         chan_cfg = cfg.get("channel", {})
-        self.sigma = _build_sigma(chan_cfg.get("sigma"))
+        self.sigma = _build("channel.sigma", _build_sigma, chan_cfg.get("sigma"))
         self.x0 = float(chan_cfg.get("x0", 0.0))
-        self.initial = _build_initial(chan_cfg.get("initial"))
+        self.initial = _build("channel.initial", _build_initial, chan_cfg.get("initial"))
         self.y0 = float(cfg.get("kl", {}).get("y0", 1.0))
         self.min_t = float(cfg.get("min_t", 0.05))
         fd_step = cfg.get("fd_step")
@@ -167,8 +190,7 @@ class _SuiteRunner:
         value, se = scale * est.mean, abs(scale) * est.std_error
         # The quadrature rhs is itself only accurate to its declared tolerance,
         # which dominates when g is constant and the standard error vanishes.
-        quad = nf.DEFAULT_QUAD
-        rhs_err = abs(scale) * quad.abs_tol + quad.rel_tol * abs(report.rhs)
+        rhs_err = abs(scale) * nf.ABS_TOL + nf.REL_TOL * abs(report.rhs)
         report.extras["mc_value"] = value
         report.extras["mc_std_error"] = se
         report.extras["mc_ok"] = abs(value - report.rhs) <= 4.0 * se + rhs_err

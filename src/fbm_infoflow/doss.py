@@ -49,7 +49,9 @@ class PhiSolution:
         lo, hi = self.z_domain
         if np.any(z < lo) or np.any(z > hi):
             raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}]")
-        out = self._interp(z)
+        # PCHIP is monotone; only rounding at the table's ends can leave x_range,
+        # where invert_phi would reject the value.
+        out = np.clip(self._interp(z), *self.x_range)
         if out.ndim == 0:
             return float(out)
         return out

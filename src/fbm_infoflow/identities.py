@@ -6,7 +6,6 @@ quadrature of Fisher-type functionals on the other) and reports the
 discrepancy against a tolerance.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -87,7 +86,7 @@ def richardson_derivative(f, t, step):
     return (4.0 * d2 - d1) / 3.0
 
 
-def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_QUAD):
+def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4):
     """Entropy flow of dX = sigma(X) o dB^H against its Fisher-information form.
 
     rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] }.
@@ -99,11 +98,11 @@ def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_QUAD
     sig = channel.sigma
 
     lhs = richardson_derivative(
-        lambda s: nf.entropy(ch.density_at(channel, s), quad=quad), t, fd_step)
+        lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
 
     field_t = ch.density_at(channel, t)
-    j_sig2 = nf.generalized_fisher(field_t, nf.sigma_squared_weight(sig), quad=quad)
-    e_curv = nf.expectation(field_t, sig.curvature, quad=quad)
+    j_sig2 = nf.generalized_fisher(field_t, lambda x: sig.fn(x) ** 2)
+    e_curv = nf.expectation(field_t, sig.curvature)
     rhs = _rate(hv, t) * (j_sig2 - e_curv)
     return _report("debruijn-mult", t, hv, lhs, rhs, tol,
                    notes=f"richardson fd_step={fd_step:g}")
@@ -120,7 +119,7 @@ def debruijn_mult_oracle(channel, t):
     return _rate(channel.hurst.value, t), g
 
 
-def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_QUAD):
+def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4):
     """Entropy flow of X_t = X_0 + B^H_t against H t^{2H-1} J_1(X_t)."""
     if channel.variant != "additive":
         raise DomainError("debruijn_check_additive needs an additive channel")
@@ -128,10 +127,10 @@ def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4, quad=nf.DEFAULT_
     hv = channel.hurst.value
 
     lhs = richardson_derivative(
-        lambda s: nf.entropy(ch.density_at(channel, s), quad=quad), t, fd_step)
+        lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
 
     field_t = ch.density_at(channel, t)
-    j1 = nf.generalized_fisher(field_t, nf.WEIGHT_ONE, quad=quad)
+    j1 = nf.generalized_fisher(field_t)
     rhs = _rate(hv, t) * j1
     notes = f"richardson fd_step={fd_step:g}; J_1={j1:.12g}"
     return _report("debruijn-additive", t, hv, lhs, rhs, tol, notes)
@@ -144,8 +143,7 @@ def debruijn_additive_oracle(channel, t):
     return _rate(channel.hurst.value, t), lambda x: np.asarray(score(x)) ** 2
 
 
-def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
-                  quad=nf.DEFAULT_QUAD):
+def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
     """d/dt K(X_t || Y_t) against -H t^{2H-1} J_{sigma^2}(X_t || Y_t).
 
     Both channels must be multiplicative with the same diffusion coefficient
@@ -166,16 +164,16 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4,
 
     def kl_at(s):
         return nf.kl_divergence(ch.density_at(x_channel, s),
-                                ch.density_at(y_channel, s), quad=quad)
+                                ch.density_at(y_channel, s))
 
     lhs = richardson_derivative(kl_at, t, fd_step)
     px = ch.density_at(x_channel, t)
     py = ch.density_at(y_channel, t)
-    rel = nf.relative_fisher(px, py, nf.sigma_squared_weight(sx), quad=quad)
+    rel = nf.relative_fisher(px, py, lambda x: sx.fn(x) ** 2)
     rhs = -_rate(hv, t) * rel
 
     kls = [kl_at(t - fd_step), kl_at(t), kl_at(t + fd_step)]
-    slack = 10 * quad.abs_tol
+    slack = 10 * nf.ABS_TOL
     monotone = kls[0] + slack >= kls[1] and kls[1] + slack >= kls[2]
     notes = (f"richardson fd_step={fd_step:g}; KL(t-d,t,t+d)="
              f"{kls[0]:.9g},{kls[1]:.9g},{kls[2]:.9g}; "
@@ -239,12 +237,10 @@ def stein_check(mu, variance, r, r_prime, tol=1e-10):
     both sides by Gauss-Hermite quadrature."""
     if variance <= 0:
         raise DomainError("stein_check needs variance > 0")
-    u, w = nf.gauss_hermite_rule()
-    y = mu + math.sqrt(2.0 * variance) * u
-    wn = w / math.sqrt(math.pi)
-    lhs = float(np.sum(wn * np.asarray(r(y), dtype=float) * (y - mu)))
-    rhs = variance * float(np.sum(wn * np.asarray(r_prime(y), dtype=float)))
-    notes = f"gauss-hermite n={u.size}"
+    y, w = nf.gauss_hermite_nodes(mu, variance)
+    lhs = float(np.sum(w * np.asarray(r(y), dtype=float) * (y - mu)))
+    rhs = variance * float(np.sum(w * np.asarray(r_prime(y), dtype=float)))
+    notes = f"gauss-hermite n={y.size}"
     return _report("stein", 0.0, 0.0, lhs, rhs, tol, notes)
 
 
@@ -261,7 +257,7 @@ class ConvexityProfile:
     d2n_fd: np.ndarray                   # direct second difference of N
 
 
-def entropy_power_profile(channel, t_grid, fd_step=1e-3, quad=nf.DEFAULT_QUAD):
+def entropy_power_profile(channel, t_grid, fd_step=1e-3):
     """Evaluate g(t, H, X_t) = 2 H^2 t^{4H-2} J_1^2 + H(2H-1) t^{2H-2} J_1
     + H t^{2H-1} dJ_1/dt on an additive channel, classify convexity per point
     and cross-check d^2N/dt^2 = 2 N g against second differences of N."""
@@ -277,10 +273,10 @@ def entropy_power_profile(channel, t_grid, fd_step=1e-3, quad=nf.DEFAULT_QUAD):
     def j1_at(s):
         if is_gauss:
             return 1.0 / (law.variance + s ** (2.0 * hv))
-        return nf.generalized_fisher(ch.density_at(channel, s), quad=quad)
+        return nf.generalized_fisher(ch.density_at(channel, s))
 
     def n_at(s):
-        return nf.entropy_power(ch.density_at(channel, s), quad=quad)
+        return nf.entropy_power(ch.density_at(channel, s))
 
     g_vals, n_vals, d2_formula, d2_fd, classes = [], [], [], [], []
     for t in t_grid:

@@ -1,150 +1,41 @@
 """Information functionals over DensityFields.
 
 Entropy, generalized Fisher information, KL divergence, relative Fisher
-information and entropy power, all by adaptive quadrature with exact branches
-when the field carries a Gaussian tag.
+information and entropy power.  Each functional is one expectation
+E_p[g(X, f(X))], f being p's density, evaluated by `_expect` along one of two
+routes: a 128-node Gauss-Hermite rule when every field involved carries a
+Gaussian tag (exact for the Gaussian entropy, Fisher and KL integrands), and
+adaptive quadrature (scipy QUADPACK) otherwise.  A weight b is an array
+callable, None meaning 1.
 """
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy import integrate
 
-from .errors import QuadratureError, SupportError, TailError
-from .sigma import SigmaModel
+from .errors import QuadratureError, SupportError
 
+ABS_TOL = 1e-10         # QUADPACK absolute tolerance
+REL_TOL = 1e-8          # QUADPACK relative tolerance
+_LIMIT = 200            # QUADPACK subdivisions, at least the breakpoints + 2
 _TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive quadrature settings (scipy QUADPACK under the hood)."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be > 0")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Positive weight b(x) for generalized / relative Fisher information."""
-
-    kind: str                              # 'one' | 'sigma_squared' | 'custom'
-    sigma: Optional[SigmaModel] = None
-    fn: Optional[Callable] = None
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "one":
-            out = np.ones_like(x)
-        elif self.kind == "sigma_squared":
-            out = np.asarray(self.sigma.fn(x), dtype=float) ** 2
-        else:
-            out = np.asarray(self.fn(x), dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def constant_value(self):
-        """The constant b if the weight is constant, else None."""
-        if self.kind == "one":
-            return 1.0
-        if self.kind == "sigma_squared" and self.sigma is not None \
-                and self.sigma.kind in ("constant", "identity"):
-            return self.sigma.c ** 2
-        return None
-
-
-WEIGHT_ONE = WeightFunction(kind="one")
-
-
-def sigma_squared_weight(sigma):
-    return WeightFunction(kind="sigma_squared", sigma=sigma)
-
-
-def custom_weight(fn):
-    return WeightFunction(kind="custom", fn=fn)
-
-
-def _quad(fn, lo, hi, quad, points=()):
-    pts = sorted(p for p in points if lo < p < hi)
-    result = integrate.quad(
-        fn, lo, hi, epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-        limit=max(quad.max_subdivisions, len(pts) + 2),
-        points=pts or None, full_output=1,
-    )
-    if len(result) > 3:
-        value, err = result[0], result[1]
-        raise QuadratureError(
-            f"quadrature did not converge: {result[3]}",
-            estimate=value, error_estimate=err,
-        )
-    return result[0]
-
-
 @functools.cache
-def gauss_hermite_rule():
-    """128-node Gauss-Hermite rule (nodes, weights), built once."""
-    return hermgauss(128)
+def _hermite():
+    u, w = hermgauss(128)
+    return u, w / math.sqrt(math.pi)
 
 
-def _gauss_expect(mean, variance, g):
-    """E[g(Y)], Y ~ N(mean, variance), by Gauss-Hermite quadrature."""
-    u, w = gauss_hermite_rule()
-    x = mean + math.sqrt(2.0 * variance) * u
-    return float(np.sum(w * np.asarray(g(x), dtype=float)) / math.sqrt(math.pi))
-
-
-def expectation(field, g, quad=DEFAULT_QUAD):
-    """E[g(X)] for X with the given density field."""
-    if field.gaussian is not None:
-        return _gauss_expect(*field.gaussian, g)
-    return _quad(lambda x: field.pdf(x) * g(x), field.lo, field.hi, quad,
-                 points=field.breakpoints)
-
-
-def entropy(field, quad=DEFAULT_QUAD):
-    """Shannon differential entropy -int f ln f."""
-    if field.gaussian is not None:
-        _, var = field.gaussian
-        return 0.5 * math.log(2.0 * math.pi * math.e * var)
-
-    def integrand(x):
-        f = field.pdf(x)
-        if f <= _TINY:
-            return 0.0
-        return -f * math.log(f)
-
-    return _quad(integrand, field.lo, field.hi, quad, points=field.breakpoints)
-
-
-def generalized_fisher(field, b=WEIGHT_ONE, quad=DEFAULT_QUAD):
-    """J_b = E[b(X) (d/dx ln f(X))^2] >= 0."""
-    if field.gaussian is not None:
-        mean, var = field.gaussian
-        cb = b.constant_value
-        if cb is not None:
-            return cb / var
-        return _gauss_expect(mean, var, lambda x: b(x) * ((x - mean) / var) ** 2)
-
-    def integrand(x):
-        f = field.pdf(x)
-        if f <= _TINY:
-            return 0.0
-        return f * b(x) * field.score_fn(x) ** 2
-
-    return _quad(integrand, field.lo, field.hi, quad, points=field.breakpoints)
+def gauss_hermite_nodes(mean, variance):
+    """Nodes x and weights w of the cached 128-node Gauss-Hermite rule for
+    Y ~ N(mean, variance): E[h(Y)] ~ sum(w * h(x))."""
+    u, w = _hermite()
+    return mean + math.sqrt(2.0 * variance) * u, w
 
 
 def _check_support(p, q):
@@ -155,55 +46,63 @@ def _check_support(p, q):
         raise SupportError("support of p not contained in support of q")
 
 
-def kl_divergence(p, q, quad=DEFAULT_QUAD):
+def _expect(g, p, q=None):
+    """E_p[g(X, f(X))] with f = p.pdf; q, when given, is the second field of a
+    divergence and must contain p's support."""
+    fields = (p,) if q is None else (p, q)
+    if all(fl.gaussian is not None for fl in fields):
+        x, w = gauss_hermite_nodes(*p.gaussian)
+        return float(np.sum(w * g(x, np.asarray(p.pdf(x), dtype=float))))
+    if q is not None:
+        _check_support(p, q)
+    lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
+    pts = sorted(b for fl in fields for b in fl.breakpoints if lo < b < hi)
+
+    def integrand(x):
+        f = p.pdf(x)
+        return f * g(x, f) if f > _TINY else 0.0
+
+    result = integrate.quad(
+        integrand, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
+        limit=max(_LIMIT, len(pts) + 2), points=pts or None, full_output=1,
+    )
+    if len(result) > 3:
+        raise QuadratureError(f"quadrature did not converge: {result[3]}",
+                              estimate=result[0], error_estimate=result[1])
+    return result[0]
+
+
+def expectation(field, g):
+    """E[g(X)] for X with the given density field."""
+    return _expect(lambda x, f: g(x), field)
+
+
+def entropy(field):
+    """Shannon differential entropy -int f ln f."""
+    return _expect(lambda x, f: -np.log(f), field)
+
+
+def generalized_fisher(field, b=None):
+    """J_b = E[b(X) (d/dx ln f(X))^2] >= 0."""
+    def g(x, f):
+        s2 = field.score_fn(x) ** 2
+        return s2 if b is None else b(x) * s2
+    return _expect(g, field)
+
+
+def kl_divergence(p, q):
     """K(p || q) = int p ln(p/q) >= 0."""
-    if p is q:
-        return 0.0
-    if p.gaussian is not None and q.gaussian is not None:
-        m1, v1 = p.gaussian
-        m2, v2 = q.gaussian
-        return 0.5 * (math.log(v2 / v1) + (v1 + (m1 - m2) ** 2) / v2 - 1.0)
-    _check_support(p, q)
-    lo, hi = max(p.lo, q.lo), min(p.hi, q.hi)
-
-    def integrand(x):
-        fp = p.pdf(x)
-        if fp <= _TINY:
-            return 0.0
-        fq = max(q.pdf(x), _TINY)
-        return fp * math.log(fp / fq)
-
-    return _quad(integrand, lo, hi, quad,
-                 points=tuple(p.breakpoints) + tuple(q.breakpoints))
+    return _expect(lambda x, f: np.log(f / np.maximum(q.pdf(x), _TINY)), p, q)
 
 
-def relative_fisher(p, q, b=WEIGHT_ONE, quad=DEFAULT_QUAD):
+def relative_fisher(p, q, b=None):
     """J_b(p || q) = E_p[b(X) (d/dx ln(p/q)(X))^2] >= 0."""
-    if p is q:
-        return 0.0
-    cb = b.constant_value
-    if p.gaussian is not None and q.gaussian is not None and cb is not None:
-        m1, v1 = p.gaussian
-        m2, v2 = q.gaussian
-        # score difference is linear: a x + c
-        a = 1.0 / v2 - 1.0 / v1
-        c = m1 / v1 - m2 / v2
-        return cb * (a * a * (v1 + m1 * m1) + 2 * a * c * m1 + c * c)
-    _check_support(p, q)
-    lo, hi = max(p.lo, q.lo), min(p.hi, q.hi)
-
-    def integrand(x):
-        fp = p.pdf(x)
-        if fp <= _TINY:
-            return 0.0
-        ds = p.score_fn(x) - q.score_fn(x)
-        return fp * b(x) * ds * ds
-
-    return _quad(integrand, lo, hi, quad,
-                 points=tuple(p.breakpoints) + tuple(q.breakpoints))
+    def g(x, f):
+        ds2 = (p.score_fn(x) - q.score_fn(x)) ** 2
+        return ds2 if b is None else b(x) * ds2
+    return _expect(g, p, q)
 
 
-def entropy_power(field, quad=DEFAULT_QUAD):
+def entropy_power(field):
     """N(X) = exp(2 h(X)) / (2 pi e); equals the variance for Gaussian fields."""
-    h = entropy(field, quad=quad)
-    return math.exp(2.0 * h) / (2.0 * math.pi * math.e)
+    return math.exp(2.0 * entropy(field)) / (2.0 * math.pi * math.e)

@@ -202,6 +202,48 @@ def test_unknown_config_keys_rejected(tmp_path, edit, key):
     assert key in result.output
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda c: c["channel"].update(variant="bogus"), "'channel.variant'"),
+    (lambda c: c.update(oracle={"kind": "bogus"}), "'oracle.kind'"),
+    (lambda c: c["channel"]["sigma"].update(kind="bogus"), "'channel.sigma.kind'"),
+    (lambda c: c["channel"]["initial"].update(points=[0.0, 1.0], density=[1.0, 1.0]),
+     "'channel.initial.points'"),
+    (lambda c: c["channel"]["initial"].update(n=11), "'channel.initial.n'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "variance": 2.0}),
+     "'channel.initial.variance'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "shape": "normal"}),
+     "'channel.initial.shape'"),
+], ids=["variant", "oracle.kind", "sigma.kind", "gaussian-points", "gaussian-n",
+        "grid-variance", "grid-shape"])
+def test_invalid_config_values_rejected(tmp_path, edit, key):
+    cfg = _base_config(tmp_path, suites=["stein"], t_grid=[1.0], hurst_grid=[0.5])
+    edit(cfg)
+    result = _run(tmp_path, cfg)
+    assert result.exit_code == 2, result.output
+    assert key in result.output
+
+
+_POINTS = np.linspace(0.0, 1.0, 11).tolist()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda c: c["channel"]["initial"].update(variance=-1), "'channel.initial'"),
+    (lambda c: c["channel"]["sigma"].update(c=-2), "'channel.sigma'"),
+    (lambda c: c["channel"]["sigma"].update(domain=[1.0, -1.0]), "'channel.sigma'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "points": _POINTS,
+                                            "density": [0.5] * 11}), "'channel.initial'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "n": 4}), "'channel.initial'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "domain": [1.0, 1.0]}),
+     "'channel.initial.domain'"),
+], ids=["variance", "sigma.c", "sigma.domain", "grid-mass", "grid-n", "grid-domain"])
+def test_invalid_constructor_values_are_config_errors(tmp_path, edit, key):
+    cfg = _base_config(tmp_path, suites=["stein"], t_grid=[1.0], hurst_grid=[0.5])
+    edit(cfg)
+    result = _run(tmp_path, cfg)
+    assert result.exit_code == 2, result.output
+    assert key in result.output and "config error" in result.output
+
+
 def _schema_paths(schema, prefix=""):
     for key, sub in schema.items():
         if sub is None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fbm_infoflow import doss, sigma as sg
@@ -54,6 +55,14 @@ def test_invert_round_trip(phi_sinh):
     xs = np.asarray(phi_sinh(zs))
     back = doss.invert_phi(phi_sinh, xs)
     assert np.max(np.abs(back - zs)) <= 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(z=st.floats(-4.0, 4.0))
+@example(z=4.0)                      # the table's ends, which phi once overshot
+@example(z=-4.0)
+def test_invert_phi_inverts_phi(phi_sinh, z):
+    assert doss.invert_phi(phi_sinh, phi_sinh(z)) == pytest.approx(z, abs=1e-10)
 
 
 def test_invert_examples(phi_sinh):

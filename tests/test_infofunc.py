@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
 from fbm_infoflow.errors import SupportError
-
-QUAD = nf.DEFAULT_QUAD
 
 
 def _untagged(mean, var):
@@ -52,7 +51,7 @@ def test_fisher_gaussian_reciprocal_variance():
 
 def test_fisher_sigma_squared_weight_moment():
     # E[(1 + Z^2) Z^2] = 1 + 3 = 4 for Z ~ N(0,1)
-    b = nf.sigma_squared_weight(sg.sqrt_one_plus_square())
+    b = lambda x: sg.sqrt_one_plus_square().fn(x) ** 2
     got = nf.generalized_fisher(ch.gaussian_field(0.0, 1.0), b)
     assert got == pytest.approx(4.0, abs=1e-8)
 
@@ -60,7 +59,7 @@ def test_fisher_sigma_squared_weight_moment():
 def test_fisher_linearity_in_weight():
     f = ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6), 1.0)
     base = nf.generalized_fisher(f)
-    scaled = nf.generalized_fisher(f, nf.custom_weight(lambda x: 2.25 * np.ones_like(x)))
+    scaled = nf.generalized_fisher(f, lambda x: 2.25 * np.ones_like(x))
     assert scaled == pytest.approx(2.25 * base, rel=1e-7)
 
 
@@ -98,7 +97,7 @@ def test_kl_nonnegative_on_test_fields():
     ]
     for p in fields:
         for q in fields:
-            assert nf.kl_divergence(p, q) >= -QUAD.abs_tol
+            assert nf.kl_divergence(p, q) >= -nf.ABS_TOL
 
 
 def test_relative_fisher_gaussian_closed_form():
@@ -106,7 +105,7 @@ def test_relative_fisher_gaussian_closed_form():
         p = ch.gaussian_field(x0, v)
         q = ch.gaussian_field(y0, v)
         assert nf.relative_fisher(p, q) == pytest.approx((x0 - y0) ** 2 / v ** 2)
-        c2 = nf.custom_weight(lambda x: 2.25 * np.ones_like(np.asarray(x)))
+        c2 = lambda x: 2.25 * np.ones_like(np.asarray(x))
         got = nf.relative_fisher(_untagged(x0, v), _untagged(y0, v), c2)
         assert got == pytest.approx(2.25 * (x0 - y0) ** 2 / v ** 2, rel=1e-6)
 
@@ -138,6 +137,38 @@ def test_entropy_power_monotone_in_entropy():
     assert nf.entropy_power(p) < nf.entropy_power(q)
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        nf.QuadratureSpec(abs_tol=0.0)
+# Gaussian pairs for which q's domain (mean +/- 10 std) holds all of p's mass,
+# so the QUADPACK route over the common domain sees the whole integral.
+_mean = st.floats(-3.0, 3.0)
+_var = st.floats(0.1, 100.0)
+_shift = st.floats(-0.5, 0.5)        # in units of p's std
+_ratio = st.floats(0.7, 1.5)         # q's variance over p's
+
+
+def _pair(mean, var, shift, ratio):
+    return mean, var, mean + shift * math.sqrt(var), var * ratio
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mean, _var, _shift, _ratio)
+def test_gauss_hermite_route_agrees_with_quadrature(mean, var, shift, ratio):
+    m1, v1, m2, v2 = _pair(mean, var, shift, ratio)
+    p, q = ch.gaussian_field(m1, v1), ch.gaussian_field(m2, v2)
+    pu, qu = _untagged(m1, v1), _untagged(m2, v2)
+    assert nf.entropy(pu) == pytest.approx(nf.entropy(p), abs=1e-8)
+    assert nf.generalized_fisher(pu) == pytest.approx(
+        nf.generalized_fisher(p), abs=1e-8, rel=1e-8)
+    assert nf.kl_divergence(pu, qu) == pytest.approx(nf.kl_divergence(p, q), abs=1e-8)
+    assert nf.relative_fisher(pu, qu) == pytest.approx(
+        nf.relative_fisher(p, q), abs=1e-8, rel=1e-8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mean, _var, _shift, _ratio, st.booleans())
+def test_kl_and_fisher_nonnegative(mean, var, shift, ratio, tagged):
+    m1, v1, m2, v2 = _pair(mean, var, shift, ratio)
+    make = ch.gaussian_field if tagged else _untagged
+    p, q = make(m1, v1), make(m2, v2)
+    assert nf.kl_divergence(p, q) >= -nf.ABS_TOL
+    assert nf.kl_divergence(q, p) >= -nf.ABS_TOL
+    assert nf.generalized_fisher(p) >= 0.0

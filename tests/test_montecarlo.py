@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbm_infoflow import channels as ch, infofunc as nf, montecarlo as mc, sigma as sg
 from fbm_infoflow.errors import DomainError
@@ -90,3 +91,24 @@ def test_canonical_pairs_quick():
         if abs(est.mean - quad_fn()) <= 4 * est.std_error:
             hits += 1
     assert hits >= 11
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e3, 1e3), max_size=20), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_running_moments_merge_is_order_invariant(batches, rnd):
+    def merged(order):
+        acc = mc.RunningMoments()
+        for i in order:
+            part = mc.RunningMoments()
+            part.update(batches[i])
+            acc.merge(part)
+        return acc
+
+    order = list(range(len(batches)))
+    shuffled = order[:]
+    rnd.shuffle(shuffled)
+    a, b = merged(order), merged(shuffled)
+    assert a.n == b.n == sum(len(x) for x in batches)
+    assert b.mean == pytest.approx(a.mean, rel=1e-9, abs=1e-9)
+    assert b.m2 == pytest.approx(a.m2, rel=1e-9, abs=1e-6)
