@@ -12,10 +12,9 @@ from .channels import (
     gaussian_law,
     grid_law,
     multiplicative,
-    score_at,
 )
 from .doss import PhiSolution, invert_phi, pushforward_density, solve_phi
-from .fbm import FbmPath, HurstParameter, covariance, sample_path, sample_paths
+from .fbm import HurstParameter, covariance, sample_paths
 from .identities import (
     ConvexityProfile,
     IdentityReport,

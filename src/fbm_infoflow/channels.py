@@ -6,8 +6,9 @@ Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t (closed-form
 Gaussian branch, numerical convolution for grid-specified initial laws).
 
 A DensityField bundles the density, its log-gradient (score) and domain
-metadata.  Fields that are exactly Gaussian carry a (mean, variance) tag so
-downstream functionals can use a Gauss-Hermite rule instead of adaptive
+metadata; pdf and score_fn take an array of points and return an array of
+the same shape.  Fields that are exactly Gaussian carry a (mean, variance)
+tag so downstream functionals can use a Gauss-Hermite rule instead of adaptive
 quadrature.
 """
 
@@ -18,12 +19,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import doss
-from .errors import (
-    DegenerateTimeError,
-    DomainError,
-    ResolutionError,
-    TailError,
-)
+from .errors import DegenerateTimeError, DomainError, ResolutionError
 from .fbm import HurstParameter, as_hurst
 from .sigma import SigmaModel
 
@@ -126,13 +122,10 @@ def gaussian_field(mean, variance):
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        out = np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(2 * math.pi * variance)
-        return float(out) if out.ndim == 0 else out
+        return np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(2 * math.pi * variance)
 
     def score(x):
-        x = np.asarray(x, dtype=float)
-        out = -(x - mean) / variance
-        return float(out) if out.ndim == 0 else out
+        return -(np.asarray(x, dtype=float) - mean) / variance
 
     brk = tuple(mean + sd * k for k in (-6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0))
     return DensityField(
@@ -148,19 +141,15 @@ def grid_field(grid, values):
     values = np.asarray(values, dtype=float)
 
     def pdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.interp(x, grid, values, left=0.0, right=0.0)
-        return float(out) if out.ndim == 0 else out
+        return np.interp(np.asarray(x, dtype=float), grid, values, left=0.0, right=0.0)
 
     h = np.min(np.diff(grid))
 
     def score(x):
         x = np.asarray(x, dtype=float)
-        f0 = np.maximum(pdf(x), _TINY)
         fp = np.maximum(pdf(np.minimum(x + h, grid[-1])), _TINY)
         fm = np.maximum(pdf(np.maximum(x - h, grid[0])), _TINY)
-        out = (np.log(fp) - np.log(fm)) / (2 * h)
-        return float(out) if out.ndim == 0 else out
+        return (np.log(fp) - np.log(fm)) / (2 * h)
 
     return DensityField(
         lo=float(grid[0]), hi=float(grid[-1]), pdf=pdf, score_fn=score,
@@ -183,7 +172,7 @@ def _multiplicative_field(channel, t):
     sig = channel.sigma
     h = channel.hurst.value
     var = float(t) ** (2.0 * h)
-    if sig.kind in ("constant", "identity"):
+    if sig.kind == "constant":
         return gaussian_field(channel.x0, sig.c ** 2 * var)
     phi = _phi_for(channel, t)
     sd = math.sqrt(var)
@@ -195,12 +184,10 @@ def _multiplicative_field(channel, t):
         return doss.pushforward_density(phi, t, channel.hurst, x)
 
     def score(x):
-        z = np.asarray(doss.invert_phi(phi, x), dtype=float)
-        xa = np.asarray(x, dtype=float)
-        s = np.asarray(sig.fn(xa), dtype=float)
-        s1 = np.asarray(sig.d1(xa), dtype=float)
-        out = -z / (var * s) - s1 / s
-        return float(out) if out.ndim == 0 else out
+        z = doss.invert_phi(phi, x)
+        x = np.asarray(x, dtype=float)
+        s = sig.fn(x)
+        return -z / (var * s) - sig.d1(x) / s
 
     ks = np.array([-7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7], dtype=float)
     brk = tuple(float(phi(k)) for k in np.clip(ks * sd, -z_edge, z_edge))
@@ -225,7 +212,8 @@ def _convolved_field(channel, t):
     def _convolve(x, with_derivative):
         """Trapezoid convolutions of p0 with the kernel and, if asked, with its
         x-derivative, one block of _KERNEL_ROWS rows of the kernel at a time."""
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
+        shape = np.shape(x)
+        xa = np.asarray(x, dtype=float).ravel()
         f, df = np.empty(xa.size), np.empty(xa.size)
         for i in range(0, xa.size, _KERNEL_ROWS):
             xb = xa[i:i + _KERNEL_ROWS]
@@ -234,16 +222,14 @@ def _convolved_field(channel, t):
             if with_derivative:
                 k *= -(xb[:, None] - y[None, :]) / var
                 df[i:i + xb.size] = np.trapezoid(k * p0[None, :], y, axis=1)
-        return f, df
+        return f.reshape(shape), df.reshape(shape)
 
     def pdf(x):
-        out = _convolve(x, False)[0]
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return _convolve(x, False)[0]
 
     def score(x):
         f, df = _convolve(x, True)
-        out = df / np.maximum(f, _TINY)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return df / np.maximum(f, _TINY)
 
     lo = float(y[0] - _FIELD_STD * sd)
     hi = float(y[-1] + _FIELD_STD * sd)
@@ -263,11 +249,3 @@ def density_at(channel, t):
         return gaussian_field(law.mean, law.variance + var)
     return _convolved_field(channel, t)
 
-
-def score_at(field, x):
-    """d/dx ln density at x (scalar). Raises TailError on density underflow."""
-    if not field.lo <= x <= field.hi:
-        raise DomainError(f"x = {x:g} outside field domain [{field.lo:g}, {field.hi:g}]")
-    if field.pdf(x) <= _TINY:
-        raise TailError(f"density underflow at x = {x:g}; truncate the domain")
-    return float(field.score_fn(x))

@@ -9,6 +9,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import sys
 
@@ -74,13 +75,40 @@ def _check_choice(value, key, choices):
                           f"not {value!r}")
 
 
+def _value(key, raw, convert=float, ok=None, need=""):
+    """convert(raw) as the value of config key `key`.  A value that does not
+    convert, or for which ok(value) is false, is a ConfigError naming the key."""
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} cannot take {raw!r}: {exc}") from exc
+    if ok is not None and not ok(value):
+        raise ConfigError(f"config key {key!r} must be {need}, not {raw!r}")
+    return value
+
+
+def _count(key, raw, least):
+    return _value(key, raw, int, lambda v: v >= least, f">= {least}")
+
+
+def _floats(raw):
+    if not isinstance(raw, list):
+        raise TypeError("expected a list of numbers")
+    return [float(v) for v in raw]
+
+
+def _pair(raw):
+    a, b = _floats(raw)
+    return a, b
+
+
 def _build_sigma(cfg):
     cfg = cfg or {"kind": "constant", "c": 1.0}
     kind = cfg.get("kind", "constant")
     _check_choice(kind, "channel.sigma.kind", ("constant", "identity", "sqrt1p"))
-    domain = tuple(cfg.get("domain", (-1e9, 1e9)))
+    domain = _value("channel.sigma.domain", cfg.get("domain", [-1e9, 1e9]), _pair)
     if kind == "constant":
-        return sg.constant(cfg.get("c", 1.0), domain=domain)
+        return sg.constant(_value("channel.sigma.c", cfg.get("c", 1.0)), domain=domain)
     if kind == "identity":
         return sg.identity_channel(domain=domain)
     return sg.sqrt_one_plus_square(domain=domain)
@@ -100,17 +128,18 @@ def _build_initial(cfg):
         raise ConfigError(f"config key 'channel.initial.{wrong[0]}' does not apply "
                           f"to a {kind} initial law")
     if kind == "gaussian":
-        return ch.gaussian_law(cfg.get("mean", 0.0), cfg.get("variance", 1.0))
+        return ch.gaussian_law(_value("channel.initial.mean", cfg.get("mean", 0.0)),
+                               _value("channel.initial.variance", cfg.get("variance", 1.0)))
     tabulated = {"points", "density"} & cfg.keys()
     if tabulated:
         if tabulated != {"points", "density"} or {"domain", "n", "shape"} & cfg.keys():
             raise ConfigError("a grid initial law takes either points and density, "
                               "or domain, n and shape")
-        return ch.grid_law(cfg["points"], cfg["density"])
-    lo, hi = cfg.get("domain", (-1.0, 1.0))
-    if not lo < hi:
-        raise ConfigError("config key 'channel.initial.domain' must be [lo, hi] with lo < hi")
-    n = int(cfg.get("n", 2001))
+        return ch.grid_law(_value("channel.initial.points", cfg["points"], _floats),
+                           _value("channel.initial.density", cfg["density"], _floats))
+    lo, hi = _value("channel.initial.domain", cfg.get("domain", [-1.0, 1.0]), _pair,
+                    lambda d: d[0] < d[1], "[lo, hi] with lo < hi")
+    n = _value("channel.initial.n", cfg.get("n", 2001), int, lambda v: v > 0, "> 0")
     _check_choice(cfg.get("shape", "uniform"), "channel.initial.shape", ("uniform",))
     return ch.grid_law(np.linspace(lo, hi, n), np.full(n, 1.0 / (hi - lo)))
 
@@ -126,39 +155,59 @@ def _build(key, build, cfg):
 def _validate_config(cfg):
     _check_keys(cfg, _SCHEMA)
     suites = cfg.get("suites")
-    if not suites:
-        raise ConfigError("config must name at least one suite")
+    if not suites or not isinstance(suites, list):
+        raise ConfigError("config key 'suites' must be a non-empty list of suites")
     for s in suites:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r} (choose from {', '.join(SUITES)})")
-    t_grid = [float(t) for t in cfg.get("t_grid", [0.5, 1.0, 2.0])]
-    h_grid = [float(h) for h in cfg.get("hurst_grid", [0.3, 0.5, 0.75])]
-    if not t_grid or not h_grid:
-        raise ConfigError("t_grid and hurst_grid must be non-empty")
-    if any(t <= 0 for t in t_grid):
-        raise ConfigError("all times must be strictly positive")
-    if any(not 0.0 < h < 1.0 for h in h_grid):
-        raise ConfigError("all Hurst values must lie in (0, 1)")
+    t_grid = _value("t_grid", cfg.get("t_grid", [0.5, 1.0, 2.0]), _floats,
+                    lambda ts: ts and all(t > 0 for t in ts), "a non-empty list of times > 0")
+    h_grid = _value("hurst_grid", cfg.get("hurst_grid", [0.3, 0.5, 0.75]), _floats,
+                    lambda hs: hs and all(0.0 < h < 1.0 for h in hs),
+                    "a non-empty list of Hurst values in (0, 1)")
     _check_choice(cfg.get("channel", {}).get("variant", "multiplicative"),
                   "channel.variant", ("multiplicative", "additive"))
     _check_choice((cfg.get("oracle") or {}).get("kind", "mc"), "oracle.kind", ("mc",))
+    if not isinstance(cfg.get("output", "report"), str):
+        raise ConfigError("config key 'output' must be a path prefix")
     return suites, t_grid, h_grid
 
 
 class _SuiteRunner:
     def __init__(self, cfg):
-        self.cfg = cfg
+        """Read and check every config value, so that no cell meets a bad one."""
         self.suites, self.t_grid, self.h_grid = _validate_config(cfg)
+        self.output = cfg.get("output", "report")
         chan_cfg = cfg.get("channel", {})
         self.sigma = _build("channel.sigma", _build_sigma, chan_cfg.get("sigma"))
-        self.x0 = float(chan_cfg.get("x0", 0.0))
+        self.x0 = _value("channel.x0", chan_cfg.get("x0", 0.0))
         self.initial = _build("channel.initial", _build_initial, chan_cfg.get("initial"))
-        self.y0 = float(cfg.get("kl", {}).get("y0", 1.0))
-        self.min_t = float(cfg.get("min_t", 0.05))
+        self.y0 = _value("kl.y0", cfg.get("kl", {}).get("y0", 1.0))
+        self.min_t = _value("min_t", cfg.get("min_t", 0.05))
         fd_step = cfg.get("fd_step")
-        self.fd_step = None if fd_step is None else float(fd_step)
-        self.tolerances = {**DEFAULT_TOLERANCES, **cfg.get("tolerances", {})}
-        self.oracle = cfg.get("oracle")
+        first_t = min((t for t in self.t_grid if t >= self.min_t), default=math.inf)
+        self.fd_step = None if fd_step is None else _value(
+            "fd_step", fd_step, float, lambda d: 0.0 < d < first_t,
+            "> 0 and below every time at or above min_t")
+        self.tolerances = {**DEFAULT_TOLERANCES, **{
+            suite: _value(f"tolerances.{suite}", tol, float, lambda v: v >= 0.0, ">= 0")
+            for suite, tol in cfg.get("tolerances", {}).items()}}
+        oracle = cfg.get("oracle")
+        self.oracle = None      # or (samples, seed)
+        if oracle:
+            self.oracle = (_count("oracle.samples", oracle.get("samples", 100000), 100),
+                           _count("oracle.seed", oracle.get("seed", 0), 0))
+        self.stein_cases = _value(
+            "stein.cases", cfg.get("stein", {}).get("cases", [[0.0, 1.0], [2.0, 0.5]]),
+            lambda raw: [_pair(case) for case in raw],
+            lambda cases: cases and all(v > 0.0 for _, v in cases),
+            "a non-empty list of [mu, variance] pairs with variance > 0")
+        fcfg = cfg.get("fbm_stats", {})
+        self.fbm_stats = (
+            _count("fbm_stats.n", fcfg.get("n", 32), 1),
+            _value("fbm_stats.dt", fcfg.get("dt", 1.0 / 32), float, lambda d: d > 0.0, "> 0"),
+            _count("fbm_stats.n_paths", fcfg.get("n_paths", 4000), 2),
+            _count("fbm_stats.seed", fcfg.get("seed", 1234), 0))
         self.excluded = []
         self._mult_cache = {}
         self._add_cache = {}
@@ -183,8 +232,7 @@ class _SuiteRunner:
         """Add the oracle's Monte Carlo estimate of rhs = scale * E[g(X_t)]."""
         if not self.oracle:
             return report
-        n = int(self.oracle.get("samples", 100000))
-        seed = int(self.oracle.get("seed", 0))
+        n, seed = self.oracle
         scale, g = oracle(*channels, t)
         est = mc.mc_expectation(channels[0], t, g, n, seed)
         value, se = scale * est.mean, abs(scale) * est.std_error
@@ -197,7 +245,7 @@ class _SuiteRunner:
         return report
 
     def run_combo(self, suite, t, h):
-        tol = float(self.tolerances[suite])
+        tol = self.tolerances[suite]
         if suite == "debruijn-mult":
             chan = self._mult_channel(h)
             r = idn.debruijn_check_mult(chan, t, fd_step=self.fd_step, tol=tol)
@@ -230,7 +278,6 @@ class _SuiteRunner:
 
     def _stein_worst(self, tol):
         if self._stein_cache is None:
-            cases = self.cfg.get("stein", {}).get("cases", [[0.0, 1.0], [2.0, 0.5]])
             rs = [
                 (lambda y: y, lambda y: np.ones_like(y)),
                 (lambda y: y ** 2, lambda y: 2 * y),
@@ -238,9 +285,9 @@ class _SuiteRunner:
                 (np.sin, np.cos),
             ]
             worst = 0.0
-            for mu, v in cases:
+            for mu, v in self.stein_cases:
                 for r, rp in rs:
-                    rep = idn.stein_check(float(mu), float(v), r, rp, tol=tol)
+                    rep = idn.stein_check(mu, v, r, rp, tol=tol)
                     worst = max(worst, rep.abs_discrepancy)
             self._stein_cache = worst
         return self._stein_cache
@@ -265,11 +312,7 @@ class _SuiteRunner:
 
     def _fbm_stats_row(self, t, h, tol):
         if h not in self._fbm_cache:
-            fcfg = self.cfg.get("fbm_stats", {})
-            n = int(fcfg.get("n", 32))
-            dt = float(fcfg.get("dt", 1.0 / 32))
-            n_paths = int(fcfg.get("n_paths", 4000))
-            seed = int(fcfg.get("seed", 1234))
+            n, dt, n_paths, seed = self.fbm_stats
             grid = dt * np.arange(1, n + 1)
             exact = fbm.covariance(grid[:, None], grid[None, :], h)
             stats = {}
@@ -277,10 +320,10 @@ class _SuiteRunner:
                 vals, _ = fbm.sample_paths(grid, h, method=method,
                                            seed=seed + i, n_paths=n_paths)
                 emp = vals.T @ vals / n_paths
-                prod_var = (vals[:, :, None] * vals[:, None, :]).var(axis=0, ddof=1)
-                se = np.sqrt(prod_var / n_paths)
-                stats[method] = (emp, se)
-                del vals
+                # Sample variance of each product v_i v_j from second moments of v^2.
+                sq = vals ** 2
+                prod_var = (sq.T @ sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
+                stats[method] = (emp, np.sqrt(prod_var / n_paths))
             z_worst = max(
                 float(np.max(np.abs(stats[m][0] - exact) / stats[m][1]))
                 for m in stats)
@@ -383,7 +426,7 @@ def _execute(cfg):
     except FbmInfoflowError as exc:
         click.echo(f"numerical error: {exc}", err=True)
         sys.exit(3)
-    output = cfg.get("output", "report")
+    output = runner.output
     write_reports(rows, runner, output)
     n_fail = sum(not r.passed for r in rows)
     click.echo(f"{len(rows)} checks, {n_fail} failed "
@@ -467,18 +510,19 @@ def fbm_group():
 @click.option("--out", "out_path", required=True, type=click.Path())
 def fbm_sample(hurst, n, dt, method, seed, out_path):
     """Sample one fBm path on a uniform grid and write it as CSV."""
+    grid = dt * np.arange(1, n + 1)
     try:
-        path = fbm.sample_path(dt * np.arange(1, n + 1), hurst,
-                               method=method, seed=seed)
+        values, used_fallback = fbm.sample_paths(grid, hurst, method=method,
+                                                 seed=seed, n_paths=1)
     except FbmInfoflowError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     with open(out_path, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("time", "value"))
-        for t, v in zip(path.times, path.values):
+        for t, v in zip(grid, values[0]):
             writer.writerow([f"{t:.12g}", f"{v:.17g}"])
-    if path.used_fallback:
+    if used_fallback:
         click.echo("warning: circulant embedding not nonnegative definite; "
                    "fell back to cholesky", err=True)
     click.echo(f"wrote {n} samples to {out_path}")

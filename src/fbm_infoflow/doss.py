@@ -51,10 +51,7 @@ class PhiSolution:
             raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}]")
         # PCHIP is monotone; only rounding at the table's ends can leave x_range,
         # where invert_phi would reject the value.
-        out = np.clip(self._interp(z), *self.x_range)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.clip(self._interp(z), *self.x_range)
 
 
 def solve_phi(sigma, x0, z_domain, tol=1e-10):
@@ -111,40 +108,34 @@ def solve_phi(sigma, x0, z_domain, tol=1e-10):
 
 
 def invert_phi(phi, x):
-    """Solve phi(z) = x. Accepts scalars or arrays.
+    """Solve phi(z) = x for an array x; z has the shape of x.
 
     Initial guess from the inverse interpolant, then Newton with the analytic
     derivative phi'(z) = sigma(phi(z)).
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
     lo, hi = phi.x_range
     if np.any(arr < lo) or np.any(arr > hi):
         raise RangeError(f"x outside flow range [{lo:g}, {hi:g}]")
-    z = np.asarray(phi._inv_interp(arr), dtype=float)
+    z = phi._inv_interp(arr)
     z_lo, z_hi = phi.z_domain
     target = _INVERT_ATOL * (1.0 + np.abs(arr))
     for _ in range(60):
-        f = np.asarray(phi._interp(z), dtype=float)
+        f = phi._interp(z)
         resid = f - arr
         if np.all(np.abs(resid) <= target):
             break
         z = np.clip(z - resid / phi.sigma.fn(f), z_lo, z_hi)
-    if np.ndim(x) == 0:
-        return float(z[0])
     return z
 
 
 def pushforward_density(phi, t, h, x):
     """Density of X_t = phi(B^H_t) at x: N(0, t^{2H}) density of phi^{-1}(x)
-    divided by sigma(x).  Accepts scalar or array x."""
+    divided by sigma(x), in the shape of the array x."""
     h = as_hurst(h)
     if t <= 0:
         raise DegenerateTimeError("t = 0: the law of X_t is a point mass")
     var = float(t) ** (2.0 * h.value)
     z = invert_phi(phi, x)
-    z = np.asarray(z, dtype=float)
     gauss = np.exp(-0.5 * z ** 2 / var) / math.sqrt(2.0 * math.pi * var)
-    out = gauss / np.asarray(phi.sigma.fn(np.asarray(x, dtype=float)), dtype=float)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    return gauss / phi.sigma.fn(np.asarray(x, dtype=float))

@@ -9,10 +9,6 @@ class DomainError(FbmInfoflowError):
     """Input outside the declared working domain (negative time, x out of range, ...)."""
 
 
-class UnsupportedOrder(FbmInfoflowError):
-    """Derivative order above what the model carries."""
-
-
 class GridError(FbmInfoflowError):
     """Time grid incompatible with the requested sampler."""
 
@@ -31,10 +27,6 @@ class RangeError(FbmInfoflowError):
 
 class DegenerateTimeError(FbmInfoflowError):
     """t = 0 requested where the law is a point mass and has no density."""
-
-
-class TailError(FbmInfoflowError):
-    """Density underflow in the tail; caller must truncate the domain."""
 
 
 class QuadratureError(FbmInfoflowError):

@@ -33,22 +33,10 @@ def as_hurst(h):
     return HurstParameter(float(h))
 
 
-@dataclass(frozen=True)
-class FbmPath:
-    """One sampled path: values[k] is B^H at times[k]."""
-
-    times: np.ndarray
-    values: np.ndarray
-    hurst: HurstParameter
-    seed: int
-    method: str
-    used_fallback: bool = False  # circulant embedding failed, cholesky used
-
-
 def covariance(s, t, h):
     """E[B^H_s B^H_t] = (t^{2H} + s^{2H} - |t-s|^{2H}) / 2.
 
-    s and t may be scalars or broadcastable arrays.
+    s and t are broadcastable arrays; the result has their broadcast shape.
     """
     h = as_hurst(h)
     s = np.asarray(s, dtype=float)
@@ -56,10 +44,7 @@ def covariance(s, t, h):
     if np.any(s < 0) or np.any(t < 0):
         raise DomainError("fBm covariance requires s, t >= 0")
     two_h = 2.0 * h.value
-    out = 0.5 * (t ** two_h + s ** two_h - np.abs(t - s) ** two_h)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return 0.5 * (t ** two_h + s ** two_h - np.abs(t - s) ** two_h)
 
 
 def fgn_autocovariance(k, h):
@@ -103,9 +88,11 @@ def _sample_fgn_circulant(n, h, rng, n_paths):
         return None
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
-    a = rng.standard_normal((n_paths, m))
-    b = rng.standard_normal((n_paths, m))
-    w = (a + 1j * b) * np.sqrt(lam / m)
+    # Filled in place: one complex buffer, not four path-sized temporaries.
+    w = np.empty((n_paths, m), dtype=complex)
+    w.real = rng.standard_normal((n_paths, m))
+    w.imag = rng.standard_normal((n_paths, m))
+    w *= np.sqrt(lam / m)
     return np.fft.fft(w, axis=1).real[:, :n]
 
 
@@ -144,16 +131,3 @@ def sample_paths(grid, h, method="circulant", seed=0, n_paths=1):
         raise GridError(f"unknown sampling method {method!r}")
     return values, used_fallback
 
-
-def sample_path(grid, h, method="circulant", seed=0):
-    """Sample a single path; see :func:`sample_paths`."""
-    values, used_fallback = sample_paths(grid, h, method=method, seed=seed, n_paths=1)
-    grid = np.asarray(grid, dtype=float)
-    return FbmPath(
-        times=grid,
-        values=values[0],
-        hurst=as_hurst(h),
-        seed=seed,
-        method=method,
-        used_fallback=used_fallback,
-    )

@@ -6,6 +6,7 @@ quadrature of Fisher-type functionals on the other) and reports the
 discrepancy against a tolerance.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import List
 
@@ -115,7 +116,7 @@ def debruijn_mult_oracle(channel, t):
     score = ch.density_at(channel, t).score_fn
 
     def g(x):
-        return np.asarray(sig.fn(x)) ** 2 * np.asarray(score(x)) ** 2 - sig.curvature(x)
+        return sig.fn(x) ** 2 * score(x) ** 2 - sig.curvature(x)
     return _rate(channel.hurst.value, t), g
 
 
@@ -140,7 +141,7 @@ def debruijn_additive_oracle(channel, t):
     """Sampling form of debruijn_check_additive's rhs: (scale, g) with
     rhs = scale * E[g(X_t)] and g = score^2."""
     score = ch.density_at(channel, t).score_fn
-    return _rate(channel.hurst.value, t), lambda x: np.asarray(score(x)) ** 2
+    return _rate(channel.hurst.value, t), lambda x: score(x) ** 2
 
 
 def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
@@ -162,6 +163,7 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
     fd_step = _check_step(t, fd_step)
     hv = x_channel.hurst.value
 
+    @functools.cache    # the stencil and the monotone record share t +/- delta
     def kl_at(s):
         return nf.kl_divergence(ch.density_at(x_channel, s),
                                 ch.density_at(y_channel, s))
@@ -191,8 +193,7 @@ def kl_flow_oracle(x_channel, y_channel, t):
     score_y = ch.density_at(y_channel, t).score_fn
 
     def g(x):
-        ds = np.asarray(score_x(x)) - np.asarray(score_y(x))
-        return np.asarray(sig.fn(x)) ** 2 * ds ** 2
+        return sig.fn(x) ** 2 * (score_x(x) - score_y(x)) ** 2
     return -_rate(x_channel.hurst.value, t), g
 
 
@@ -213,7 +214,7 @@ def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
     sig = channel.sigma
 
     def pdf_at(s, pts):
-        return np.atleast_1d(ch.density_at(channel, s).pdf(pts))
+        return ch.density_at(channel, s).pdf(pts)
 
     dp_dt = richardson_derivative(lambda s: pdf_at(s, x), t, fd_step_t)
 
@@ -223,8 +224,8 @@ def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
     p_x = (pp - pm) / (2 * dx)
     p_xx = (pp - 2 * p0 + pm) / dx ** 2
 
-    s0 = np.asarray(sig.fn(x), dtype=float)
-    s1 = np.asarray(sig.d1(x), dtype=float)
+    s0 = sig.fn(x)
+    s1 = sig.d1(x)
     # -(sigma' sigma P)_x + (sigma^2 P)_xx, expanded in P, P_x, P_xx
     spatial = (sig.curvature(x) * p0
                + 3.0 * s0 * s1 * p_x

@@ -40,9 +40,7 @@ def gauss_hermite_nodes(mean, variance):
 
 def _check_support(p, q):
     xs = np.linspace(max(p.lo, q.lo), min(p.hi, q.hi), 65)
-    pv = np.atleast_1d(p.pdf(xs))
-    qv = np.atleast_1d(q.pdf(xs))
-    if np.any((pv >= _SUPPORT_P_MIN) & (qv <= _TINY)):
+    if np.any((p.pdf(xs) >= _SUPPORT_P_MIN) & (q.pdf(xs) <= _TINY)):
         raise SupportError("support of p not contained in support of q")
 
 
@@ -52,7 +50,7 @@ def _expect(g, p, q=None):
     fields = (p,) if q is None else (p, q)
     if all(fl.gaussian is not None for fl in fields):
         x, w = gauss_hermite_nodes(*p.gaussian)
-        return float(np.sum(w * g(x, np.asarray(p.pdf(x), dtype=float))))
+        return float(np.sum(w * g(x, p.pdf(x))))
     if q is not None:
         _check_support(p, q)
     lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
@@ -60,7 +58,7 @@ def _expect(g, p, q=None):
 
     def integrand(x):
         f = p.pdf(x)
-        return f * g(x, f) if f > _TINY else 0.0
+        return float(f * g(x, f)) if f > _TINY else 0.0
 
     result = integrate.quad(
         integrand, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,

@@ -78,11 +78,11 @@ def sample_endpoint(channel, t, n, rng):
     z = rng.standard_normal(n) * sd
     if channel.variant == "multiplicative":
         sig = channel.sigma
-        if sig.kind in ("constant", "identity"):
+        if sig.kind == "constant":
             return channel.x0 + sig.c * z
         phi = ch._phi_for(channel, t)
         z_lo, z_hi = phi.z_domain
-        return np.asarray(phi(np.clip(z, z_lo, z_hi)))
+        return phi(np.clip(z, z_lo, z_hi))
     law = channel.initial
     if law.kind == "gaussian":
         x0 = law.mean + math.sqrt(law.variance) * rng.standard_normal(n)
@@ -104,7 +104,7 @@ def mc_expectation(channel, t, g, n, seed):
         nb = min(_BATCH, remaining)
         remaining -= nb
         x = sample_endpoint(channel, t, nb, np.random.default_rng(ss))
-        acc.update(np.asarray(g(x), dtype=float))
+        acc.update(g(x))
     return McEstimate(mean=acc.mean, std_error=acc.std_error,
                       n_samples=n, seed=seed)
 
@@ -114,8 +114,7 @@ def mc_entropy(channel, t, n, seed):
     field = ch.density_at(channel, t)
 
     def neg_log_density(x):
-        f = np.maximum(np.atleast_1d(field.pdf(x)), 1e-300)
-        return -np.log(f)
+        return -np.log(np.maximum(field.pdf(x), 1e-300))
 
     return mc_expectation(channel, t, neg_log_density, n, seed)
 

@@ -6,15 +6,16 @@ and agreement of the analytic derivatives with central finite differences at
 64 probe points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrder
+from .errors import DomainError
 
 _N_PROBES = 64
 _FD_RTOL = 1e-6
+_POSITIVITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -23,28 +24,23 @@ class SigmaModel:
 
     Use the module-level constructors (:func:`constant`,
     :func:`sqrt_one_plus_square`, :func:`identity_channel`, :func:`custom`)
-    rather than instantiating directly.
+    rather than instantiating directly.  sigma, sigma' and sigma'' are the
+    array callables fn, d1 and d2.
     """
 
-    kind: str                      # 'constant' | 'sqrt1p' | 'identity' | 'custom'
+    kind: str                      # 'constant' | 'sqrt1p' | 'custom'
     fn: Callable
     d1: Callable
     d2: Callable
     domain: Tuple[float, float]
-    positivity_floor: float = 1e-12
     c: Optional[float] = None
 
     def __post_init__(self):
         lo, hi = self.domain
         if not lo < hi:
             raise DomainError(f"working domain [{lo}, {hi}] is empty")
-        if self.positivity_floor <= 0:
-            raise DomainError("positivity_floor must be > 0")
         _check_positivity(self)
         _check_derivatives(self)
-
-    def __call__(self, x, order=0):
-        return eval_sigma(self, x, order)
 
     def curvature(self, x):
         """sigma''(x) sigma(x) + sigma'(x)^2, i.e. (sigma^2)''(x) / 2."""
@@ -52,25 +48,7 @@ class SigmaModel:
                 + np.asarray(self.d1(x)) ** 2)
 
 
-def eval_sigma(model, x, order=0):
-    """Evaluate sigma (order 0), sigma' (1) or sigma'' (2) at x.
-
-    x may be a scalar or an array; the result matches the input shape.
-    """
-    if order not in (0, 1, 2):
-        raise UnsupportedOrder(f"derivative order {order} not available (max 2)")
-    arr = np.asarray(x, dtype=float)
-    lo, hi = model.domain
-    if np.any(arr < lo) or np.any(arr > hi):
-        raise DomainError(f"x outside working domain [{lo}, {hi}]")
-    out = (model.fn, model.d1, model.d2)[order](arr)
-    out = np.broadcast_to(np.asarray(out, dtype=float), arr.shape)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out.copy()
-
-
-def constant(c, domain=(-1e9, 1e9), positivity_floor=1e-12):
+def constant(c, domain=(-1e9, 1e9)):
     """sigma(x) = c > 0."""
     c = float(c)
     return SigmaModel(
@@ -79,19 +57,16 @@ def constant(c, domain=(-1e9, 1e9), positivity_floor=1e-12):
         d1=lambda x: np.zeros_like(np.asarray(x, float)),
         d2=lambda x: np.zeros_like(np.asarray(x, float)),
         domain=(float(domain[0]), float(domain[1])),
-        positivity_floor=positivity_floor,
         c=c,
     )
 
 
-def identity_channel(domain=(-1e9, 1e9), positivity_floor=1e-12):
-    """sigma(x) = 1, the identity channel dX = dB^H."""
-    m = constant(1.0, domain=domain, positivity_floor=positivity_floor)
-    object.__setattr__(m, "kind", "identity")
-    return m
+def identity_channel(domain=(-1e9, 1e9)):
+    """sigma(x) = 1, the identity channel dX = dB^H: the same model as constant(1.0)."""
+    return constant(1.0, domain=domain)
 
 
-def sqrt_one_plus_square(domain=(-1e9, 1e9), positivity_floor=1e-12):
+def sqrt_one_plus_square(domain=(-1e9, 1e9)):
     """sigma(x) = sqrt(1 + x^2).
 
     Canonical nonconstant test case: its flow has the closed form sinh, so
@@ -103,11 +78,10 @@ def sqrt_one_plus_square(domain=(-1e9, 1e9), positivity_floor=1e-12):
         d1=lambda x: np.asarray(x, float) / np.sqrt(1.0 + np.asarray(x, float) ** 2),
         d2=lambda x: (1.0 + np.asarray(x, float) ** 2) ** -1.5,
         domain=(float(domain[0]), float(domain[1])),
-        positivity_floor=positivity_floor,
     )
 
 
-def custom(fn, d1, d2, domain, positivity_floor=1e-12):
+def custom(fn, d1, d2, domain):
     """User-supplied sigma with analytic first and second derivatives.
 
     Analytic derivative callbacks are mandatory; a finite-difference fallback
@@ -118,7 +92,6 @@ def custom(fn, d1, d2, domain, positivity_floor=1e-12):
     return SigmaModel(
         kind="custom", fn=fn, d1=d1, d2=d2,
         domain=(float(domain[0]), float(domain[1])),
-        positivity_floor=positivity_floor,
     )
 
 
@@ -134,11 +107,11 @@ def _probe_points(domain, n):
 def _check_positivity(model):
     xs = _probe_points(model.domain, 257)
     vals = np.asarray(model.fn(xs), dtype=float)
-    if np.any(vals < model.positivity_floor):
+    if np.any(vals < _POSITIVITY_FLOOR):
         bad = xs[np.argmin(vals)]
         raise DomainError(
             f"sigma({bad:g}) = {np.min(vals):g} below positivity floor "
-            f"{model.positivity_floor:g}"
+            f"{_POSITIVITY_FLOOR:g}"
         )
 
 

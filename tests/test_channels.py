@@ -2,15 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from fbm_infoflow import channels as ch, sigma as sg
-from fbm_infoflow.errors import (
-    DegenerateTimeError,
-    DomainError,
-    ResolutionError,
-    TailError,
-)
+from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
+from fbm_infoflow.errors import DegenerateTimeError, DomainError, ResolutionError
 
 
 def _uniform_law(lo=-1.0, hi=1.0, n=2001):
@@ -41,6 +37,29 @@ def test_constant_sigma_matches_gaussian_pointwise():
     assert np.max(np.abs(f.pdf(xs) - exact) / exact) <= 1e-10
 
 
+def _flat_custom(c):
+    """sigma = c as a custom model, so density_at takes the flow route."""
+    return sg.custom(lambda x: np.full_like(np.asarray(x, float), c),
+                     lambda x: np.zeros_like(np.asarray(x, float)),
+                     lambda x: np.zeros_like(np.asarray(x, float)),
+                     domain=(-1e9, 1e9))
+
+
+@settings(max_examples=15, deadline=None)
+@given(c=st.floats(0.2, 5.0), x0=st.floats(-3.0, 3.0), h=st.floats(0.1, 0.9),
+       t=st.floats(0.1, 3.0))
+def test_constant_sigma_flow_field_is_gaussian(c, x0, h, t):
+    # solve_phi + pushforward_density + QUADPACK against the Gaussian-tagged field
+    flow = ch.density_at(ch.multiplicative(_flat_custom(c), x0, h), t)
+    gauss = ch.density_at(ch.multiplicative(sg.constant(c), x0, h), t)
+    assert flow.gaussian is None and gauss.gaussian is not None
+    xs = x0 + c * t ** h * np.linspace(-4.0, 4.0, 81)
+    assert np.max(np.abs(flow.pdf(xs) / gauss.pdf(xs) - 1.0)) <= 1e-9
+    assert nf.entropy(flow) == pytest.approx(nf.entropy(gauss), abs=1e-9)
+    assert nf.generalized_fisher(flow) == pytest.approx(
+        nf.generalized_fisher(gauss), abs=1e-9, rel=1e-9)
+
+
 def test_grid_convolution_matches_gaussian_closed_form():
     # Gaussian(0,1) tabulated on a grid, convolved: must match Gaussian(0, 1+t^{2H})
     grid = np.linspace(-10, 10, 4001)
@@ -63,9 +82,9 @@ def test_convolved_field_normalizes():
 
 def test_score_gaussian_examples():
     f = ch.gaussian_field(0.0, 1.0)
-    assert ch.score_at(f, 0.0) == 0.0
+    assert f.score_fn(0.0) == 0.0
     f2 = ch.gaussian_field(0.0, 2.0)
-    assert ch.score_at(f2, 1.0) == pytest.approx(-0.5)
+    assert f2.score_fn(np.array([1.0, -2.0])) == pytest.approx([-0.5, 1.0])
 
 
 @pytest.mark.parametrize("make_field", [
@@ -121,19 +140,6 @@ def test_convolution_resolution_error():
     c = ch.additive(_uniform_law(n=11), 0.5)   # dy = 0.2, kernel sd at t must be < 0.4
     with pytest.raises(ResolutionError):
         ch.density_at(c, 0.01)
-
-
-def test_tail_error():
-    f = ch.DensityField(lo=-1.0, hi=1.0, pdf=lambda x: 0.0,
-                        score_fn=lambda x: 0.0)
-    with pytest.raises(TailError):
-        ch.score_at(f, 0.5)
-
-
-def test_score_outside_domain():
-    f = ch.gaussian_field(0.0, 1.0)
-    with pytest.raises(DomainError):
-        ch.score_at(f, 100.0)
 
 
 def test_grid_law_validation():

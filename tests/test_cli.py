@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fbm_infoflow import cli, identities as idn
+from fbm_infoflow import cli, fbm, identities as idn
 from fbm_infoflow.cli import main
 
 
@@ -143,6 +144,25 @@ def test_fbm_sample_csv(tmp_path):
     assert rows[0] == ["time", "value"]
     assert len(rows) == 65
     assert float(rows[1][0]) == pytest.approx(0.015625)
+    values, _ = fbm.sample_paths(0.015625 * np.arange(1, 65), 0.7,
+                                 method="circulant", seed=9)
+    assert [r[1] for r in rows[1:]] == [f"{v:.17g}" for v in values[0]]
+
+
+def test_fbm_stats_cell_memory_is_bounded():
+    # The standard errors once came from a (paths x n x n) product tensor:
+    # 630 MiB per cell at 64 grid points and 10 000 paths.
+    cfg = {"suites": ["fbm-stats"], "t_grid": [1.0], "hurst_grid": [0.75],
+           "fbm_stats": {"n": 64, "n_paths": 10000, "seed": 1}}
+    runner = cli._SuiteRunner(cfg)
+    tracemalloc.start()
+    try:
+        rep = runner.run_combo("fbm-stats", 1.0, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert rep.passed, rep
 
 
 def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
@@ -242,6 +262,43 @@ def test_invalid_constructor_values_are_config_errors(tmp_path, edit, key):
     result = _run(tmp_path, cfg)
     assert result.exit_code == 2, result.output
     assert key in result.output and "config error" in result.output
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda c: c["channel"]["initial"].update(variance="abc"),
+     "'channel.initial.variance'"),
+    (lambda c: c.update(t_grid=["x"]), "'t_grid'"),
+    (lambda c: c.update(hurst_grid=0.5), "'hurst_grid'"),
+    (lambda c: c["channel"]["sigma"].update(domain=5), "'channel.sigma.domain'"),
+    (lambda c: c["channel"]["sigma"].update(c="x"), "'channel.sigma.c'"),
+    (lambda c: c["channel"].update(x0="x"), "'channel.x0'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "n": -1}),
+     "'channel.initial.n'"),
+    (lambda c: c.update(tolerances={"stein": "x"}), "'tolerances.stein'"),
+    (lambda c: c.update(stein={"cases": [[1]]}), "'stein.cases'"),
+    (lambda c: c.update(stein={"cases": [[0, -1]]}), "'stein.cases'"),
+    (lambda c: c.update(oracle={"kind": "mc", "samples": "many"}), "'oracle.samples'"),
+    (lambda c: c.update(oracle={"kind": "mc", "samples": 10}), "'oracle.samples'"),
+    (lambda c: c.update(oracle={"kind": "mc", "seed": -1}), "'oracle.seed'"),
+    (lambda c: c.update(fbm_stats={"n": 0}), "'fbm_stats.n'"),
+    (lambda c: c.update(fbm_stats={"dt": -1}), "'fbm_stats.dt'"),
+    (lambda c: c.update(fbm_stats={"n_paths": 1}), "'fbm_stats.n_paths'"),
+    (lambda c: c.update(fd_step=1.0), "'fd_step'"),
+    (lambda c: c.update(output=5), "'output'"),
+], ids=["variance-text", "t_grid-text", "hurst_grid-number", "sigma.domain-number",
+        "sigma.c-text", "x0-text", "grid-n-negative", "tolerance-text", "stein-short-case",
+        "stein-variance", "oracle.samples-text", "oracle.samples-few", "oracle.seed",
+        "fbm_stats.n", "fbm_stats.dt", "fbm_stats.n_paths", "fd_step-above-t", "output"])
+def test_config_values_checked_before_any_cell(tmp_path, edit, key):
+    # Each value once raised inside a cell (exit 3, every row lost), crashed with
+    # a traceback, or went unread; every one is now read when the run starts.
+    cfg = _base_config(tmp_path, suites=["stein", "fbm-stats", "debruijn-mult"],
+                       t_grid=[1.0], hurst_grid=[0.5])
+    edit(cfg)
+    result = _run(tmp_path, cfg)
+    assert result.exit_code == 2, result.output
+    assert key in result.output and "config error" in result.output
+    assert not (tmp_path / "report.csv").exists()
 
 
 def _schema_paths(schema, prefix=""):

@@ -85,11 +85,11 @@ def test_cross_method_agreement():
 
 def test_seed_reproducibility():
     grid = np.arange(1, 65) / 64
-    a = fbm.sample_path(grid, 0.6, method="circulant", seed=123)
-    b = fbm.sample_path(grid, 0.6, method="circulant", seed=123)
-    assert np.array_equal(a.values, b.values)
-    c = fbm.sample_path(grid, 0.6, method="circulant", seed=124)
-    assert not np.array_equal(a.values, c.values)
+    a, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=123)
+    b, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=123)
+    assert np.array_equal(a, b)
+    c, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=124)
+    assert not np.array_equal(a, c)
 
 
 def test_circulant_rejects_nonuniform_grid():

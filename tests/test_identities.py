@@ -118,6 +118,26 @@ def test_kl_flow_custom_sigma_must_be_the_same_model():
     assert rep.passed, rep
 
 
+def test_kl_flow_identity_channel_is_constant_one():
+    x = ch.multiplicative(sg.identity_channel(), 0.0, 0.75)
+    y = ch.multiplicative(sg.constant(1.0), 1.0, 0.75)
+    rep = idn.kl_flow_check(x, y, 1.0, tol=1e-5)
+    assert rep.passed and rep.rhs == pytest.approx(-0.75, abs=1e-12)
+
+
+def test_kl_flow_check_integrates_each_kl_once(monkeypatch):
+    # The Richardson stencil takes KL at t +/- delta and t +/- delta/2, and the
+    # monotone record at t - delta, t, t + delta: five distinct times.
+    calls = []
+    kl = nf.kl_divergence
+    monkeypatch.setattr(nf, "kl_divergence", lambda p, q: calls.append(1) or kl(p, q))
+    s = sg.constant(1.0)
+    rep = idn.kl_flow_check(ch.multiplicative(s, 0.0, 0.75),
+                            ch.multiplicative(s, 1.0, 0.75), 1.0, tol=1e-5)
+    assert len(calls) == 5
+    assert rep.passed and rep.extras["monotone"]
+
+
 def test_kl_flow_nonconstant_sigma():
     s = sg.sqrt_one_plus_square()
     x = ch.multiplicative(s, 0.0, 0.6)

@@ -2,31 +2,31 @@ import numpy as np
 import pytest
 
 from fbm_infoflow import sigma as sg
-from fbm_infoflow.errors import DomainError, UnsupportedOrder
+from fbm_infoflow.errors import DomainError
 
 
 def test_sqrt1p_values_at_zero():
     s = sg.sqrt_one_plus_square()
-    assert s(0.0, 0) == pytest.approx(1.0)
-    assert s(0.0, 1) == pytest.approx(0.0)
+    assert s.fn(0.0) == pytest.approx(1.0)
+    assert s.d1(0.0) == pytest.approx(0.0)
 
 
 def test_constant_second_derivative_zero():
     s = sg.constant(2.0)
-    assert s(5.0, 2) == 0.0
+    assert s.d2(5.0) == 0.0
 
 
 def test_constant_eval_everywhere():
     s = sg.constant(3.5, domain=(-100, 100))
     xs = np.linspace(-100, 100, 17)
-    assert np.all(s(xs) == 3.5)
+    assert np.all(s.fn(xs) == 3.5)
 
 
 def test_identity_channel_is_unit():
     s = sg.identity_channel()
-    assert s.kind == "identity"
-    assert s(123.0) == 1.0
-    assert s(123.0, 1) == 0.0
+    assert (s.kind, s.c) == ("constant", 1.0)
+    assert s.fn(123.0) == 1.0
+    assert s.d1(123.0) == 0.0
 
 
 @pytest.mark.parametrize("model", [
@@ -43,20 +43,8 @@ def test_derivatives_match_finite_differences(model):
             fd = (f(xs + hh) - f(xs - hh)) / (2 * hh)
         else:
             fd = (f(xs + hh) - 2 * f(xs) + f(xs - hh)) / hh ** 2
-        analytic = np.array([model(x, order) for x in xs])
+        analytic = (model.d1, model.d2)[order - 1](xs)
         assert np.all(np.abs(fd - analytic) <= 1e-6 * (1.0 + np.abs(analytic)))
-
-
-def test_out_of_domain_raises():
-    s = sg.sqrt_one_plus_square(domain=(-10, 10))
-    with pytest.raises(DomainError):
-        s(11.0)
-
-
-def test_order_three_raises():
-    s = sg.constant(1.0)
-    with pytest.raises(UnsupportedOrder):
-        s(0.0, 3)
 
 
 def test_positivity_violation_rejected_at_construction():
