@@ -5,6 +5,7 @@ Config files are JSON; the schema is documented in README.md.  Exit codes:
 3 internal numerical error.
 """
 
+import collections
 import csv
 import datetime
 import io
@@ -24,11 +25,6 @@ from . import montecarlo as mc
 from . import sigma as sg
 from .errors import ConfigError, DomainError, FbmInfoflowError
 
-SUITES = (
-    "debruijn-mult", "debruijn-additive", "kl-flow",
-    "fokker-planck", "stein", "entropy-power", "fbm-stats",
-)
-
 DEFAULT_TOLERANCES = {
     "debruijn-mult": 1e-4,
     "debruijn-additive": 1e-6,
@@ -38,63 +34,41 @@ DEFAULT_TOLERANCES = {
     "entropy-power": 1e-4,
     "fbm-stats": 5.0,
 }
+SUITES = tuple(DEFAULT_TOLERANCES)
 
 CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
-# Every accepted config key; a dict lists the keys allowed inside that block.
-_SCHEMA = {
-    **dict.fromkeys(("suites", "t_grid", "hurst_grid", "min_t", "fd_step", "output")),
-    "channel": {"variant": None, "x0": None,
-                "sigma": dict.fromkeys(("kind", "c", "domain")),
-                "initial": dict.fromkeys(("kind", "mean", "variance", "points",
-                                          "density", "domain", "n", "shape"))},
-    "tolerances": dict.fromkeys(SUITES),
-    "oracle": dict.fromkeys(("kind", "samples", "seed")),
-    "kl": dict.fromkeys(("y0",)),
-    "stein": dict.fromkeys(("cases",)),
-    "fbm_stats": dict.fromkeys(("n", "dt", "n_paths", "seed")),
-}
+
+# entropy_power_profile's time step, fixed: grid times must lie above it.
+_ENTROPY_POWER_STEP = 1e-3
+_RICHARDSON_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow", "fokker-planck")
 
 
-def _check_keys(cfg, schema, where=""):
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where or 'the config'} must be a JSON object")
-    for key, value in cfg.items():
-        path = f"{where}.{key}" if where else key
-        if key not in schema:
-            raise ConfigError(f"unknown config key {path!r}")
-        if schema[key] is not None:
-            _check_keys(value, schema[key], path)
-
-
-def _check_choice(value, key, choices):
-    if value not in choices:
-        raise ConfigError(f"config key {key!r} must be one of {', '.join(choices)}, "
-                          f"not {value!r}")
-
-
-def _value(key, raw, convert=float, ok=None, need=""):
+def _value(key, raw, convert, ok, need):
     """convert(raw) as the value of config key `key`.  A value that does not
     convert, or for which ok(value) is false, is a ConfigError naming the key."""
     try:
         value = convert(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} cannot take {raw!r}: {exc}") from exc
     if ok is not None and not ok(value):
         raise ConfigError(f"config key {key!r} must be {need}, not {raw!r}")
     return value
 
 
-def _count(key, raw, least):
-    return _value(key, raw, int, lambda v: v >= least, f">= {least}")
+def _number(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def _floats(raw):
     if not isinstance(raw, list):
         raise TypeError("expected a list of numbers")
-    return [float(v) for v in raw]
+    return [_number(v) for v in raw]
 
 
 def _pair(raw):
@@ -102,112 +76,141 @@ def _pair(raw):
     return a, b
 
 
-def _build_sigma(cfg):
-    cfg = cfg or {"kind": "constant", "c": 1.0}
-    kind = cfg.get("kind", "constant")
-    _check_choice(kind, "channel.sigma.kind", ("constant", "identity", "sqrt1p"))
-    domain = _value("channel.sigma.domain", cfg.get("domain", [-1e9, 1e9]), _pair)
-    if kind == "constant":
-        return sg.constant(_value("channel.sigma.c", cfg.get("c", 1.0)), domain=domain)
-    if kind == "identity":
-        return sg.identity_channel(domain=domain)
-    return sg.sqrt_one_plus_square(domain=domain)
+# A config key: its default (None: it has none), convert(raw) -> value, and
+# ok(value), which must hold ("must be <need>").  A choice defaults to its first.
+_Key = collections.namedtuple("_Key", "default convert ok need", defaults=(_number, None, ""))
 
 
-_INITIAL_KEYS = {"gaussian": ("mean", "variance"),
-                 "grid": ("points", "density", "domain", "n", "shape")}
+def _choice(*choices):
+    return _Key(choices[0], str, lambda v: v in choices, f"one of {', '.join(choices)}")
 
 
-def _build_initial(cfg):
-    cfg = cfg or {"kind": "gaussian", "mean": 0.0, "variance": 1.0}
-    kind = cfg.get("kind", "gaussian")
-    _check_choice(kind, "channel.initial.kind", tuple(_INITIAL_KEYS))
-    wrong = [k for other, keys in _INITIAL_KEYS.items() if other != kind
-             for k in keys if k in cfg]
-    if wrong:
-        raise ConfigError(f"config key 'channel.initial.{wrong[0]}' does not apply "
-                          f"to a {kind} initial law")
-    if kind == "gaussian":
-        return ch.gaussian_law(_value("channel.initial.mean", cfg.get("mean", 0.0)),
-                               _value("channel.initial.variance", cfg.get("variance", 1.0)))
-    tabulated = {"points", "density"} & cfg.keys()
-    if tabulated:
-        if tabulated != {"points", "density"} or {"domain", "n", "shape"} & cfg.keys():
-            raise ConfigError("a grid initial law takes either points and density, "
-                              "or domain, n and shape")
-        return ch.grid_law(_value("channel.initial.points", cfg["points"], _floats),
-                           _value("channel.initial.density", cfg["density"], _floats))
-    lo, hi = _value("channel.initial.domain", cfg.get("domain", [-1.0, 1.0]), _pair,
-                    lambda d: d[0] < d[1], "[lo, hi] with lo < hi")
-    n = _value("channel.initial.n", cfg.get("n", 2001), int, lambda v: v > 0, "> 0")
-    _check_choice(cfg.get("shape", "uniform"), "channel.initial.shape", ("uniform",))
-    return ch.grid_law(np.linspace(lo, hi, n), np.full(n, 1.0 / (hi - lo)))
+def _at_least(default, least):
+    return _Key(default, int, lambda v: v >= least, f">= {least}")
 
 
-def _build(key, build, cfg):
-    """build(cfg); a DomainError from the constructors is a config error naming key."""
+# Every config key, once, by its dotted path.  The JSON blocks are the paths'
+# prefixes; any other key is a config error.
+_KEYS = {
+    "suites": _Key(None, lambda raw: raw,
+                   lambda s: isinstance(s, list) and s and all(x in SUITES for x in s),
+                   f"a non-empty list of suites from {', '.join(SUITES)}"),
+    "t_grid": _Key([0.5, 1.0, 2.0], _floats, lambda ts: ts and all(t > 0 for t in ts),
+                   "a non-empty list of times > 0"),
+    "hurst_grid": _Key([0.3, 0.5, 0.75], _floats,
+                       lambda hs: hs and all(0.0 < h < 1.0 for h in hs),
+                       "a non-empty list of Hurst values in (0, 1)"),
+    "min_t": _Key(0.05),
+    "fd_step": _Key(None, lambda raw: None if raw is None else _number(raw)),
+    "output": _Key("report", lambda raw: raw, lambda v: isinstance(v, str), "a path prefix"),
+    "channel.variant": _choice("multiplicative", "additive"),
+    "channel.x0": _Key(0.0),
+    "channel.sigma.kind": _choice("constant", "identity", "sqrt1p"),
+    "channel.sigma.c": _Key(1.0),
+    "channel.sigma.domain": _Key([-1e9, 1e9], _pair),
+    "channel.initial.kind": _choice("gaussian", "grid"),
+    "channel.initial.mean": _Key(0.0),
+    "channel.initial.variance": _Key(1.0),
+    "channel.initial.points": _Key(None, _floats),
+    "channel.initial.density": _Key(None, _floats),
+    "channel.initial.domain": _Key([-1.0, 1.0], _pair, lambda d: d[0] < d[1],
+                                   "[lo, hi] with lo < hi"),
+    "channel.initial.n": _Key(2001, int, lambda v: v > 0, "> 0"),
+    "channel.initial.shape": _choice("uniform"),
+    **{f"tolerances.{suite}": _Key(tol, _number, lambda v: v >= 0.0, ">= 0")
+       for suite, tol in DEFAULT_TOLERANCES.items()},
+    "oracle.kind": _choice("mc"),
+    "oracle.samples": _at_least(100000, 100),
+    "oracle.seed": _at_least(0, 0),
+    "kl.y0": _Key(1.0),
+    "stein.cases": _Key([[0.0, 1.0], [2.0, 0.5]], lambda raw: [_pair(case) for case in raw],
+                        lambda cases: cases and all(v > 0.0 for _, v in cases),
+                        "a non-empty list of [mu, variance] pairs with variance > 0"),
+    "fbm_stats.n": _at_least(32, 1),
+    "fbm_stats.dt": _Key(1.0 / 32, _number, lambda d: d > 0.0, "> 0"),
+    "fbm_stats.n_paths": _at_least(4000, 2),
+    "fbm_stats.seed": _at_least(1234, 0),
+}
+_BLOCKS = {key.rsplit(".", n)[0] for key in _KEYS for n in range(1, key.count(".") + 1)}
+
+
+def _read(cfg):
+    """(values, given): the value of every key of _KEYS that cfg gives or that
+    has a default, read from cfg or from that default; and the keys cfg gives."""
+    given = {}
+
+    def flatten(block, where):
+        if not isinstance(block, dict):
+            raise ConfigError(f"{where or 'the config'} must be a JSON object")
+        for key, raw in block.items():
+            path = f"{where}.{key}" if where else key
+            if path in _BLOCKS:
+                flatten(raw, path)
+            elif path in _KEYS:
+                given[path] = raw
+            else:
+                raise ConfigError(f"unknown config key {path!r}")
+
+    flatten(cfg, "")
+    return {key: _value(key, given.get(key, spec.default), *spec[1:]) for key, spec
+            in _KEYS.items() if key in given or spec.default is not None}, given.keys()
+
+
+def _build(key, build, *args):
+    """build(*args); a DomainError from the constructors is a config error naming key."""
     try:
-        return build(cfg)
+        return build(*args)
     except DomainError as exc:
         raise ConfigError(f"invalid {key!r}: {exc}") from exc
 
 
-def _validate_config(cfg):
-    _check_keys(cfg, _SCHEMA)
-    suites = cfg.get("suites")
-    if not suites or not isinstance(suites, list):
-        raise ConfigError("config key 'suites' must be a non-empty list of suites")
-    for s in suites:
-        if s not in SUITES:
-            raise ConfigError(f"unknown suite {s!r} (choose from {', '.join(SUITES)})")
-    t_grid = _value("t_grid", cfg.get("t_grid", [0.5, 1.0, 2.0]), _floats,
-                    lambda ts: ts and all(t > 0 for t in ts), "a non-empty list of times > 0")
-    h_grid = _value("hurst_grid", cfg.get("hurst_grid", [0.3, 0.5, 0.75]), _floats,
-                    lambda hs: hs and all(0.0 < h < 1.0 for h in hs),
-                    "a non-empty list of Hurst values in (0, 1)")
-    _check_choice(cfg.get("channel", {}).get("variant", "multiplicative"),
-                  "channel.variant", ("multiplicative", "additive"))
-    _check_choice((cfg.get("oracle") or {}).get("kind", "mc"), "oracle.kind", ("mc",))
-    if not isinstance(cfg.get("output", "report"), str):
-        raise ConfigError("config key 'output' must be a path prefix")
-    return suites, t_grid, h_grid
+def _build_initial(v, given):
+    kind = v["channel.initial.kind"]
+    other = (("points", "density", "domain", "n", "shape") if kind == "gaussian"
+             else ("mean", "variance"))
+    wrong = [k for k in other if f"channel.initial.{k}" in given]
+    if wrong:
+        raise ConfigError(f"config key 'channel.initial.{wrong[0]}' does not apply "
+                          f"to a {kind} initial law")
+    if kind == "gaussian":
+        return ch.gaussian_law(v["channel.initial.mean"], v["channel.initial.variance"])
+    tabulated = {"channel.initial.points", "channel.initial.density"} & given
+    if tabulated:
+        if len(tabulated) < 2 or {"channel.initial.domain", "channel.initial.n",
+                                  "channel.initial.shape"} & given:
+            raise ConfigError("a grid initial law takes either points and density, "
+                              "or domain, n and shape")
+        return ch.grid_law(v["channel.initial.points"], v["channel.initial.density"])
+    (lo, hi), n = v["channel.initial.domain"], v["channel.initial.n"]
+    return ch.grid_law(np.linspace(lo, hi, n), np.full(n, 1.0 / (hi - lo)))
+
+
+_SIGMAS = {"constant": sg.constant,
+           "identity": lambda c, domain: sg.identity_channel(domain=domain),
+           "sqrt1p": lambda c, domain: sg.sqrt_one_plus_square(domain=domain)}
 
 
 class _SuiteRunner:
     def __init__(self, cfg):
         """Read and check every config value, so that no cell meets a bad one."""
-        self.suites, self.t_grid, self.h_grid = _validate_config(cfg)
-        self.output = cfg.get("output", "report")
-        chan_cfg = cfg.get("channel", {})
-        self.sigma = _build("channel.sigma", _build_sigma, chan_cfg.get("sigma"))
-        self.x0 = _value("channel.x0", chan_cfg.get("x0", 0.0))
-        self.initial = _build("channel.initial", _build_initial, chan_cfg.get("initial"))
-        self.y0 = _value("kl.y0", cfg.get("kl", {}).get("y0", 1.0))
-        self.min_t = _value("min_t", cfg.get("min_t", 0.05))
-        fd_step = cfg.get("fd_step")
-        first_t = min((t for t in self.t_grid if t >= self.min_t), default=math.inf)
-        self.fd_step = None if fd_step is None else _value(
-            "fd_step", fd_step, float, lambda d: 0.0 < d < first_t,
-            "> 0 and below every time at or above min_t")
-        self.tolerances = {**DEFAULT_TOLERANCES, **{
-            suite: _value(f"tolerances.{suite}", tol, float, lambda v: v >= 0.0, ">= 0")
-            for suite, tol in cfg.get("tolerances", {}).items()}}
-        oracle = cfg.get("oracle")
+        v, given = _read(cfg)
+        if "suites" not in v:
+            raise ConfigError("config key 'suites' is required")
+        self.suites, self.t_grid, self.h_grid = v["suites"], v["t_grid"], v["hurst_grid"]
+        self.output, self.x0, self.y0 = v["output"], v["channel.x0"], v["kl.y0"]
+        if "channel.sigma.c" in given and v["channel.sigma.kind"] != "constant":
+            raise ConfigError("config key 'channel.sigma.c' applies only to a constant sigma")
+        self.sigma = _build("channel.sigma", _SIGMAS[v["channel.sigma.kind"]],
+                            v["channel.sigma.c"], v["channel.sigma.domain"])
+        self.initial = _build("channel.initial", _build_initial, v, given)
+        self.min_t, self.fd_step = v["min_t"], v.get("fd_step")
+        self._check_times()
+        self.tolerances = {s: v[f"tolerances.{s}"] for s in SUITES}
         self.oracle = None      # or (samples, seed)
-        if oracle:
-            self.oracle = (_count("oracle.samples", oracle.get("samples", 100000), 100),
-                           _count("oracle.seed", oracle.get("seed", 0), 0))
-        self.stein_cases = _value(
-            "stein.cases", cfg.get("stein", {}).get("cases", [[0.0, 1.0], [2.0, 0.5]]),
-            lambda raw: [_pair(case) for case in raw],
-            lambda cases: cases and all(v > 0.0 for _, v in cases),
-            "a non-empty list of [mu, variance] pairs with variance > 0")
-        fcfg = cfg.get("fbm_stats", {})
-        self.fbm_stats = (
-            _count("fbm_stats.n", fcfg.get("n", 32), 1),
-            _value("fbm_stats.dt", fcfg.get("dt", 1.0 / 32), float, lambda d: d > 0.0, "> 0"),
-            _count("fbm_stats.n_paths", fcfg.get("n_paths", 4000), 2),
-            _count("fbm_stats.seed", fcfg.get("seed", 1234), 0))
+        if any(key.startswith("oracle.") for key in given):
+            self.oracle = (v["oracle.samples"], v["oracle.seed"])
+        self.stein_cases = v["stein.cases"]
+        self.fbm_stats = tuple(v[f"fbm_stats.{k}"] for k in ("n", "dt", "n_paths", "seed"))
         self.excluded = []
         self._mult_cache = {}
         self._add_cache = {}
@@ -215,6 +218,23 @@ class _SuiteRunner:
         self._fbm_cache = {}
         self._profile_cache = {}
         self.entropy_power_rows = []
+
+    def _check_times(self):
+        """Every time the run checks must lie above each time step its suites take."""
+        run_times = [t for t in self.t_grid if t >= self.min_t]
+        if not run_times:
+            raise ConfigError("config key 'min_t' must be at or below some time in "
+                              f"t_grid, or the run checks nothing; not {self.min_t!r}")
+        if self.fd_step is not None and not 0.0 < self.fd_step < min(run_times):
+            raise ConfigError("config key 'fd_step' must be > 0 and below every time "
+                              f"at or above min_t, not {self.fd_step!r}")
+        richardson = not set(self.suites).isdisjoint(_RICHARDSON_SUITES)
+        for t in run_times:
+            step = max(self.fd_step or idn._default_step(t) if richardson else 0.0,
+                       _ENTROPY_POWER_STEP if "entropy-power" in self.suites else 0.0)
+            if t <= step:
+                raise ConfigError(f"config key 't_grid' has time {t:g}, at or above min_t "
+                                  f"but not above its suites' time step {step:g}")
 
     def _mult_channel(self, h, x0=None):
         x0 = self.x0 if x0 is None else x0
@@ -274,7 +294,6 @@ class _SuiteRunner:
             return self._entropy_power_row(t, h, tol)
         if suite == "fbm-stats":
             return self._fbm_stats_row(t, h, tol)
-        raise ConfigError(f"unknown suite {suite!r}")
 
     def _stein_worst(self, tol):
         if self._stein_cache is None:
@@ -296,7 +315,7 @@ class _SuiteRunner:
         if h not in self._profile_cache:
             times = [s for s in self.t_grid if s >= self.min_t]
             self._profile_cache[h] = idn.entropy_power_profile(
-                self._add_channel(h), times, fd_step=1e-3)
+                self._add_channel(h), times, fd_step=_ENTROPY_POWER_STEP)
         prof = self._profile_cache[h]
         i = list(prof.t_grid).index(t)
         rhs = prof.d2n_formula[i]
@@ -365,14 +384,14 @@ def _format_value(v):
     return str(v)
 
 
-def render_csv(rows, with_oracle=False, timestamp=None):
+def render_csv(rows, with_oracle=False):
     """Report CSV: one comment header line with the timestamp, then the body.
 
     The body is a pure function of the config and seeds, so reruns are
     byte-identical below the first line.
     """
     buf = io.StringIO()
-    ts = timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
+    ts = datetime.datetime.now(datetime.timezone.utc).isoformat()
     buf.write(f"# fbm-infoflow report generated {ts}\n")
     writer = csv.writer(buf, lineterminator="\n")
     cols = CSV_COLUMNS + (MC_COLUMNS if with_oracle else ())
@@ -453,46 +472,43 @@ def run(config_path):
     _execute(cfg)
 
 
+def _without_none(block):
+    """block without its None values and the blocks that leaves empty."""
+    pruned = {k: _without_none(v) if isinstance(v, dict) else v
+              for k, v in block.items() if v is not None}
+    return {k: v for k, v in pruned.items() if v != {}}
+
+
 @main.command()
 @click.argument("suite")
 @click.option("--hurst", "-h", "hursts", multiple=True, type=float)
 @click.option("--t", "times", multiple=True, type=float)
-@click.option("--tol", type=float, default=None)
-@click.option("--sigma", "sigma_kind", default="constant",
-              type=click.Choice(["constant", "identity", "sqrt1p"]))
-@click.option("--c", "sigma_c", type=float, default=1.0)
-@click.option("--x0", type=float, default=0.0)
-@click.option("--y0", type=float, default=1.0)
-@click.option("--mean", type=float, default=0.0, help="additive initial mean")
-@click.option("--variance", type=float, default=1.0, help="additive initial variance")
-@click.option("--fd-step", type=float, default=None)
-@click.option("--oracle", type=click.Choice(["mc"]), default=None)
-@click.option("--samples", type=int, default=100000)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", default="report")
+@click.option("--tol", type=float)
+@click.option("--sigma", "sigma_kind")
+@click.option("--c", "sigma_c", type=float)
+@click.option("--x0", type=float)
+@click.option("--y0", type=float)
+@click.option("--mean", type=float, help="additive initial mean")
+@click.option("--variance", type=float, help="additive initial variance")
+@click.option("--fd-step", type=float)
+@click.option("--oracle")
+@click.option("--samples", type=int)
+@click.option("--seed", type=int)
+@click.option("--out")
 def verify(suite, hursts, times, tol, sigma_kind, sigma_c, x0, y0,
            mean, variance, fd_step, oracle, samples, seed, out):
-    """Run a single verification suite from command-line flags."""
-    cfg = {
-        "suites": [suite],
-        "channel": {
-            "variant": "multiplicative",
-            "sigma": {"kind": sigma_kind, "c": sigma_c},
-            "x0": x0,
-            "initial": {"kind": "gaussian", "mean": mean, "variance": variance},
-        },
-        "t_grid": list(times) or [0.5, 1.0, 2.0],
-        "hurst_grid": list(hursts) or [0.3, 0.5, 0.75],
-        "kl": {"y0": y0},
-        "output": out,
-    }
-    if tol is not None:
-        cfg["tolerances"] = {suite: tol}
-    if fd_step is not None:
-        cfg["fd_step"] = fd_step
-    if oracle:
+    """Run a single verification suite from command-line flags.
+
+    A flag left out takes the config key's default; --samples and --seed
+    apply only with --oracle."""
+    cfg = {"suites": [suite], "t_grid": list(times) or None,
+           "hurst_grid": list(hursts) or None, "tolerances": {suite: tol},
+           "fd_step": fd_step, "output": out, "kl": {"y0": y0},
+           "channel": {"sigma": {"kind": sigma_kind, "c": sigma_c}, "x0": x0,
+                       "initial": {"mean": mean, "variance": variance}}}
+    if oracle is not None:
         cfg["oracle"] = {"kind": oracle, "samples": samples, "seed": seed}
-    _execute(cfg)
+    _execute(_without_none(cfg))
 
 
 @main.group("fbm")

@@ -132,6 +132,39 @@ def test_verify_subcommand(tmp_path):
     assert rows[0]["passed"] == "true"
 
 
+@pytest.mark.parametrize("args, key", [
+    (["stein", "--sigma", "sqrt1p", "--c", "5"], "'channel.sigma.c'"),
+    (["stein", "--sigma", "bogus"], "'channel.sigma.kind'"),
+    (["stein", "--oracle", "bogus"], "'oracle.kind'"),
+], ids=["sqrt1p-c", "sigma-bogus", "oracle-bogus"])
+def test_verify_flags_are_checked_as_config_values(tmp_path, args, key):
+    result = CliRunner().invoke(main, ["verify", *args, "--out", str(tmp_path / "r")])
+    assert result.exit_code == 2, result.output
+    assert key in result.output and "config error" in result.output
+
+
+def test_verify_sqrt1p_without_c(tmp_path):
+    result = CliRunner().invoke(main, [
+        "verify", "debruijn-mult", "--sigma", "sqrt1p", "--hurst", "0.5", "--t", "1.0",
+        "--out", str(tmp_path / "r")])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_verify_and_run_share_defaults(monkeypatch, suite):
+    handed = []
+
+    def capture(cfg):
+        handed.append(cfg)
+        raise cli.ConfigError("captured")
+
+    monkeypatch.setattr(cli, "_SuiteRunner", capture)
+    CliRunner().invoke(main, ["verify", suite])
+    values, given = cli._read(handed[0])
+    assert set(given) == {"suites"}
+    assert values == cli._read({"suites": [suite]})[0]
+
+
 def test_fbm_sample_csv(tmp_path):
     out = tmp_path / "path.csv"
     result = CliRunner().invoke(main, [
@@ -190,6 +223,15 @@ def test_entropy_power_skips_times_below_min_t(tmp_path):
         assert len(list(csv.DictReader(fh))) == 1
 
 
+def test_time_steps_checked_only_for_selected_suites(tmp_path):
+    # 5e-4 lies below the 1e-3 step of the Richardson and entropy-power suites,
+    # but stein takes no time step.
+    cfg = _base_config(tmp_path, suites=["stein"], t_grid=[5e-4, 1.0], min_t=1e-4)
+    result = _run(tmp_path, cfg)
+    assert result.exit_code == 0, result.output
+    assert "4 checks, 0 failed (0 excluded below min_t)" in result.output
+
+
 def test_grid_law_readme_keys(tmp_path):
     points = np.linspace(0.0, 1.0, 201)
     cfg = _base_config(tmp_path, suites=["debruijn-additive"],
@@ -233,8 +275,10 @@ def test_unknown_config_keys_rejected(tmp_path, edit, key):
      "'channel.initial.variance'"),
     (lambda c: c["channel"].update(initial={"kind": "grid", "shape": "normal"}),
      "'channel.initial.shape'"),
+    (lambda c: c["channel"].update(sigma={"kind": "sqrt1p", "c": 5}), "'channel.sigma.c'"),
+    (lambda c: c["channel"].update(sigma={"kind": "identity", "c": 1}), "'channel.sigma.c'"),
 ], ids=["variant", "oracle.kind", "sigma.kind", "gaussian-points", "gaussian-n",
-        "grid-variance", "grid-shape"])
+        "grid-variance", "grid-shape", "sqrt1p-c", "identity-c"])
 def test_invalid_config_values_rejected(tmp_path, edit, key):
     cfg = _base_config(tmp_path, suites=["stein"], t_grid=[1.0], hurst_grid=[0.5])
     edit(cfg)
@@ -285,13 +329,26 @@ def test_invalid_constructor_values_are_config_errors(tmp_path, edit, key):
     (lambda c: c.update(fbm_stats={"n_paths": 1}), "'fbm_stats.n_paths'"),
     (lambda c: c.update(fd_step=1.0), "'fd_step'"),
     (lambda c: c.update(output=5), "'output'"),
+    (lambda c: c.update(suites=["debruijn-additive"], t_grid=[0.001, 1.0], min_t=1e-4),
+     "'t_grid'"),
+    (lambda c: c.update(suites=["entropy-power"], t_grid=[0.0008, 1.0], min_t=1e-4,
+                        fd_step=1e-4), "'t_grid'"),
+    (lambda c: c.update(min_t=5), "'min_t'"),
+    (lambda c: c.update(min_t=float("nan")), "'min_t'"),
+    (lambda c: c["channel"].update(x0=float("nan")), "'channel.x0'"),
+    (lambda c: c["channel"]["initial"].update(variance=float("inf")),
+     "'channel.initial.variance'"),
+    (lambda c: c.update(oracle={"kind": "mc", "samples": float("inf")}), "'oracle.samples'"),
 ], ids=["variance-text", "t_grid-text", "hurst_grid-number", "sigma.domain-number",
         "sigma.c-text", "x0-text", "grid-n-negative", "tolerance-text", "stein-short-case",
         "stein-variance", "oracle.samples-text", "oracle.samples-few", "oracle.seed",
-        "fbm_stats.n", "fbm_stats.dt", "fbm_stats.n_paths", "fd_step-above-t", "output"])
+        "fbm_stats.n", "fbm_stats.dt", "fbm_stats.n_paths", "fd_step-above-t", "output",
+        "t_grid-at-richardson-step", "t_grid-at-entropy-power-step", "min_t-above-every-t",
+        "min_t-nan", "x0-nan", "variance-infinite", "oracle.samples-infinite"])
 def test_config_values_checked_before_any_cell(tmp_path, edit, key):
     # Each value once raised inside a cell (exit 3, every row lost), crashed with
-    # a traceback, or went unread; every one is now read when the run starts.
+    # a traceback, went unread, or ran a check that checked nothing; every one is
+    # now read when the run starts.
     cfg = _base_config(tmp_path, suites=["stein", "fbm-stats", "debruijn-mult"],
                        t_grid=[1.0], hurst_grid=[0.5])
     edit(cfg)
@@ -301,14 +358,6 @@ def test_config_values_checked_before_any_cell(tmp_path, edit, key):
     assert not (tmp_path / "report.csv").exists()
 
 
-def _schema_paths(schema, prefix=""):
-    for key, sub in schema.items():
-        if sub is None:
-            yield prefix + key
-        else:
-            yield from _schema_paths(sub, prefix + key + ".")
-
-
 def test_readme_documents_the_config_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### `fbm-infoflow run", 1)[1].split("\n### ", 1)[0]
@@ -316,6 +365,6 @@ def test_readme_documents_the_config_schema():
     cli._SuiteRunner(example)
     documented = set(re.findall(r"`([a-z_][a-z_0-9]*(?:\.[a-z_0-9<>]+)*)`", section))
     accepted = {re.sub(r"^tolerances\..*", "tolerances.<suite>", path)
-                for path in _schema_paths(cli._SCHEMA)}
+                for path in cli._KEYS}
     assert accepted <= documented
     assert {d for d in documented if "." in d} <= accepted
