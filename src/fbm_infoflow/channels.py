@@ -2,14 +2,16 @@
 
 Two channel variants are supported: the multiplicative model
 dX = sigma(X) o dB^H with X_0 = x0 (density by push-forward through the
-Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t (closed-form
-Gaussian branch, numerical convolution for grid-specified initial laws).
+Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t.  Every additive
+initial law is a Gaussian mixture: a Gaussian law is one component, a grid
+law its trapezoid rule, one point mass per grid point.  X_t is then the
+mixture with B^H_t's variance added to every component.
 
 A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
-the same shape.  Fields that are exactly Gaussian carry a (mean, variance)
-tag so downstream functionals can use a Gauss-Hermite rule instead of adaptive
-quadrature.
+the same shape.  Additive fields also carry the x-derivative of the score.
+Fields that are exactly Gaussian carry a (mean, variance) tag so downstream
+functionals can use a Gauss-Hermite rule instead of adaptive quadrature.
 """
 
 import math
@@ -26,7 +28,7 @@ from .sigma import SigmaModel
 _TINY = 1e-300
 _Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
-_KERNEL_ROWS = 512      # grid-law kernel rows per block: 8 MB at 2001 grid points
+_KERNEL_ENTRIES = 1 << 20   # mixture kernel entries per block: 8 MB
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ class DensityField:
     score_fn: Callable = field(repr=False)
     gaussian: Optional[Tuple[float, float]] = None   # (mean, variance) if exact
     breakpoints: Tuple[float, ...] = ()               # quadrature hints
+    dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
 
 
 def gaussian_field(mean, variance):
@@ -127,11 +130,14 @@ def gaussian_field(mean, variance):
     def score(x):
         return -(np.asarray(x, dtype=float) - mean) / variance
 
+    def dscore(x):
+        return np.full(np.shape(x), -1.0 / variance)[()]
+
     brk = tuple(mean + sd * k for k in (-6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0))
     return DensityField(
         lo=mean - _FIELD_STD * sd, hi=mean + _FIELD_STD * sd,
         pdf=pdf, score_fn=score,
-        gaussian=(mean, variance), breakpoints=brk,
+        gaussian=(mean, variance), breakpoints=brk, dscore_fn=dscore,
     )
 
 
@@ -195,46 +201,62 @@ def _multiplicative_field(channel, t):
                         breakpoints=brk)
 
 
-def _convolved_field(channel, t):
-    law = channel.initial
-    h = channel.hurst.value
-    var = float(t) ** (2.0 * h)
-    sd = math.sqrt(var)
-    y = law.grid
-    p0 = law.values
-    dy = np.max(np.diff(y))
-    if sd < 2.0 * dy:
-        raise ResolutionError(
-            f"Gaussian kernel std {sd:g} below 2 grid steps ({dy:g}); refine the grid"
-        )
-    norm = 1.0 / math.sqrt(2 * math.pi * var)
+def _components(law):
+    """The initial law as a Gaussian mixture (means, variances, weights summing to 1); a grid
+    law is a point mass at each grid point, weighted by trapezoid weight times density."""
+    if law.kind == "gaussian":
+        return np.array([law.mean]), np.array([law.variance]), np.ones(1)
+    dy = np.diff(law.grid)
+    w = law.values * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0)) / 2.0
+    return law.grid, np.zeros(w.size), w / w.sum()
 
-    def _convolve(x, with_derivative):
-        """Trapezoid convolutions of p0 with the kernel and, if asked, with its
-        x-derivative, one block of _KERNEL_ROWS rows of the kernel at a time."""
-        shape = np.shape(x)
+
+def _mixture_field(law, s):
+    """Law of X_0 + N(0, s) for an initial law given as a Gaussian mixture."""
+    means, variances, weights = _components(law)
+    var = variances + s
+    if means.size == 1:
+        return gaussian_field(means[0], var[0])
+    sd, sd_min = math.sqrt(var.max()), math.sqrt(var.min())
+    dy = np.max(np.diff(means))
+    if sd_min < 2.0 * dy:
+        raise ResolutionError(
+            f"Gaussian kernel std {sd_min:g} below 2 grid steps ({dy:g}); refine the grid")
+    wn = weights / np.sqrt(2 * math.pi * var)
+    rows = max(1, _KERNEL_ENTRIES // means.size)
+
+    def _derivatives(x, order):
+        """The density and its first `order` x-derivatives, numpy scalars for a scalar x."""
         xa = np.asarray(x, dtype=float).ravel()
-        f, df = np.empty(xa.size), np.empty(xa.size)
-        for i in range(0, xa.size, _KERNEL_ROWS):
-            xb = xa[i:i + _KERNEL_ROWS]
-            k = np.exp(-0.5 * (xb[:, None] - y[None, :]) ** 2 / var) * norm
-            f[i:i + xb.size] = np.trapezoid(k * p0[None, :], y, axis=1)
-            if with_derivative:
-                k *= -(xb[:, None] - y[None, :]) / var
-                df[i:i + xb.size] = np.trapezoid(k * p0[None, :], y, axis=1)
-        return f.reshape(shape), df.reshape(shape)
+        out = np.empty((order + 1, xa.size))
+        for i in range(0, xa.size, rows):
+            u = xa[i:i + rows, None] - means
+            k = np.exp(u * u * (-0.5 / var))
+            u /= var
+            out[0, i:i + rows] = k @ wn
+            if order > 0:
+                out[1, i:i + rows] = -((k * u) @ wn)
+            if order > 1:
+                out[2, i:i + rows] = (k * u * u) @ wn - k @ (wn / var)
+            del u, k    # free this block before the next one is built
+        return [o.reshape(np.shape(x))[()] for o in out]
 
     def pdf(x):
-        return _convolve(x, False)[0]
+        return _derivatives(x, 0)[0]
 
     def score(x):
-        f, df = _convolve(x, True)
+        f, df = _derivatives(x, 1)
         return df / np.maximum(f, _TINY)
 
-    lo = float(y[0] - _FIELD_STD * sd)
-    hi = float(y[-1] + _FIELD_STD * sd)
-    brk = tuple(np.linspace(y[0] - 2 * sd, y[-1] + 2 * sd, 9))
-    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, breakpoints=brk)
+    def dscore(x):
+        f, df, d2f = _derivatives(x, 2)
+        f = np.maximum(f, _TINY)
+        return d2f / f - (df / f) ** 2
+
+    brk = tuple(np.linspace(means[0] - 2 * sd, means[-1] + 2 * sd, 9))
+    return DensityField(lo=float(means[0] - _FIELD_STD * sd),
+                        hi=float(means[-1] + _FIELD_STD * sd),
+                        pdf=pdf, score_fn=score, breakpoints=brk, dscore_fn=dscore)
 
 
 def density_at(channel, t):
@@ -243,9 +265,4 @@ def density_at(channel, t):
         raise DegenerateTimeError("density_at requires t > 0")
     if channel.variant == "multiplicative":
         return _multiplicative_field(channel, t)
-    law = channel.initial
-    if law.kind == "gaussian":
-        var = float(t) ** (2.0 * channel.hurst.value)
-        return gaussian_field(law.mean, law.variance + var)
-    return _convolved_field(channel, t)
-
+    return _mixture_field(channel.initial, float(t) ** (2.0 * channel.hurst.value))

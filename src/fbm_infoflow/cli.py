@@ -59,10 +59,19 @@ def _value(key, raw, convert, ok, need):
 
 
 def _number(raw):
+    if isinstance(raw, (str, bool)):
+        raise TypeError("expected a number")
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("expected a finite number")
     return value
+
+
+def _count(raw):
+    value = _number(raw)
+    if value != int(value):
+        raise ValueError("expected a whole number")
+    return int(value)
 
 
 def _floats(raw):
@@ -86,7 +95,7 @@ def _choice(*choices):
 
 
 def _at_least(default, least):
-    return _Key(default, int, lambda v: v >= least, f">= {least}")
+    return _Key(default, _count, lambda v: v >= least, f">= {least}")
 
 
 # Every config key, once, by its dotted path.  The JSON blocks are the paths'
@@ -115,7 +124,7 @@ _KEYS = {
     "channel.initial.density": _Key(None, _floats),
     "channel.initial.domain": _Key([-1.0, 1.0], _pair, lambda d: d[0] < d[1],
                                    "[lo, hi] with lo < hi"),
-    "channel.initial.n": _Key(2001, int, lambda v: v > 0, "> 0"),
+    "channel.initial.n": _at_least(2001, 1),
     "channel.initial.shape": _choice("uniform"),
     **{f"tolerances.{suite}": _Key(tol, _number, lambda v: v >= 0.0, ">= 0")
        for suite, tol in DEFAULT_TOLERANCES.items()},
@@ -499,15 +508,14 @@ def verify(suite, hursts, times, tol, sigma_kind, sigma_c, x0, y0,
            mean, variance, fd_step, oracle, samples, seed, out):
     """Run a single verification suite from command-line flags.
 
-    A flag left out takes the config key's default; --samples and --seed
-    apply only with --oracle."""
+    A flag left out takes the config key's default; --oracle, --samples and
+    --seed each fill the oracle block, and any of them turns the oracle on."""
     cfg = {"suites": [suite], "t_grid": list(times) or None,
            "hurst_grid": list(hursts) or None, "tolerances": {suite: tol},
            "fd_step": fd_step, "output": out, "kl": {"y0": y0},
            "channel": {"sigma": {"kind": sigma_kind, "c": sigma_c}, "x0": x0,
-                       "initial": {"mean": mean, "variance": variance}}}
-    if oracle is not None:
-        cfg["oracle"] = {"kind": oracle, "samples": samples, "seed": seed}
+                       "initial": {"mean": mean, "variance": variance}},
+           "oracle": {"kind": oracle, "samples": samples, "seed": seed}}
     _execute(_without_none(cfg))
 
 

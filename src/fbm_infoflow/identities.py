@@ -259,36 +259,27 @@ class ConvexityProfile:
 
 
 def entropy_power_profile(channel, t_grid, fd_step=1e-3):
-    """Evaluate g(t, H, X_t) = 2 H^2 t^{4H-2} J_1^2 + H(2H-1) t^{2H-2} J_1
-    + H t^{2H-1} dJ_1/dt on an additive channel, classify convexity per point
-    and cross-check d^2N/dt^2 = 2 N g against second differences of N."""
+    """Evaluate g(t, H, X_t) = H(2H-1) t^{2H-2} J_1 - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)]
+    on an additive channel, classify convexity per point and cross-check
+    d^2N/dt^2 = 2 N g against second differences of N.  g uses J_1 = -E[d_x^2 ln p_t]
+    and dJ_1/dt = -2H t^{2H-1} E[(d_x^2 ln p_t)^2], not a time difference of J_1."""
     if channel.variant != "additive":
         raise DomainError("entropy_power_profile needs an additive channel")
     hv = channel.hurst.value
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= fd_step):
         raise StepError("all grid times must exceed fd_step")
-    law = channel.initial
-    is_gauss = law.kind == "gaussian"
-
-    def j1_at(s):
-        if is_gauss:
-            return 1.0 / (law.variance + s ** (2.0 * hv))
-        return nf.generalized_fisher(ch.density_at(channel, s))
 
     def n_at(s):
         return nf.entropy_power(ch.density_at(channel, s))
 
     g_vals, n_vals, d2_formula, d2_fd, classes = [], [], [], [], []
     for t in t_grid:
-        j1 = j1_at(t)
-        if is_gauss:
-            dj1 = -2.0 * hv * t ** (2.0 * hv - 1.0) * j1 ** 2
-        else:
-            dj1 = (j1_at(t + fd_step) - j1_at(t - fd_step)) / (2.0 * fd_step)
-        g = (2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * j1 ** 2
-             + hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * j1
-             + hv * t ** (2.0 * hv - 1.0) * dj1)
+        field_t = ch.density_at(channel, t)
+        mean_d2 = nf.expectation(field_t, field_t.dscore_fn)
+        var_d2 = nf.expectation(field_t, lambda x: (field_t.dscore_fn(x) - mean_d2) ** 2)
+        g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * nf.generalized_fisher(field_t)
+             - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
         n = n_at(t)
         g_vals.append(g)
         n_vals.append(n)

@@ -64,13 +64,6 @@ class McEstimate:
     seed: int
 
 
-def _grid_inverse_cdf(law):
-    cdf = np.concatenate([[0.0], np.cumsum(
-        0.5 * (law.values[1:] + law.values[:-1]) * np.diff(law.grid))])
-    cdf = np.maximum.accumulate(cdf / cdf[-1])
-    return lambda u: np.interp(u, cdf, law.grid)
-
-
 def sample_endpoint(channel, t, n, rng):
     """Draw n samples of X_t."""
     hv = channel.hurst.value
@@ -83,11 +76,10 @@ def sample_endpoint(channel, t, n, rng):
         phi = ch._phi_for(channel, t)
         z_lo, z_hi = phi.z_domain
         return phi(np.clip(z, z_lo, z_hi))
-    law = channel.initial
-    if law.kind == "gaussian":
-        x0 = law.mean + math.sqrt(law.variance) * rng.standard_normal(n)
-    else:
-        x0 = _grid_inverse_cdf(law)(rng.random(n))
+    means, variances, weights = ch._components(channel.initial)
+    counts = rng.multinomial(n, weights)    # a component each; no draw for one alone
+    x0 = rng.standard_normal(n) * np.repeat(np.sqrt(variances), counts)
+    x0 += np.repeat(means, counts)
     return x0 + z
 
 

@@ -91,6 +91,7 @@ def test_score_gaussian_examples():
     lambda: ch.density_at(
         ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6), 1.0),
     lambda: ch.density_at(ch.additive(_uniform_law(), 0.5), 1.0),
+    lambda: ch.density_at(ch.additive(ch.gaussian_law(0.5, 2.0), 0.3), 0.7),
 ])
 def test_score_consistent_with_fd_of_log_density(make_field):
     f = make_field()
@@ -100,6 +101,14 @@ def test_score_consistent_with_fd_of_log_density(make_field):
           - np.log(np.atleast_1d(f.pdf(xs - eps)))) / (2 * eps)
     sc = np.atleast_1d(f.score_fn(xs))
     assert np.max(np.abs(fd - sc) / (1.0 + np.abs(sc))) <= 1e-5
+    if f.dscore_fn is None:     # flow fields carry no derivative of the score
+        return
+    fd = (f.score_fn(xs + eps) - f.score_fn(xs - eps)) / (2 * eps)
+    ds = f.dscore_fn(xs)
+    assert ds.shape == xs.shape
+    assert np.max(np.abs(fd - ds) / (1.0 + np.abs(ds))) <= 1e-5
+    # a scalar point gives numpy scalars, as an array gives arrays
+    assert all(isinstance(fn(0.5), np.floating) for fn in (f.pdf, f.score_fn, f.dscore_fn))
 
 
 def test_grid_law_score_memory_is_bounded():

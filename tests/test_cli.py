@@ -136,9 +136,20 @@ def test_verify_subcommand(tmp_path):
     (["stein", "--sigma", "sqrt1p", "--c", "5"], "'channel.sigma.c'"),
     (["stein", "--sigma", "bogus"], "'channel.sigma.kind'"),
     (["stein", "--oracle", "bogus"], "'oracle.kind'"),
-], ids=["sqrt1p-c", "sigma-bogus", "oracle-bogus"])
+    (["stein", "--samples", "5"], "'oracle.samples'"),
+    (["debruijn-additive", "--samples", "1000", "--seed", "3"], None),
+], ids=["sqrt1p-c", "sigma-bogus", "oracle-bogus", "samples-without-oracle",
+        "samples-and-seed-turn-the-oracle-on"])
 def test_verify_flags_are_checked_as_config_values(tmp_path, args, key):
+    # --samples and --seed fill the oracle block with or without --oracle (they
+    # were once dropped without it), so they are checked and turn the oracle on.
     result = CliRunner().invoke(main, ["verify", *args, "--out", str(tmp_path / "r")])
+    if key is None:
+        assert result.exit_code == 0, result.output
+        with open(tmp_path / "r.csv") as fh:
+            rows = list(csv.DictReader(fh.read().splitlines()[1:]))
+        assert len(rows) == 9 and all(row["mc_value"] and row["mc_ok"] for row in rows)
+        return
     assert result.exit_code == 2, result.output
     assert key in result.output and "config error" in result.output
 
@@ -339,12 +350,20 @@ def test_invalid_constructor_values_are_config_errors(tmp_path, edit, key):
     (lambda c: c["channel"]["initial"].update(variance=float("inf")),
      "'channel.initial.variance'"),
     (lambda c: c.update(oracle={"kind": "mc", "samples": float("inf")}), "'oracle.samples'"),
+    (lambda c: c.update(t_grid=["1.5", True]), "'t_grid'"),
+    (lambda c: c.update(t_grid=[1.0, True]), "'t_grid'"),
+    (lambda c: c.update(oracle={"kind": "mc", "samples": 2500.9}), "'oracle.samples'"),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "n": 101.7}),
+     "'channel.initial.n'"),
+    (lambda c: c.update(fbm_stats={"seed": True}), "'fbm_stats.seed'"),
 ], ids=["variance-text", "t_grid-text", "hurst_grid-number", "sigma.domain-number",
         "sigma.c-text", "x0-text", "grid-n-negative", "tolerance-text", "stein-short-case",
         "stein-variance", "oracle.samples-text", "oracle.samples-few", "oracle.seed",
         "fbm_stats.n", "fbm_stats.dt", "fbm_stats.n_paths", "fd_step-above-t", "output",
         "t_grid-at-richardson-step", "t_grid-at-entropy-power-step", "min_t-above-every-t",
-        "min_t-nan", "x0-nan", "variance-infinite", "oracle.samples-infinite"])
+        "min_t-nan", "x0-nan", "variance-infinite", "oracle.samples-infinite",
+        "t_grid-numeric-text", "t_grid-bool", "oracle.samples-fraction", "grid-n-fraction",
+        "fbm_stats.seed-bool"])
 def test_config_values_checked_before_any_cell(tmp_path, edit, key):
     # Each value once raised inside a cell (exit 3, every row lost), crashed with
     # a traceback, went unread, or ran a check that checked nothing; every one is

@@ -217,7 +217,10 @@ def test_entropy_power_sign_law():
 
 def test_entropy_power_profile_grid_initial():
     grid = np.linspace(-1, 1, 1001)
-    chan = ch.additive(ch.grid_law(grid, np.full(grid.size, 0.5)), 0.75)
-    prof = idn.entropy_power_profile(chan, [1.0], fd_step=1e-3)
-    rel = abs(prof.d2n_fd[0] - prof.d2n_formula[0]) / max(1.0, abs(prof.d2n_formula[0]))
-    assert rel <= 1e-2   # dJ_1/dt by FD of quadrature, looser by construction
+    law = ch.grid_law(grid, np.full(grid.size, 0.5))
+    prof = idn.entropy_power_profile(ch.additive(law, 0.75), [0.5, 1.0, 2.0], fd_step=1e-3)
+    rel = np.abs(prof.d2n_fd - prof.d2n_formula) / np.maximum(1.0, np.abs(prof.d2n_formula))
+    assert np.max(rel) <= 1e-6   # g is exact: no time difference of J_1
+    for h in (0.3, 0.5):        # g < 0: concave, at H = 1/2 for every law
+        prof = idn.entropy_power_profile(ch.additive(law, h), [0.5, 1.0, 2.0])
+        assert np.all(prof.g_values < 0)

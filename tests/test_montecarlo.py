@@ -25,7 +25,16 @@ def test_additive_gaussian_moments():
     assert abs(est.mean - 2.0) <= 4 * est.std_error
 
 
-def test_grid_law_inverse_cdf_sampling():
+def test_gaussian_law_draws_no_component_index():
+    # One component: B^H_t, then the law's own noise, and nothing else.
+    chan = ch.additive(ch.gaussian_law(2.0, 0.5), 0.75)
+    x = mc.sample_endpoint(chan, 1.5, 1000, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal(1000) * 1.5 ** 0.75
+    assert np.array_equal(x, 2.0 + np.sqrt(0.5) * rng.standard_normal(1000) + z)
+
+
+def test_grid_law_mixture_sampling():
     grid = np.linspace(-1, 1, 2001)
     chan = ch.additive(ch.grid_law(grid, np.full(grid.size, 0.5)), 0.5)
     est = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 200_000, 29)
