@@ -10,10 +10,13 @@ mixture with B^H_t's variance added to every component.
 A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
 the same shape.  Additive fields also carry the x-derivative of the score.
-Fields that are exactly Gaussian carry a (mean, variance) tag so downstream
-functionals can use a Gauss-Hermite rule instead of adaptive quadrature.
+Fields that are exactly Gaussian carry a (mean, variance) tag, and flow fields
+X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag, so downstream functionals
+can take a Gauss-Hermite rule or a trapezoid rule in z instead of adaptive
+quadrature in x.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -27,6 +30,7 @@ from .sigma import SigmaModel
 
 _TINY = 1e-300
 _Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
+_FLOWS = 8              # flow tabulations kept, shared by every channel
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
 _KERNEL_ENTRIES = 1 << 20   # mixture kernel entries per block: 8 MB
 
@@ -81,7 +85,6 @@ class ChannelSpec:
     sigma: Optional[SigmaModel] = None
     x0: Optional[float] = None
     initial: Optional[InitialLaw] = None
-    _phi_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.hurst = as_hurst(self.hurst)
@@ -115,6 +118,8 @@ class DensityField:
     gaussian: Optional[Tuple[float, float]] = None   # (mean, variance) if exact
     breakpoints: Tuple[float, ...] = ()               # quadrature hints
     dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
+    flow: Optional[Tuple[doss.PhiSolution, float, float]] = field(
+        default=None, repr=False, compare=False)   # (phi, var, z_edge): X = phi(Z), Z ~ N(0, var)
 
 
 def gaussian_field(mean, variance):
@@ -167,11 +172,14 @@ def _phi_for(channel, t):
     """Cached Doss-Sussmann flow wide enough for 8 std of B^H_t."""
     z_need = _Z_STD * float(t) ** channel.hurst.value
     bucket = 2.0 ** math.ceil(math.log2(max(1.02 * z_need, 1.0)))
-    if bucket not in channel._phi_cache:
-        channel._phi_cache[bucket] = doss.solve_phi(
-            channel.sigma, channel.x0, (-bucket, bucket), tol=1e-11,
-        )
-    return channel._phi_cache[bucket]
+    return _flow(channel.sigma, channel.x0, bucket)
+
+
+@functools.lru_cache(maxsize=_FLOWS)
+def _flow(sigma, x0, bucket):
+    """The flow on [-bucket, bucket]; it does not depend on H, so channels that
+    differ only in H share it."""
+    return doss.solve_phi(sigma, x0, (-bucket, bucket), tol=1e-11)
 
 
 def _multiplicative_field(channel, t):
@@ -183,8 +191,8 @@ def _multiplicative_field(channel, t):
     phi = _phi_for(channel, t)
     sd = math.sqrt(var)
     z_edge = min(_Z_STD * sd, -phi.z_domain[0], phi.z_domain[1])
-    lo = float(phi(-z_edge))
-    hi = float(phi(z_edge))
+    ks = np.array([-_Z_STD, -7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7, _Z_STD])
+    lo, *brk, hi = phi(np.clip(ks * sd, -z_edge, z_edge)).tolist()
 
     def pdf(x):
         return doss.pushforward_density(phi, t, channel.hurst, x)
@@ -195,10 +203,8 @@ def _multiplicative_field(channel, t):
         s = sig.fn(x)
         return -z / (var * s) - sig.d1(x) / s
 
-    ks = np.array([-7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7], dtype=float)
-    brk = tuple(float(phi(k)) for k in np.clip(ks * sd, -z_edge, z_edge))
     return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score,
-                        breakpoints=brk)
+                        breakpoints=tuple(brk), flow=(phi, var, z_edge))
 
 
 def _components(law):

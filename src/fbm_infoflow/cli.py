@@ -7,6 +7,7 @@ Config files are JSON; the schema is documented in README.md.  Exit codes:
 
 import collections
 import csv
+import dataclasses
 import datetime
 import io
 import json
@@ -83,6 +84,11 @@ def _floats(raw):
 def _pair(raw):
     a, b = _floats(raw)
     return a, b
+
+
+def _rhs_accuracy(scale, rhs):
+    """Declared accuracy of a quadrature rhs = scale * E[g]."""
+    return abs(scale) * nf.ABS_TOL + nf.REL_TOL * abs(rhs)
 
 
 # A config key: its default (None: it has none), convert(raw) -> value, and
@@ -223,6 +229,7 @@ class _SuiteRunner:
         self.excluded = []
         self._mult_cache = {}
         self._add_cache = {}
+        self._cross_checked = set()     # suites whose first cell has been cross-checked
         self._stein_cache = None
         self._fbm_cache = {}
         self._profile_cache = {}
@@ -267,17 +274,35 @@ class _SuiteRunner:
         value, se = scale * est.mean, abs(scale) * est.std_error
         # The quadrature rhs is itself only accurate to its declared tolerance,
         # which dominates when g is constant and the standard error vanishes.
-        rhs_err = abs(scale) * nf.ABS_TOL + nf.REL_TOL * abs(report.rhs)
         report.extras["mc_value"] = value
         report.extras["mc_std_error"] = se
-        report.extras["mc_ok"] = abs(value - report.rhs) <= 4.0 * se + rhs_err
+        report.extras["mc_ok"] = (abs(value - report.rhs)
+                                  <= 4.0 * se + _rhs_accuracy(scale, report.rhs))
         return report
+
+    def _cross_check(self, report, t, rhs_fn, *channels):
+        """On a suite's first cell, if its fields are flow fields, compute the rhs
+        again by QUADPACK in x, on the fields with their flow tags dropped; the
+        row fails unless the two agree within the rhs's declared accuracy."""
+        if report.identity_name in self._cross_checked:
+            return
+        self._cross_checked.add(report.identity_name)
+        fields = [ch.density_at(c, t) for c in channels]
+        if fields[0].flow is None:
+            return
+        x_rhs = rhs_fn(channels[0], t, *(dataclasses.replace(f, flow=None) for f in fields))
+        agree = (abs(x_rhs - report.rhs)
+                 <= _rhs_accuracy(idn._rate(report.hurst, t), report.rhs))
+        report.method_notes += (f"; x-space quadpack rhs={x_rhs:.12g}"
+                                f"{'' if agree else ' DISAGREES'}")
+        report.passed = report.passed and agree
 
     def run_combo(self, suite, t, h):
         tol = self.tolerances[suite]
         if suite == "debruijn-mult":
             chan = self._mult_channel(h)
             r = idn.debruijn_check_mult(chan, t, fd_step=self.fd_step, tol=tol)
+            self._cross_check(r, t, idn.debruijn_mult_rhs, chan)
             return self._with_mc(r, t, idn.debruijn_mult_oracle, chan)
         if suite == "debruijn-additive":
             chan = self._add_channel(h)
@@ -286,6 +311,7 @@ class _SuiteRunner:
         if suite == "kl-flow":
             x, y = self._mult_channel(h), self._mult_channel(h, x0=self.y0)
             r = idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol)
+            self._cross_check(r, t, idn.kl_flow_rhs, x, y)
             return self._with_mc(r, t, idn.kl_flow_oracle, x, y)
         if suite == "fokker-planck":
             x_grid = np.linspace(-4.0, 4.0, 81)

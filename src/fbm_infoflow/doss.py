@@ -2,9 +2,10 @@
 push the Gaussian marginal of B^H_t through it.
 
 The flow is solved once with a high-order adaptive integrator, tabulated
-densely and interpolated monotonically.  Queries at ~1e4 quadrature nodes per
-identity check then cost an interpolation plus a Newton polish instead of an
-ODE solve.
+densely and interpolated monotonically.  A query then costs an interpolation
+(plus a Newton polish for the inverse) instead of an ODE solve; both are
+evaluated on ascending points, where the interpolant's interval search is
+fastest.
 """
 
 import math
@@ -16,11 +17,23 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from . import sigma as sigma_mod
-from .errors import DegenerateTimeError, DomainError, FlowEscapeError, RangeError
+from .errors import (DegenerateTimeError, DomainError, FlowEscapeError, InversionError,
+                     RangeError)
 from .fbm import as_hurst
 
 _TABLE_STEP = 2e-3          # target z spacing of the tabulation
 _INVERT_ATOL = 1e-12
+_INVERT_STEPS = 60
+
+
+def _ascending(fn, x):
+    """fn(x) for an elementwise fn, evaluated on the points of x in ascending order:
+    a PCHIP interpolant searches for each point's interval forward from the last."""
+    flat = x.ravel()
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    out[order] = fn(flat[order])
+    return out.reshape(x.shape)
 
 
 @dataclass
@@ -51,7 +64,7 @@ class PhiSolution:
             raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}]")
         # PCHIP is monotone; only rounding at the table's ends can leave x_range,
         # where invert_phi would reject the value.
-        return np.clip(self._interp(z), *self.x_range)
+        return np.clip(_ascending(self._interp, z), *self.x_range)
 
 
 def solve_phi(sigma, x0, z_domain, tol=1e-10):
@@ -111,22 +124,30 @@ def invert_phi(phi, x):
     """Solve phi(z) = x for an array x; z has the shape of x.
 
     Initial guess from the inverse interpolant, then Newton with the analytic
-    derivative phi'(z) = sigma(phi(z)).
+    derivative phi'(z) = sigma(phi(z)); InversionError if it has not converged
+    after _INVERT_STEPS steps.
     """
     arr = np.asarray(x, dtype=float)
     lo, hi = phi.x_range
     if np.any(arr < lo) or np.any(arr > hi):
         raise RangeError(f"x outside flow range [{lo:g}, {hi:g}]")
-    z = phi._inv_interp(arr)
+    return _ascending(lambda xs: _newton(phi, xs), arr)
+
+
+def _newton(phi, xs):
+    z = phi._inv_interp(xs)
     z_lo, z_hi = phi.z_domain
-    target = _INVERT_ATOL * (1.0 + np.abs(arr))
-    for _ in range(60):
+    target = _INVERT_ATOL * (1.0 + np.abs(xs))
+    for _ in range(_INVERT_STEPS):
         f = phi._interp(z)
-        resid = f - arr
+        resid = f - xs
         if np.all(np.abs(resid) <= target):
-            break
+            return z
         z = np.clip(z - resid / phi.sigma.fn(f), z_lo, z_hi)
-    return z
+    worst = np.argmax(np.abs(resid) - target)
+    raise InversionError(
+        f"Newton inversion of phi did not converge in {_INVERT_STEPS} steps: residual "
+        f"{abs(resid[worst]):.3g} at x = {xs[worst]:g} against {target[worst]:.3g}")
 
 
 def pushforward_density(phi, t, h, x):

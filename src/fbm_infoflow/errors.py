@@ -25,6 +25,10 @@ class RangeError(FbmInfoflowError):
     """Value outside the range of the tabulated flow."""
 
 
+class InversionError(FbmInfoflowError):
+    """Newton inversion of the tabulated flow did not converge."""
+
+
 class DegenerateTimeError(FbmInfoflowError):
     """t = 0 requested where the law is a point mass and has no density."""
 

@@ -96,17 +96,20 @@ def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4):
         raise DomainError("debruijn_check_mult needs a multiplicative channel")
     fd_step = _check_step(t, fd_step)
     hv = channel.hurst.value
-    sig = channel.sigma
 
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
-
-    field_t = ch.density_at(channel, t)
-    j_sig2 = nf.generalized_fisher(field_t, lambda x: sig.fn(x) ** 2)
-    e_curv = nf.expectation(field_t, sig.curvature)
-    rhs = _rate(hv, t) * (j_sig2 - e_curv)
+    rhs = debruijn_mult_rhs(channel, t, ch.density_at(channel, t))
     return _report("debruijn-mult", t, hv, lhs, rhs, tol,
                    notes=f"richardson fd_step={fd_step:g}")
+
+
+def debruijn_mult_rhs(channel, t, field_t):
+    """debruijn_check_mult's rhs on field_t, the law of X_t."""
+    sig = channel.sigma
+    j_sig2 = nf.generalized_fisher(field_t, lambda x: sig.fn(x) ** 2)
+    e_curv = nf.expectation(field_t, sig.curvature)
+    return _rate(channel.hurst.value, t) * (j_sig2 - e_curv)
 
 
 def debruijn_mult_oracle(channel, t):
@@ -169,10 +172,8 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
                                 ch.density_at(y_channel, s))
 
     lhs = richardson_derivative(kl_at, t, fd_step)
-    px = ch.density_at(x_channel, t)
-    py = ch.density_at(y_channel, t)
-    rel = nf.relative_fisher(px, py, lambda x: sx.fn(x) ** 2)
-    rhs = -_rate(hv, t) * rel
+    rhs = kl_flow_rhs(x_channel, t, ch.density_at(x_channel, t),
+                      ch.density_at(y_channel, t))
 
     kls = [kl_at(t - fd_step), kl_at(t), kl_at(t + fd_step)]
     slack = 10 * nf.ABS_TOL
@@ -181,8 +182,14 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
              f"{kls[0]:.9g},{kls[1]:.9g},{kls[2]:.9g}; "
              f"monotone={'yes' if monotone else 'NO'}")
     return _report("kl-flow", t, hv, lhs, rhs, tol, notes,
-                   extras={"kl_values": kls, "monotone": monotone,
-                           "relative_fisher": rel})
+                   extras={"kl_values": kls, "monotone": monotone})
+
+
+def kl_flow_rhs(x_channel, t, px, py):
+    """kl_flow_check's rhs on px and py, the laws of X_t and Y_t."""
+    sig = x_channel.sigma
+    rel = nf.relative_fisher(px, py, lambda x: sig.fn(x) ** 2)
+    return -_rate(x_channel.hurst.value, t) * rel
 
 
 def kl_flow_oracle(x_channel, y_channel, t):

@@ -2,11 +2,13 @@
 
 Entropy, generalized Fisher information, KL divergence, relative Fisher
 information and entropy power.  Each functional is one expectation
-E_p[g(X, f(X))], f being p's density, evaluated by `_expect` along one of two
+E_p[g(X, f(X))], f being p's density, evaluated by `_expect` along one of three
 routes: a 128-node Gauss-Hermite rule when every field involved carries a
-Gaussian tag (exact for the Gaussian entropy, Fisher and KL integrands), and
-adaptive quadrature (scipy QUADPACK) otherwise.  A weight b is an array
-callable, None meaning 1.
+Gaussian tag (exact for the Gaussian entropy, Fisher and KL integrands); when
+every field is a flow field X = phi(Z), Z ~ N(0, var), a trapezoid rule in z,
+whose step halves until two sums agree to the tolerances; and adaptive
+quadrature in x (scipy QUADPACK) otherwise.  A weight b is an array callable,
+None meaning 1.
 """
 
 import functools
@@ -16,11 +18,13 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy import integrate
 
+from . import doss
 from .errors import QuadratureError, SupportError
 
-ABS_TOL = 1e-10         # QUADPACK absolute tolerance
-REL_TOL = 1e-8          # QUADPACK relative tolerance
+ABS_TOL = 1e-10         # absolute tolerance of QUADPACK and the z rule
+REL_TOL = 1e-8          # relative tolerance of QUADPACK and the z rule
 _LIMIT = 200            # QUADPACK subdivisions, at least the breakpoints + 2
+_Z_MAX_POINTS = 1 << 14     # z-rule nodes at which the rule gives up
 _TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
 
@@ -54,6 +58,8 @@ def _expect(g, p, q=None):
     if q is not None:
         _check_support(p, q)
     lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
+    if all(fl.flow is not None for fl in fields):
+        return _z_trapezoid(g, p, lo, hi)
     pts = sorted(b for fl in fields for b in fl.breakpoints if lo < b < hi)
 
     def integrand(x):
@@ -68,6 +74,35 @@ def _expect(g, p, q=None):
         raise QuadratureError(f"quadrature did not converge: {result[3]}",
                               estimate=result[0], error_estimate=result[1])
     return result[0]
+
+
+def _z_trapezoid(g, p, lo, hi):
+    """E_p[g(X, f(X))] for the flow field p, X = phi(Z), Z ~ N(0, var), over
+    lo <= X <= hi: the trapezoid rule on the pre-image of [lo, hi] in
+    [-z_edge, z_edge], from step sd/4, halved until two sums agree."""
+    phi, var, z_edge = p.flow
+    a = -z_edge if lo <= p.lo else float(doss.invert_phi(phi, lo))
+    b = z_edge if hi >= p.hi else float(doss.invert_phi(phi, hi))
+
+    def weighted(z):
+        x = phi(z)
+        return np.exp(-0.5 * z * z / var) * g(x, p.pdf(x))
+
+    n = max(2, math.ceil(4.0 * (b - a) / math.sqrt(var)))
+    step = (b - a) / n
+    vals = weighted(np.linspace(a, b, n + 1))
+    total = np.sum(vals) - 0.5 * (vals[0] + vals[-1])
+    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
+    value = norm * step * total
+    while True:
+        if 2 * n + 1 > _Z_MAX_POINTS:
+            raise QuadratureError(f"z rule: no two sums agreed within {_Z_MAX_POINTS} points",
+                                  estimate=value)
+        total += np.sum(weighted(a + step * (np.arange(n) + 0.5)))
+        n, step = 2 * n, step / 2
+        previous, value = value, norm * step * total
+        if abs(value - previous) <= ABS_TOL + REL_TOL * abs(value):
+            return float(value)
 
 
 def expectation(field, g):

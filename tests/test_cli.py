@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fbm_infoflow import cli, fbm, identities as idn
+from fbm_infoflow import cli, doss, fbm, identities as idn
 from fbm_infoflow.cli import main
 
 
@@ -222,6 +222,37 @@ def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
     off = dataclasses.replace(rep, rhs=rep.rhs + 1e-6 * abs(rep.rhs), extras={})
     monkeypatch.setattr(idn, "kl_flow_check", lambda *args, **kwargs: off)
     assert not runner.run_combo("kl-flow", 1.0, 0.5).extras["mc_ok"]
+
+
+_SQRT1P = {"channel": {"sigma": {"kind": "sqrt1p"}, "x0": 0.0}, "kl": {"y0": 1.0}}
+
+
+@pytest.mark.parametrize("suite, rhs", [("debruijn-mult", "debruijn_mult_rhs"),
+                                        ("kl-flow", "kl_flow_rhs")])
+def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs):
+    cfg = {"suites": [suite], "t_grid": [1.0], "hurst_grid": [0.5], **_SQRT1P}
+    runner = cli._SuiteRunner(cfg)
+    first, second = runner.run_combo(suite, 1.0, 0.5), runner.run_combo(suite, 1.0, 0.5)
+    assert first.passed and "x-space quadpack rhs=" in first.method_notes
+    assert "x-space" not in second.method_notes
+    # The x route (fields without a flow tag) off by 1e-6 relative fails the row.
+    exact = getattr(idn, rhs)
+    monkeypatch.setattr(idn, rhs, lambda channel, t, *fields: exact(channel, t, *fields)
+                        * (1.0 + 1e-6 if fields[0].flow is None else 1.0))
+    shifted = cli._SuiteRunner(cfg).run_combo(suite, 1.0, 0.5)
+    assert shifted.rhs == first.rhs
+    assert not shifted.passed and "DISAGREES" in shifted.method_notes
+
+
+def test_flow_tabulated_once_per_bucket_across_hurst(monkeypatch):
+    # The flow does not depend on H: the 3 x 3 grid needs the buckets 8 and 16
+    # (6 ODE solves when each channel kept its own tables).
+    calls = []
+    solve = doss.solve_phi
+    monkeypatch.setattr(doss, "solve_phi", lambda *a, **k: calls.append(a[2][1]) or solve(*a, **k))
+    _, rows, _ = cli.run_suite({"suites": ["debruijn-mult"], **_SQRT1P})
+    assert len(rows) == 9 and all(r.passed for r in rows)
+    assert sorted(calls) == [8.0, 16.0]
 
 
 def test_entropy_power_skips_times_below_min_t(tmp_path):

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fbm_infoflow import doss, sigma as sg
-from fbm_infoflow.errors import DegenerateTimeError, FlowEscapeError, RangeError
+from fbm_infoflow.errors import (DegenerateTimeError, FlowEscapeError, InversionError,
+                                 RangeError)
 
 TOL = 1e-10
 
@@ -69,6 +72,42 @@ def test_invert_examples(phi_sinh):
     assert doss.invert_phi(phi_sinh, np.sinh(1.0)) == pytest.approx(1.0, abs=1e-10)
     phi = doss.solve_phi(sg.identity_channel(), 3.0, (-5, 5), tol=TOL)
     assert doss.invert_phi(phi, 3.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _invert_in_given_order(phi, x):
+    """invert_phi's Newton iteration run on the points in the order given."""
+    z = phi._inv_interp(x)
+    target = doss._INVERT_ATOL * (1.0 + np.abs(x))
+    for _ in range(doss._INVERT_STEPS):
+        f = phi._interp(z)
+        if np.all(np.abs(f - x) <= target):
+            return z
+        z = np.clip(z - (f - x) / phi.sigma.fn(f), *phi.z_domain)
+    raise AssertionError("reference inversion did not converge")
+
+
+def test_ascending_evaluation_is_bit_identical(phi_sinh):
+    rng = np.random.default_rng(5)
+    shuffled = rng.uniform(-3.9, 3.9, 4000)
+    nodes = rng.permutation(phi_sinh.z_grid[::3])       # exactly on table nodes
+    for z in (shuffled, nodes, shuffled[:600].reshape(20, 30)):
+        x = phi_sinh(z)
+        assert x.shape == z.shape
+        assert np.array_equal(x, np.clip(phi_sinh._interp(z), *phi_sinh.x_range))
+        back = doss.invert_phi(phi_sinh, x)
+        assert back.shape == z.shape
+        assert np.array_equal(back, _invert_in_given_order(phi_sinh, x))
+    x_nodes = rng.permutation(phi_sinh.phi_grid[::3])
+    assert np.array_equal(doss.invert_phi(phi_sinh, x_nodes),
+                          _invert_in_given_order(phi_sinh, x_nodes))
+
+
+def test_invert_phi_raises_when_newton_does_not_converge(phi_sinh):
+    # A derivative 1e4 too large shrinks every Newton step: the loop once ran
+    # out and returned z with a residual of 2e-9 against a target of 2e-11.
+    wrong = dataclasses.replace(phi_sinh, sigma=sg.constant(1e4))
+    with pytest.raises(InversionError):
+        doss.invert_phi(wrong, np.linspace(-10.0, 10.0, 41))
 
 
 def test_invert_out_of_range(phi_sinh):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
-from fbm_infoflow.errors import SupportError
+from fbm_infoflow.errors import QuadratureError, SupportError
 
 
 def _untagged(mean, var):
@@ -172,3 +173,53 @@ def test_kl_and_fisher_nonnegative(mean, var, shift, ratio, tagged):
     assert nf.kl_divergence(p, q) >= -nf.ABS_TOL
     assert nf.kl_divergence(q, p) >= -nf.ABS_TOL
     assert nf.generalized_fisher(p) >= 0.0
+
+
+def _gauss_mean(fn, var):
+    """E[fn(Z)], Z ~ N(0, var), by QUADPACK on the closed-form integrand."""
+    sd = math.sqrt(var)
+    return integrate.quad(lambda z: fn(z) * math.exp(-0.5 * z * z / var), -12 * sd, 12 * sd,
+                          epsabs=1e-14, epsrel=1e-13, limit=200)[0] / math.sqrt(2 * math.pi * var)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_z_rule_matches_sqrt1p_closed_forms(monkeypatch, h, t):
+    # sqrt1p's flow from x0 is phi(z) = sinh(z + asinh x0): with Z ~ N(0, v),
+    # h(X) = h(Z) + E[ln cosh Z], sigma sigma'' + sigma'^2 = 1 and
+    # J_{sigma^2} = 1/v + E[1 + sech^2 Z] (Gaussian integration by parts).
+    # Y starts at 1, so Y_t = phi(Z + dz) with dz = asinh 1; KL and the relative
+    # Fisher information are invariant under phi: dz^2/(2v) and dz^2/v^2.
+    s = sg.sqrt_one_plus_square()
+    v, dz = t ** (2 * h), math.asinh(1.0)
+    exact = {
+        "entropy": 0.5 * math.log(2 * math.pi * math.e * v)
+                   + _gauss_mean(lambda z: math.log(math.cosh(z)), v),
+        "fisher": 1 / v + 1 + _gauss_mean(lambda z: math.cosh(z) ** -2, v),
+        "curvature": 1.0,
+        "kl": dz ** 2 / (2 * v),
+        "relative_fisher": dz ** 2 / v ** 2,
+    }
+    p = ch.density_at(ch.multiplicative(s, 0.0, h), t)
+    q = ch.density_at(ch.multiplicative(s, 1.0, h), t)
+    assert p.flow is not None and q.flow is not None
+
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("flow fields must not reach QUADPACK")
+    monkeypatch.setattr(nf.integrate, "quad", no_quadpack)
+    got = {
+        "entropy": nf.entropy(p),
+        "fisher": nf.generalized_fisher(p, lambda x: s.fn(x) ** 2),
+        "curvature": nf.expectation(p, s.curvature),
+        "kl": nf.kl_divergence(p, q),
+        "relative_fisher": nf.relative_fisher(p, q, lambda x: s.fn(x) ** 2),
+    }
+    for name, value in exact.items():
+        assert abs(got[name] - value) <= nf.ABS_TOL + nf.REL_TOL * abs(value), name
+
+
+def test_z_rule_raises_at_point_cap(monkeypatch):
+    p = ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75), 1.0)
+    monkeypatch.setattr(nf, "_Z_MAX_POINTS", 100)    # the first sums hold 65 and 129
+    with pytest.raises(QuadratureError):
+        nf.entropy(p)
