@@ -10,10 +10,10 @@ mixture with B^H_t's variance added to every component.
 A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
 the same shape.  Additive fields also carry the x-derivative of the score.
-Fields that are exactly Gaussian carry a (mean, variance) tag, and flow fields
-X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag, so downstream functionals
-can take a Gauss-Hermite rule or a trapezoid rule in z instead of adaptive
-quadrature in x.
+Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
+X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag for the rule in z, Gaussian
+and mixture fields a step, the base step of the rule in x (a quarter of the
+narrowest component std).
 """
 
 import functools
@@ -115,7 +115,7 @@ class DensityField:
     hi: float
     pdf: Callable = field(repr=False)
     score_fn: Callable = field(repr=False)
-    gaussian: Optional[Tuple[float, float]] = None   # (mean, variance) if exact
+    step: Optional[float] = None                      # base step of the x rule
     breakpoints: Tuple[float, ...] = ()               # quadrature hints
     dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
     flow: Optional[Tuple[doss.PhiSolution, float, float]] = field(
@@ -142,7 +142,7 @@ def gaussian_field(mean, variance):
     return DensityField(
         lo=mean - _FIELD_STD * sd, hi=mean + _FIELD_STD * sd,
         pdf=pdf, score_fn=score,
-        gaussian=(mean, variance), breakpoints=brk, dscore_fn=dscore,
+        step=sd / 4, breakpoints=brk, dscore_fn=dscore,
     )
 
 
@@ -261,8 +261,8 @@ def _mixture_field(law, s):
 
     brk = tuple(np.linspace(means[0] - 2 * sd, means[-1] + 2 * sd, 9))
     return DensityField(lo=float(means[0] - _FIELD_STD * sd),
-                        hi=float(means[-1] + _FIELD_STD * sd),
-                        pdf=pdf, score_fn=score, breakpoints=brk, dscore_fn=dscore)
+                        hi=float(means[-1] + _FIELD_STD * sd), pdf=pdf, score_fn=score,
+                        step=sd_min / 4, breakpoints=brk, dscore_fn=dscore)
 
 
 def density_at(channel, t):

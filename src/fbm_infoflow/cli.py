@@ -227,8 +227,6 @@ class _SuiteRunner:
         self.stein_cases = v["stein.cases"]
         self.fbm_stats = tuple(v[f"fbm_stats.{k}"] for k in ("n", "dt", "n_paths", "seed"))
         self.excluded = []
-        self._mult_cache = {}
-        self._add_cache = {}
         self._cross_checked = set()     # suites whose first cell has been cross-checked
         self._stein_cache = None
         self._fbm_cache = {}
@@ -251,18 +249,6 @@ class _SuiteRunner:
             if t <= step:
                 raise ConfigError(f"config key 't_grid' has time {t:g}, at or above min_t "
                                   f"but not above its suites' time step {step:g}")
-
-    def _mult_channel(self, h, x0=None):
-        x0 = self.x0 if x0 is None else x0
-        key = (h, x0)
-        if key not in self._mult_cache:
-            self._mult_cache[key] = ch.multiplicative(self.sigma, x0, h)
-        return self._mult_cache[key]
-
-    def _add_channel(self, h):
-        if h not in self._add_cache:
-            self._add_cache[h] = ch.additive(self.initial, h)
-        return self._add_cache[h]
 
     def _with_mc(self, report, t, oracle, *channels):
         """Add the oracle's Monte Carlo estimate of rhs = scale * E[g(X_t)]."""
@@ -300,23 +286,23 @@ class _SuiteRunner:
     def run_combo(self, suite, t, h):
         tol = self.tolerances[suite]
         if suite == "debruijn-mult":
-            chan = self._mult_channel(h)
+            chan = ch.multiplicative(self.sigma, self.x0, h)
             r = idn.debruijn_check_mult(chan, t, fd_step=self.fd_step, tol=tol)
             self._cross_check(r, t, idn.debruijn_mult_rhs, chan)
             return self._with_mc(r, t, idn.debruijn_mult_oracle, chan)
         if suite == "debruijn-additive":
-            chan = self._add_channel(h)
+            chan = ch.additive(self.initial, h)
             r = idn.debruijn_check_additive(chan, t, fd_step=self.fd_step, tol=tol)
             return self._with_mc(r, t, idn.debruijn_additive_oracle, chan)
         if suite == "kl-flow":
-            x, y = self._mult_channel(h), self._mult_channel(h, x0=self.y0)
+            x, y = (ch.multiplicative(self.sigma, x0, h) for x0 in (self.x0, self.y0))
             r = idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol)
             self._cross_check(r, t, idn.kl_flow_rhs, x, y)
             return self._with_mc(r, t, idn.kl_flow_oracle, x, y)
         if suite == "fokker-planck":
             x_grid = np.linspace(-4.0, 4.0, 81)
-            resid = idn.fokker_planck_residual(self._mult_channel(h), t, x_grid,
-                                               fd_step_t=self.fd_step)
+            chan = ch.multiplicative(self.sigma, self.x0, h)
+            resid = idn.fokker_planck_residual(chan, t, x_grid, fd_step_t=self.fd_step)
             worst = float(np.max(np.abs(resid)))
             return idn._report("fokker-planck", t, h, worst, 0.0, tol,
                                notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts")
@@ -350,7 +336,7 @@ class _SuiteRunner:
         if h not in self._profile_cache:
             times = [s for s in self.t_grid if s >= self.min_t]
             self._profile_cache[h] = idn.entropy_power_profile(
-                self._add_channel(h), times, fd_step=_ENTROPY_POWER_STEP)
+                ch.additive(self.initial, h), times, fd_step=_ENTROPY_POWER_STEP)
         prof = self._profile_cache[h]
         i = list(prof.t_grid).index(t)
         rhs = prof.d2n_formula[i]

@@ -2,44 +2,29 @@
 
 Entropy, generalized Fisher information, KL divergence, relative Fisher
 information and entropy power.  Each functional is one expectation
-E_p[g(X, f(X))], f being p's density, evaluated by `_expect` along one of three
-routes: a 128-node Gauss-Hermite rule when every field involved carries a
-Gaussian tag (exact for the Gaussian entropy, Fisher and KL integrands); when
-every field is a flow field X = phi(Z), Z ~ N(0, var), a trapezoid rule in z,
-whose step halves until two sums agree to the tolerances; and adaptive
-quadrature in x (scipy QUADPACK) otherwise.  A weight b is an array callable,
-None meaning 1.
+E_p[g(X, f(X))], f being p's density, evaluated by `_expect` with one trapezoid
+rule, `_trapezoid`, whose step halves until two sums agree to the tolerances:
+in z for flow fields X = phi(Z), Z ~ N(0, var), and in x over p's own domain for
+Gaussian and mixture fields, which carry the base step.  It converges
+geometrically on these integrands.  Adaptive quadrature in x (scipy QUADPACK)
+takes fields with no common tag and is the reference the rule is tested
+against.  A weight b is an array callable, None meaning 1.
 """
 
-import functools
 import math
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy import integrate
 
 from . import doss
 from .errors import QuadratureError, SupportError
 
-ABS_TOL = 1e-10         # absolute tolerance of QUADPACK and the z rule
-REL_TOL = 1e-8          # relative tolerance of QUADPACK and the z rule
+ABS_TOL = 1e-10         # absolute tolerance of QUADPACK and the trapezoid rule
+REL_TOL = 1e-8          # relative tolerance of QUADPACK and the trapezoid rule
 _LIMIT = 200            # QUADPACK subdivisions, at least the breakpoints + 2
-_Z_MAX_POINTS = 1 << 14     # z-rule nodes at which the rule gives up
+_MAX_POINTS = 1 << 14   # trapezoid nodes at which the rule gives up
 _TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
-
-
-@functools.cache
-def _hermite():
-    u, w = hermgauss(128)
-    return u, w / math.sqrt(math.pi)
-
-
-def gauss_hermite_nodes(mean, variance):
-    """Nodes x and weights w of the cached 128-node Gauss-Hermite rule for
-    Y ~ N(mean, variance): E[h(Y)] ~ sum(w * h(x))."""
-    u, w = _hermite()
-    return mean + math.sqrt(2.0 * variance) * u, w
 
 
 def _check_support(p, q):
@@ -52,14 +37,24 @@ def _expect(g, p, q=None):
     """E_p[g(X, f(X))] with f = p.pdf; q, when given, is the second field of a
     divergence and must contain p's support."""
     fields = (p,) if q is None else (p, q)
-    if all(fl.gaussian is not None for fl in fields):
-        x, w = gauss_hermite_nodes(*p.gaussian)
-        return float(np.sum(w * g(x, p.pdf(x))))
-    if q is not None:
-        _check_support(p, q)
     lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
     if all(fl.flow is not None for fl in fields):
-        return _z_trapezoid(g, p, lo, hi)
+        phi, var, _ = p.flow
+        a, b = _z_cut(p, lo, hi)
+        norm = 1.0 / math.sqrt(2.0 * math.pi * var)
+
+        def weighted(z):
+            x = phi(z)
+            return norm * np.exp(-0.5 * z * z / var) * g(x, p.pdf(x))
+        return _trapezoid(weighted, a, b, math.sqrt(var) / 4.0)
+    if q is not None:
+        _check_support(p, q)
+    if all(fl.step is not None for fl in fields):
+        # A Gaussian or mixture q has a density on all of R, so p's own domain is kept.
+        def weighted(x):
+            f = p.pdf(x)
+            return np.where(f > _TINY, f * g(x, np.maximum(f, _TINY)), 0.0)
+        return _trapezoid(weighted, p.lo, p.hi, min(fl.step for fl in fields))
     pts = sorted(b for fl in fields for b in fl.breakpoints if lo < b < hi)
 
     def integrand(x):
@@ -76,33 +71,38 @@ def _expect(g, p, q=None):
     return result[0]
 
 
-def _z_trapezoid(g, p, lo, hi):
-    """E_p[g(X, f(X))] for the flow field p, X = phi(Z), Z ~ N(0, var), over
-    lo <= X <= hi: the trapezoid rule on the pre-image of [lo, hi] in
-    [-z_edge, z_edge], from step sd/4, halved until two sums agree."""
+def _z_cut(p, lo, hi):
+    """The pre-image [a, b] in [-z_edge, z_edge] of lo <= X <= hi for the flow field p.
+    A flow q's density is positive on all of its domain, so the mass of p that q
+    misses is the N(0, var) mass this cut drops: SupportError past ABS_TOL."""
     phi, var, z_edge = p.flow
+    if lo >= hi:
+        raise SupportError("the domains do not overlap: all of p's mass is dropped")
     a = -z_edge if lo <= p.lo else float(doss.invert_phi(phi, lo))
     b = z_edge if hi >= p.hi else float(doss.invert_phi(phi, hi))
+    r = math.sqrt(2.0 * var)
+    dropped = 0.5 * (math.erfc(-a / r) + math.erfc(b / r)) - math.erfc(z_edge / r)
+    if dropped > ABS_TOL:
+        raise SupportError(f"the common domain [{lo:g}, {hi:g}] drops {dropped:.3g} of p's mass")
+    return a, b
 
-    def weighted(z):
-        x = phi(z)
-        return np.exp(-0.5 * z * z / var) * g(x, p.pdf(x))
 
-    n = max(2, math.ceil(4.0 * (b - a) / math.sqrt(var)))
+def _trapezoid(weighted, a, b, step0):
+    """int_a^b weighted by the trapezoid rule: the step starts at most step0 and
+    halves until two sums agree within ABS_TOL + REL_TOL |I|."""
+    n = max(2, math.ceil((b - a) / step0))
     step = (b - a) / n
     vals = weighted(np.linspace(a, b, n + 1))
     total = np.sum(vals) - 0.5 * (vals[0] + vals[-1])
-    norm = 1.0 / math.sqrt(2.0 * math.pi * var)
-    value = norm * step * total
-    while True:
-        if 2 * n + 1 > _Z_MAX_POINTS:
-            raise QuadratureError(f"z rule: no two sums agreed within {_Z_MAX_POINTS} points",
-                                  estimate=value)
+    value = step * total
+    while 2 * n + 1 <= _MAX_POINTS:
         total += np.sum(weighted(a + step * (np.arange(n) + 0.5)))
         n, step = 2 * n, step / 2
-        previous, value = value, norm * step * total
+        previous, value = value, step * total
         if abs(value - previous) <= ABS_TOL + REL_TOL * abs(value):
             return float(value)
+    raise QuadratureError(f"trapezoid rule: no two sums agreed within {_MAX_POINTS} points",
+                          estimate=float(value))
 
 
 def expectation(field, g):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fbm_infoflow import cli, doss, fbm, identities as idn
+from fbm_infoflow import cli, doss, fbm, identities as idn, infofunc
 from fbm_infoflow.cli import main
 
 
@@ -253,6 +253,41 @@ def test_flow_tabulated_once_per_bucket_across_hurst(monkeypatch):
     _, rows, _ = cli.run_suite({"suites": ["debruijn-mult"], **_SQRT1P})
     assert len(rows) == 9 and all(r.passed for r in rows)
     assert sorted(calls) == [8.0, 16.0]
+
+
+# Small versions of the benchmark's three workload configs.
+_WORKLOADS = {
+    "sqrt1p": {"suites": ["debruijn-mult", "fokker-planck"], **_SQRT1P},
+    "grid": {"suites": ["debruijn-additive", "entropy-power"],
+             "channel": {"variant": "additive",
+                         "initial": {"kind": "grid", "domain": [-1.0, 1.0], "n": 401}}},
+    "gauss": {"suites": ["debruijn-mult", "debruijn-additive", "kl-flow", "stein",
+                         "entropy-power"],
+              "channel": {"sigma": {"kind": "constant", "c": 1.0}, "x0": 0.0,
+                          "initial": {"kind": "gaussian", "mean": 0.0, "variance": 1.0}}},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+def test_quadpack_runs_only_in_the_flow_cross_check(monkeypatch, workload):
+    # QUADPACK is the reference route: every field the channels build carries a
+    # trapezoid-rule tag, and only the first flow cell's cross-check drops it.
+    calls = []
+    quad = infofunc.integrate.quad
+    monkeypatch.setattr(infofunc.integrate, "quad",
+                        lambda *args, **kwargs: calls.append(1) or quad(*args, **kwargs))
+    runner = cli._SuiteRunner({**_WORKLOADS[workload], "t_grid": [0.5, 2.0],
+                               "hurst_grid": [0.3, 0.75],
+                               "oracle": {"kind": "mc", "samples": 2000, "seed": 1}})
+    per_cell = []
+    for suite in runner.suites:
+        for h in runner.h_grid:
+            for t in runner.t_grid:
+                before = len(calls)
+                assert runner.run_combo(suite, t, h).passed
+                per_cell.append(len(calls) - before)
+    assert per_cell[1:] == [0] * (len(per_cell) - 1)
+    assert (per_cell[0] > 0) == (workload == "sqrt1p")
 
 
 def test_entropy_power_skips_times_below_min_t(tmp_path):

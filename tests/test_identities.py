@@ -93,6 +93,17 @@ def test_kl_flow_gaussian_value():
     assert rep.rhs <= 0.0
 
 
+@pytest.mark.parametrize("y0", [5.0, 15.0, 30.0])
+def test_kl_flow_far_gaussian_pair(y0):
+    # A Gaussian q has a density on all of R: the x rule keeps p's whole domain
+    # even where it no longer meets q's.
+    s = sg.constant(1.0)
+    x, y = ch.multiplicative(s, 0.0, 0.5), ch.multiplicative(s, y0, 0.5)
+    rep = idn.kl_flow_check(x, y, 1.0)
+    assert rep.passed
+    assert rep.extras["kl_values"][1] == pytest.approx(y0 ** 2 / 2, rel=1e-8)
+
+
 def test_kl_strictly_decreasing_closed_form():
     s = sg.constant(1.0)
     for h in (0.3, 0.5, 0.75):

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +16,16 @@ def _untagged(mean, var):
     g = ch.gaussian_field(mean, var)
     return ch.DensityField(lo=g.lo, hi=g.hi, pdf=g.pdf, score_fn=g.score_fn,
                            breakpoints=g.breakpoints)
+
+
+@contextlib.contextmanager
+def _no_quadpack():
+    """Fail every call into QUADPACK: fields with a rule tag must not reach it."""
+    def no_quadpack(*args, **kwargs):
+        raise AssertionError("a field with a rule tag reached QUADPACK")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nf.integrate, "quad", no_quadpack)
+        yield
 
 
 def _uniform_field():
@@ -40,9 +52,10 @@ def test_uniform_entropy_zero():
 def test_gaussian_branch_agrees_with_quadrature(var):
     tagged = ch.gaussian_field(0.3, var)
     plain = _untagged(0.3, var)
-    assert nf.entropy(plain) == pytest.approx(nf.entropy(tagged), abs=1e-8)
-    assert nf.generalized_fisher(plain) == pytest.approx(
-        nf.generalized_fisher(tagged), abs=1e-8, rel=1e-8)
+    with _no_quadpack():
+        h, j = nf.entropy(tagged), nf.generalized_fisher(tagged)
+    assert nf.entropy(plain) == pytest.approx(h, abs=1e-8)
+    assert nf.generalized_fisher(plain) == pytest.approx(j, abs=1e-8, rel=1e-8)
 
 
 def test_fisher_gaussian_reciprocal_variance():
@@ -152,16 +165,52 @@ def _pair(mean, var, shift, ratio):
 
 @settings(max_examples=25, deadline=None)
 @given(_mean, _var, _shift, _ratio)
-def test_gauss_hermite_route_agrees_with_quadrature(mean, var, shift, ratio):
+def test_x_rule_agrees_with_quadrature(mean, var, shift, ratio):
     m1, v1, m2, v2 = _pair(mean, var, shift, ratio)
     p, q = ch.gaussian_field(m1, v1), ch.gaussian_field(m2, v2)
     pu, qu = _untagged(m1, v1), _untagged(m2, v2)
-    assert nf.entropy(pu) == pytest.approx(nf.entropy(p), abs=1e-8)
-    assert nf.generalized_fisher(pu) == pytest.approx(
-        nf.generalized_fisher(p), abs=1e-8, rel=1e-8)
-    assert nf.kl_divergence(pu, qu) == pytest.approx(nf.kl_divergence(p, q), abs=1e-8)
-    assert nf.relative_fisher(pu, qu) == pytest.approx(
-        nf.relative_fisher(p, q), abs=1e-8, rel=1e-8)
+    with _no_quadpack():
+        h, j = nf.entropy(p), nf.generalized_fisher(p)
+        kl, rel = nf.kl_divergence(p, q), nf.relative_fisher(p, q)
+    assert nf.entropy(pu) == pytest.approx(h, abs=1e-8)
+    assert nf.generalized_fisher(pu) == pytest.approx(j, abs=1e-8, rel=1e-8)
+    assert nf.kl_divergence(pu, qu) == pytest.approx(kl, abs=1e-8)
+    assert nf.relative_fisher(pu, qu) == pytest.approx(rel, abs=1e-8, rel=1e-8)
+
+
+def _grid_quantities(f):
+    """Entropy, J_1, E[d_x score] and Var[d_x score] of the field f."""
+    mean = nf.expectation(f, f.dscore_fn)
+    return (nf.entropy(f), nf.generalized_fisher(f), mean,
+            nf.expectation(f, lambda x: (f.dscore_fn(x) - mean) ** 2))
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("t", [0.05, 0.5, 1.0, 2.0])
+def test_grid_law_x_rule_matches_quadpack(h, t):
+    grid = np.linspace(-1.0, 1.0, 501)
+    law = ch.grid_law(grid, np.full(grid.size, 0.5))
+    f = ch.density_at(ch.additive(law, h), t)
+    with _no_quadpack():
+        got = _grid_quantities(f)
+    ref = _grid_quantities(dataclasses.replace(f, step=None))
+    for value, exact in zip(got, ref):
+        assert abs(value - exact) <= nf.ABS_TOL + nf.REL_TOL * abs(exact)
+
+
+def test_x_rule_skips_points_where_the_density_underflows():
+    # No mass on |x| < 0.5; at t = 1e-5 the kernel std is 0.003, so pdf(0) is 0.0
+    # and -ln f would be inf there.
+    grid = np.linspace(-1.0, 1.0, 2001)
+    values = np.where(np.abs(grid) >= 0.5, 1.0, 0.0)
+    law = ch.grid_law(grid, values / np.trapezoid(values, grid))
+    f = ch.density_at(ch.additive(law, 0.5), 1e-5)
+    assert f.pdf(0.0) == 0.0
+    with _no_quadpack():
+        got = nf.entropy(f)
+    ref = nf.entropy(dataclasses.replace(f, step=None))
+    assert ref == pytest.approx(0.0124362050969, abs=1e-12)
+    assert abs(got - ref) <= nf.ABS_TOL + nf.REL_TOL * abs(ref)
 
 
 @settings(max_examples=25, deadline=None)
@@ -220,6 +269,20 @@ def test_z_rule_matches_sqrt1p_closed_forms(monkeypatch, h, t):
 
 def test_z_rule_raises_at_point_cap(monkeypatch):
     p = ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75), 1.0)
-    monkeypatch.setattr(nf, "_Z_MAX_POINTS", 100)    # the first sums hold 65 and 129
+    monkeypatch.setattr(nf, "_MAX_POINTS", 100)    # the first sums hold 65 and 129
     with pytest.raises(QuadratureError):
         nf.entropy(p)
+
+
+@pytest.mark.parametrize("y0, t, h, message", [
+    (1.0, 0.05, 0.5, "drops"),           # q's table cuts 2.5e-5 of p's mass
+    (1.0, 0.05, 0.75, "drops"),          # ... and 63% of it
+    (1e5, 0.5, 0.5, "do not overlap"),
+])
+def test_flow_divergence_rejects_a_cut_of_p_mass(y0, t, h, message):
+    s = sg.sqrt_one_plus_square()
+    p = ch.density_at(ch.multiplicative(s, 0.0, h), t)
+    q = ch.density_at(ch.multiplicative(s, y0, h), t)
+    for divergence in (nf.kl_divergence, nf.relative_fisher):
+        with pytest.raises(SupportError, match=message):
+            divergence(p, q)
