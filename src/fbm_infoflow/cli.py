@@ -2,7 +2,7 @@
 
 Config files are JSON; the schema is documented in README.md.  Exit codes:
 0 all checks passed, 1 at least one check failed, 2 config error,
-3 internal numerical error.
+3 a cell raised a numerical error (its row reads NaN and names the error).
 """
 
 import collections
@@ -84,11 +84,6 @@ def _floats(raw):
 def _pair(raw):
     a, b = _floats(raw)
     return a, b
-
-
-def _rhs_accuracy(scale, rhs):
-    """Declared accuracy of a quadrature rhs = scale * E[g]."""
-    return abs(scale) * nf.ABS_TOL + nf.REL_TOL * abs(rhs)
 
 
 # A config key: its default (None: it has none), convert(raw) -> value, and
@@ -205,7 +200,16 @@ _SIGMAS = {"constant": sg.constant,
            "sqrt1p": lambda c, domain: sg.sqrt_one_plus_square(domain=domain)}
 
 
+# The stein suite's test functions r and their derivatives r'.
+_STEIN_RS = ((lambda y: y, np.ones_like), (lambda y: y ** 2, lambda y: 2 * y),
+             (lambda y: y ** 3, lambda y: 3 * y ** 2), (np.sin, np.cos))
+
+
 class _SuiteRunner:
+    """Runs one (suite, t, H) cell at a time.  Each cell computes on its own; the
+    only value kept across cells is an fbm-stats row's sampling, which depends
+    on H alone."""
+
     def __init__(self, cfg):
         """Read and check every config value, so that no cell meets a bad one."""
         v, given = _read(cfg)
@@ -228,10 +232,7 @@ class _SuiteRunner:
         self.fbm_stats = tuple(v[f"fbm_stats.{k}"] for k in ("n", "dt", "n_paths", "seed"))
         self.excluded = []
         self._cross_checked = set()     # suites whose first cell has been cross-checked
-        self._stein_cache = None
         self._fbm_cache = {}
-        self._profile_cache = {}
-        self.entropy_power_rows = []
 
     def _check_times(self):
         """Every time the run checks must lie above each time step its suites take."""
@@ -250,55 +251,44 @@ class _SuiteRunner:
                 raise ConfigError(f"config key 't_grid' has time {t:g}, at or above min_t "
                                   f"but not above its suites' time step {step:g}")
 
-    def _with_mc(self, report, t, oracle, *channels):
-        """Add the oracle's Monte Carlo estimate of rhs = scale * E[g(X_t)]."""
-        if not self.oracle:
-            return report
-        n, seed = self.oracle
-        scale, g = oracle(*channels, t)
-        est = mc.mc_expectation(channels[0], t, g, n, seed)
-        value, se = scale * est.mean, abs(scale) * est.std_error
-        # The quadrature rhs is itself only accurate to its declared tolerance,
-        # which dominates when g is constant and the standard error vanishes.
-        report.extras["mc_value"] = value
-        report.extras["mc_std_error"] = se
-        report.extras["mc_ok"] = (abs(value - report.rhs)
-                                  <= 4.0 * se + _rhs_accuracy(scale, report.rhs))
-        return report
-
-    def _cross_check(self, report, t, rhs_fn, *channels):
-        """On a suite's first cell, if its fields are flow fields, compute the rhs
-        again by QUADPACK in x, on the fields with their flow tags dropped; the
-        row fails unless the two agree within the rhs's declared accuracy."""
-        if report.identity_name in self._cross_checked:
-            return
+    def _check_rhs(self, report, rhs, channel):
+        """Check report.rhs, the quadrature of the definition rhs, two more ways.
+        On the first cell of its suite that computes, if its fields are flow fields,
+        rhs again by QUADPACK in x, on the fields with their flow tags dropped; the
+        row fails unless the two agree within the rhs's declared accuracy.  With an
+        oracle, the Monte Carlo estimate of rhs = scale * E[g(X_t)], X_t ~ channel."""
+        # Declared accuracy of the quadrature rhs; it dominates the oracle's slack
+        # when g is constant and the standard error vanishes.
+        accuracy = abs(rhs.scale) * nf.ABS_TOL + nf.REL_TOL * abs(report.rhs)
+        if report.identity_name not in self._cross_checked and rhs.fields[0].flow is not None:
+            x_rhs = rhs.value([dataclasses.replace(f, flow=None) for f in rhs.fields])
+            agree = abs(x_rhs - report.rhs) <= accuracy
+            report.method_notes += (f"; x-space quadpack rhs={x_rhs:.12g}"
+                                    f"{'' if agree else ' DISAGREES'}")
+            report.passed = report.passed and agree
+        if self.oracle:
+            n, seed = self.oracle
+            est = mc.mc_expectation(channel, report.t, rhs.g, n, seed)
+            value, se = rhs.scale * est.mean, abs(rhs.scale) * est.std_error
+            report.extras.update(mc_value=value, mc_std_error=se,
+                                 mc_ok=abs(value - report.rhs) <= 4.0 * se + accuracy)
         self._cross_checked.add(report.identity_name)
-        fields = [ch.density_at(c, t) for c in channels]
-        if fields[0].flow is None:
-            return
-        x_rhs = rhs_fn(channels[0], t, *(dataclasses.replace(f, flow=None) for f in fields))
-        agree = (abs(x_rhs - report.rhs)
-                 <= _rhs_accuracy(idn._rate(report.hurst, t), report.rhs))
-        report.method_notes += (f"; x-space quadpack rhs={x_rhs:.12g}"
-                                f"{'' if agree else ' DISAGREES'}")
-        report.passed = report.passed and agree
+        return report
 
     def run_combo(self, suite, t, h):
         tol = self.tolerances[suite]
         if suite == "debruijn-mult":
             chan = ch.multiplicative(self.sigma, self.x0, h)
             r = idn.debruijn_check_mult(chan, t, fd_step=self.fd_step, tol=tol)
-            self._cross_check(r, t, idn.debruijn_mult_rhs, chan)
-            return self._with_mc(r, t, idn.debruijn_mult_oracle, chan)
+            return self._check_rhs(r, idn.debruijn_mult_rhs(chan, t), chan)
         if suite == "debruijn-additive":
             chan = ch.additive(self.initial, h)
             r = idn.debruijn_check_additive(chan, t, fd_step=self.fd_step, tol=tol)
-            return self._with_mc(r, t, idn.debruijn_additive_oracle, chan)
+            return self._check_rhs(r, idn.debruijn_additive_rhs(chan, t), chan)
         if suite == "kl-flow":
             x, y = (ch.multiplicative(self.sigma, x0, h) for x0 in (self.x0, self.y0))
             r = idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol)
-            self._cross_check(r, t, idn.kl_flow_rhs, x, y)
-            return self._with_mc(r, t, idn.kl_flow_oracle, x, y)
+            return self._check_rhs(r, idn.kl_flow_rhs(x, y, t), x)
         if suite == "fokker-planck":
             x_grid = np.linspace(-4.0, 4.0, 81)
             chan = ch.multiplicative(self.sigma, self.x0, h)
@@ -307,48 +297,21 @@ class _SuiteRunner:
             return idn._report("fokker-planck", t, h, worst, 0.0, tol,
                                notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts")
         if suite == "stein":
-            worst = self._stein_worst(tol)
+            worst = max(idn.stein_check(mu, v, r, rp, tol=tol).abs_discrepancy
+                        for mu, v in self.stein_cases for r, rp in _STEIN_RS)
             return idn._report("stein", t, h, worst, 0.0, tol,
                                notes="max residual over r in {y, y^2, y^3, sin} "
                                      "and configured (mu, v) cases")
         if suite == "entropy-power":
-            return self._entropy_power_row(t, h, tol)
+            prof = idn.entropy_power_profile(ch.additive(self.initial, h), [t],
+                                             fd_step=_ENTROPY_POWER_STEP)
+            rhs, n, g, kind = (prof.d2n_formula[0], float(prof.n_values[0]),
+                               float(prof.g_values[0]), prof.classifications[0])
+            return idn._report("entropy-power", t, h, prof.d2n_fd[0], rhs,
+                               tol * max(1.0, abs(rhs)), notes=f"g={g:.9g} -> {kind}; N={n:.9g}",
+                               extras={"entropy_power": n, "g": g, "classification": kind})
         if suite == "fbm-stats":
             return self._fbm_stats_row(t, h, tol)
-
-    def _stein_worst(self, tol):
-        if self._stein_cache is None:
-            rs = [
-                (lambda y: y, lambda y: np.ones_like(y)),
-                (lambda y: y ** 2, lambda y: 2 * y),
-                (lambda y: y ** 3, lambda y: 3 * y ** 2),
-                (np.sin, np.cos),
-            ]
-            worst = 0.0
-            for mu, v in self.stein_cases:
-                for r, rp in rs:
-                    rep = idn.stein_check(mu, v, r, rp, tol=tol)
-                    worst = max(worst, rep.abs_discrepancy)
-            self._stein_cache = worst
-        return self._stein_cache
-
-    def _entropy_power_row(self, t, h, tol):
-        if h not in self._profile_cache:
-            times = [s for s in self.t_grid if s >= self.min_t]
-            self._profile_cache[h] = idn.entropy_power_profile(
-                ch.additive(self.initial, h), times, fd_step=_ENTROPY_POWER_STEP)
-        prof = self._profile_cache[h]
-        i = list(prof.t_grid).index(t)
-        rhs = prof.d2n_formula[i]
-        rep = idn._report("entropy-power", t, h, prof.d2n_fd[i], rhs,
-                          tol * max(1.0, abs(rhs)),
-                          notes=f"g={prof.g_values[i]:.9g} -> {prof.classifications[i]}; "
-                                f"N={prof.n_values[i]:.9g}")
-        self.entropy_power_rows.append(
-            {"t": t, "hurst": h, "entropy_power": float(prof.n_values[i]),
-             "g": float(prof.g_values[i]),
-             "classification": prof.classifications[i]})
-        return rep
 
     def _fbm_stats_row(self, t, h, tol):
         if h not in self._fbm_cache:
@@ -381,8 +344,10 @@ class _SuiteRunner:
 def run_suite(cfg):
     """Execute all (suite, t, H) combinations.
 
-    Returns (exit_code, rows, runner).  Numerical failures raise; callers map
-    them to exit code 3.
+    Returns (exit_code, rows, runner).  A config error raises before any cell
+    runs.  A cell that raises FbmInfoflowError becomes a failed row: lhs, rhs and
+    abs_discrepancy NaN, extras["error"] and method_notes naming the cell and the
+    exception; the exit code is then 3.  Any other exception aborts the run.
     """
     runner = _SuiteRunner(cfg)
     rows = []
@@ -391,9 +356,15 @@ def run_suite(cfg):
             for t in runner.t_grid:
                 if t < runner.min_t:
                     runner.excluded.append((s, t, h))
-                else:
+                    continue
+                try:
                     rows.append(runner.run_combo(s, t, h))
-    exit_code = 0 if all(r.passed for r in rows) else 1
+                except FbmInfoflowError as exc:
+                    error = f"{s} t={t:g} H={h:g}: {type(exc).__name__}: {exc}"
+                    rows.append(idn._report(s, t, h, math.nan, math.nan, runner.tolerances[s],
+                                            notes=f"error: {error}", extras={"error": error}))
+    exit_code = (3 if any("error" in r.extras for r in rows)
+                 else 0 if all(r.passed for r in rows) else 1)
     return exit_code, rows, runner
 
 
@@ -432,10 +403,13 @@ def render_csv(rows, with_oracle=False):
 
 
 def render_json(rows):
+    """Report JSON, strict: a non-finite value (an error row's) is written as null."""
+    def finite(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
     return json.dumps({
         "all_passed": all(r.passed for r in rows),
-        "rows": [r.row() for r in rows],
-    }, indent=2, sort_keys=True) + "\n"
+        "rows": [{k: finite(v) for k, v in r.row().items()} for r in rows],
+    }, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_reports(rows, runner, output):
@@ -447,14 +421,15 @@ def write_reports(rows, runner, output):
         fh.write(render_csv(rows, with_oracle=with_oracle))
     with open(output + ".json", "w") as fh:
         fh.write(render_json(rows))
-    if runner.entropy_power_rows:
-        runner.entropy_power_rows.sort(key=lambda rec: (rec["hurst"], rec["t"]))
+    profile = sorted((r for r in rows if "classification" in r.extras),
+                     key=lambda r: (r.hurst, r.t))
+    if profile:
         with open(output + "_entropy_power.csv", "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(("t", "hurst", "entropy_power", "g", "classification"))
-            for rec in runner.entropy_power_rows:
-                writer.writerow([_format_value(rec[k]) for k in
-                                 ("t", "hurst", "entropy_power", "g", "classification")])
+            for r in profile:
+                writer.writerow([_format_value(v) for v in (r.t, r.hurst) + tuple(
+                    r.extras[k] for k in ("entropy_power", "g", "classification"))])
 
 
 def _execute(cfg):
@@ -463,11 +438,11 @@ def _execute(cfg):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    except FbmInfoflowError as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(3)
     output = runner.output
     write_reports(rows, runner, output)
+    for r in rows:
+        if "error" in r.extras:
+            click.echo(f"numerical error: {r.extras['error']}", err=True)
     n_fail = sum(not r.passed for r in rows)
     click.echo(f"{len(rows)} checks, {n_fail} failed "
                f"({len(runner.excluded)} excluded below min_t); reports at {output}.*")

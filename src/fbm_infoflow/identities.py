@@ -3,13 +3,16 @@
 Each check builds the left- and right-hand side of one identity by
 independent numerical routes (finite differences in time on one side,
 quadrature of Fisher-type functionals on the other) and reports the
-discrepancy against a tolerance.
+discrepancy against a tolerance.  The De Bruijn and KL identities write
+their rhs once, as an `Rhs` definition rhs = scale * E[g(X_t)]: the check
+integrates it, and the runner's x-space cross-check and Monte Carlo oracle
+evaluate the same definition.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -81,6 +84,20 @@ def _rate(hv, t):
     return hv * t ** (2.0 * hv - 1.0)
 
 
+class Rhs(NamedTuple):
+    """rhs = scale * E[g(X)] with X distributed as fields[0]; for a divergence,
+    fields[1] is its q."""
+
+    scale: float
+    g: Callable
+    fields: tuple
+
+    def value(self, fields=None):
+        """rhs on `fields`, by default its own; e.g. those with their flow tags dropped."""
+        p, *q = fields or self.fields
+        return self.scale * nf.expectation(p, self.g, *q)
+
+
 def richardson_derivative(f, t, step):
     """First derivative by central differences at steps delta and delta/2,
     Richardson-combined to fourth order."""
@@ -101,28 +118,19 @@ def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4):
 
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
-    rhs = debruijn_mult_rhs(channel, t, ch.density_at(channel, t))
+    rhs = debruijn_mult_rhs(channel, t).value()
     return _report("debruijn-mult", t, hv, lhs, rhs, tol,
                    notes=f"richardson fd_step={fd_step:g}")
 
 
-def debruijn_mult_rhs(channel, t, field_t):
-    """debruijn_check_mult's rhs on field_t, the law of X_t."""
+def debruijn_mult_rhs(channel, t):
+    """debruijn_check_mult's rhs, g = sigma^2 score^2 - (sigma'' sigma + sigma'^2)."""
     sig = channel.sigma
-    j_sig2 = nf.generalized_fisher(field_t, lambda x: sig.fn(x) ** 2)
-    e_curv = nf.expectation(field_t, sig.curvature)
-    return _rate(channel.hurst.value, t) * (j_sig2 - e_curv)
-
-
-def debruijn_mult_oracle(channel, t):
-    """Sampling form of debruijn_check_mult's rhs: (scale, g) with
-    rhs = scale * E[g(X_t)] and g = sigma^2 score^2 - (sigma'' sigma + sigma'^2)."""
-    sig = channel.sigma
-    score = ch.density_at(channel, t).score_fn
+    field_t = ch.density_at(channel, t)
 
     def g(x):
-        return sig.fn(x) ** 2 * score(x) ** 2 - sig.curvature(x)
-    return _rate(channel.hurst.value, t), g
+        return sig.fn(x) ** 2 * field_t.score_fn(x) ** 2 - sig.curvature(x)
+    return Rhs(_rate(channel.hurst.value, t), g, (field_t,))
 
 
 def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4):
@@ -135,18 +143,16 @@ def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4):
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
 
-    field_t = ch.density_at(channel, t)
-    j1 = nf.generalized_fisher(field_t)
-    rhs = _rate(hv, t) * j1
+    rhs = debruijn_additive_rhs(channel, t)
+    j1 = nf.expectation(rhs.fields[0], rhs.g)
     notes = f"richardson fd_step={fd_step:g}; J_1={j1:.12g}"
-    return _report("debruijn-additive", t, hv, lhs, rhs, tol, notes)
+    return _report("debruijn-additive", t, hv, lhs, rhs.scale * j1, tol, notes)
 
 
-def debruijn_additive_oracle(channel, t):
-    """Sampling form of debruijn_check_additive's rhs: (scale, g) with
-    rhs = scale * E[g(X_t)] and g = score^2."""
-    score = ch.density_at(channel, t).score_fn
-    return _rate(channel.hurst.value, t), lambda x: score(x) ** 2
+def debruijn_additive_rhs(channel, t):
+    """debruijn_check_additive's rhs, g = score^2, so that E[g] = J_1."""
+    field_t = ch.density_at(channel, t)
+    return Rhs(_rate(channel.hurst.value, t), lambda x: field_t.score_fn(x) ** 2, (field_t,))
 
 
 def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
@@ -174,8 +180,7 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
                                 ch.density_at(y_channel, s))
 
     lhs = richardson_derivative(kl_at, t, fd_step)
-    rhs = kl_flow_rhs(x_channel, t, ch.density_at(x_channel, t),
-                      ch.density_at(y_channel, t))
+    rhs = kl_flow_rhs(x_channel, y_channel, t).value()
 
     kls = [kl_at(t - fd_step), kl_at(t), kl_at(t + fd_step)]
     slack = 10 * nf.ABS_TOL
@@ -187,23 +192,14 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
                    extras={"kl_values": kls, "monotone": monotone})
 
 
-def kl_flow_rhs(x_channel, t, px, py):
-    """kl_flow_check's rhs on px and py, the laws of X_t and Y_t."""
+def kl_flow_rhs(x_channel, y_channel, t):
+    """kl_flow_check's rhs, g = sigma^2 (score_X - score_Y)^2 under X_t, with q the law of Y_t."""
     sig = x_channel.sigma
-    rel = nf.relative_fisher(px, py, lambda x: sig.fn(x) ** 2)
-    return -_rate(x_channel.hurst.value, t) * rel
-
-
-def kl_flow_oracle(x_channel, y_channel, t):
-    """Sampling form of kl_flow_check's rhs: (scale, g) with
-    rhs = scale * E[g(X_t)] and g = sigma^2 (score_X - score_Y)^2."""
-    sig = x_channel.sigma
-    score_x = ch.density_at(x_channel, t).score_fn
-    score_y = ch.density_at(y_channel, t).score_fn
+    px, py = ch.density_at(x_channel, t), ch.density_at(y_channel, t)
 
     def g(x):
-        return sig.fn(x) ** 2 * (score_x(x) - score_y(x)) ** 2
-    return -_rate(x_channel.hurst.value, t), g
+        return sig.fn(x) ** 2 * (px.score_fn(x) - py.score_fn(x)) ** 2
+    return Rhs(-_rate(x_channel.hurst.value, t), g, (px, py))
 
 
 def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):

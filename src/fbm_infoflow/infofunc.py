@@ -105,9 +105,10 @@ def _trapezoid(weighted, a, b, step0):
                           estimate=float(value))
 
 
-def expectation(field, g):
-    """E[g(X)] for X with the given density field."""
-    return _expect(lambda x, f: g(x), field)
+def expectation(field, g, q=None):
+    """E[g(X)] for X with the given density field; q, when given, is the second
+    field of a divergence, which must contain the field's support."""
+    return _expect(lambda x, f: g(x), field, q)
 
 
 def entropy(field):

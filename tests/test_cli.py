@@ -107,6 +107,23 @@ def test_entropy_power_extra_columns(tmp_path):
     assert len(rows) == 4
 
 
+def test_entropy_power_table_from_report_rows(tmp_path):
+    cfg = _base_config(tmp_path, suites=["entropy-power"],
+                       t_grid=[2.0, 0.5], hurst_grid=[0.75, 0.3])
+    assert _run(tmp_path, cfg).exit_code == 0
+    with open(tmp_path / "report.csv") as fh:
+        rows = {(r["t"], r["hurst"]): r for r in csv.DictReader(fh.read().splitlines()[1:])}
+    with open(tmp_path / "report_entropy_power.csv") as fh:
+        table = list(csv.DictReader(fh))
+    keys = [(float(r["hurst"]), float(r["t"])) for r in table]
+    assert keys == [(0.3, 0.5), (0.3, 2.0), (0.75, 0.5), (0.75, 2.0)]
+    for rec in table:
+        notes = rows[rec["t"], rec["hurst"]]["method_notes"]
+        g, n = re.fullmatch(r"g=(\S+) -> \w+; N=(\S+)", notes).groups()
+        assert float(rec["g"]) == pytest.approx(float(g), rel=1e-8, abs=0)
+        assert float(rec["entropy_power"]) == pytest.approx(float(n), rel=1e-8, abs=0)
+
+
 def test_mc_oracle_columns(tmp_path):
     cfg = _base_config(tmp_path, suites=["debruijn-additive"],
                        t_grid=[1.0], hurst_grid=[0.75],
@@ -236,12 +253,55 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs):
     assert first.passed and "x-space quadpack rhs=" in first.method_notes
     assert "x-space" not in second.method_notes
     # The x route (fields without a flow tag) off by 1e-6 relative fails the row.
-    exact = getattr(idn, rhs)
-    monkeypatch.setattr(idn, rhs, lambda channel, t, *fields: exact(channel, t, *fields)
-                        * (1.0 + 1e-6 if fields[0].flow is None else 1.0))
+    exact = infofunc.expectation
+    monkeypatch.setattr(infofunc, "expectation", lambda field, g, q=None: exact(field, g, q)
+                        * (1.0 + 1e-6 if field.flow is None else 1.0))
+    # ... and the cross-check evaluates the suite's own rhs definition.
+    definition, built = getattr(idn, rhs), []
+    monkeypatch.setattr(idn, rhs, lambda *args: built.append(args) or definition(*args))
     shifted = cli._SuiteRunner(cfg).run_combo(suite, 1.0, 0.5)
     assert shifted.rhs == first.rhs
     assert not shifted.passed and "DISAGREES" in shifted.method_notes
+    assert len(built) == 2      # once for the check, once for the cross-check
+
+
+def test_rhs_definition_feeds_check_cross_check_and_oracle(monkeypatch):
+    # g scaled by 1.01 moves the quadrature rhs, the x-space cross-check and the
+    # Monte Carlo oracle together: only lhs against rhs can catch it.
+    exact = idn.debruijn_mult_rhs
+
+    def scaled(channel, t):
+        rhs = exact(channel, t)
+        return rhs._replace(g=lambda x: 1.01 * rhs.g(x))
+    monkeypatch.setattr(idn, "debruijn_mult_rhs", scaled)
+    cfg = {"suites": ["debruijn-mult"], "t_grid": [1.0], "hurst_grid": [0.5], **_SQRT1P,
+           "oracle": {"kind": "mc", "samples": 2000, "seed": 1}}
+    rep = cli._SuiteRunner(cfg).run_combo("debruijn-mult", 1.0, 0.5)
+    assert not rep.passed and rep.abs_discrepancy > rep.tolerance
+    assert rep.extras["mc_ok"], rep.extras
+    assert "x-space quadpack rhs=" in rep.method_notes
+    assert "DISAGREES" not in rep.method_notes
+
+
+def test_failing_cell_becomes_an_error_row(tmp_path):
+    # At t = 0.05 the second channel's tabulated domain drops 2.1e-5 of the
+    # first channel's mass (SupportError); the t = 1 cell computes on its own.
+    out = tmp_path / "report"
+    result = CliRunner().invoke(main, [
+        "verify", "kl-flow", "--sigma", "sqrt1p", "--t", "0.05", "--t", "1", "-h", "0.5",
+        "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "numerical error: kl-flow t=0.05 H=0.5: SupportError" in result.output
+    with open(tmp_path / "report.csv") as fh:
+        failed, passed = csv.DictReader(fh.read().splitlines()[1:])
+    assert failed["passed"] == "false" and failed["rhs"] == "nan"
+    assert failed["method_notes"].startswith("error: kl-flow t=0.05 H=0.5: SupportError: ")
+    assert passed["passed"] == "true" and "x-space quadpack rhs=" in passed["method_notes"]
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    rows = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)["rows"]
+    assert [r["lhs"] for r in rows][0] is None and rows[1]["passed"]
 
 
 def test_flow_tabulated_once_per_bucket_across_hurst(monkeypatch):
@@ -256,6 +316,7 @@ def test_flow_tabulated_once_per_bucket_across_hurst(monkeypatch):
 
 
 # Small versions of the benchmark's three workload configs.
+_ORACLE_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow")
 _WORKLOADS = {
     "sqrt1p": {"suites": ["debruijn-mult", "fokker-planck"], **_SQRT1P},
     "grid": {"suites": ["debruijn-additive", "entropy-power"],
@@ -284,7 +345,9 @@ def test_quadpack_runs_only_in_the_flow_cross_check(monkeypatch, workload):
         for h in runner.h_grid:
             for t in runner.t_grid:
                 before = len(calls)
-                assert runner.run_combo(suite, t, h).passed
+                rep = runner.run_combo(suite, t, h)
+                assert rep.passed
+                assert rep.extras.get("mc_ok", suite not in _ORACLE_SUITES), rep
                 per_cell.append(len(calls) - before)
     assert per_cell[1:] == [0] * (len(per_cell) - 1)
     assert (per_cell[0] > 0) == (workload == "sqrt1p")
