@@ -16,11 +16,9 @@ from .channels import (
 from .doss import PhiSolution, invert_phi, pushforward_density, solve_phi
 from .fbm import HurstParameter, covariance, sample_paths
 from .identities import (
-    ConvexityProfile,
     IdentityReport,
-    debruijn_check_additive,
-    debruijn_check_mult,
-    entropy_power_profile,
+    debruijn_check,
+    entropy_power_check,
     fokker_planck_residual,
     kl_flow_check,
     stein_check,

@@ -2,7 +2,8 @@
 
 Two channel variants are supported: the multiplicative model
 dX = sigma(X) o dB^H with X_0 = x0 (density by push-forward through the
-Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t.  Every additive
+Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t, the same
+equation with sigma = 1 and a random start.  Every additive
 initial law is a Gaussian mixture: a Gaussian law is one component, a grid
 law its trapezoid rule, one point mass per grid point.  X_t is then the
 mixture with B^H_t's variance added to every component.
@@ -26,13 +27,14 @@ import numpy as np
 from . import doss
 from .errors import DegenerateTimeError, DomainError, ResolutionError
 from .fbm import HurstParameter, as_hurst
-from .sigma import SigmaModel
+from .sigma import SigmaModel, constant
 
 _TINY = 1e-300
 _Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
 _FLOWS = 8              # flow tabulations kept, shared by every channel
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
 _KERNEL_ENTRIES = 1 << 20   # mixture kernel entries per block: 8 MB
+UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,8 @@ def grid_law(grid, values):
 
 @dataclass
 class ChannelSpec:
-    """Either a multiplicative channel (sigma, x0) or an additive one (initial law)."""
+    """Either a multiplicative channel (sigma, x0) or an additive one (initial law).
+    An additive channel's sigma is UNIT_SIGMA, or any other constant 1."""
 
     variant: str                       # 'multiplicative' | 'additive'
     hurst: HurstParameter
@@ -94,6 +97,10 @@ class ChannelSpec:
         elif self.variant == "additive":
             if self.initial is None:
                 raise DomainError("additive channel needs an initial law")
+            if self.sigma is None:
+                self.sigma = UNIT_SIGMA
+            elif (self.sigma.kind, self.sigma.c) != ("constant", 1.0):
+                raise DomainError("additive channel has sigma = 1; it takes no other sigma")
         else:
             raise DomainError(f"unknown channel variant {self.variant!r}")
 
@@ -104,6 +111,7 @@ def multiplicative(sigma, x0, hurst):
 
 
 def additive(initial, hurst):
+    """X_t = X_0 + B^H_t with X_0 ~ initial: dX = sigma(X) o dB^H with sigma = 1."""
     return ChannelSpec(variant="additive", hurst=as_hurst(hurst), initial=initial)
 
 
@@ -143,28 +151,6 @@ def gaussian_field(mean, variance):
         lo=mean - _FIELD_STD * sd, hi=mean + _FIELD_STD * sd,
         pdf=pdf, score_fn=score,
         step=sd / 4, breakpoints=brk, dscore_fn=dscore,
-    )
-
-
-def grid_field(grid, values):
-    """DensityField from tabulated values (linear interpolation, FD score)."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-
-    def pdf(x):
-        return np.interp(np.asarray(x, dtype=float), grid, values, left=0.0, right=0.0)
-
-    h = np.min(np.diff(grid))
-
-    def score(x):
-        x = np.asarray(x, dtype=float)
-        fp = np.maximum(pdf(np.minimum(x + h, grid[-1])), _TINY)
-        fm = np.maximum(pdf(np.maximum(x - h, grid[0])), _TINY)
-        return (np.log(fp) - np.log(fm)) / (2 * h)
-
-    return DensityField(
-        lo=float(grid[0]), hi=float(grid[-1]), pdf=pdf, score_fn=score,
-        breakpoints=tuple(np.quantile(grid, [0.25, 0.5, 0.75])),
     )
 
 

@@ -41,9 +41,6 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
-
-# entropy_power_profile's time step, fixed: grid times must lie above it.
-_ENTROPY_POWER_STEP = 1e-3
 _RICHARDSON_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow", "fokker-planck")
 
 
@@ -246,7 +243,7 @@ class _SuiteRunner:
         richardson = not set(self.suites).isdisjoint(_RICHARDSON_SUITES)
         for t in run_times:
             step = max(self.fd_step or idn._default_step(t) if richardson else 0.0,
-                       _ENTROPY_POWER_STEP if "entropy-power" in self.suites else 0.0)
+                       idn.ENTROPY_POWER_STEP if "entropy-power" in self.suites else 0.0)
             if t <= step:
                 raise ConfigError(f"config key 't_grid' has time {t:g}, at or above min_t "
                                   f"but not above its suites' time step {step:g}")
@@ -277,14 +274,11 @@ class _SuiteRunner:
 
     def run_combo(self, suite, t, h):
         tol = self.tolerances[suite]
-        if suite == "debruijn-mult":
-            chan = ch.multiplicative(self.sigma, self.x0, h)
-            r = idn.debruijn_check_mult(chan, t, fd_step=self.fd_step, tol=tol)
-            return self._check_rhs(r, idn.debruijn_mult_rhs(chan, t), chan)
-        if suite == "debruijn-additive":
-            chan = ch.additive(self.initial, h)
-            r = idn.debruijn_check_additive(chan, t, fd_step=self.fd_step, tol=tol)
-            return self._check_rhs(r, idn.debruijn_additive_rhs(chan, t), chan)
+        if suite in ("debruijn-mult", "debruijn-additive"):
+            chan = (ch.multiplicative(self.sigma, self.x0, h) if suite == "debruijn-mult"
+                    else ch.additive(self.initial, h))
+            r = idn.debruijn_check(chan, t, fd_step=self.fd_step, tol=tol)
+            return self._check_rhs(r, idn.debruijn_rhs(chan, t), chan)
         if suite == "kl-flow":
             x, y = (ch.multiplicative(self.sigma, x0, h) for x0 in (self.x0, self.y0))
             r = idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol)
@@ -303,13 +297,7 @@ class _SuiteRunner:
                                notes="max residual over r in {y, y^2, y^3, sin} "
                                      "and configured (mu, v) cases")
         if suite == "entropy-power":
-            prof = idn.entropy_power_profile(ch.additive(self.initial, h), [t],
-                                             fd_step=_ENTROPY_POWER_STEP)
-            rhs, n, g, kind = (prof.d2n_formula[0], float(prof.n_values[0]),
-                               float(prof.g_values[0]), prof.classifications[0])
-            return idn._report("entropy-power", t, h, prof.d2n_fd[0], rhs,
-                               tol * max(1.0, abs(rhs)), notes=f"g={g:.9g} -> {kind}; N={n:.9g}",
-                               extras={"entropy_power": n, "g": g, "classification": kind})
+            return idn.entropy_power_check(ch.additive(self.initial, h), t, tol=tol)
         if suite == "fbm-stats":
             return self._fbm_stats_row(t, h, tol)
 

@@ -3,16 +3,18 @@
 Each check builds the left- and right-hand side of one identity by
 independent numerical routes (finite differences in time on one side,
 quadrature of Fisher-type functionals on the other) and reports the
-discrepancy against a tolerance.  The De Bruijn and KL identities write
-their rhs once, as an `Rhs` definition rhs = scale * E[g(X_t)]: the check
-integrates it, and the runner's x-space cross-check and Monte Carlo oracle
-evaluate the same definition.
+discrepancy against a tolerance.  Every check takes one channel and one time
+t and returns an `IdentityReport`.  There is one De Bruijn check for both
+channel families: the additive channel X_0 + B^H_t is the unit-sigma case.
+The De Bruijn and KL identities write their rhs once, as an `Rhs` definition
+rhs = scale * E[g(X_t)]: the check integrates it, and the runner's x-space
+cross-check and Monte Carlo oracle evaluate the same definition.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -60,10 +62,8 @@ class IdentityReport:
 def _report(name, t, hurst, lhs, rhs, tol, notes="", extras=None):
     disc = abs(lhs - rhs)
     return IdentityReport(
-        identity_name=name, t=float(t), hurst=float(hurst),
-        lhs=float(lhs), rhs=float(rhs), abs_discrepancy=disc,
-        tolerance=float(tol), passed=disc <= tol,
-        method_notes=notes, extras=extras or {},
+        identity_name=name, t=t, hurst=hurst, lhs=lhs, rhs=rhs, abs_discrepancy=disc,
+        tolerance=tol, passed=disc <= tol, method_notes=notes, extras=extras or {},
     )
 
 
@@ -106,53 +106,29 @@ def richardson_derivative(f, t, step):
     return (4.0 * d2 - d1) / 3.0
 
 
-def debruijn_check_mult(channel, t, fd_step=None, tol=1e-4):
+def debruijn_check(channel, t, fd_step=None, tol=1e-4):
     """Entropy flow of dX = sigma(X) o dB^H against its Fisher-information form.
 
-    rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] }.
+    rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] };
+    on an additive channel sigma = 1 and rhs = H t^{2H-1} J_1(X_t).
     """
-    if channel.variant != "multiplicative":
-        raise DomainError("debruijn_check_mult needs a multiplicative channel")
     fd_step = _check_step(t, fd_step)
-    hv = channel.hurst.value
-
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
-    rhs = debruijn_mult_rhs(channel, t).value()
-    return _report("debruijn-mult", t, hv, lhs, rhs, tol,
+    rhs = debruijn_rhs(channel, t).value()
+    name = "debruijn-mult" if channel.variant == "multiplicative" else "debruijn-additive"
+    return _report(name, t, channel.hurst.value, lhs, rhs, tol,
                    notes=f"richardson fd_step={fd_step:g}")
 
 
-def debruijn_mult_rhs(channel, t):
-    """debruijn_check_mult's rhs, g = sigma^2 score^2 - (sigma'' sigma + sigma'^2)."""
+def debruijn_rhs(channel, t):
+    """debruijn_check's rhs, g = sigma^2 score^2 - (sigma'' sigma + sigma'^2)."""
     sig = channel.sigma
     field_t = ch.density_at(channel, t)
 
     def g(x):
         return sig.fn(x) ** 2 * field_t.score_fn(x) ** 2 - sig.curvature(x)
     return Rhs(_rate(channel.hurst.value, t), g, (field_t,))
-
-
-def debruijn_check_additive(channel, t, fd_step=None, tol=1e-4):
-    """Entropy flow of X_t = X_0 + B^H_t against H t^{2H-1} J_1(X_t)."""
-    if channel.variant != "additive":
-        raise DomainError("debruijn_check_additive needs an additive channel")
-    fd_step = _check_step(t, fd_step)
-    hv = channel.hurst.value
-
-    lhs = richardson_derivative(
-        lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
-
-    rhs = debruijn_additive_rhs(channel, t)
-    j1 = nf.expectation(rhs.fields[0], rhs.g)
-    notes = f"richardson fd_step={fd_step:g}; J_1={j1:.12g}"
-    return _report("debruijn-additive", t, hv, lhs, rhs.scale * j1, tol, notes)
-
-
-def debruijn_additive_rhs(channel, t):
-    """debruijn_check_additive's rhs, g = score^2, so that E[g] = J_1."""
-    field_t = ch.density_at(channel, t)
-    return Rhs(_rate(channel.hurst.value, t), lambda x: field_t.score_fn(x) ** 2, (field_t,))
 
 
 def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
@@ -258,51 +234,36 @@ def stein_check(mu, variance, r, r_prime, tol=1e-10):
     return _report("stein", 0.0, 0.0, lhs, rhs, tol, notes)
 
 
-@dataclass
-class ConvexityProfile:
-    """Sign profile of g(t, H, X_t) governing convexity of the entropy power."""
-
-    hurst: float
-    t_grid: np.ndarray
-    g_values: np.ndarray
-    classifications: List[str]           # 'convex' (g > 0) or 'concave' (g <= 0)
-    n_values: np.ndarray                 # entropy power N(X_t)
-    d2n_formula: np.ndarray              # 2 N g
-    d2n_fd: np.ndarray                   # direct second difference of N
+# entropy_power_check's time step, fixed: a checked time must lie above it.
+ENTROPY_POWER_STEP = 1e-3
 
 
-def entropy_power_profile(channel, t_grid, fd_step=1e-3):
-    """Evaluate g(t, H, X_t) = H(2H-1) t^{2H-2} J_1 - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)]
-    on an additive channel, classify convexity per point and cross-check
-    d^2N/dt^2 = 2 N g against second differences of N.  g uses J_1 = -E[d_x^2 ln p_t]
-    and dJ_1/dt = -2H t^{2H-1} E[(d_x^2 ln p_t)^2], not a time difference of J_1."""
+def entropy_power_check(channel, t, tol=1e-4):
+    """d^2N/dt^2 of the entropy power N(X_t) of an additive channel, by a second
+    difference, against 2 N g with g(t, H, X_t) = H(2H-1) t^{2H-2} J_1
+    - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)]; g > 0 makes N convex at t, else
+    concave.  g uses J_1 = -E[d_x^2 ln p_t] and dJ_1/dt = -2H t^{2H-1}
+    E[(d_x^2 ln p_t)^2], not a time difference of J_1.  The tolerance is
+    tol * max(1, |2 N g|)."""
     if channel.variant != "additive":
-        raise DomainError("entropy_power_profile needs an additive channel")
+        raise DomainError("entropy_power_check needs an additive channel")
+    step = ENTROPY_POWER_STEP
+    if t <= step:
+        raise StepError(f"t = {t:g} must exceed the entropy-power step {step:g}")
     hv = channel.hurst.value
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= fd_step):
-        raise StepError("all grid times must exceed fd_step")
 
     def n_at(s):
         return nf.entropy_power(ch.density_at(channel, s))
 
-    g_vals, n_vals, d2_formula, d2_fd, classes = [], [], [], [], []
-    for t in t_grid:
-        field_t = ch.density_at(channel, t)
-        mean_d2 = nf.expectation(field_t, field_t.dscore_fn)
-        var_d2 = nf.expectation(field_t, lambda x: (field_t.dscore_fn(x) - mean_d2) ** 2)
-        g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * nf.generalized_fisher(field_t)
-             - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
-        n = n_at(t)
-        g_vals.append(g)
-        n_vals.append(n)
-        d2_formula.append(2.0 * n * g)
-        d2_fd.append((n_at(t + fd_step) - 2.0 * n + n_at(t - fd_step)) / fd_step ** 2)
-        classes.append("convex" if g > 0 else "concave")
-
-    return ConvexityProfile(
-        hurst=hv, t_grid=t_grid,
-        g_values=np.array(g_vals), classifications=classes,
-        n_values=np.array(n_vals),
-        d2n_formula=np.array(d2_formula), d2n_fd=np.array(d2_fd),
-    )
+    field_t = ch.density_at(channel, t)
+    mean_d2 = nf.expectation(field_t, field_t.dscore_fn)
+    var_d2 = nf.expectation(field_t, lambda x: (field_t.dscore_fn(x) - mean_d2) ** 2)
+    g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * nf.generalized_fisher(field_t)
+         - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
+    n = n_at(t)
+    rhs = 2.0 * n * g
+    d2n = (n_at(t + step) - 2.0 * n + n_at(t - step)) / step ** 2
+    kind = "convex" if g > 0 else "concave"
+    return _report("entropy-power", t, hv, d2n, rhs, tol * max(1.0, abs(rhs)),
+                   notes=f"g={g:.9g} -> {kind}; N={n:.9g}",
+                   extras={"entropy_power": n, "g": g, "classification": kind})

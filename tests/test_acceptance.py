@@ -26,7 +26,7 @@ def test_criterion_1_constant_sigma_debruijn():
     for c, h, t in itertools.product((0.5, 1.0, 2.0), (0.25, 0.5, 0.75),
                                      (0.5, 1.0, 2.0)):
         chan = ch.multiplicative(sg.constant(c), 0.0, h)
-        rep = idn.debruijn_check_mult(chan, t, tol=1e-6)
+        rep = idn.debruijn_check(chan, t, tol=1e-6)
         assert rep.rhs == pytest.approx(h / t, abs=1e-10)
         worst = max(worst, rep.abs_discrepancy)
     _verdict("1 constant-sigma De Bruijn (both sides H/t)", worst <= 1e-6,
@@ -39,7 +39,7 @@ def test_criterion_2_nonconstant_sigma_debruijn():
     for h in (0.3, 0.5, 0.75):
         chan = ch.multiplicative(s, 0.0, h)
         for t in (0.5, 1.0, 2.0):
-            rep = idn.debruijn_check_mult(chan, t, tol=1e-4)
+            rep = idn.debruijn_check(chan, t, tol=1e-4)
             worst = max(worst, rep.abs_discrepancy)
     _verdict("2 sqrt(1+x^2) De Bruijn", worst <= 1e-4,
              f"max |lhs-rhs| = {worst:.3e} <= 1e-4")
@@ -50,11 +50,11 @@ def test_criterion_3_additive_gaussian_debruijn():
     for v0, h, t in itertools.product((0.25, 1.0, 4.0), (0.3, 0.5, 0.75),
                                       (0.5, 1.0, 2.0)):
         chan = ch.additive(ch.gaussian_law(0.0, v0), h)
-        rep = idn.debruijn_check_additive(chan, t, tol=1e-6)
+        rep = idn.debruijn_check(chan, t, tol=1e-6)
         assert rep.rhs == pytest.approx(
             h * t ** (2 * h - 1) / (v0 + t ** (2 * h)), abs=1e-12)
         worst = max(worst, rep.abs_discrepancy)
-    spot = idn.debruijn_check_additive(
+    spot = idn.debruijn_check(
         ch.additive(ch.gaussian_law(0.0, 1.0), 0.75), 1.0, tol=1e-6)
     assert spot.rhs == pytest.approx(0.375, abs=1e-12)
     _verdict("3 additive Gaussian De Bruijn", worst <= 1e-6,
@@ -118,23 +118,18 @@ def test_criterion_7_entropy_power_regimes():
     t_grid = [0.5, 1.0, 2.0]
     ok = True
     worst_rel = 0.0
-    for h in (0.6, 0.75, 0.9):
-        prof = idn.entropy_power_profile(
-            ch.additive(ch.gaussian_law(0.0, 1.0), h), t_grid, fd_step=1e-3)
-        ok &= all(c == "convex" for c in prof.classifications)
-        worst_rel = max(worst_rel, float(np.max(
-            np.abs(prof.d2n_fd - prof.d2n_formula) / np.abs(prof.d2n_formula))))
-    for h in (0.1, 0.3):
-        prof = idn.entropy_power_profile(
-            ch.additive(ch.gaussian_law(0.0, 1.0), h), t_grid, fd_step=1e-3)
-        ok &= all(c == "concave" for c in prof.classifications)
-        worst_rel = max(worst_rel, float(np.max(
-            np.abs(prof.d2n_fd - prof.d2n_formula) / np.abs(prof.d2n_formula))))
-    prof = idn.entropy_power_profile(
-        ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), t_grid, fd_step=1e-3)
-    ok &= all(c == "concave" for c in prof.classifications)
-    linear_ok = float(np.max(np.abs(prof.d2n_fd))) <= 1e-6
-    lin_vals = np.allclose(prof.n_values, 1.0 + np.array(t_grid), atol=1e-12)
+    for h, kind in [(0.6, "convex"), (0.75, "convex"), (0.9, "convex"),
+                    (0.1, "concave"), (0.3, "concave")]:
+        for t in t_grid:
+            rep = idn.entropy_power_check(ch.additive(ch.gaussian_law(0.0, 1.0), h), t)
+            ok &= rep.extras["classification"] == kind
+            worst_rel = max(worst_rel, abs(rep.lhs - rep.rhs) / abs(rep.rhs))
+    linear_ok = lin_vals = True
+    for t in t_grid:
+        rep = idn.entropy_power_check(ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), t)
+        ok &= rep.extras["classification"] == "concave"
+        linear_ok &= abs(rep.lhs) <= 1e-6
+        lin_vals &= abs(rep.extras["entropy_power"] - (1.0 + t)) <= 1e-12
     ok &= linear_ok and lin_vals and worst_rel <= 1e-4
     _verdict("7 entropy-power regimes", ok,
              f"sign law ok; H=0.5 linear (|d2N| <= 1e-6); "

@@ -169,3 +169,14 @@ def test_grid_law_validation():
         ch.grid_law(grid, -np.full(101, 0.5))
     with pytest.raises(DomainError):
         ch.gaussian_law(0.0, -1.0)
+
+
+def test_additive_channel_takes_only_the_unit_sigma():
+    # A sigma other than 1 on an additive channel was once accepted and never read.
+    law = ch.gaussian_law(0.0, 1.0)
+    assert ch.additive(law, 0.5).sigma is ch.UNIT_SIGMA
+    for sigma in (sg.constant(1.0), sg.identity_channel()):
+        assert ch.ChannelSpec("additive", 0.5, sigma=sigma, initial=law).sigma is sigma
+    for sigma in (sg.sqrt_one_plus_square(), sg.constant(2.0)):
+        with pytest.raises(DomainError):
+            ch.ChannelSpec(variant="additive", hurst=0.5, sigma=sigma, initial=law)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fbm_infoflow import cli, doss, fbm, identities as idn, infofunc
+from fbm_infoflow import channels as ch, cli, doss, fbm, identities as idn, infofunc
 from fbm_infoflow.cli import main
 
 
@@ -122,6 +122,16 @@ def test_entropy_power_table_from_report_rows(tmp_path):
         g, n = re.fullmatch(r"g=(\S+) -> \w+; N=(\S+)", notes).groups()
         assert float(rec["g"]) == pytest.approx(float(g), rel=1e-8, abs=0)
         assert float(rec["entropy_power"]) == pytest.approx(float(n), rel=1e-8, abs=0)
+
+
+def test_entropy_power_row_is_the_identity_check():
+    cfg = {"suites": ["entropy-power"], "channel": {"initial": {"kind": "grid", "n": 401}}}
+    runner = cli._SuiteRunner(cfg)
+    for t, h in ((0.5, 0.3), (2.0, 0.75)):
+        row = runner.run_combo("entropy-power", t, h)
+        check = idn.entropy_power_check(ch.additive(runner.initial, h), t,
+                                        cli.DEFAULT_TOLERANCES["entropy-power"])
+        assert dataclasses.asdict(row) == dataclasses.asdict(check)
 
 
 def test_mc_oracle_columns(tmp_path):
@@ -244,7 +254,7 @@ def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
 _SQRT1P = {"channel": {"sigma": {"kind": "sqrt1p"}, "x0": 0.0}, "kl": {"y0": 1.0}}
 
 
-@pytest.mark.parametrize("suite, rhs", [("debruijn-mult", "debruijn_mult_rhs"),
+@pytest.mark.parametrize("suite, rhs", [("debruijn-mult", "debruijn_rhs"),
                                         ("kl-flow", "kl_flow_rhs")])
 def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs):
     cfg = {"suites": [suite], "t_grid": [1.0], "hurst_grid": [0.5], **_SQRT1P}
@@ -268,12 +278,12 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs):
 def test_rhs_definition_feeds_check_cross_check_and_oracle(monkeypatch):
     # g scaled by 1.01 moves the quadrature rhs, the x-space cross-check and the
     # Monte Carlo oracle together: only lhs against rhs can catch it.
-    exact = idn.debruijn_mult_rhs
+    exact = idn.debruijn_rhs
 
     def scaled(channel, t):
         rhs = exact(channel, t)
         return rhs._replace(g=lambda x: 1.01 * rhs.g(x))
-    monkeypatch.setattr(idn, "debruijn_mult_rhs", scaled)
+    monkeypatch.setattr(idn, "debruijn_rhs", scaled)
     cfg = {"suites": ["debruijn-mult"], "t_grid": [1.0], "hurst_grid": [0.5], **_SQRT1P,
            "oracle": {"kind": "mc", "samples": 2000, "seed": 1}}
     rep = cli._SuiteRunner(cfg).run_combo("debruijn-mult", 1.0, 0.5)

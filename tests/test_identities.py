@@ -11,7 +11,7 @@ def test_constant_sigma_entropy_flow_is_h_over_t():
     for c_val in (0.5, 2.0):
         for h in (0.25, 0.75):
             chan = ch.multiplicative(sg.constant(c_val), 0.0, h)
-            rep = idn.debruijn_check_mult(chan, 1.0, tol=1e-6)
+            rep = idn.debruijn_check(chan, 1.0, tol=1e-6)
             assert rep.passed
             assert rep.rhs == pytest.approx(h, abs=1e-10)
             assert rep.lhs == pytest.approx(h, abs=1e-6)
@@ -20,21 +20,21 @@ def test_constant_sigma_entropy_flow_is_h_over_t():
 def test_unit_sigma_brownian_remark():
     # H = 1/2, sigma = 1: rhs reduces to J_1(X_t) / 2
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
-    rep = idn.debruijn_check_mult(chan, 1.0, tol=1e-6)
+    rep = idn.debruijn_check(chan, 1.0, tol=1e-6)
     j1 = nf.generalized_fisher(ch.density_at(chan, 1.0))
     assert rep.rhs == pytest.approx(0.5 * j1, abs=1e-12)
 
 
 def test_nonconstant_sigma_debruijn():
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
-    rep = idn.debruijn_check_mult(chan, 1.0, fd_step=1e-3, tol=1e-4)
+    rep = idn.debruijn_check(chan, 1.0, fd_step=1e-3, tol=1e-4)
     assert rep.passed
     assert rep.abs_discrepancy <= 1e-4
 
 
 def test_report_invariant():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
-    rep = idn.debruijn_check_mult(chan, 1.0, tol=1e-6)
+    rep = idn.debruijn_check(chan, 1.0, tol=1e-6)
     assert rep.abs_discrepancy == abs(rep.lhs - rep.rhs)
     assert rep.passed == (rep.abs_discrepancy <= rep.tolerance)
 
@@ -42,35 +42,47 @@ def test_report_invariant():
 def test_step_error():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     with pytest.raises(StepError):
-        idn.debruijn_check_mult(chan, 0.5, fd_step=0.6)
+        idn.debruijn_check(chan, 0.5, fd_step=0.6)
 
 
 def test_wrong_variant_rejected():
-    add = ch.additive(ch.gaussian_law(0, 1), 0.5)
     mult = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     with pytest.raises(DomainError):
-        idn.debruijn_check_mult(add, 1.0)
-    with pytest.raises(DomainError):
-        idn.debruijn_check_additive(mult, 1.0)
-    with pytest.raises(DomainError):
-        idn.entropy_power_profile(mult, [1.0])
+        idn.entropy_power_check(mult, 1.0)
 
 
 def test_additive_gaussian_rhs_value():
     chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.75)
-    rep = idn.debruijn_check_additive(chan, 1.0, tol=1e-6)
+    rep = idn.debruijn_check(chan, 1.0, tol=1e-6)
     assert rep.rhs == pytest.approx(0.375, abs=1e-12)
     assert rep.passed
     chan2 = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
-    rep2 = idn.debruijn_check_additive(chan2, 1.0, tol=1e-6)
+    rep2 = idn.debruijn_check(chan2, 1.0, tol=1e-6)
     assert rep2.rhs == pytest.approx(0.25, abs=1e-12)
 
 
 def test_additive_grid_law():
     grid = np.linspace(-1, 1, 2001)
     chan = ch.additive(ch.grid_law(grid, np.full(grid.size, 0.5)), 0.3)
-    rep = idn.debruijn_check_additive(chan, 0.5, tol=1e-4)
+    rep = idn.debruijn_check(chan, 0.5, tol=1e-4)
     assert rep.passed, rep
+
+
+def test_additive_rhs_is_the_unit_sigma_case():
+    # With sigma = 1, g = sigma^2 score^2 - (sigma'' sigma + sigma'^2) is score^2 exactly.
+    grid = np.linspace(-1, 1, 401)
+    laws = (ch.gaussian_law(0.0, 2.0), ch.grid_law(grid, np.full(grid.size, 0.5)))
+    x = np.random.default_rng(3).normal(0.0, 2.0, 257)
+    for law in laws:
+        for h, t in ((0.3, 0.5), (0.75, 2.0)):
+            chan = ch.additive(law, h)
+            rhs = idn.debruijn_rhs(chan, t)
+            assert np.array_equal(rhs.g(x), rhs.fields[0].score_fn(x) ** 2)
+            rep = idn.debruijn_check(chan, t, tol=1e-4)
+            assert rep.identity_name == "debruijn-additive" and rep.rhs == rhs.value()
+            if law.kind == "gaussian":
+                assert rep.rhs == pytest.approx(
+                    h * t ** (2 * h - 1) / (2.0 + t ** (2 * h)), abs=1e-12)
 
 
 def test_kl_flow_same_start_is_zero():
@@ -187,51 +199,53 @@ def test_stein_identity_examples():
     assert rep.rhs == pytest.approx(3.0, abs=1e-10)
 
 
+def _entropy_power(h, ts, law=ch.gaussian_law(0.0, 1.0)):
+    return [idn.entropy_power_check(ch.additive(law, h), t) for t in ts]
+
+
 def test_entropy_power_gaussian_h_half_linear():
-    chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
-    prof = idn.entropy_power_profile(chan, [0.5, 1.0, 2.0])
-    assert np.allclose(prof.g_values, 0.0, atol=1e-14)
-    assert all(c == "concave" for c in prof.classifications)
-    assert np.allclose(prof.n_values, 1.0 + np.array([0.5, 1.0, 2.0]), atol=1e-12)
-    assert np.max(np.abs(prof.d2n_fd)) <= 1e-6
+    for t, rep in zip((0.5, 1.0, 2.0), _entropy_power(0.5, (0.5, 1.0, 2.0))):
+        assert rep.extras["g"] == pytest.approx(0.0, abs=1e-14)
+        assert rep.extras["classification"] == "concave"
+        assert rep.extras["entropy_power"] == pytest.approx(1.0 + t, abs=1e-12)
+        assert abs(rep.lhs) <= 1e-6
 
 
 def test_entropy_power_g_values():
-    chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.75)
-    prof = idn.entropy_power_profile(chan, [1.0])
-    assert prof.g_values[0] == pytest.approx(0.1875, abs=1e-12)
-    assert prof.classifications[0] == "convex"
-    chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.3)
-    prof = idn.entropy_power_profile(chan, [1.0])
-    assert prof.g_values[0] == pytest.approx(-0.06, abs=1e-12)
-    assert prof.classifications[0] == "concave"
+    (rep,) = _entropy_power(0.75, [1.0])
+    assert rep.extras["g"] == pytest.approx(0.1875, abs=1e-12)
+    assert rep.extras["classification"] == "convex"
+    (rep,) = _entropy_power(0.3, [1.0])
+    assert rep.extras["g"] == pytest.approx(-0.06, abs=1e-12)
+    assert rep.extras["classification"] == "concave"
 
 
 def test_entropy_power_second_difference_matches_formula():
     for h in (0.3, 0.75):
-        chan = ch.additive(ch.gaussian_law(0.0, 1.0), h)
-        prof = idn.entropy_power_profile(chan, [0.5, 1.0, 2.0], fd_step=1e-3)
-        rel = np.abs(prof.d2n_fd - prof.d2n_formula) / np.abs(prof.d2n_formula)
-        assert np.max(rel) <= 1e-4
+        for rep in _entropy_power(h, (0.5, 1.0, 2.0)):
+            assert abs(rep.lhs - rep.rhs) / abs(rep.rhs) <= 1e-4
 
 
 def test_entropy_power_sign_law():
     for h in (0.6, 0.75, 0.9):
-        prof = idn.entropy_power_profile(
-            ch.additive(ch.gaussian_law(0.0, 1.0), h), [0.5, 1.0, 2.0])
-        assert all(c == "convex" for c in prof.classifications)
+        assert all(r.extras["classification"] == "convex"
+                   for r in _entropy_power(h, (0.5, 1.0, 2.0)))
     for h in (0.1, 0.3, 0.5):
-        prof = idn.entropy_power_profile(
-            ch.additive(ch.gaussian_law(0.0, 1.0), h), [0.5, 1.0, 2.0])
-        assert all(c == "concave" for c in prof.classifications)
+        assert all(r.extras["classification"] == "concave"
+                   for r in _entropy_power(h, (0.5, 1.0, 2.0)))
 
 
 def test_entropy_power_profile_grid_initial():
     grid = np.linspace(-1, 1, 1001)
     law = ch.grid_law(grid, np.full(grid.size, 0.5))
-    prof = idn.entropy_power_profile(ch.additive(law, 0.75), [0.5, 1.0, 2.0], fd_step=1e-3)
-    rel = np.abs(prof.d2n_fd - prof.d2n_formula) / np.maximum(1.0, np.abs(prof.d2n_formula))
-    assert np.max(rel) <= 1e-6   # g is exact: no time difference of J_1
+    for rep in _entropy_power(0.75, (0.5, 1.0, 2.0), law):
+        # g is exact: no time difference of J_1
+        assert abs(rep.lhs - rep.rhs) / max(1.0, abs(rep.rhs)) <= 1e-6
     for h in (0.3, 0.5):        # g < 0: concave, at H = 1/2 for every law
-        prof = idn.entropy_power_profile(ch.additive(law, h), [0.5, 1.0, 2.0])
-        assert np.all(prof.g_values < 0)
+        assert all(r.extras["g"] < 0 for r in _entropy_power(h, (0.5, 1.0, 2.0), law))
+
+
+def test_entropy_power_step_error():
+    chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
+    with pytest.raises(StepError):
+        idn.entropy_power_check(chan, idn.ENTROPY_POWER_STEP)

@@ -29,8 +29,11 @@ def _no_quadpack():
 
 
 def _uniform_field():
-    grid = np.linspace(0.0, 1.0, 2001)
-    return ch.grid_field(grid, np.ones_like(grid))
+    """The uniform law on [0, 1], without a rule tag."""
+    return ch.DensityField(
+        lo=0.0, hi=1.0,
+        pdf=lambda x: np.where((np.asarray(x) >= 0.0) & (np.asarray(x) <= 1.0), 1.0, 0.0),
+        score_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
 
 
 def test_gaussian_entropy_closed_form():
