@@ -165,7 +165,7 @@ def _phi_for(channel, t):
 def _flow(sigma, x0, bucket):
     """The flow on [-bucket, bucket]; it does not depend on H, so channels that
     differ only in H share it."""
-    return doss.solve_phi(sigma, x0, (-bucket, bucket), tol=1e-11)
+    return doss.solve_phi(sigma, x0, (-bucket, bucket))
 
 
 def _multiplicative_field(channel, t):

@@ -1,11 +1,17 @@
-"""Doss-Sussmann flow: solve phi' = sigma(phi), phi(0) = x0, invert it and
+"""Doss-Sussmann flow: tabulate phi' = sigma(phi), phi(0) = x0, invert it and
 push the Gaussian marginal of B^H_t through it.
 
-The flow is solved once with a high-order adaptive integrator, tabulated
-densely and interpolated monotonically.  A query then costs an interpolation
-(plus a Newton polish for the inverse) instead of an ODE solve; both are
-evaluated on ascending points, where the interpolant's interval search is
-fastest.
+The flow needs no ODE solver: its inverse is the Lamperti integral
+z(x) = int_{x0}^x dy / sigma(y).  The table holds z at x nodes about
+_TABLE_STEP apart in z, each node's z a cumulative sum of 8-point
+Gauss-Legendre panels of 1/sigma.  phi and its inverse are the cubic Hermite
+interpolants of that one table with exact slopes, dx/dz = sigma(x) one way and
+dz/dx = 1/sigma(x) the other; both are evaluated on ascending points, where the
+interval search is fastest.
+
+The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
+equal x pieces, so they depend on sigma and x0 alone: a wider table extends a
+narrower one node for node, and both give the same values on the common range.
 """
 
 import math
@@ -13,22 +19,21 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from . import sigma as sigma_mod
-from .errors import (DegenerateTimeError, DomainError, FlowEscapeError, InversionError,
-                     RangeError)
+from .errors import DegenerateTimeError, DomainError, FlowEscapeError, RangeError
 from .fbm import as_hurst
 
-_TABLE_STEP = 2e-3          # target z spacing of the tabulation
-_INVERT_ATOL = 1e-12
-_INVERT_STEPS = 60
+_TABLE_STEP = 2e-3          # target z spacing of the table's nodes
+_COARSE_STEP = 0.25         # z step of the midpoint rule that places the nodes
+_PIECES = math.ceil(_COARSE_STEP / _TABLE_STEP)   # equal x pieces per coarse step
+_FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _ascending(fn, x):
     """fn(x) for an elementwise fn, evaluated on the points of x in ascending order:
-    a PCHIP interpolant searches for each point's interval forward from the last."""
+    the interval search of an interpolant is fastest on sorted points."""
     flat = x.ravel()
     order = np.argsort(flat)
     out = np.empty_like(flat)
@@ -36,22 +41,41 @@ def _ascending(fn, x):
     return out.reshape(x.shape)
 
 
+def _hermite(knots, values, slopes):
+    """The cubic Hermite interpolant as (knots, c0, c1, c2, c3): on interval i it
+    is c0 + u (c1 + u (c2 + u c3)) with u = q - knots[i]."""
+    h = np.diff(knots)
+    secant = np.diff(values) / h
+    m0, m1 = slopes[:-1], slopes[1:]
+    return (knots, values[:-1], m0, (3.0 * secant - 2.0 * m0 - m1) / h,
+            (m0 + m1 - 2.0 * secant) / (h * h))
+
+
+def _evaluate(coeffs, q):
+    """The interpolant at points q >= knots[0]; a point on a knot gets the knot's value."""
+    knots, c0, c1, c2, c3 = coeffs
+    i = np.minimum(np.searchsorted(knots, q, side="right") - 1, c0.size - 1)
+    u = q - knots[i]
+    return c0[i] + u * (c1[i] + u * (c2[i] + u * c3[i]))
+
+
 @dataclass
 class PhiSolution:
-    """Tabulated, invertible solution of phi' = sigma(phi), phi(0) = x0."""
+    """Tabulated, invertible solution of phi' = sigma(phi), phi(0) = x0: the table
+    (z_grid, phi_grid) covers z_domain and z_grid[k] = int_{x0}^{phi_grid[k]} dy/sigma."""
 
     sigma: sigma_mod.SigmaModel
     x0: float
     z_domain: Tuple[float, float]
     z_grid: np.ndarray
     phi_grid: np.ndarray
-    _interp: PchipInterpolator = field(repr=False, default=None)
-    _inv_interp: PchipInterpolator = field(repr=False, default=None)
+    _forward: tuple = field(init=False, repr=False)
+    _inverse: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._interp is None:
-            self._interp = PchipInterpolator(self.z_grid, self.phi_grid)
-            self._inv_interp = PchipInterpolator(self.phi_grid, self.z_grid)
+        s = self.sigma.fn(self.phi_grid)
+        self._forward = _hermite(self.z_grid, self.phi_grid, s)
+        self._inverse = _hermite(self.phi_grid, self.z_grid, 1.0 / s)
 
     @property
     def x_range(self):
@@ -62,92 +86,69 @@ class PhiSolution:
         lo, hi = self.z_domain
         if np.any(z < lo) or np.any(z > hi):
             raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}]")
-        # PCHIP is monotone; only rounding at the table's ends can leave x_range,
-        # where invert_phi would reject the value.
-        return np.clip(_ascending(self._interp, z), *self.x_range)
+        # Only rounding on the table's last interval can leave x_range.
+        return np.clip(_ascending(lambda zs: _evaluate(self._forward, zs), z), *self.x_range)
 
 
-def solve_phi(sigma, x0, z_domain, tol=1e-10):
-    """Integrate the flow over z_domain (which must contain 0)."""
+def solve_phi(sigma, x0, z_domain):
+    """Tabulate the flow over z_domain (which must contain 0)."""
     z_lo, z_hi = float(z_domain[0]), float(z_domain[1])
     if not (z_lo <= 0.0 <= z_hi) or z_lo == z_hi:
         raise DomainError("z_domain must be a nondegenerate interval containing 0")
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-
-    dom_lo, dom_hi = sigma.domain
-
-    def rhs(_z, y):
-        return [sigma.fn(np.clip(y[0], dom_lo, dom_hi))]
-
-    def escape(_z, y):
-        return min(y[0] - dom_lo, dom_hi - y[0])
-    escape.terminal = True
-
-    n = max(9, int(math.ceil((z_hi - z_lo) / _TABLE_STEP)) + 1)
-    z_grid = np.linspace(z_lo, z_hi, n)
-
-    pieces = []
-    for z_end, nodes in (
-        (z_lo, z_grid[z_grid < 0][::-1]),
-        (z_hi, z_grid[z_grid > 0]),
-    ):
-        if nodes.size == 0 or z_end == 0.0:
-            pieces.append((nodes, np.empty(0)))
-            continue
-        sol = solve_ivp(
-            rhs, (0.0, z_end), [float(x0)], method="DOP853",
-            t_eval=nodes, rtol=tol, atol=tol * (1.0 + abs(x0)),
-            events=escape, dense_output=False,
-        )
-        if sol.status == 1:  # escape event fired
-            raise FlowEscapeError(
-                f"flow left sigma working domain at z = {sol.t_events[0][0]:g}",
-                exit_z=float(sol.t_events[0][0]),
-            )
-        if not sol.success:
-            raise FlowEscapeError(f"ODE solve failed: {sol.message}")
-        pieces.append((nodes, sol.y[0]))
-
-    (neg_nodes, neg_vals), (pos_nodes, pos_vals) = pieces
-    phi_grid = np.concatenate([neg_vals[::-1], [float(x0)], pos_vals])
-    z_full = np.concatenate([neg_nodes[::-1], [0.0], pos_nodes])
-    if np.any(np.diff(phi_grid) <= 0):
-        raise FlowEscapeError("tabulated flow is not strictly increasing")
+    x0, (lo, hi) = float(x0), sigma.domain
+    if not lo <= x0 <= hi:
+        raise FlowEscapeError(f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
+    (x_neg, z_neg), (x_pos, z_pos) = (_lamperti_nodes(sigma, x0, z_end) for z_end in (z_lo, z_hi))
     return PhiSolution(
-        sigma=sigma, x0=float(x0), z_domain=(z_lo, z_hi),
-        z_grid=z_full, phi_grid=phi_grid,
+        sigma=sigma, x0=x0, z_domain=(z_lo, z_hi),
+        z_grid=np.concatenate([z_neg[::-1], [0.0], z_pos]),
+        phi_grid=np.concatenate([x_neg[::-1], [x0], x_pos]),
     )
 
 
-def invert_phi(phi, x):
-    """Solve phi(z) = x for an array x; z has the shape of x.
+def _lamperti_nodes(sigma, x0, z_end):
+    """The x nodes from x0 toward z_end, and z(x) at each, until z(x) reaches z_end.
+    Midpoint steps of _COARSE_STEP in z place the coarse nodes; each coarse step is
+    cut into _PIECES equal x pieces, whose z increments are 8-point Gauss-Legendre
+    panels of 1/sigma, summed outward from x0."""
+    lo, hi = sigma.domain
+    step = math.copysign(_COARSE_STEP, z_end)
+    coarse, s = [x0], sigma.fn(np.array([x0]))[0]
+    x, z = np.array([x0]), np.zeros(1)
+    while abs(z[-1]) < abs(z_end):
+        if coarse[-1] in (lo, hi):
+            raise FlowEscapeError(
+                f"flow reaches the edge x = {coarse[-1]:g} of sigma's working domain at "
+                f"z = {z[-1]:.6g}, short of the z-range's end {z_end:g}")
+        for _ in range(math.ceil((abs(z_end) - abs(z[-1])) / _COARSE_STEP)):
+            half = min(max(coarse[-1] + 0.5 * step * s, lo), hi)
+            half_s = sigma.fn(np.array([half]))[0]
+            coarse.append(min(max(coarse[-1] + step * half_s, lo), hi))
+            s = sigma.fn(np.array([coarse[-1]]))[0]
+            if coarse[-1] in (lo, hi):
+                break
+        c = np.array(coarse)
+        x = np.append((c[:-1, None] + np.diff(c)[:, None] * _FRACTIONS).ravel(), c[-1])
+        width = np.diff(x)
+        if not np.all(width * step > 0):
+            raise FlowEscapeError(f"flow stalls near x = {x[np.argmin(width * step)]:g}: "
+                                  "its nodes do not advance")
+        inv = 1.0 / sigma.fn(((x[:-1] + 0.5 * width)[:, None]
+                              + (0.5 * width)[:, None] * _GL_NODES).ravel())
+        # A fixed order of sums: a node's z does not depend on how far the table runs.
+        dz = 0.5 * width * sum(w * inv[j::8] for j, w in enumerate(_GL_WEIGHTS))
+        z = np.cumsum(np.append(0.0, dz))
+    return x[1:], z[1:]
 
-    Initial guess from the inverse interpolant, then Newton with the analytic
-    derivative phi'(z) = sigma(phi(z)); InversionError if it has not converged
-    after _INVERT_STEPS steps.
-    """
+
+def invert_phi(phi, x):
+    """Solve phi(z) = x for an array x; z has the shape of x.  It is the Hermite
+    interpolant of the table's Lamperti integral z(x), whose slope is 1/sigma."""
     arr = np.asarray(x, dtype=float)
     lo, hi = phi.x_range
     if np.any(arr < lo) or np.any(arr > hi):
         raise RangeError(f"x outside flow range [{lo:g}, {hi:g}]")
-    return _ascending(lambda xs: _newton(phi, xs), arr)
-
-
-def _newton(phi, xs):
-    z = phi._inv_interp(xs)
-    z_lo, z_hi = phi.z_domain
-    target = _INVERT_ATOL * (1.0 + np.abs(xs))
-    for _ in range(_INVERT_STEPS):
-        f = phi._interp(z)
-        resid = f - xs
-        if np.all(np.abs(resid) <= target):
-            return z
-        z = np.clip(z - resid / phi.sigma.fn(f), z_lo, z_hi)
-    worst = np.argmax(np.abs(resid) - target)
-    raise InversionError(
-        f"Newton inversion of phi did not converge in {_INVERT_STEPS} steps: residual "
-        f"{abs(resid[worst]):.3g} at x = {xs[worst]:g} against {target[worst]:.3g}")
+    return _ascending(lambda xs: _evaluate(phi._inverse, xs), arr)
 
 
 def pushforward_density(phi, t, h, x):

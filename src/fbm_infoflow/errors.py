@@ -16,17 +16,9 @@ class GridError(FbmInfoflowError):
 class FlowEscapeError(FbmInfoflowError):
     """The Doss-Sussmann flow left the diffusion coefficient's working domain."""
 
-    def __init__(self, message, exit_z=None):
-        super().__init__(message)
-        self.exit_z = exit_z
-
 
 class RangeError(FbmInfoflowError):
     """Value outside the range of the tabulated flow."""
-
-
-class InversionError(FbmInfoflowError):
-    """Newton inversion of the tabulated flow did not converge."""
 
 
 class DegenerateTimeError(FbmInfoflowError):

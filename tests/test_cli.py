@@ -316,7 +316,7 @@ def test_failing_cell_becomes_an_error_row(tmp_path):
 
 def test_flow_tabulated_once_per_bucket_across_hurst(monkeypatch):
     # The flow does not depend on H: the 3 x 3 grid needs the buckets 8 and 16
-    # (6 ODE solves when each channel kept its own tables).
+    # (6 tables when each channel kept its own).
     calls = []
     solve = doss.solve_phi
     monkeypatch.setattr(doss, "solve_phi", lambda *a, **k: calls.append(a[2][1]) or solve(*a, **k))
