@@ -3,10 +3,10 @@
 Two channel variants are supported: the multiplicative model
 dX = sigma(X) o dB^H with X_0 = x0 (density by push-forward through the
 Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t, the same
-equation with sigma = 1 and a random start.  Every additive
-initial law is a Gaussian mixture: a Gaussian law is one component, a grid
-law its trapezoid rule, one point mass per grid point.  X_t is then the
-mixture with B^H_t's variance added to every component.
+equation with sigma = 1 and a random start.  Every additive initial law is a
+Gaussian mixture whose components share one variance: a Gaussian law is one
+component, a grid law its trapezoid rule, one point mass per grid point.  X_t
+is then the mixture with B^H_t's variance added to the shared one.
 
 A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
@@ -14,7 +14,7 @@ the same shape.  Additive fields also carry the x-derivative of the score.
 Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
 X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag for the rule in z, Gaussian
 and mixture fields a step, the base step of the rule in x (a quarter of the
-narrowest component std).
+components' shared std).
 """
 
 import functools
@@ -33,7 +33,7 @@ _TINY = 1e-300
 _Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
 _FLOWS = 8              # flow tabulations kept, shared by every channel
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
-_KERNEL_ENTRIES = 1 << 20   # mixture kernel entries per block: 8 MB
+_KERNEL_ENTRIES = 1 << 16   # mixture kernel entries per block: 512 kB a buffer, two fit in L2
 UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
 
 
@@ -194,43 +194,52 @@ def _multiplicative_field(channel, t):
 
 
 def _components(law):
-    """The initial law as a Gaussian mixture (means, variances, weights summing to 1); a grid
-    law is a point mass at each grid point, weighted by trapezoid weight times density."""
+    """The initial law as a Gaussian mixture (means, shared variance, weights summing to 1);
+    a grid law is a point mass at each grid point, weighted by trapezoid weight times density."""
     if law.kind == "gaussian":
-        return np.array([law.mean]), np.array([law.variance]), np.ones(1)
+        return np.array([law.mean]), law.variance, np.ones(1)
     dy = np.diff(law.grid)
     w = law.values * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0)) / 2.0
-    return law.grid, np.zeros(w.size), w / w.sum()
+    return law.grid, 0.0, w / w.sum()
 
 
 def _mixture_field(law, s):
     """Law of X_0 + N(0, s) for an initial law given as a Gaussian mixture."""
-    means, variances, weights = _components(law)
-    var = variances + s
+    means, variance, weights = _components(law)
+    var = variance + s
     if means.size == 1:
-        return gaussian_field(means[0], var[0])
-    sd, sd_min = math.sqrt(var.max()), math.sqrt(var.min())
+        return gaussian_field(means[0], var)
+    sd = math.sqrt(var)
     dy = np.max(np.diff(means))
-    if sd_min < 2.0 * dy:
+    if sd < 2.0 * dy:
         raise ResolutionError(
-            f"Gaussian kernel std {sd_min:g} below 2 grid steps ({dy:g}); refine the grid")
-    wn = weights / np.sqrt(2 * math.pi * var)
+            f"Gaussian kernel std {sd:g} below 2 grid steps ({dy:g}); refine the grid")
+    wn = weights / math.sqrt(2 * math.pi * var)
     rows = max(1, _KERNEL_ENTRIES // means.size)
 
     def _derivatives(x, order):
-        """The density and its first `order` x-derivatives, numpy scalars for a scalar x."""
+        """The density and its first `order` x-derivatives, numpy scalars for a scalar x.
+        Row j of `sums` is sum_k wn_k e_k u_k^j, u = x - means and e = exp(-u^2 / 2 var)."""
         xa = np.asarray(x, dtype=float).ravel()
-        out = np.empty((order + 1, xa.size))
+        sums = np.empty((order + 1, xa.size))
+        u = np.empty((min(rows, xa.size), means.size))
+        e = np.empty_like(u) if order else u
         for i in range(0, xa.size, rows):
-            u = xa[i:i + rows, None] - means
-            k = np.exp(u * u * (-0.5 / var))
-            u /= var
-            out[0, i:i + rows] = k @ wn
-            if order > 0:
-                out[1, i:i + rows] = -((k * u) @ wn)
-            if order > 1:
-                out[2, i:i + rows] = (k * u * u) @ wn - k @ (wn / var)
-            del u, k    # free this block before the next one is built
+            r = min(rows, xa.size - i)
+            ub, eb = u[:r], e[:r]
+            np.subtract(xa[i:i + r, None], means, out=ub)
+            np.square(ub, out=eb)
+            eb *= -0.5 / var
+            np.exp(eb, out=eb)
+            np.matmul(eb, wn, out=sums[0, i:i + r])
+            for j in range(1, order + 1):
+                eb *= ub
+                np.matmul(eb, wn, out=sums[j, i:i + r])
+        out = [sums[0]]
+        if order > 0:
+            out.append(-sums[1] / var)
+        if order > 1:
+            out.append((sums[2] / var - sums[0]) / var)
         return [o.reshape(np.shape(x))[()] for o in out]
 
     def pdf(x):
@@ -248,7 +257,7 @@ def _mixture_field(law, s):
     brk = tuple(np.linspace(means[0] - 2 * sd, means[-1] + 2 * sd, 9))
     return DensityField(lo=float(means[0] - _FIELD_STD * sd),
                         hi=float(means[-1] + _FIELD_STD * sd), pdf=pdf, score_fn=score,
-                        step=sd_min / 4, breakpoints=brk, dscore_fn=dscore)
+                        step=sd / 4, breakpoints=brk, dscore_fn=dscore)
 
 
 def density_at(channel, t):

@@ -28,11 +28,6 @@ class DegenerateTimeError(FbmInfoflowError):
 class QuadratureError(FbmInfoflowError):
     """Adaptive quadrature failed to converge."""
 
-    def __init__(self, message, estimate=None, error_estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
-
 
 class SupportError(FbmInfoflowError):
     """Support of p not contained in support of q."""

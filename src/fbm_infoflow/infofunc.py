@@ -66,8 +66,7 @@ def _expect(g, p, q=None):
         limit=max(_LIMIT, len(pts) + 2), points=pts or None, full_output=1,
     )
     if len(result) > 3:
-        raise QuadratureError(f"quadrature did not converge: {result[3]}",
-                              estimate=result[0], error_estimate=result[1])
+        raise QuadratureError(f"quadrature did not converge: {result[3]}")
     return result[0]
 
 
@@ -101,8 +100,7 @@ def _trapezoid(weighted, a, b, step0):
         previous, value = value, step * total
         if abs(value - previous) <= ABS_TOL + REL_TOL * abs(value):
             return float(value)
-    raise QuadratureError(f"trapezoid rule: no two sums agreed within {_MAX_POINTS} points",
-                          estimate=float(value))
+    raise QuadratureError(f"trapezoid rule: no two sums agreed within {_MAX_POINTS} points")
 
 
 def expectation(field, g, q=None):

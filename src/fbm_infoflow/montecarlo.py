@@ -60,8 +60,6 @@ class RunningMoments:
 class McEstimate:
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 def sample_endpoint(channel, t, n, rng):
@@ -76,9 +74,9 @@ def sample_endpoint(channel, t, n, rng):
         phi = ch._phi_for(channel, t)
         z_lo, z_hi = phi.z_domain
         return phi(np.clip(z, z_lo, z_hi))
-    means, variances, weights = ch._components(channel.initial)
+    means, variance, weights = ch._components(channel.initial)
     counts = rng.multinomial(n, weights)    # a component each; no draw for one alone
-    x0 = rng.standard_normal(n) * np.repeat(np.sqrt(variances), counts)
+    x0 = rng.standard_normal(n) * math.sqrt(variance)
     x0 += np.repeat(means, counts)
     return x0 + z
 
@@ -97,8 +95,7 @@ def mc_expectation(channel, t, g, n, seed):
         remaining -= nb
         x = sample_endpoint(channel, t, nb, np.random.default_rng(ss))
         acc.update(g(x))
-    return McEstimate(mean=acc.mean, std_error=acc.std_error,
-                      n_samples=n, seed=seed)
+    return McEstimate(mean=acc.mean, std_error=acc.std_error)
 
 
 def mc_entropy(channel, t, n, seed):

@@ -124,17 +124,75 @@ def test_score_consistent_with_fd_of_log_density(make_field):
 def test_grid_law_score_memory_is_bounded():
     # The oracle hands the score whole sample batches; the kernel must not be
     # built for every point at once (that took over 1 GiB for 20 000 points).
-    f = ch.density_at(ch.additive(_uniform_law(), 0.75), 1.0)
-    x = np.random.default_rng(0).normal(size=20000)
-    tracemalloc.start()
-    try:
-        s = f.score_fn(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 128 * 2 ** 20
-    idx = [0, 12345, 19999]          # first, a middle and the last block
-    assert s[idx] == pytest.approx([f.score_fn(x[i]) for i in idx], rel=1e-12)
+    # What is left is two kernel blocks (u = x - m and its exponential) plus a
+    # few arrays of the points.
+    for law, n in ((_uniform_law(), 20000), (_uniform_law(n=201), 200000)):
+        f = ch.density_at(ch.additive(law, 0.75), 1.0)
+        x = np.random.default_rng(0).normal(size=n)
+        tracemalloc.start()
+        try:
+            s = f.score_fn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (2 * ch._KERNEL_ENTRIES + 8 * n)
+        idx = [0, n // 2 + 345, n - 1]          # first, a middle and the last block
+        assert s[idx] == pytest.approx([f.score_fn(x[i]) for i in idx], rel=1e-12)
+
+
+def _two_bump_law(n=2001):
+    grid = np.linspace(0.0, 100.0, n)
+    values = 0.6 * _normal_pdf(grid, 30.0, 25.0) + 0.4 * _normal_pdf(grid, 70.0, 64.0)
+    return ch.grid_law(grid, values / np.trapezoid(values, grid))
+
+
+def _finest_variance(law):
+    """The smallest added variance that ResolutionError admits: std 2 grid steps."""
+    return (2.0 * np.max(np.diff(law.grid))) ** 2
+
+
+def _mixture_sum(law, s, x):
+    """pdf, score and dscore of the law's point-mass mixture plus N(0, s), summed
+    component by component: trapezoid weight times density at each grid point."""
+    dy = np.diff(law.grid)
+    w = law.values * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0)) / 2.0
+    w /= w.sum()
+    u = x[:, None] - law.grid
+    k = w * np.exp(-u * u / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
+    f = k.sum(axis=1)
+    df = -(k * u).sum(axis=1) / s
+    d2f = (k * (u * u / s - 1.0)).sum(axis=1) / s
+    return f, df / f, d2f / f - (df / f) ** 2
+
+
+_kernel_cases = pytest.mark.parametrize(
+    "law, s", [(_uniform_law(), 0.0112), (_uniform_law(), 1.0),
+               (_two_bump_law(), _finest_variance(_two_bump_law()))],
+    ids=["uniform-narrow", "uniform-wide", "two-bump-finest"])
+
+
+@_kernel_cases
+def test_mixture_kernel_matches_component_sum(law, s):
+    f = ch._mixture_field(law, s)
+    x = np.linspace(f.lo, f.hi, 601)
+    pdf, score, dscore = _mixture_sum(law, s, x)
+    np.testing.assert_allclose(f.pdf(x), pdf, rtol=1e-12, atol=0.0)
+    for got, want in ((f.score_fn(x), score), (f.dscore_fn(x), dscore)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+@_kernel_cases
+def test_mixture_kernel_blocks_do_not_change_values(law, s, monkeypatch):
+    x = np.random.default_rng(1).uniform(law.grid[0] - 1.0, law.grid[-1] + 1.0, 1001)
+    f = ch._mixture_field(law, s)
+    want = [f.pdf(x), f.score_fn(x), f.dscore_fn(x)]
+    monkeypatch.setattr(ch, "_KERNEL_ENTRIES", 3 * law.grid.size)   # three rows a block
+    f = ch._mixture_field(law, s)
+    pdf, score, dscore = f.pdf(x), f.score_fn(x), f.dscore_fn(x)
+    np.testing.assert_allclose(pdf, want[0], rtol=1e-13, atol=0.0)
+    assert np.max(np.abs(score - want[1])) <= 1e-13 * np.max(np.abs(want[1]))
+    # dscore = f''/f - score^2 cancels; its rounding is relative to score^2.
+    assert np.max(np.abs(dscore - want[2])) <= 1e-13 * np.max(want[1] ** 2)
 
 
 def test_density_nonnegative_on_probes():
