@@ -31,7 +31,7 @@ from .infofunc import (
     kl_divergence,
     relative_fisher,
 )
-from .montecarlo import McEstimate, RunningMoments, mc_entropy, mc_expectation
+from .montecarlo import McEstimate, RunningMoments, mc_expectation
 from .sigma import SigmaModel, constant, custom, identity_channel, sqrt_one_plus_square
 
 __version__ = "0.1.0"

@@ -117,14 +117,15 @@ def additive(initial, hurst):
 
 @dataclass(frozen=True)
 class DensityField:
-    """A one-dimensional density with evaluator, score and domain metadata."""
+    """A one-dimensional density on [lo, hi]: pdf, score and, for additive fields,
+    the score's x-derivative.  `step` or `flow` picks the trapezoid rule of
+    `infofunc`; a field with neither goes to QUADPACK over [lo, hi]."""
 
     lo: float
     hi: float
     pdf: Callable = field(repr=False)
     score_fn: Callable = field(repr=False)
     step: Optional[float] = None                      # base step of the x rule
-    breakpoints: Tuple[float, ...] = ()               # quadrature hints
     dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
     flow: Optional[Tuple[doss.PhiSolution, float, float]] = field(
         default=None, repr=False, compare=False)   # (phi, var, z_edge): X = phi(Z), Z ~ N(0, var)
@@ -146,11 +147,10 @@ def gaussian_field(mean, variance):
     def dscore(x):
         return np.full(np.shape(x), -1.0 / variance)[()]
 
-    brk = tuple(mean + sd * k for k in (-6.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 6.0))
     return DensityField(
         lo=mean - _FIELD_STD * sd, hi=mean + _FIELD_STD * sd,
         pdf=pdf, score_fn=score,
-        step=sd / 4, breakpoints=brk, dscore_fn=dscore,
+        step=sd / 4, dscore_fn=dscore,
     )
 
 
@@ -177,8 +177,7 @@ def _multiplicative_field(channel, t):
     phi = _phi_for(channel, t)
     sd = math.sqrt(var)
     z_edge = min(_Z_STD * sd, -phi.z_domain[0], phi.z_domain[1])
-    ks = np.array([-_Z_STD, -7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7, _Z_STD])
-    lo, *brk, hi = phi(np.clip(ks * sd, -z_edge, z_edge)).tolist()
+    lo, hi = phi(np.array([-z_edge, z_edge])).tolist()
 
     def pdf(x):
         return doss.pushforward_density(phi, t, channel.hurst, x)
@@ -189,8 +188,7 @@ def _multiplicative_field(channel, t):
         s = sig.fn(x)
         return -z / (var * s) - sig.d1(x) / s
 
-    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score,
-                        breakpoints=tuple(brk), flow=(phi, var, z_edge))
+    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=(phi, var, z_edge))
 
 
 def _components(law):
@@ -227,7 +225,8 @@ def _mixture_field(law, s):
         for i in range(0, xa.size, rows):
             r = min(rows, xa.size - i)
             ub, eb = u[:r], e[:r]
-            np.subtract(xa[i:i + r, None], means, out=ub)
+            ub[...] = xa[i:i + r, None]
+            ub -= means
             np.square(ub, out=eb)
             eb *= -0.5 / var
             np.exp(eb, out=eb)
@@ -254,10 +253,9 @@ def _mixture_field(law, s):
         f = np.maximum(f, _TINY)
         return d2f / f - (df / f) ** 2
 
-    brk = tuple(np.linspace(means[0] - 2 * sd, means[-1] + 2 * sd, 9))
     return DensityField(lo=float(means[0] - _FIELD_STD * sd),
                         hi=float(means[-1] + _FIELD_STD * sd), pdf=pdf, score_fn=score,
-                        step=sd / 4, breakpoints=brk, dscore_fn=dscore)
+                        step=sd / 4, dscore_fn=dscore)
 
 
 def density_at(channel, t):

@@ -42,6 +42,7 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
 _RICHARDSON_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow", "fokker-planck")
+_FBM_BATCH_ENTRIES = 1 << 18    # fbm-stats path values sampled at a time: 2 MB of them
 
 
 def _value(key, raw, convert, ok, need):
@@ -123,7 +124,6 @@ _KEYS = {
     "channel.initial.domain": _Key([-1.0, 1.0], _pair, lambda d: d[0] < d[1],
                                    "[lo, hi] with lo < hi"),
     "channel.initial.n": _at_least(2001, 1),
-    "channel.initial.shape": _choice("uniform"),
     **{f"tolerances.{suite}": _Key(tol, _number, lambda v: v >= 0.0, ">= 0")
        for suite, tol in DEFAULT_TOLERANCES.items()},
     "oracle.kind": _choice("mc"),
@@ -173,7 +173,7 @@ def _build(key, build, *args):
 
 def _build_initial(v, given):
     kind = v["channel.initial.kind"]
-    other = (("points", "density", "domain", "n", "shape") if kind == "gaussian"
+    other = (("points", "density", "domain", "n") if kind == "gaussian"
              else ("mean", "variance"))
     wrong = [k for k in other if f"channel.initial.{k}" in given]
     if wrong:
@@ -183,10 +183,9 @@ def _build_initial(v, given):
         return ch.gaussian_law(v["channel.initial.mean"], v["channel.initial.variance"])
     tabulated = {"channel.initial.points", "channel.initial.density"} & given
     if tabulated:
-        if len(tabulated) < 2 or {"channel.initial.domain", "channel.initial.n",
-                                  "channel.initial.shape"} & given:
+        if len(tabulated) < 2 or {"channel.initial.domain", "channel.initial.n"} & given:
             raise ConfigError("a grid initial law takes either points and density, "
-                              "or domain, n and shape")
+                              "or domain and n")
         return ch.grid_law(v["channel.initial.points"], v["channel.initial.density"])
     (lo, hi), n = v["channel.initial.domain"], v["channel.initial.n"]
     return ch.grid_law(np.linspace(lo, hi, n), np.full(n, 1.0 / (hi - lo)))
@@ -306,14 +305,22 @@ class _SuiteRunner:
             n, dt, n_paths, seed = self.fbm_stats
             grid = dt * np.arange(1, n + 1)
             exact = fbm.covariance(grid[:, None], grid[None, :], h)
+            batch = max(1, _FBM_BATCH_ENTRIES // n)     # paths per batch
             stats = {}
             for i, method in enumerate(("cholesky", "circulant")):
-                vals, _ = fbm.sample_paths(grid, h, method=method,
-                                           seed=seed + i, n_paths=n_paths)
-                emp = vals.T @ vals / n_paths
+                # Sums of v v^T and of v^2 (v^2)^T over batches of paths, so the
+                # memory held does not grow with n_paths.
+                vv, sq_sq = np.zeros((n, n)), np.zeros((n, n))
+                seeds = np.random.SeedSequence(seed + i).spawn((n_paths + batch - 1) // batch)
+                for j, batch_seed in enumerate(seeds):
+                    vals, _ = fbm.sample_paths(grid, h, method=method, seed=batch_seed,
+                                               n_paths=min(batch, n_paths - j * batch))
+                    vv += vals.T @ vals
+                    sq = np.square(vals, out=vals)
+                    sq_sq += sq.T @ sq
+                emp = vv / n_paths
                 # Sample variance of each product v_i v_j from second moments of v^2.
-                sq = vals ** 2
-                prod_var = (sq.T @ sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
+                prod_var = (sq_sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
                 stats[method] = (emp, np.sqrt(prod_var / n_paths))
             z_worst = max(
                 float(np.max(np.abs(stats[m][0] - exact) / stats[m][1]))

@@ -21,7 +21,7 @@ from .errors import QuadratureError, SupportError
 
 ABS_TOL = 1e-10         # absolute tolerance of QUADPACK and the trapezoid rule
 REL_TOL = 1e-8          # relative tolerance of QUADPACK and the trapezoid rule
-_LIMIT = 200            # QUADPACK subdivisions, at least the breakpoints + 2
+_LIMIT = 200            # QUADPACK subdivisions
 _MAX_POINTS = 1 << 14   # trapezoid nodes at which the rule gives up
 _TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
@@ -55,16 +55,13 @@ def _expect(g, p, q=None):
             f = p.pdf(x)
             return np.where(f > _TINY, f * g(x, np.maximum(f, _TINY)), 0.0)
         return _trapezoid(weighted, p.lo, p.hi, min(fl.step for fl in fields))
-    pts = sorted(b for fl in fields for b in fl.breakpoints if lo < b < hi)
 
     def integrand(x):
         f = p.pdf(x)
         return float(f * g(x, f)) if f > _TINY else 0.0
 
-    result = integrate.quad(
-        integrand, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
-        limit=max(_LIMIT, len(pts) + 2), points=pts or None, full_output=1,
-    )
+    result = integrate.quad(integrand, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
+                            limit=_LIMIT, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"quadrature did not converge: {result[3]}")
     return result[0]

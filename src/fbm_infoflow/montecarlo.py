@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from . import infofunc as nf
 from .errors import DomainError
 
 _BATCH = 1 << 17
@@ -97,66 +96,3 @@ def mc_expectation(channel, t, g, n, seed):
         acc.update(g(x))
     return McEstimate(mean=acc.mean, std_error=acc.std_error)
 
-
-def mc_entropy(channel, t, n, seed):
-    """Plug-in entropy estimate -mean[ln P_t(X)] using the analytic density."""
-    field = ch.density_at(channel, t)
-
-    def neg_log_density(x):
-        return -np.log(np.maximum(field.pdf(x), 1e-300))
-
-    return mc_expectation(channel, t, neg_log_density, n, seed)
-
-
-def canonical_pairs():
-    """The 12 canonical (channel, functional) pairs used for the
-    MC-vs-quadrature acceptance check.
-
-    Returns a list of (name, mc_fn, quad_fn) where mc_fn(n, seed) gives an
-    McEstimate and quad_fn() the quadrature-path value.
-    """
-    from . import sigma as sg
-
-    s1 = sg.constant(1.0)
-    s2 = sg.constant(2.0)
-    s_half = sg.constant(0.5)
-    s_nl = sg.sqrt_one_plus_square()
-    cases = [
-        ("mult-c1-x2", ch.multiplicative(s1, 0.0, 0.75), 1.0, lambda x: x ** 2),
-        ("mult-c2-x", ch.multiplicative(s2, 1.0, 0.5), 1.0, lambda x: x),
-        ("mult-c05-x4", ch.multiplicative(s_half, 0.0, 0.25), 2.0, lambda x: x ** 4),
-        ("mult-sqrt1p-curv", ch.multiplicative(s_nl, 0.0, 0.5), 1.0, s_nl.curvature),
-        ("mult-sqrt1p-x2", ch.multiplicative(s_nl, 0.0, 0.75), 1.0, lambda x: x ** 2),
-        ("mult-sqrt1p-sigma", ch.multiplicative(s_nl, 1.0, 0.3), 0.5,
-         lambda x: np.sqrt(1.0 + x ** 2)),
-        ("add-gauss-x2", ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), 1.0,
-         lambda x: x ** 2),
-        ("add-gauss-x", ch.additive(ch.gaussian_law(2.0, 0.5), 0.75), 1.0,
-         lambda x: x),
-        ("add-gauss-bump", ch.additive(ch.gaussian_law(0.0, 1.0), 0.3), 2.0,
-         lambda x: np.exp(-x ** 2 / 8.0)),
-        ("add-grid-x2", ch.additive(_uniform_grid_law(), 0.5), 1.0,
-         lambda x: x ** 2),
-        ("add-grid-sin", ch.additive(_uniform_grid_law(), 0.75), 0.5, np.sin),
-    ]
-
-    pairs = []
-    for name, channel, t, g in cases:
-        pairs.append((
-            name,
-            lambda n, seed, c=channel, tt=t, gg=g: mc_expectation(c, tt, gg, n, seed),
-            lambda c=channel, tt=t, gg=g: nf.expectation(ch.density_at(c, tt), gg),
-        ))
-
-    ent_channel = ch.multiplicative(s_nl, 0.0, 0.6)
-    pairs.append((
-        "mult-sqrt1p-entropy",
-        lambda n, seed: mc_entropy(ent_channel, 1.0, n, seed),
-        lambda: nf.entropy(ch.density_at(ent_channel, 1.0)),
-    ))
-    return pairs
-
-
-def _uniform_grid_law():
-    grid = np.linspace(-1.0, 1.0, 2001)
-    return ch.grid_law(grid, np.full_like(grid, 0.5))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fbm_infoflow import channels as ch, fbm, identities as idn, montecarlo as mc
+from fbm_infoflow import channels as ch, fbm, identities as idn
 from fbm_infoflow import infofunc as nf, sigma as sg
 from fbm_infoflow.cli import main
 
@@ -168,12 +168,11 @@ def test_criterion_8_fbm_sampler_statistics():
     _verdict("8 fBm sampler statistics", ok, "; ".join(details))
 
 
-def test_criterion_9_mc_vs_quadrature():
-    pairs = mc.canonical_pairs()
-    assert len(pairs) == 12
+def test_criterion_9_mc_vs_quadrature(canonical_pairs):
+    assert len(canonical_pairs) == 12
     hits = 0
     misses = []
-    for name, mc_fn, quad_fn in pairs:
+    for name, (mc_fn, quad_fn) in canonical_pairs.items():
         est = mc_fn(1_000_000, 777)
         qv = quad_fn()
         if abs(est.mean - qv) <= 4 * est.std_error:

@@ -222,18 +222,21 @@ def test_fbm_sample_csv(tmp_path):
 
 def test_fbm_stats_cell_memory_is_bounded():
     # The standard errors once came from a (paths x n x n) product tensor:
-    # 630 MiB per cell at 64 grid points and 10 000 paths.
-    cfg = {"suites": ["fbm-stats"], "t_grid": [1.0], "hurst_grid": [0.75],
-           "fbm_stats": {"n": 64, "n_paths": 10000, "seed": 1}}
-    runner = cli._SuiteRunner(cfg)
-    tracemalloc.start()
-    try:
-        rep = runner.run_combo("fbm-stats", 1.0, 0.75)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-    assert rep.passed, rep
+    # 630 MiB per cell at 64 grid points and 10 000 paths.  Holding every path
+    # at once took 49 MiB at 10 000 paths and 195 MiB at 40 000; sampled in
+    # batches, the paths take the same memory whatever n_paths is.
+    for n_paths in (10000, 40000):
+        cfg = {"suites": ["fbm-stats"], "t_grid": [1.0], "hurst_grid": [0.75],
+               "fbm_stats": {"n": 64, "n_paths": n_paths, "seed": 1}}
+        runner = cli._SuiteRunner(cfg)
+        tracemalloc.start()
+        try:
+            rep = runner.run_combo("fbm-stats", 1.0, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, (n_paths, peak)
+        assert rep.passed, rep
 
 
 def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
@@ -254,12 +257,17 @@ def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
 _SQRT1P = {"channel": {"sigma": {"kind": "sqrt1p"}, "x0": 0.0}, "kl": {"y0": 1.0}}
 
 
-@pytest.mark.parametrize("suite, rhs", [("debruijn-mult", "debruijn_rhs"),
-                                        ("kl-flow", "kl_flow_rhs")])
-def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs):
-    cfg = {"suites": [suite], "t_grid": [1.0], "hurst_grid": [0.5], **_SQRT1P}
+# The widest sqrt1p cell of the 3 x 3 grid, t = 2 and H = 0.75, where x reaches
+# +-3.5e5, is where QUADPACK works hardest.
+@pytest.mark.parametrize("suite, rhs, t, h", [
+    ("debruijn-mult", "debruijn_rhs", 1.0, 0.5), ("kl-flow", "kl_flow_rhs", 1.0, 0.5),
+    ("debruijn-mult", "debruijn_rhs", 2.0, 0.75), ("kl-flow", "kl_flow_rhs", 2.0, 0.75),
+], ids=["debruijn-mult-debruijn_rhs", "kl-flow-kl_flow_rhs",
+        "debruijn-mult-debruijn_rhs-widest", "kl-flow-kl_flow_rhs-widest"])
+def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs, t, h):
+    cfg = {"suites": [suite], "t_grid": [t], "hurst_grid": [h], **_SQRT1P}
     runner = cli._SuiteRunner(cfg)
-    first, second = runner.run_combo(suite, 1.0, 0.5), runner.run_combo(suite, 1.0, 0.5)
+    first, second = runner.run_combo(suite, t, h), runner.run_combo(suite, t, h)
     assert first.passed and "x-space quadpack rhs=" in first.method_notes
     assert "x-space" not in second.method_notes
     # The x route (fields without a flow tag) off by 1e-6 relative fails the row.
@@ -269,7 +277,7 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs):
     # ... and the cross-check evaluates the suite's own rhs definition.
     definition, built = getattr(idn, rhs), []
     monkeypatch.setattr(idn, rhs, lambda *args: built.append(args) or definition(*args))
-    shifted = cli._SuiteRunner(cfg).run_combo(suite, 1.0, 0.5)
+    shifted = cli._SuiteRunner(cfg).run_combo(suite, t, h)
     assert shifted.rhs == first.rhs
     assert not shifted.passed and "DISAGREES" in shifted.method_notes
     assert len(built) == 2      # once for the check, once for the cross-check
@@ -423,7 +431,7 @@ def test_unknown_config_keys_rejected(tmp_path, edit, key):
     (lambda c: c["channel"]["initial"].update(n=11), "'channel.initial.n'"),
     (lambda c: c["channel"].update(initial={"kind": "grid", "variance": 2.0}),
      "'channel.initial.variance'"),
-    (lambda c: c["channel"].update(initial={"kind": "grid", "shape": "normal"}),
+    (lambda c: c["channel"].update(initial={"kind": "grid", "shape": "uniform"}),
      "'channel.initial.shape'"),
     (lambda c: c["channel"].update(sigma={"kind": "sqrt1p", "c": 5}), "'channel.sigma.c'"),
     (lambda c: c["channel"].update(sigma={"kind": "identity", "c": 1}), "'channel.sigma.c'"),

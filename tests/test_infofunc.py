@@ -14,8 +14,7 @@ from fbm_infoflow.errors import QuadratureError, SupportError
 def _untagged(mean, var):
     """Gaussian density without the analytic tag, forcing the quadrature path."""
     g = ch.gaussian_field(mean, var)
-    return ch.DensityField(lo=g.lo, hi=g.hi, pdf=g.pdf, score_fn=g.score_fn,
-                           breakpoints=g.breakpoints)
+    return ch.DensityField(lo=g.lo, hi=g.hi, pdf=g.pdf, score_fn=g.score_fn)
 
 
 @contextlib.contextmanager

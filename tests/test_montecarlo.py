@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbm_infoflow import channels as ch, infofunc as nf, montecarlo as mc, sigma as sg
+from fbm_infoflow import channels as ch, montecarlo as mc, sigma as sg
 from fbm_infoflow.errors import DomainError
 
 
@@ -83,19 +83,17 @@ def test_running_moments_merge_associative():
     assert left.variance == pytest.approx(combined.variance, rel=1e-12)
 
 
-def test_mc_entropy_matches_quadrature():
-    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6)
-    est = mc.mc_entropy(chan, 1.0, 200_000, 31)
-    exact = nf.entropy(ch.density_at(chan, 1.0))
-    assert abs(est.mean - exact) <= 4 * est.std_error
+def test_mc_entropy_matches_quadrature(canonical_pairs):
+    mc_fn, quad_fn = canonical_pairs["mult-sqrt1p-entropy"]
+    est = mc_fn(200_000, 31)
+    assert abs(est.mean - quad_fn()) <= 4 * est.std_error
 
 
-def test_canonical_pairs_quick():
+def test_canonical_pairs_quick(canonical_pairs):
     # full-scale run (n = 1e6) is the acceptance criterion; smoke it at 1e5
-    pairs = mc.canonical_pairs()
-    assert len(pairs) == 12
+    assert len(canonical_pairs) == 12
     hits = 0
-    for name, mc_fn, quad_fn in pairs:
+    for mc_fn, quad_fn in canonical_pairs.values():
         est = mc_fn(100_000, 2024)
         if abs(est.mean - quad_fn()) <= 4 * est.std_error:
             hits += 1
