@@ -42,7 +42,10 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
 _RICHARDSON_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow", "fokker-planck")
-_FBM_BATCH_ENTRIES = 1 << 18    # fbm-stats path values sampled at a time: 2 MB of them
+# fbm-stats path values sampled at a time.  A circulant batch holds 32 bytes per
+# value, 4 MiB in all: the complex buffer (16), one normal temporary (8) and the
+# paths (8); a Cholesky batch holds the normals and the paths (16).
+_FBM_BATCH_ENTRIES = 1 << 17
 
 
 def _value(key, raw, convert, ok, need):

@@ -3,7 +3,9 @@
 Two samplers are provided on a time grid: dense Cholesky factorization of the
 path covariance (any strictly increasing grid) and circulant embedding of the
 fractional Gaussian noise covariance followed by a cumulative sum (uniform
-grids, O(n log n)).  Both draw from the exact finite-dimensional law.
+grids, O(n log n)).  Both draw from the exact finite-dimensional law.  The
+circulant sampler keeps two independent paths from each transform, its real
+and its imaginary part (Wood & Chan 1994; Dietrich & Newsam 1997).
 """
 
 from dataclasses import dataclass
@@ -81,19 +83,29 @@ def _circulant_eigenvalues(n, h):
 def _sample_fgn_circulant(n, h, rng, n_paths):
     """Unit-step fGn via circulant (Davies-Harte) embedding.
 
-    Returns None when the embedding is not nonnegative definite for (n, H).
+    The transform of one row of complex noise scaled by sqrt(lam / m) has real
+    and imaginary parts that are independent, each with the exact covariance,
+    so ceil(n_paths / 2) rows are drawn: paths [0, rows) are the real parts and
+    the rest the imaginary parts of the first rows.  One path is the real part
+    of one row.  Returns None when the embedding is not nonnegative definite
+    for (n, H).
     """
     lam = _circulant_eigenvalues(n, h)
     if np.min(lam) < -1e-10 * np.max(lam):
         return None
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
-    # Filled in place: one complex buffer, not four path-sized temporaries.
-    w = np.empty((n_paths, m), dtype=complex)
-    w.real = rng.standard_normal((n_paths, m))
-    w.imag = rng.standard_normal((n_paths, m))
+    rows = (n_paths + 1) // 2
+    # Filled and transformed in place: one complex buffer and the paths.
+    w = np.empty((rows, m), dtype=complex)
+    w.real = rng.standard_normal((rows, m))
+    w.imag = rng.standard_normal((rows, m))
     w *= np.sqrt(lam / m)
-    return np.fft.fft(w, axis=1).real[:, :n]
+    np.fft.fft(w, axis=1, out=w)
+    fgn = np.empty((n_paths, n))
+    fgn[:rows] = w.real[:, :n]
+    fgn[rows:] = w.imag[:n_paths - rows, :n]
+    return fgn
 
 
 def _sample_cholesky(grid, h, rng, n_paths):
@@ -126,7 +138,8 @@ def sample_paths(grid, h, method="circulant", seed=0, n_paths=1):
             used_fallback = True
             values = _sample_cholesky(grid, h, rng, n_paths)
         else:
-            values = np.cumsum(fgn, axis=1) * dt ** h.value
+            values = np.cumsum(fgn, axis=1, out=fgn)
+            values *= dt ** h.value
     else:
         raise GridError(f"unknown sampling method {method!r}")
     return values, used_fallback

@@ -4,8 +4,16 @@ Because X_t = phi(B^H_t), only the endpoint B^H_t ~ N(0, t^{2H}) is ever
 sampled; no path simulation is needed.  Estimates are reproducible per seed
 and accumulated with a streaming mean/variance merge so batches can be
 processed independently.
+
+Estimates with one seed share their normal draws (common random numbers):
+batch j of every call is seeded by child j of SeedSequence(seed), whatever the
+channel, t or H.  Each block of standard normals is therefore drawn once and
+kept in a memo keyed by the generator's exact state and the count, at most
+_MEMO_BLOCKS blocks of at most _BATCH normals (16 MiB); a hit returns the
+same numbers and leaves the generator where a fresh draw would.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,6 +23,7 @@ from . import channels as ch
 from .errors import DomainError
 
 _BATCH = 1 << 17
+_MEMO_BLOCKS = 16
 
 
 @dataclass
@@ -61,11 +70,36 @@ class McEstimate:
     std_error: float
 
 
+@functools.lru_cache(maxsize=_MEMO_BLOCKS)
+def _normal_block(state, inc, has_uint32, uinteger, n):
+    """n standard normals from a PCG64 generator in the given state, read-only,
+    and the generator's state after the draw."""
+    bg = np.random.PCG64(0)          # its state is set next
+    bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": has_uint32, "uinteger": uinteger}
+    normals = np.random.Generator(bg).standard_normal(n)
+    normals.flags.writeable = False
+    return normals, bg.state
+
+
+def _standard_normal(rng, n):
+    """rng.standard_normal(n).  A PCG64 block of at most _BATCH normals is drawn
+    once: a repeat returns the same read-only block and sets rng where the
+    draw left it."""
+    bg = rng.bit_generator
+    if n > _BATCH or type(bg) is not np.random.PCG64:
+        return rng.standard_normal(n)
+    st = bg.state
+    normals, bg.state = _normal_block(st["state"]["state"], st["state"]["inc"],
+                                      st["has_uint32"], st["uinteger"], n)
+    return normals
+
+
 def sample_endpoint(channel, t, n, rng):
     """Draw n samples of X_t."""
     hv = channel.hurst.value
     sd = float(t) ** hv
-    z = rng.standard_normal(n) * sd
+    z = _standard_normal(rng, n) * sd
     if channel.variant == "multiplicative":
         sig = channel.sigma
         if sig.kind == "constant":
@@ -75,7 +109,7 @@ def sample_endpoint(channel, t, n, rng):
         return phi(np.clip(z, z_lo, z_hi))
     means, variance, weights = ch._components(channel.initial)
     counts = rng.multinomial(n, weights)    # a component each; no draw for one alone
-    x0 = rng.standard_normal(n) * math.sqrt(variance)
+    x0 = _standard_normal(rng, n) * math.sqrt(variance)
     x0 += np.repeat(means, counts)
     return x0 + z
 

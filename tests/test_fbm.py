@@ -83,6 +83,53 @@ def test_cross_method_agreement():
     assert np.max(np.abs(c1 - c2) / np.sqrt(s1 ** 2 + s2 ** 2)) < 5.0
 
 
+def _moment_z(a, b):
+    """Largest |z| of the mean products E[a_i b_j] against zero, each with the
+    standard error of its mean of products."""
+    n_paths = len(a)
+    mean = a.T @ b / n_paths
+    second = (a ** 2).T @ (b ** 2) / n_paths
+    se = np.sqrt((second - mean ** 2) / (n_paths - 1))
+    return float(np.max(np.abs(mean) / se))
+
+
+@pytest.mark.parametrize("h", [0.3, 0.75])
+def test_circulant_real_and_imaginary_paths_are_uncorrelated(h):
+    # Paths [0, rows) are the real parts of the transforms and [rows, 2 rows)
+    # the imaginary parts of the same transforms.
+    n, rows = 64, 20_000
+    grid = np.arange(1, n + 1) / n
+    vals, fallback = fbm.sample_paths(grid, h, method="circulant", seed=31,
+                                      n_paths=2 * rows)
+    assert not fallback
+    assert _moment_z(vals[:rows], vals[rows:]) < 5.0
+
+
+def test_circulant_odd_path_count():
+    grid = np.arange(1, 33) / 32
+    five, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=8, n_paths=5)
+    six, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=8, n_paths=6)
+    assert five.shape == (5, 32)
+    # Both draw three transforms; five paths leave out the last imaginary part.
+    assert np.array_equal(five, six[:5])
+
+
+def test_circulant_one_path_is_the_real_part_of_one_transform():
+    # What `fbm sample` writes: the path the sampler drew before it kept the
+    # imaginary parts, and the first of two paths drawn from the same seed.
+    n, h, dt = 64, 0.7, 1.0 / 64
+    rng = np.random.default_rng(9)
+    lam = np.clip(fbm._circulant_eigenvalues(n, h), 0.0, None)
+    w = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    ref = np.cumsum(np.fft.fft(w * np.sqrt(lam / (2 * n))).real[:n]) * dt ** h
+    grid = dt * np.arange(1, n + 1)
+    one, _ = fbm.sample_paths(grid, h, method="circulant", seed=9, n_paths=1)
+    two, _ = fbm.sample_paths(grid, h, method="circulant", seed=9, n_paths=2)
+    assert one.shape == (1, n)
+    assert one[0] == pytest.approx(ref, rel=1e-13, abs=1e-15)
+    assert np.array_equal(one[0], two[0])
+
+
 def test_seed_reproducibility():
     grid = np.arange(1, 65) / 64
     a, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=123)

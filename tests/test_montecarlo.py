@@ -1,3 +1,7 @@
+import functools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +36,79 @@ def test_gaussian_law_draws_no_component_index():
     rng = np.random.default_rng(4)
     z = rng.standard_normal(1000) * 1.5 ** 0.75
     assert np.array_equal(x, 2.0 + np.sqrt(0.5) * rng.standard_normal(1000) + z)
+
+
+@pytest.fixture
+def memo():
+    """The oracle's memo of normal blocks, emptied before and after the test."""
+    mc._normal_block.cache_clear()
+    yield mc._normal_block
+    mc._normal_block.cache_clear()
+
+
+def _plain_endpoint(law, t, h, n, rng):
+    """X_t of an additive channel from plain generator draws: B^H_t, the
+    component counts, then the law's own noise."""
+    z = rng.standard_normal(n) * t ** h
+    means, variance, weights = ch._components(law)
+    counts = rng.multinomial(n, weights)
+    return rng.standard_normal(n) * math.sqrt(variance) + np.repeat(means, counts) + z
+
+
+@pytest.mark.parametrize("law", [
+    ch.gaussian_law(2.0, 0.5),
+    ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5))], ids=["gaussian", "grid"])
+def test_memo_hit_is_a_fresh_draw(memo, law):
+    chan = ch.additive(law, 0.75)
+    rng = np.random.default_rng(4)
+    ref = _plain_endpoint(law, 1.5, 0.75, 1000, rng)
+    for _ in range(2):                  # a miss for each normal block, then hits
+        gen = np.random.default_rng(4)
+        x = mc.sample_endpoint(chan, 1.5, 1000, gen)
+        assert memo.cache_info().misses == 2
+        assert np.array_equal(x, ref)
+        assert gen.bit_generator.state == rng.bit_generator.state
+
+
+def test_one_seed_draws_each_block_once(memo, monkeypatch):
+    # Three batches, two normal blocks each; a second estimate with the same
+    # seed at another (t, H) draws nothing new.  Both equal the estimates
+    # drawn through a memo that keeps nothing.
+    n = 2 * mc._BATCH + 5
+    law = ch.gaussian_law(0.0, 1.0)
+    a = mc.mc_expectation(ch.additive(law, 0.3), 0.5, np.square, n, 3)
+    assert memo.cache_info().misses == 6
+    b = mc.mc_expectation(ch.additive(law, 0.75), 2.0, np.square, n, 3)
+    assert memo.cache_info().misses == 6
+    nothing_kept = functools.lru_cache(maxsize=0)(memo.__wrapped__)
+    monkeypatch.setattr(mc, "_normal_block", nothing_kept)
+    assert b == mc.mc_expectation(ch.additive(law, 0.75), 2.0, np.square, n, 3)
+    assert a == mc.mc_expectation(ch.additive(law, 0.3), 0.5, np.square, n, 3)
+    assert nothing_kept.cache_info().misses == 12
+
+
+def test_memo_memory_is_bounded(memo):
+    # ROADMAP: memory stays bounded whatever the sample count.  4e6 samples
+    # draw 62 blocks; the memo keeps the last _MEMO_BLOCKS, and a batch's own
+    # arrays (B^H_t, the law's noise, the component means, their sum) come on top.
+    block = 8 * mc._BATCH
+    chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
+    tracemalloc.start()
+    try:
+        mc.mc_expectation(chan, 1.0, lambda x: x, 4_000_000, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert memo.cache_info().misses == 62
+    assert memo.cache_info().currsize == mc._MEMO_BLOCKS
+    assert peak <= (mc._MEMO_BLOCKS + 8) * block, peak       # 20 blocks measured
+
+
+def test_draw_above_batch_is_not_kept(memo):
+    chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
+    x = mc.sample_endpoint(chan, 1.0, mc._BATCH + 1, np.random.default_rng(6))
+    assert np.array_equal(x, np.random.default_rng(6).standard_normal(mc._BATCH + 1))
+    assert memo.cache_info().misses == memo.cache_info().currsize == 0
 
 
 def test_grid_law_mixture_sampling():
