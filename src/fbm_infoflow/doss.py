@@ -6,8 +6,8 @@ z(x) = int_{x0}^x dy / sigma(y).  The table holds z at x nodes about
 _TABLE_STEP apart in z, each node's z a cumulative sum of 8-point
 Gauss-Legendre panels of 1/sigma.  phi and its inverse are the cubic Hermite
 interpolants of that one table with exact slopes, dx/dz = sigma(x) one way and
-dz/dx = 1/sigma(x) the other; both are evaluated on ascending points, where the
-interval search is fastest.
+dz/dx = 1/sigma(x) the other; both evaluate the points in the order given, and
+their callers pass ascending points, where the interval search is fastest.
 
 The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
 equal x pieces, so they depend on sigma and x0 alone: a wider table extends a
@@ -31,16 +31,6 @@ _FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _ascending(fn, x):
-    """fn(x) for an elementwise fn, evaluated on the points of x in ascending order:
-    the interval search of an interpolant is fastest on sorted points."""
-    flat = x.ravel()
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
-    out[order] = fn(flat[order])
-    return out.reshape(x.shape)
-
-
 def _hermite(knots, values, slopes):
     """The cubic Hermite interpolant as (knots, c0, c1, c2, c3): on interval i it
     is c0 + u (c1 + u (c2 + u c3)) with u = q - knots[i]."""
@@ -52,7 +42,7 @@ def _hermite(knots, values, slopes):
 
 
 def _evaluate(coeffs, q):
-    """The interpolant at points q >= knots[0]; a point on a knot gets the knot's value."""
+    """The interpolant at points q >= knots[0], in any order and shape; a knot gets its value."""
     knots, c0, c1, c2, c3 = coeffs
     i = np.minimum(np.searchsorted(knots, q, side="right") - 1, c0.size - 1)
     u = q - knots[i]
@@ -87,7 +77,7 @@ class PhiSolution:
         if np.any(z < lo) or np.any(z > hi):
             raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}]")
         # Only rounding on the table's last interval can leave x_range.
-        return np.clip(_ascending(lambda zs: _evaluate(self._forward, zs), z), *self.x_range)
+        return np.clip(_evaluate(self._forward, z), *self.x_range)
 
 
 def solve_phi(sigma, x0, z_domain):
@@ -148,7 +138,7 @@ def invert_phi(phi, x):
     lo, hi = phi.x_range
     if np.any(arr < lo) or np.any(arr > hi):
         raise RangeError(f"x outside flow range [{lo:g}, {hi:g}]")
-    return _ascending(lambda xs: _evaluate(phi._inverse, xs), arr)
+    return _evaluate(phi._inverse, arr)
 
 
 def pushforward_density(phi, t, h, x):

@@ -258,7 +258,7 @@ def entropy_power_check(channel, t, tol=1e-4):
     field_t = ch.density_at(channel, t)
     mean_d2 = nf.expectation(field_t, field_t.dscore_fn)
     var_d2 = nf.expectation(field_t, lambda x: (field_t.dscore_fn(x) - mean_d2) ** 2)
-    g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * nf.generalized_fisher(field_t)
+    g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * -mean_d2
          - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
     n = n_at(t)
     rhs = 2.0 * n * g

@@ -96,7 +96,7 @@ def _standard_normal(rng, n):
 
 
 def sample_endpoint(channel, t, n, rng):
-    """Draw n samples of X_t."""
+    """Draw n samples of X_t; a flow channel's come out ascending, for phi's lookups."""
     hv = channel.hurst.value
     sd = float(t) ** hv
     z = _standard_normal(rng, n) * sd
@@ -105,6 +105,7 @@ def sample_endpoint(channel, t, n, rng):
         if sig.kind == "constant":
             return channel.x0 + sig.c * z
         phi = ch._phi_for(channel, t)
+        z.sort()
         z_lo, z_hi = phi.z_domain
         return phi(np.clip(z, z_lo, z_hi))
     means, variance, weights = ch._components(channel.initial)

@@ -335,6 +335,27 @@ def test_flow_tabulated_once_per_bucket_across_hurst(monkeypatch):
     assert sorted(calls) == [8.0, 16.0]
 
 
+def test_flow_lookups_come_in_ascending_order(monkeypatch):
+    # phi and invert_phi evaluate points in the order given; every caller passes
+    # ascending points, where the table's interval search is fastest.
+    unsorted = []
+    evaluate = doss._evaluate
+
+    def checked(coeffs, q):
+        flat = np.ravel(q)
+        if flat.size > 1 and np.any(np.diff(flat) < 0):
+            unsorted.append(flat.size)
+        return evaluate(coeffs, q)
+    monkeypatch.setattr(doss, "_evaluate", checked)
+    code, rows, _ = cli.run_suite({"suites": ["debruijn-mult", "kl-flow", "fokker-planck"],
+                                   "t_grid": [0.5, 2.0], "hurst_grid": [0.3, 0.75], **_SQRT1P,
+                                   "oracle": {"kind": "mc", "samples": 2000, "seed": 1}})
+    assert code == 0 and len(rows) == 12
+    oracle = [r.extras["mc_ok"] for r in rows if "mc_ok" in r.extras]
+    assert len(oracle) == 8 and all(oracle)
+    assert unsorted == []
+
+
 # Small versions of the benchmark's three workload configs.
 _ORACLE_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow")
 _WORKLOADS = {

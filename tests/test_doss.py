@@ -89,8 +89,8 @@ def test_invert_examples(phi_sinh):
 
 
 def test_ascending_evaluation_is_bit_identical(phi_sinh):
-    # phi and invert_phi sort the points; the interpolants give the same bits
-    # on the points in the order given
+    # phi and invert_phi evaluate the points in the order and shape given; a
+    # node maps exactly to its node
     rng = np.random.default_rng(5)
     shuffled = rng.uniform(-3.9, 3.9, 4000)
     nodes = rng.permutation(phi_sinh.z_grid[np.abs(phi_sinh.z_grid) <= 4.0])
@@ -107,6 +107,15 @@ def test_ascending_evaluation_is_bit_identical(phi_sinh):
     assert np.array_equal(phi_sinh(phi_sinh.z_grid[inside]), phi_sinh.phi_grid[inside])
     assert np.array_equal(doss.invert_phi(phi_sinh, phi_sinh.phi_grid[idx]),
                           phi_sinh.z_grid[idx])
+
+
+def test_evaluation_does_not_depend_on_order(phi_sinh):
+    rng = np.random.default_rng(6)
+    z = np.sort(rng.uniform(-3.9, 3.9, 4000))
+    x = phi_sinh(z)
+    perm = rng.permutation(z.size)
+    assert np.array_equal(phi_sinh(z[perm]), x[perm])
+    assert np.array_equal(doss.invert_phi(phi_sinh, x[perm]), doss.invert_phi(phi_sinh, x)[perm])
 
 
 def test_invert_out_of_range(phi_sinh):

@@ -245,6 +245,19 @@ def test_entropy_power_profile_grid_initial():
         assert all(r.extras["g"] < 0 for r in _entropy_power(h, (0.5, 1.0, 2.0), law))
 
 
+@pytest.mark.parametrize("law", [
+    ch.gaussian_law(0.0, 1.0),
+    ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5))], ids=["gaussian", "grid"])
+def test_fisher_information_is_minus_mean_score_derivative(law):
+    # entropy_power_check takes J_1 = -E[d_x^2 ln p_t], which integration by
+    # parts makes E[(d_x ln p_t)^2]
+    for h in (0.3, 0.5, 0.75):
+        for t in (0.05, 0.1, 0.5, 1.0, 2.0):
+            field = ch.density_at(ch.additive(law, h), t)
+            j1 = nf.generalized_fisher(field)
+            assert -nf.expectation(field, field.dscore_fn) == pytest.approx(j1, rel=1e-12)
+
+
 def test_entropy_power_step_error():
     chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
     with pytest.raises(StepError):

@@ -38,6 +38,16 @@ def test_gaussian_law_draws_no_component_index():
     assert np.array_equal(x, 2.0 + np.sqrt(0.5) * rng.standard_normal(1000) + z)
 
 
+def test_flow_samples_come_out_ascending():
+    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
+    t, n = 2.0, 5000
+    x = mc.sample_endpoint(chan, t, n, np.random.default_rng(8))
+    assert np.all(np.diff(x) >= 0)
+    phi = ch._phi_for(chan, t)
+    z = np.sort(np.random.default_rng(8).standard_normal(n) * t ** 0.75)
+    assert np.array_equal(x, phi(np.clip(z, *phi.z_domain)))
+
+
 @pytest.fixture
 def memo():
     """The oracle's memo of normal blocks, emptied before and after the test."""
