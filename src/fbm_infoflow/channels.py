@@ -3,18 +3,20 @@
 Two channel variants are supported: the multiplicative model
 dX = sigma(X) o dB^H with X_0 = x0 (density by push-forward through the
 Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t, the same
-equation with sigma = 1 and a random start.  Every additive initial law is a
-Gaussian mixture whose components share one variance: a Gaussian law is one
-component, a grid law its trapezoid rule, one point mass per grid point.  X_t
-is then the mixture with B^H_t's variance added to the shared one.
+equation with sigma = 1 and a random start.  A Gaussian initial law gives the
+Gaussian with B^H_t's variance added.  A grid law is read as its
+piecewise-linear interpolant, and its convolution with N(0, t^{2H}) is exact:
+one Gaussian CDF term per jump of the interpolant's value and one Bachelier
+ramp term per jump of its slope, with erfc from Cody's (1969) rational
+approximations in numpy.
 
 A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
 the same shape.  Additive fields also carry the x-derivative of the score.
 Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
-X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag for the rule in z, Gaussian
-and mixture fields a step, the base step of the rule in x (a quarter of the
-components' shared std).
+X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag for the rule in z, additive
+fields a step, the base step of the rule in x (a quarter of the std of the
+Gaussian or of B^H_t).
 """
 
 import functools
@@ -25,15 +27,18 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import doss
-from .errors import DegenerateTimeError, DomainError, ResolutionError
+from .errors import DegenerateTimeError, DomainError
 from .fbm import HurstParameter, as_hurst
 from .sigma import SigmaModel, constant
 
 _TINY = 1e-300
+_SQRT_1_PI = 0.56418958354775628695      # 1 / sqrt(pi), as Cody gives it
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_XBIG = 26.543                  # Cody's: erfc and exp(-w^2) are below 1e-306 past it
 _Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
 _FLOWS = 8              # flow tabulations kept, shared by every channel
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
-_KERNEL_ENTRIES = 1 << 16   # mixture kernel entries per block: 512 kB a buffer, two fit in L2
+_KERNEL_ENTRIES = 1 << 16   # entries of one block's buffers in all: 512 kB, in L2
 UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
 
 
@@ -45,7 +50,7 @@ class InitialLaw:
     mean: float = 0.0
     variance: float = 1.0
     grid: Optional[np.ndarray] = None           # support points, strictly increasing
-    values: Optional[np.ndarray] = None         # density values on grid
+    values: Optional[np.ndarray] = None         # density values on grid, linear between
 
     def __post_init__(self):
         if self.kind == "gaussian":
@@ -191,55 +196,128 @@ def _multiplicative_field(channel, t):
     return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=(phi, var, z_edge))
 
 
-def _components(law):
-    """The initial law as a Gaussian mixture (means, shared variance, weights summing to 1);
-    a grid law is a point mass at each grid point, weighted by trapezoid weight times density."""
-    if law.kind == "gaussian":
-        return np.array([law.mean]), law.variance, np.ones(1)
-    dy = np.diff(law.grid)
-    w = law.values * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0)) / 2.0
-    return law.grid, 0.0, w / w.sum()
+# Cody (1969), Rational Chebyshev approximations for the error function, Math.
+# Comp. 23: the coefficients of his CALERF, for erf on [0, 0.46875] and erfc on
+# (0.46875, 4] and beyond 4; each list ends with the coefficient the loop adds last.
+_ERF_NUM = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+            3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_DEN = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+            2.84423683343917062e03)
+_ERFC_NUM = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+             2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+             2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERFC_DEN = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+             1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+             3.43936767414372164e03, 1.23033935480374942e03)
+_TAIL_NUM = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+             1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_TAIL_DEN = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+             6.05183413124413191e-2, 2.33520497626869185e-3)
 
 
-def _mixture_field(law, s):
-    """Law of X_0 + N(0, s) for an initial law given as a Gaussian mixture."""
-    means, variance, weights = _components(law)
-    var = variance + s
-    if means.size == 1:
-        return gaussian_field(means[0], var)
-    sd = math.sqrt(var)
-    dy = np.max(np.diff(means))
-    if sd < 2.0 * dy:
-        raise ResolutionError(
-            f"Gaussian kernel std {sd:g} below 2 grid steps ({dy:g}); refine the grid")
-    wn = weights / math.sqrt(2 * math.pi * var)
-    rows = max(1, _KERNEL_ENTRIES // means.size)
+def _rational(x, num, den):
+    """Cody's ratio of polynomials in x: num[-1] leads, den is monic."""
+    top, bottom = num[-1] * x, x.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        top += a
+        top *= x
+        bottom += b
+        bottom *= x
+    top += num[-2]
+    bottom += den[-1]
+    top /= bottom
+    return top
+
+
+def _exp_minus_square(w):
+    """exp(-w^2), and 0 from _XBIG on, where it is below 1e-306: numpy's exp is
+    slow on subnormal results."""
+    c = np.minimum(w, _XBIG)
+    np.square(c, out=c)
+    np.negative(c, out=c)
+    np.exp(c, out=c)
+    c[w >= _XBIG] = 0.0
+    return c
+
+
+def _erfc(w, e):
+    """erfc(w) and its integral ierfc(w) = int_w^inf erfc = exp(-w^2)/sqrt(pi) - w erfc(w),
+    for an array w >= 0 and e = _exp_minus_square(w), by Cody's approximations: erfc
+    within (w^2 + 4) ulp where it is above 1e-300, the w^2 from the rounding of w^2 in
+    e, and ierfc from the same tail form, so that it does not cancel; both are 0 from
+    _XBIG on."""
+    erfc, ierfc = np.empty_like(w), np.empty_like(w)
+    near = w <= 0.46875
+    y = w[near]
+    erfc[near] = c = 1.0 - y * _rational(y * y, _ERF_NUM, _ERF_DEN)
+    ierfc[near] = e[near] * _SQRT_1_PI - y * c
+    mid = ~near
+    mid &= w <= 4.0
+    y = w[mid]
+    c = _rational(y, _ERFC_NUM, _ERFC_DEN)         # erfc = e c
+    ey = e[mid]
+    erfc[mid] = ey * c
+    c *= y
+    np.subtract(_SQRT_1_PI, c, out=c)
+    ierfc[mid] = ey * c
+    far = w > 4.0
+    y = w[far]
+    r = 1.0 / (y * y)
+    r *= _rational(r, _TAIL_NUM, _TAIL_DEN)        # erfc = e (1/sqrt(pi) - r) / y
+    ey = e[far]
+    ierfc[far] = ey * r
+    np.subtract(_SQRT_1_PI, r, out=r)
+    r /= y
+    erfc[far] = ey * r
+    return erfc, ierfc
+
+
+def _grid_field(law, s):
+    """Law of X_0 + N(0, s) for a grid law, read as its piecewise-linear interpolant
+    p0 = sum_k J_k 1{x >= y_k} + S_k (x - y_k)_+ over the kinks y_k, with value jumps
+    J_k and slope jumps S_k.  With u_k = x - y_k, sd = sqrt(s) and a_k = u_k / sd, a
+    kink adds J_k Phi(a_k) and Bachelier's ramp S_k (u_k Phi(a_k) + sd phi(a_k)).  A
+    kink at or left of x (u_k >= 0) enters through Q = 1 - Phi around p0(x), so that
+    every term is a tail and none cancels:
+        p  = p0(x) + sum_k S_k sd psi(|a_k|) - sgn(u_k) J_k Q(|a_k|)
+        p' = p0'(x) + sum_k J_k phi(a_k) / sd - sgn(u_k) S_k Q(|a_k|)
+        p" = sum_k (S_k - J_k a_k / sd) phi(a_k) / sd
+    with psi(a) = phi(a) - a Q(a), sgn(0) = +1, and p0, p0' right-continuous, so a
+    point on a kink takes the same side in both."""
+    y, v = law.grid, law.values
+    slope = np.diff(v) / np.diff(y)
+    jump = np.zeros_like(v)
+    jump[0], jump[-1] = v[0], -v[-1]
+    bend = np.diff(slope, prepend=0.0, append=0.0)
+    kink = (jump != 0.0) | (bend != 0.0)
+    yk, jk, sk = y[kink], jump[kink], bend[kink]
+    sd = math.sqrt(s)
+    rows = max(1, _KERNEL_ENTRIES // (8 * yk.size))     # about 8 rows x kinks buffers live
 
     def _derivatives(x, order):
-        """The density and its first `order` x-derivatives, numpy scalars for a scalar x.
-        Row j of `sums` is sum_k wn_k e_k u_k^j, u = x - means and e = exp(-u^2 / 2 var)."""
+        """p and its first `order` x-derivatives, numpy scalars for a scalar x."""
         xa = np.asarray(x, dtype=float).ravel()
         sums = np.empty((order + 1, xa.size))
-        u = np.empty((min(rows, xa.size), means.size))
-        e = np.empty_like(u) if order else u
         for i in range(0, xa.size, rows):
-            r = min(rows, xa.size - i)
-            ub, eb = u[:r], e[:r]
-            ub[...] = xa[i:i + r, None]
-            ub -= means
-            np.square(ub, out=eb)
-            eb *= -0.5 / var
-            np.exp(eb, out=eb)
-            np.matmul(eb, wn, out=sums[0, i:i + r])
-            for j in range(1, order + 1):
-                eb *= ub
-                np.matmul(eb, wn, out=sums[j, i:i + r])
-        out = [sums[0]]
-        if order > 0:
-            out.append(-sums[1] / var)
-        if order > 1:
-            out.append((sums[2] / var - sums[0]) / var)
-        return [o.reshape(np.shape(x))[()] for o in out]
+            xb = xa[i:i + rows]
+            j = np.searchsorted(y, xb, side="right") - 1
+            inside = (j >= 0) & (j < slope.size)        # p0 is 0 off [y_0, y_last)
+            j[~inside] = 0
+            m0 = np.where(inside, slope[j], 0.0)
+            u = np.subtract.outer(xb, yk)
+            w = np.abs(u)
+            w *= 1.0 / (sd * math.sqrt(2.0))            # |a| / sqrt 2
+            e = _exp_minus_square(w)                    # sqrt(2 pi) phi(a)
+            q, ramp = _erfc(w, e)                       # 2 Q(|a|), sqrt(2) psi(|a|)
+            np.copysign(q, u, out=q)
+            sums[0, i:i + rows] = (np.where(inside, v[j] + m0 * (xb - y[j]), 0.0)
+                                   + (sd / math.sqrt(2.0)) * (ramp @ sk) - 0.5 * (q @ jk))
+            if order > 0:
+                sums[1, i:i + rows] = m0 + (e @ jk) / (_SQRT_2PI * sd) - 0.5 * (q @ sk)
+            if order > 1:
+                u *= e
+                sums[2, i:i + rows] = ((e @ sk) - (u @ jk) / s) / (_SQRT_2PI * sd)
+        return [o.reshape(np.shape(x))[()] for o in sums]
 
     def pdf(x):
         return _derivatives(x, 0)[0]
@@ -253,9 +331,8 @@ def _mixture_field(law, s):
         f = np.maximum(f, _TINY)
         return d2f / f - (df / f) ** 2
 
-    return DensityField(lo=float(means[0] - _FIELD_STD * sd),
-                        hi=float(means[-1] + _FIELD_STD * sd), pdf=pdf, score_fn=score,
-                        step=sd / 4, dscore_fn=dscore)
+    return DensityField(lo=float(y[0] - _FIELD_STD * sd), hi=float(y[-1] + _FIELD_STD * sd),
+                        pdf=pdf, score_fn=score, step=sd / 4, dscore_fn=dscore)
 
 
 def density_at(channel, t):
@@ -264,4 +341,8 @@ def density_at(channel, t):
         raise DegenerateTimeError("density_at requires t > 0")
     if channel.variant == "multiplicative":
         return _multiplicative_field(channel, t)
-    return _mixture_field(channel.initial, float(t) ** (2.0 * channel.hurst.value))
+    s = float(t) ** (2.0 * channel.hurst.value)
+    law = channel.initial
+    if law.kind == "gaussian":
+        return gaussian_field(law.mean, law.variance + s)
+    return _grid_field(law, s)

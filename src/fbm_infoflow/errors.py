@@ -37,9 +37,5 @@ class StepError(FbmInfoflowError):
     """Finite-difference step incompatible with the evaluation time."""
 
 
-class ResolutionError(FbmInfoflowError):
-    """Grid too coarse for the requested operation."""
-
-
 class ConfigError(FbmInfoflowError):
     """Invalid CLI / suite configuration."""

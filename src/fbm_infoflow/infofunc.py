@@ -5,7 +5,7 @@ information and entropy power.  Each functional is one expectation
 E_p[g(X, f(X))], f being p's density, evaluated by `_expect` with one trapezoid
 rule, `_trapezoid`, whose step halves until two sums agree to the tolerances:
 in z for flow fields X = phi(Z), Z ~ N(0, var), and in x over p's own domain for
-Gaussian and mixture fields, which carry the base step.  It converges
+Gaussian and grid-law fields, which carry the base step.  It converges
 geometrically on these integrands.  Adaptive quadrature in x (scipy QUADPACK)
 takes fields with no common tag and is the reference the rule is tested
 against.  A weight b is an array callable, None meaning 1.
@@ -50,7 +50,7 @@ def _expect(g, p, q=None):
     if q is not None:
         _check_support(p, q)
     if all(fl.step is not None for fl in fields):
-        # A Gaussian or mixture q has a density on all of R, so p's own domain is kept.
+        # A Gaussian or grid-law q has a density on all of R, so p's own domain is kept.
         def weighted(x):
             f = p.pdf(x)
             return np.where(f > _TINY, f * g(x, np.maximum(f, _TINY)), 0.0)

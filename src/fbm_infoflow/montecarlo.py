@@ -108,10 +108,18 @@ def sample_endpoint(channel, t, n, rng):
         z.sort()
         z_lo, z_hi = phi.z_domain
         return phi(np.clip(z, z_lo, z_hi))
-    means, variance, weights = ch._components(channel.initial)
-    counts = rng.multinomial(n, weights)    # a component each; no draw for one alone
-    x0 = _standard_normal(rng, n) * math.sqrt(variance)
-    x0 += np.repeat(means, counts)
+    law = channel.initial
+    if law.kind == "gaussian":
+        x0 = _standard_normal(rng, n) * math.sqrt(law.variance)
+        x0 += law.mean
+        return x0 + z
+    # The interpolant of a grid law is a mixture of hat functions, one per grid
+    # point, weighted by its trapezoid weight: a grid point each, then triangular
+    # noise over its two neighbouring intervals.
+    y = law.grid
+    weights = law.values * np.convolve(np.diff(y), [1.0, 1.0])
+    k = np.repeat(np.arange(y.size), rng.multinomial(n, weights / weights.sum()))
+    x0 = rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
     return x0 + z
 
 

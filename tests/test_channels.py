@@ -1,4 +1,7 @@
+import bisect
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
-from fbm_infoflow.errors import DegenerateTimeError, DomainError, ResolutionError
+from fbm_infoflow.errors import DegenerateTimeError, DomainError
 
 
 def _uniform_law(lo=-1.0, hi=1.0, n=2001):
@@ -121,14 +124,22 @@ def test_score_consistent_with_fd_of_log_density(make_field):
     assert all(isinstance(fn(0.5), np.floating) for fn in (f.pdf, f.score_fn, f.dscore_fn))
 
 
+def _two_bump_law(n=2001):
+    grid = np.linspace(0.0, 100.0, n)
+    values = 0.6 * _normal_pdf(grid, 30.0, 25.0) + 0.4 * _normal_pdf(grid, 70.0, 64.0)
+    return ch.grid_law(grid, values / np.trapezoid(values, grid))
+
+
 def test_grid_law_score_memory_is_bounded():
-    # The oracle hands the score whole sample batches; the kernel must not be
-    # built for every point at once (that took over 1 GiB for 20 000 points).
-    # What is left is two kernel blocks (u = x - m and its exponential) plus a
-    # few arrays of the points.
-    for law, n in ((_uniform_law(), 20000), (_uniform_law(n=201), 200000)):
+    # The oracle hands the score whole sample batches; the kink terms must not be
+    # built for every point at once (the point-mass kernel once took over 1 GiB
+    # for 20 000 points).  What is left is one block's buffers, about 8 of
+    # rows x kinks and _KERNEL_ENTRIES entries in all, plus a few arrays of the
+    # points.  The two-bump law has a kink at every one of its 2001 nodes.
+    for law, n in ((_uniform_law(), 20000), (_uniform_law(n=201), 200000),
+                   (_two_bump_law(), 4000)):
         f = ch.density_at(ch.additive(law, 0.75), 1.0)
-        x = np.random.default_rng(0).normal(size=n)
+        x = np.random.default_rng(0).normal(np.mean(law.grid), 1.0, size=n)
         tracemalloc.start()
         try:
             s = f.score_fn(x)
@@ -140,59 +151,158 @@ def test_grid_law_score_memory_is_bounded():
         assert s[idx] == pytest.approx([f.score_fn(x[i]) for i in idx], rel=1e-12)
 
 
-def _two_bump_law(n=2001):
-    grid = np.linspace(0.0, 100.0, n)
-    values = 0.6 * _normal_pdf(grid, 30.0, 25.0) + 0.4 * _normal_pdf(grid, 70.0, 64.0)
-    return ch.grid_law(grid, values / np.trapezoid(values, grid))
+def _q(a):
+    """Upper tail of N(0, 1) at a."""
+    return 0.5 * math.erfc(a / math.sqrt(2.0))
 
 
-def _finest_variance(law):
-    """The smallest added variance that ResolutionError admits: std 2 grid steps."""
-    return (2.0 * np.max(np.diff(law.grid))) ** 2
+def _kink_sum(law, s, xs):
+    """pdf, score and dscore of the law's piecewise-linear interpolant plus N(0, s),
+    point by point through math.erfc.  Kink y_k, with value jump J_k and slope jump
+    S_k, adds J_k Phi(a) + S_k (u Phi(a) + sd phi(a)), u = x - y_k, a = u / sd.  A
+    kink strictly left of x enters through Phi = 1 - Q around the interpolant taken
+    left-continuous; the field takes it right-continuous, and the two agree on a kink."""
+    y, v = law.grid.tolist(), law.values.tolist()
+    n = len(y)
+    slopes = [0.0] + [(v[i + 1] - v[i]) / (y[i + 1] - y[i]) for i in range(n - 1)] + [0.0]
+    jumps = [v[0]] + [0.0] * (n - 2) + [-v[-1]]
+    kinks = [(y[k], jumps[k], slopes[k + 1] - slopes[k]) for k in range(n)]
+    kinks = [kink for kink in kinks if kink[1] or kink[2]]
+    sd = math.sqrt(s)
+    out = []
+    for x in xs:
+        i = bisect.bisect_left(y, x)                # y[i - 1] < x <= y[i]
+        f = v[i - 1] + slopes[i] * (x - y[i - 1]) if 0 < i < n else 0.0
+        df, d2f = slopes[i] if 0 < i < n else 0.0, 0.0
+        for yk, jk, sk in kinks:
+            u = x - yk
+            a = u / sd
+            q, phi = _q(abs(a)), math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+            side = -1.0 if u > 0 else 1.0
+            f += side * jk * q + sk * (sd * phi - abs(u) * q)
+            df += jk * phi / sd + side * sk * q
+            d2f += (sk - jk * a / sd) * phi / sd
+        out.append((f, df / f, d2f / f - (df / f) ** 2))
+    return np.array(out).T
 
 
-def _mixture_sum(law, s, x):
-    """pdf, score and dscore of the law's point-mass mixture plus N(0, s), summed
-    component by component: trapezoid weight times density at each grid point."""
-    dy = np.diff(law.grid)
-    w = law.values * (np.append(dy, 0.0) + np.insert(dy, 0, 0.0)) / 2.0
-    w /= w.sum()
-    u = x[:, None] - law.grid
-    k = w * np.exp(-u * u / (2.0 * s)) / np.sqrt(2.0 * np.pi * s)
-    f = k.sum(axis=1)
-    df = -(k * u).sum(axis=1) / s
-    d2f = (k * (u * u / s - 1.0)).sum(axis=1) / s
-    return f, df / f, d2f / f - (df / f) ** 2
+_kink_cases = pytest.mark.parametrize(
+    "law, s", [(_uniform_law(), 0.0112), (_uniform_law(), 1.0), (_two_bump_law(), 1e-4)],
+    ids=["uniform-narrow", "uniform-wide", "two-bump-narrow"])
 
 
-_kernel_cases = pytest.mark.parametrize(
-    "law, s", [(_uniform_law(), 0.0112), (_uniform_law(), 1.0),
-               (_two_bump_law(), _finest_variance(_two_bump_law()))],
-    ids=["uniform-narrow", "uniform-wide", "two-bump-finest"])
-
-
-@_kernel_cases
-def test_mixture_kernel_matches_component_sum(law, s):
-    f = ch._mixture_field(law, s)
-    x = np.linspace(f.lo, f.hi, 601)
-    pdf, score, dscore = _mixture_sum(law, s, x)
+@_kink_cases
+def test_grid_field_matches_kink_sum(law, s):
+    f = ch._grid_field(law, s)
+    x = np.concatenate([np.linspace(f.lo, f.hi, 101), law.grid[::40], law.grid[-1:]])
+    pdf, score, dscore = _kink_sum(law, s, x.tolist())
     np.testing.assert_allclose(f.pdf(x), pdf, rtol=1e-12, atol=0.0)
+    # The float sum's own rounding in the tails bounds how close score and dscore come.
     for got, want in ((f.score_fn(x), score), (f.dscore_fn(x), dscore)):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
-@_kernel_cases
-def test_mixture_kernel_blocks_do_not_change_values(law, s, monkeypatch):
-    x = np.random.default_rng(1).uniform(law.grid[0] - 1.0, law.grid[-1] + 1.0, 1001)
-    f = ch._mixture_field(law, s)
+@_kink_cases
+def test_grid_field_blocks_do_not_change_values(law, s, monkeypatch):
+    x = np.random.default_rng(1).uniform(law.grid[0] - 1.0, law.grid[-1] + 1.0, 301)
+    f = ch._grid_field(law, s)
     want = [f.pdf(x), f.score_fn(x), f.dscore_fn(x)]
-    monkeypatch.setattr(ch, "_KERNEL_ENTRIES", 3 * law.grid.size)   # three rows a block
-    f = ch._mixture_field(law, s)
+    monkeypatch.setattr(ch, "_KERNEL_ENTRIES", 0)        # one point a block
+    f = ch._grid_field(law, s)
     pdf, score, dscore = f.pdf(x), f.score_fn(x), f.dscore_fn(x)
     np.testing.assert_allclose(pdf, want[0], rtol=1e-13, atol=0.0)
     assert np.max(np.abs(score - want[1])) <= 1e-13 * np.max(np.abs(want[1]))
     # dscore = f''/f - score^2 cancels; its rounding is relative to score^2.
     assert np.max(np.abs(dscore - want[2])) <= 1e-13 * np.max(want[1] ** 2)
+
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _erfc_decimal(w):
+    """erfc(w) for a Decimal w >= 0, to the context's precision (60 digits here)."""
+    if w < 3:           # 1 - erf, erf by its Taylor series
+        w2, term, total, n = w * w, w, w, 0
+        while abs(term) > Decimal(10) ** -70:
+            n += 1
+            term *= -w2 / n
+            total += term / (2 * n + 1)
+        return 1 - 2 * total / _PI.sqrt()
+    f = w               # Laplace's continued fraction, summed from its tail
+    for k in range(300, 0, -1):
+        f = w + Decimal(k) / 2 / f
+    return (-w * w).exp() / _PI.sqrt() / f
+
+
+def _exact(kinks, s, xs):
+    """pdf, score and dscore of sum_k J_k 1{x > y_k} + S_k (x - y_k)_+ convolved with
+    N(0, s), from the two-sided sum p = sum_k J_k Phi(a) + S_k (u Phi(a) + sd phi(a)),
+    u = x - y_k, a = u / sd, in 60-digit decimal arithmetic, where its cancellation
+    costs nothing; kinks are (y_k, J_k, S_k)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sd = Decimal(s).sqrt()
+        out = []
+        for x in xs:
+            f = df = d2f = Decimal(0)
+            for yk, jk, sk in kinks:
+                u = Decimal(x) - Decimal(yk)
+                a = u / sd
+                w = abs(a) / Decimal(2).sqrt()
+                big_phi = 1 - _erfc_decimal(w) / 2 if a >= 0 else _erfc_decimal(w) / 2
+                phi = (-w * w).exp() / (2 * _PI).sqrt()
+                jk, sk = Decimal(jk), Decimal(sk)
+                f += jk * big_phi + sk * (u * big_phi + sd * phi)
+                df += jk * phi / sd + sk * big_phi
+                d2f += (sk - jk * a / sd) * phi / sd
+            out.append((float(f), float(df / f), float(d2f / f - (df / f) ** 2)))
+    return np.array(out).T
+
+
+def _assert_exact(f, kinks, s, x):
+    """pdf within 1e-12 relative of the exact value; score and dscore within 1e-12
+    of |value| + 1/sd and |value| + 1/s, their scales, which counts only where they
+    cross 0 or underflow."""
+    got = (f.pdf(x), f.score_fn(x), f.dscore_fn(x))
+    for g, want, scale in zip(got, _exact(kinks, s, x), (0.0, 1.0 / math.sqrt(s), 1.0 / s)):
+        assert np.all(np.abs(g - want) <= 1e-12 * (np.abs(want) + scale))
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-2, 1.0, 16.0])
+def test_uniform_law_matches_closed_form(s):
+    # p_t = [Phi((x + 1)/sd) - Phi((x - 1)/sd)] / 2 over the whole field domain
+    f = ch.density_at(ch.additive(_uniform_law(), 0.5), s)
+    x = np.concatenate([np.linspace(f.lo, f.hi, 41), [-1.0, 1.0]])
+    _assert_exact(f, [(-1.0, 0.5, 0.0), (1.0, -0.5, 0.0)], s, x)
+
+
+@pytest.mark.parametrize("s", [1e-4, 1e-2, 1.0, 16.0])
+def test_tent_law_matches_closed_form(s):
+    # p0 = 1 - |x| on [-1, 1], slope kinks at -1, 0 and 1: p_t is a second
+    # difference of Bachelier's ramp u Phi(u/sd) + sd phi(u/sd).
+    grid = np.linspace(-1.0, 1.0, 9)
+    f = ch.density_at(ch.additive(ch.grid_law(grid, 1.0 - np.abs(grid)), 0.5), s)
+    x = np.concatenate([np.linspace(f.lo, f.hi, 41), [-1.0, 0.0, 1.0]])
+    _assert_exact(f, [(-1.0, 0.0, 1.0), (0.0, 0.0, -2.0), (1.0, 0.0, 1.0)], s, x)
+
+
+def test_erfc_matches_math_erfc():
+    w = np.concatenate([np.linspace(0.0, 6.0, 6001), np.linspace(6.0, 27.0, 2101)])
+    erfc, ierfc = ch._erfc(w, ch._exp_minus_square(w))
+    want = np.array([math.erfc(v) for v in w.tolist()])
+    rel = np.abs(erfc - want) / np.where(want > 0.0, want, 1.0)
+    assert np.max(rel[w <= 6.0]) <= 1e-14
+    assert np.max(rel[want >= 1e-300]) <= 1e-12
+    assert np.all(np.abs(erfc - want)[want < 1e-300] <= 1e-300)
+    # ierfc(w) = exp(-w^2)/sqrt(pi) - w erfc(w), which cancels in floats
+    with localcontext() as ctx:
+        ctx.prec = 60
+        idx = np.arange(0, w.size, 37)
+        exact = np.array([float((-d * d).exp() / _PI.sqrt() - d * _erfc_decimal(d))
+                          for d in map(Decimal, w[idx].tolist())])
+    rel = np.abs(ierfc[idx] - exact) / np.where(exact > 0.0, exact, 1.0)
+    assert np.max(rel[exact >= 1e-300]) <= 1e-13
+    assert np.all(np.abs(ierfc[idx] - exact)[exact < 1e-300] <= 1e-300)
 
 
 def test_density_nonnegative_on_probes():
@@ -213,10 +323,13 @@ def test_degenerate_time():
         ch.density_at(c, 0.0)
 
 
-def test_convolution_resolution_error():
-    c = ch.additive(_uniform_law(n=11), 0.5)   # dy = 0.2, kernel sd at t must be < 0.4
-    with pytest.raises(ResolutionError):
-        ch.density_at(c, 0.01)
+def test_coarse_grid_law_convolves_at_small_t():
+    # The 11-point uniform law at t = 0.01, where the kernel std 0.1 is half a grid
+    # step: the point-mass reading refused it, and the interpolant is exact.
+    f = ch.density_at(ch.additive(_uniform_law(n=11), 0.5), 0.01)
+    x = np.concatenate([np.linspace(f.lo, f.hi, 41), np.linspace(-1.0, 1.0, 11)])
+    _assert_exact(f, [(-1.0, 0.5, 0.0), (1.0, -0.5, 0.0)], 0.01, x)
+    assert nf.generalized_fisher(f) == pytest.approx(-nf.expectation(f, f.dscore_fn), rel=1e-12)
 
 
 def test_grid_law_validation():

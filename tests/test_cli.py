@@ -356,6 +356,20 @@ def test_flow_lookups_come_in_ascending_order(monkeypatch):
     assert unsorted == []
 
 
+@pytest.mark.parametrize("initial", [
+    {"kind": "grid"}, {"kind": "gaussian", "mean": 0.0, "variance": 1.0}],
+    ids=["grid", "gaussian"])
+def test_additive_sweep_passes_everywhere(initial):
+    # Both additive suites over t from the default min_t to 4 and H from 0.1 to
+    # 0.9, on the default uniform grid law and on N(0, 1): every row passes.
+    code, rows, _ = cli.run_suite({
+        "suites": ["debruijn-additive", "entropy-power"], "channel": {"initial": initial},
+        "t_grid": [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0],
+        "hurst_grid": [0.1, 0.2, 0.3, 0.5, 0.75, 0.9]})
+    assert len(rows) == 84
+    assert code == 0, [(r.identity_name, r.t, r.hurst) for r in rows if not r.passed]
+
+
 # Small versions of the benchmark's three workload configs.
 _ORACLE_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow")
 _WORKLOADS = {

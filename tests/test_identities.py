@@ -226,6 +226,19 @@ def test_entropy_power_second_difference_matches_formula():
             assert abs(rep.lhs - rep.rhs) / abs(rep.rhs) <= 1e-4
 
 
+@pytest.mark.parametrize("law, hs", [
+    (ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5)), (0.1, 0.2, 0.3, 0.5, 0.75)),
+    (ch.gaussian_law(0.0, 1.0), (0.1, 0.2, 0.3))], ids=["grid", "gaussian"])
+def test_entropy_power_richardson_at_small_t(law, hs):
+    # At t = 0.05 one second difference at the 1e-3 step is off by its
+    # truncation error, 1.7e-4 relative, and these rows failed their 1e-4
+    # tolerance; the Richardson combination with the half step lands within 2e-8.
+    for h in hs:
+        (rep,) = _entropy_power(h, [0.05], law)
+        assert rep.passed
+        assert abs(rep.lhs - rep.rhs) <= 2e-8 * abs(rep.rhs)
+
+
 def test_entropy_power_sign_law():
     for h in (0.6, 0.75, 0.9):
         assert all(r.extras["classification"] == "convex"

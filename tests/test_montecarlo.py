@@ -57,25 +57,31 @@ def memo():
 
 
 def _plain_endpoint(law, t, h, n, rng):
-    """X_t of an additive channel from plain generator draws: B^H_t, the
-    component counts, then the law's own noise."""
+    """X_t of an additive channel from plain generator draws: B^H_t, then the law's
+    own noise, normal for a Gaussian law; for a grid law the grid-point counts by
+    trapezoid weight, then triangular noise about each point."""
     z = rng.standard_normal(n) * t ** h
-    means, variance, weights = ch._components(law)
-    counts = rng.multinomial(n, weights)
-    return rng.standard_normal(n) * math.sqrt(variance) + np.repeat(means, counts) + z
+    if law.kind == "gaussian":
+        return rng.standard_normal(n) * math.sqrt(law.variance) + law.mean + z
+    y = law.grid
+    weights = law.values * np.convolve(np.diff(y), [1.0, 1.0])   # neighbouring intervals
+    k = np.repeat(np.arange(y.size), rng.multinomial(n, weights / weights.sum()))
+    return rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)]) + z
 
 
-@pytest.mark.parametrize("law", [
-    ch.gaussian_law(2.0, 0.5),
-    ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5))], ids=["gaussian", "grid"])
-def test_memo_hit_is_a_fresh_draw(memo, law):
+@pytest.mark.parametrize("law, blocks", [
+    (ch.gaussian_law(2.0, 0.5), 2),
+    (ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5)), 1)], ids=["gaussian", "grid"])
+def test_memo_hit_is_a_fresh_draw(memo, law, blocks):
+    # A Gaussian law draws two normal blocks (B^H_t and its own noise), a grid law
+    # one (its own noise is triangular).
     chan = ch.additive(law, 0.75)
     rng = np.random.default_rng(4)
     ref = _plain_endpoint(law, 1.5, 0.75, 1000, rng)
     for _ in range(2):                  # a miss for each normal block, then hits
         gen = np.random.default_rng(4)
         x = mc.sample_endpoint(chan, 1.5, 1000, gen)
-        assert memo.cache_info().misses == 2
+        assert memo.cache_info().misses == blocks
         assert np.array_equal(x, ref)
         assert gen.bit_generator.state == rng.bit_generator.state
 
@@ -127,6 +133,17 @@ def test_grid_law_mixture_sampling():
     est = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 200_000, 29)
     # Var(U[-1,1]) + t^{2H} = 1/3 + 1
     assert abs(est.mean - (1.0 / 3.0 + 1.0)) <= 4 * est.std_error
+
+
+def test_grid_law_samples_its_interpolant():
+    # The 9-point uniform law on [-1, 1] at t = 1e-6: E[X^2] is 1/3 for the
+    # interpolant, the uniform law, and 0.34375 for the point masses at the grid
+    # points, about 15 standard errors away.
+    grid = np.linspace(-1.0, 1.0, 9)
+    chan = ch.additive(ch.grid_law(grid, np.full(grid.size, 0.5)), 0.5)
+    est = mc.mc_expectation(chan, 1e-6, np.square, 200_000, 41)
+    assert abs(est.mean - 1.0 / 3.0) <= 4 * est.std_error
+    assert abs(est.mean - 0.34375) >= 10 * est.std_error
 
 
 def test_bit_identical_reproducibility():
