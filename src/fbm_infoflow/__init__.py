@@ -13,7 +13,7 @@ from .channels import (
     grid_law,
     multiplicative,
 )
-from .doss import PhiSolution, invert_phi, pushforward_density, solve_phi
+from .doss import PhiSolution, invert_phi, solve_phi
 from .fbm import HurstParameter, covariance, sample_paths
 from .identities import (
     IdentityReport,
@@ -32,6 +32,6 @@ from .infofunc import (
     relative_fisher,
 )
 from .montecarlo import McEstimate, RunningMoments, mc_expectation
-from .sigma import SigmaModel, constant, custom, identity_channel, sqrt_one_plus_square
+from .sigma import SigmaModel, constant, custom, sqrt_one_plus_square
 
 __version__ = "0.1.0"

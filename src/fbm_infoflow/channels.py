@@ -14,9 +14,10 @@ A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
 the same shape.  Additive fields also carry the x-derivative of the score.
 Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
-X = phi(Z), Z ~ N(0, var), a (phi, var, z_edge) tag for the rule in z, additive
-fields a step, the base step of the rule in x (a quarter of the std of the
-Gaussian or of B^H_t).
+X = flow_map(Z), Z ~ N(0, var), a (flow_map, var, z_edge) tag for the rule in z,
+additive fields a step, the base step of the rule in x (a quarter of the std of
+the Gaussian or of B^H_t).  Every flow field of one sigma reads one Lamperti
+table, which `channels` alone builds and grows.
 """
 
 import functools
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import doss
-from .errors import DegenerateTimeError, DomainError
+from .errors import DegenerateTimeError, DomainError, FlowEscapeError, RangeError
 from .fbm import HurstParameter, as_hurst
 from .sigma import SigmaModel, constant
 
@@ -35,8 +36,9 @@ _TINY = 1e-300
 _SQRT_1_PI = 0.56418958354775628695      # 1 / sqrt(pi), as Cody gives it
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _XBIG = 26.543                  # Cody's: erfc and exp(-w^2) are below 1e-306 past it
-_Z_STD = 8.0            # flow tabulated out to this many std of B^H_t
-_FLOWS = 8              # flow tabulations kept, shared by every channel
+ABS_TOL = 1e-10         # mass a flow window may drop; infofunc's absolute tolerance
+_Z_STD = 8.0            # a flow field's window: this many std of B^H_t about z0
+_FLOWS = 8              # Lamperti tables kept, one per sigma
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
 _KERNEL_ENTRIES = 1 << 16   # entries of one block's buffers in all: 512 kB, in L2
 UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
@@ -132,8 +134,8 @@ class DensityField:
     score_fn: Callable = field(repr=False)
     step: Optional[float] = None                      # base step of the x rule
     dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
-    flow: Optional[Tuple[doss.PhiSolution, float, float]] = field(
-        default=None, repr=False, compare=False)   # (phi, var, z_edge): X = phi(Z), Z ~ N(0, var)
+    flow: Optional[Tuple[Callable, float, float]] = field(
+        default=None, repr=False, compare=False)   # (flow_map, var, z_edge), X = flow_map(Z)
 
 
 def gaussian_field(mean, variance):
@@ -159,41 +161,76 @@ def gaussian_field(mean, variance):
     )
 
 
-def _phi_for(channel, t):
-    """Cached Doss-Sussmann flow wide enough for 8 std of B^H_t."""
-    z_need = _Z_STD * float(t) ** channel.hurst.value
-    bucket = 2.0 ** math.ceil(math.log2(max(1.02 * z_need, 1.0)))
-    return _flow(channel.sigma, channel.x0, bucket)
+@functools.lru_cache(maxsize=_FLOWS)     # _Lamperti(sigma): one table per sigma
+class _Lamperti:
+    """The Lamperti table z(x) = int_a^x dy / sigma(y), a the midpoint of sigma's
+    working domain: two starts under one sigma differ by a shift in z, so it serves
+    every start, H and t.  It is made longer whenever a field reaches past its end;
+    a longer table repeats a shorter one node for node, so no value changes, and a
+    field made earlier reads the longer one too."""
 
+    def __init__(self, sigma):
+        self.sigma, self.phi, self.asked = sigma, None, (0.0, 0.0)
 
-@functools.lru_cache(maxsize=_FLOWS)
-def _flow(sigma, x0, bucket):
-    """The flow on [-bucket, bucket]; it does not depend on H, so channels that
-    differ only in H share it."""
-    return doss.solve_phi(sigma, x0, (-bucket, bucket))
+    def cover(self, z_lo, z_hi):
+        """The table, built out to [z_lo, z_hi] in z or to sigma's edge."""
+        a, b = self.asked
+        if z_lo < a or z_hi > b:
+            self.asked = min(a, z_lo), max(b, z_hi)
+            self.phi = doss.solve_phi(self.sigma, sum(self.sigma.domain) / 2, self.asked)
+        return self.phi
+
+    def z_of(self, x):
+        """z at the points x of sigma's domain.  Where x lies past the table's end,
+        the table's z range doubles toward that end until it gets there."""
+        while True:
+            try:
+                return doss.invert_phi(self.phi, x)
+            except RangeError:
+                (lo, hi), (a, b) = self.sigma.domain, self.asked
+                if np.min(x) < lo or np.max(x) > hi:
+                    raise FlowEscapeError(f"x outside sigma's working domain [{lo:g}, {hi:g}]")
+                x_lo, x_hi = self.phi.x_range
+                self.cover(min(2.0 * a, -1.0) if np.min(x) < x_lo else a,
+                           max(2.0 * b, 1.0) if np.max(x) > x_hi else b)
 
 
 def _multiplicative_field(channel, t):
+    """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
+    on the window z0 +- z_edge: _Z_STD std, or less where sigma's edge is nearer.
+    FlowEscapeError if the N(0, var) mass beyond z_edge is above ABS_TOL."""
     sig = channel.sigma
-    h = channel.hurst.value
-    var = float(t) ** (2.0 * h)
+    var = float(t) ** (2.0 * channel.hurst.value)
     if sig.kind == "constant":
         return gaussian_field(channel.x0, sig.c ** 2 * var)
-    phi = _phi_for(channel, t)
     sd = math.sqrt(var)
-    z_edge = min(_Z_STD * sd, -phi.z_domain[0], phi.z_domain[1])
-    lo, hi = phi(np.array([-z_edge, z_edge])).tolist()
+    table = _Lamperti(sig)
+    table.cover(-_Z_STD * sd, _Z_STD * sd)      # a table to start from, about its anchor
+    z0 = float(table.z_of(channel.x0))
+    z_lo, z_hi = table.cover(z0 - _Z_STD * sd, z0 + _Z_STD * sd).z_domain
+    z_edge = min(_Z_STD * sd, z0 - z_lo, z_hi - z0)
+    dropped = math.erfc(z_edge / math.sqrt(2.0 * var))
+    if dropped > ABS_TOL:
+        raise FlowEscapeError(
+            f"sigma's working domain ends {z_edge / sd:.4g} std from x0 = {channel.x0:g} "
+            f"in z: the window drops {dropped:.3g} of the mass of X_t, above {ABS_TOL:g}")
+
+    def flow_map(z):
+        return table.phi(z0 + z)
+    lo, hi = flow_map(np.array([-z_edge, z_edge])).tolist()
 
     def pdf(x):
-        return doss.pushforward_density(phi, t, channel.hurst, x)
+        x = np.asarray(x, dtype=float)
+        z = table.z_of(x) - z0
+        return np.exp(-0.5 * z ** 2 / var) / math.sqrt(2.0 * math.pi * var) / sig.fn(x)
 
     def score(x):
-        z = doss.invert_phi(phi, x)
+        z = table.z_of(x) - z0
         x = np.asarray(x, dtype=float)
         s = sig.fn(x)
         return -z / (var * s) - sig.d1(x) / s
 
-    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=(phi, var, z_edge))
+    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=(flow_map, var, z_edge))
 
 
 # Cody (1969), Rational Chebyshev approximations for the error function, Math.

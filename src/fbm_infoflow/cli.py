@@ -116,7 +116,7 @@ _KEYS = {
     "output": _Key("report", lambda raw: raw, lambda v: isinstance(v, str), "a path prefix"),
     "channel.variant": _choice("multiplicative", "additive"),
     "channel.x0": _Key(0.0),
-    "channel.sigma.kind": _choice("constant", "identity", "sqrt1p"),
+    "channel.sigma.kind": _choice("constant", "sqrt1p"),
     "channel.sigma.c": _Key(1.0),
     "channel.sigma.domain": _Key([-1e9, 1e9], _pair),
     "channel.initial.kind": _choice("gaussian", "grid"),
@@ -195,7 +195,6 @@ def _build_initial(v, given):
 
 
 _SIGMAS = {"constant": sg.constant,
-           "identity": lambda c, domain: sg.identity_channel(domain=domain),
            "sqrt1p": lambda c, domain: sg.sqrt_one_plus_square(domain=domain)}
 
 

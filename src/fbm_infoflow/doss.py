@@ -1,5 +1,4 @@
-"""Doss-Sussmann flow: tabulate phi' = sigma(phi), phi(0) = x0, invert it and
-push the Gaussian marginal of B^H_t through it.
+"""Doss-Sussmann flow: tabulate phi' = sigma(phi), phi(0) = x0, and invert it.
 
 The flow needs no ODE solver: its inverse is the Lamperti integral
 z(x) = int_{x0}^x dy / sigma(y).  The table holds z at x nodes about
@@ -21,8 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from . import sigma as sigma_mod
-from .errors import DegenerateTimeError, DomainError, FlowEscapeError, RangeError
-from .fbm import as_hurst
+from .errors import DomainError, FlowEscapeError, RangeError
 
 _TABLE_STEP = 2e-3          # target z spacing of the table's nodes
 _COARSE_STEP = 0.25         # z step of the midpoint rule that places the nodes
@@ -52,7 +50,8 @@ def _evaluate(coeffs, q):
 @dataclass
 class PhiSolution:
     """Tabulated, invertible solution of phi' = sigma(phi), phi(0) = x0: the table
-    (z_grid, phi_grid) covers z_domain and z_grid[k] = int_{x0}^{phi_grid[k]} dy/sigma."""
+    (z_grid, phi_grid) covers z_domain and z_grid[k] = int_{x0}^{phi_grid[k]} dy/sigma.
+    z_domain is the range asked for, cut where the flow reaches sigma's edge."""
 
     sigma: sigma_mod.SigmaModel
     x0: float
@@ -81,7 +80,7 @@ class PhiSolution:
 
 
 def solve_phi(sigma, x0, z_domain):
-    """Tabulate the flow over z_domain (which must contain 0)."""
+    """Tabulate the flow over z_domain (which must contain 0), or to sigma's edge."""
     z_lo, z_hi = float(z_domain[0]), float(z_domain[1])
     if not (z_lo <= 0.0 <= z_hi) or z_lo == z_hi:
         raise DomainError("z_domain must be a nondegenerate interval containing 0")
@@ -90,26 +89,23 @@ def solve_phi(sigma, x0, z_domain):
         raise FlowEscapeError(f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
     (x_neg, z_neg), (x_pos, z_pos) = (_lamperti_nodes(sigma, x0, z_end) for z_end in (z_lo, z_hi))
     return PhiSolution(
-        sigma=sigma, x0=x0, z_domain=(z_lo, z_hi),
-        z_grid=np.concatenate([z_neg[::-1], [0.0], z_pos]),
-        phi_grid=np.concatenate([x_neg[::-1], [x0], x_pos]),
+        sigma=sigma, x0=x0, z_domain=(max(z_lo, z_neg[-1]), min(z_hi, z_pos[-1])),
+        z_grid=np.concatenate([z_neg[::-1], z_pos[1:]]),
+        phi_grid=np.concatenate([x_neg[::-1], x_pos[1:]]),
     )
 
 
 def _lamperti_nodes(sigma, x0, z_end):
-    """The x nodes from x0 toward z_end, and z(x) at each, until z(x) reaches z_end.
-    Midpoint steps of _COARSE_STEP in z place the coarse nodes; each coarse step is
-    cut into _PIECES equal x pieces, whose z increments are 8-point Gauss-Legendre
-    panels of 1/sigma, summed outward from x0."""
+    """The x nodes from x0 (first) toward z_end, and z(x) at each, until z reaches z_end
+    or x sigma's edge.  Midpoint steps of _COARSE_STEP in z place the coarse nodes;
+    each is cut into _PIECES equal x pieces, whose z increments are 8-point
+    Gauss-Legendre panels of 1/sigma, summed outward from x0."""
     lo, hi = sigma.domain
     step = math.copysign(_COARSE_STEP, z_end)
     coarse, s = [x0], sigma.fn(np.array([x0]))[0]
-    x, z = np.array([x0]), np.zeros(1)
-    while abs(z[-1]) < abs(z_end):
-        if coarse[-1] in (lo, hi):
-            raise FlowEscapeError(
-                f"flow reaches the edge x = {coarse[-1]:g} of sigma's working domain at "
-                f"z = {z[-1]:.6g}, short of the z-range's end {z_end:g}")
+    xs, dzs, z = [np.array([x0])], [np.zeros(1)], np.zeros(1)
+    while abs(z[-1]) < abs(z_end) and coarse[-1] not in (lo, hi):
+        start = len(coarse) - 1
         for _ in range(math.ceil((abs(z_end) - abs(z[-1])) / _COARSE_STEP)):
             half = min(max(coarse[-1] + 0.5 * step * s, lo), hi)
             half_s = sigma.fn(np.array([half]))[0]
@@ -117,7 +113,8 @@ def _lamperti_nodes(sigma, x0, z_end):
             s = sigma.fn(np.array([coarse[-1]]))[0]
             if coarse[-1] in (lo, hi):
                 break
-        c = np.array(coarse)
+        # The new coarse steps' pieces, from the last node so far.
+        c = np.array(coarse[start:])
         x = np.append((c[:-1, None] + np.diff(c)[:, None] * _FRACTIONS).ravel(), c[-1])
         width = np.diff(x)
         if not np.all(width * step > 0):
@@ -125,10 +122,11 @@ def _lamperti_nodes(sigma, x0, z_end):
                                   "its nodes do not advance")
         inv = 1.0 / sigma.fn(((x[:-1] + 0.5 * width)[:, None]
                               + (0.5 * width)[:, None] * _GL_NODES).ravel())
+        xs.append(x[1:])
+        dzs.append(0.5 * width * sum(w * inv[j::8] for j, w in enumerate(_GL_WEIGHTS)))
         # A fixed order of sums: a node's z does not depend on how far the table runs.
-        dz = 0.5 * width * sum(w * inv[j::8] for j, w in enumerate(_GL_WEIGHTS))
-        z = np.cumsum(np.append(0.0, dz))
-    return x[1:], z[1:]
+        z = np.cumsum(np.concatenate(dzs))
+    return np.concatenate(xs), z
 
 
 def invert_phi(phi, x):
@@ -139,15 +137,3 @@ def invert_phi(phi, x):
     if np.any(arr < lo) or np.any(arr > hi):
         raise RangeError(f"x outside flow range [{lo:g}, {hi:g}]")
     return _evaluate(phi._inverse, arr)
-
-
-def pushforward_density(phi, t, h, x):
-    """Density of X_t = phi(B^H_t) at x: N(0, t^{2H}) density of phi^{-1}(x)
-    divided by sigma(x), in the shape of the array x."""
-    h = as_hurst(h)
-    if t <= 0:
-        raise DegenerateTimeError("t = 0: the law of X_t is a point mass")
-    var = float(t) ** (2.0 * h.value)
-    z = invert_phi(phi, x)
-    gauss = np.exp(-0.5 * z ** 2 / var) / math.sqrt(2.0 * math.pi * var)
-    return gauss / phi.sigma.fn(np.asarray(x, dtype=float))

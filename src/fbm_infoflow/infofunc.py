@@ -4,9 +4,9 @@ Entropy, generalized Fisher information, KL divergence, relative Fisher
 information and entropy power.  Each functional is one expectation
 E_p[g(X, f(X))], f being p's density, evaluated by `_expect` with one trapezoid
 rule, `_trapezoid`, whose step halves until two sums agree to the tolerances:
-in z for flow fields X = phi(Z), Z ~ N(0, var), and in x over p's own domain for
-Gaussian and grid-law fields, which carry the base step.  It converges
-geometrically on these integrands.  Adaptive quadrature in x (scipy QUADPACK)
+in z for flow fields X = flow_map(Z), Z ~ N(0, var), and in x over p's own
+domain for Gaussian and grid-law fields, which carry the base step.  It
+converges geometrically on these integrands.  Adaptive quadrature in x (scipy QUADPACK)
 takes fields with no common tag and is the reference the rule is tested
 against.  A weight b is an array callable, None meaning 1.
 """
@@ -16,10 +16,9 @@ import math
 import numpy as np
 from scipy import integrate
 
-from . import doss
+from .channels import ABS_TOL      # absolute tolerance of QUADPACK and the trapezoid rule
 from .errors import QuadratureError, SupportError
 
-ABS_TOL = 1e-10         # absolute tolerance of QUADPACK and the trapezoid rule
 REL_TOL = 1e-8          # relative tolerance of QUADPACK and the trapezoid rule
 _LIMIT = 200            # QUADPACK subdivisions
 _MAX_POINTS = 1 << 14   # trapezoid nodes at which the rule gives up
@@ -35,18 +34,16 @@ def _check_support(p, q):
 
 def _expect(g, p, q=None):
     """E_p[g(X, f(X))] with f = p.pdf; q, when given, is the second field of a
-    divergence and must contain p's support."""
+    divergence and must contain p's support.  A flow q is read on p's window."""
     fields = (p,) if q is None else (p, q)
-    lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
     if all(fl.flow is not None for fl in fields):
-        phi, var, _ = p.flow
-        a, b = _z_cut(p, lo, hi)
+        flow_map, var, z_edge = p.flow
         norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
         def weighted(z):
-            x = phi(z)
+            x = flow_map(z)
             return norm * np.exp(-0.5 * z * z / var) * g(x, p.pdf(x))
-        return _trapezoid(weighted, a, b, math.sqrt(var) / 4.0)
+        return _trapezoid(weighted, -z_edge, z_edge, math.sqrt(var) / 4.0)
     if q is not None:
         _check_support(p, q)
     if all(fl.step is not None for fl in fields):
@@ -60,27 +57,12 @@ def _expect(g, p, q=None):
         f = p.pdf(x)
         return float(f * g(x, f)) if f > _TINY else 0.0
 
+    lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
     result = integrate.quad(integrand, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
                             limit=_LIMIT, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"quadrature did not converge: {result[3]}")
     return result[0]
-
-
-def _z_cut(p, lo, hi):
-    """The pre-image [a, b] in [-z_edge, z_edge] of lo <= X <= hi for the flow field p.
-    A flow q's density is positive on all of its domain, so the mass of p that q
-    misses is the N(0, var) mass this cut drops: SupportError past ABS_TOL."""
-    phi, var, z_edge = p.flow
-    if lo >= hi:
-        raise SupportError("the domains do not overlap: all of p's mass is dropped")
-    a = -z_edge if lo <= p.lo else float(doss.invert_phi(phi, lo))
-    b = z_edge if hi >= p.hi else float(doss.invert_phi(phi, hi))
-    r = math.sqrt(2.0 * var)
-    dropped = 0.5 * (math.erfc(-a / r) + math.erfc(b / r)) - math.erfc(z_edge / r)
-    if dropped > ABS_TOL:
-        raise SupportError(f"the common domain [{lo:g}, {hi:g}] drops {dropped:.3g} of p's mass")
-    return a, b
 
 
 def _trapezoid(weighted, a, b, step0):

@@ -104,10 +104,9 @@ def sample_endpoint(channel, t, n, rng):
         sig = channel.sigma
         if sig.kind == "constant":
             return channel.x0 + sig.c * z
-        phi = ch._phi_for(channel, t)
+        flow_map, _, z_edge = ch.density_at(channel, t).flow
         z.sort()
-        z_lo, z_hi = phi.z_domain
-        return phi(np.clip(z, z_lo, z_hi))
+        return flow_map(np.clip(z, -z_edge, z_edge, out=z))
     law = channel.initial
     if law.kind == "gaussian":
         x0 = _standard_normal(rng, n) * math.sqrt(law.variance)

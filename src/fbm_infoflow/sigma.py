@@ -23,9 +23,8 @@ class SigmaModel:
     """A positive diffusion coefficient on a finite working domain.
 
     Use the module-level constructors (:func:`constant`,
-    :func:`sqrt_one_plus_square`, :func:`identity_channel`, :func:`custom`)
-    rather than instantiating directly.  sigma, sigma' and sigma'' are the
-    array callables fn, d1 and d2.
+    :func:`sqrt_one_plus_square`, :func:`custom`) rather than instantiating
+    directly.  sigma, sigma' and sigma'' are the array callables fn, d1 and d2.
     """
 
     kind: str                      # 'constant' | 'sqrt1p' | 'custom'
@@ -59,11 +58,6 @@ def constant(c, domain=(-1e9, 1e9)):
         domain=(float(domain[0]), float(domain[1])),
         c=c,
     )
-
-
-def identity_channel(domain=(-1e9, 1e9)):
-    """sigma(x) = 1, the identity channel dX = dB^H: the same model as constant(1.0)."""
-    return constant(1.0, domain=domain)
 
 
 def sqrt_one_plus_square(domain=(-1e9, 1e9)):

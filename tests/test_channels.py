@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
-from fbm_infoflow.errors import DegenerateTimeError, DomainError
+from fbm_infoflow.errors import DegenerateTimeError, DomainError, FlowEscapeError
 
 
 def _uniform_law(lo=-1.0, hi=1.0, n=2001):
@@ -62,7 +62,7 @@ def _flat_custom(c):
 @given(c=st.floats(0.2, 5.0), x0=st.floats(-3.0, 3.0), h=st.floats(0.1, 0.9),
        t=st.floats(0.1, 3.0))
 def test_constant_sigma_flow_field_is_gaussian(c, x0, h, t):
-    # solve_phi + pushforward_density + the z rule against the Gaussian field
+    # the Lamperti table, the field's pdf and the z rule against the Gaussian field
     flow = ch.density_at(ch.multiplicative(_flat_custom(c), x0, h), t)
     gauss = ch.density_at(ch.multiplicative(sg.constant(c), x0, h), t)
     assert flow.flow is not None and _is_normal(gauss, x0, c ** 2 * t ** (2 * h))
@@ -71,6 +71,27 @@ def test_constant_sigma_flow_field_is_gaussian(c, x0, h, t):
     assert nf.entropy(flow) == pytest.approx(nf.entropy(gauss), abs=1e-9)
     assert nf.generalized_fisher(flow) == pytest.approx(
         nf.generalized_fisher(gauss), abs=1e-9, rel=1e-9)
+
+
+def test_flow_field_reads_past_its_table():
+    # At t = 0.05, H = 0.9 the window is |z| <= 0.54, |x| <= 0.57.  A field reads
+    # all of sigma's domain: past the table's end it makes the table longer, and
+    # reads what a table built long from the start gives, asinh's push-forward;
+    # past sigma's domain it raises.
+    t, h, xs = 0.05, 0.9, np.array([-4.0, 0.1, 4.0])
+    var = t ** (2 * h)
+    exact = (np.exp(-0.5 * np.arcsinh(xs) ** 2 / var) / np.sqrt(2 * np.pi * var)
+             / np.sqrt(1 + xs ** 2))
+    short = ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, h), t)
+    assert short.hi < 1.0
+    got = short.pdf(xs), short.score_fn(xs)
+    assert np.max(np.abs(got[0] / exact - 1.0)) <= 1e-9
+    s = sg.sqrt_one_plus_square()
+    ch.density_at(ch.multiplicative(s, 0.0, h), 2.0)
+    long = ch.density_at(ch.multiplicative(s, 0.0, h), t)
+    assert np.array_equal(long.pdf(xs), got[0]) and np.array_equal(long.score_fn(xs), got[1])
+    with pytest.raises(FlowEscapeError, match="outside sigma's working domain"):
+        short.pdf(np.array([0.0, 2e9]))
 
 
 def test_grid_convolution_matches_gaussian_closed_form():
@@ -346,7 +367,7 @@ def test_additive_channel_takes_only_the_unit_sigma():
     # A sigma other than 1 on an additive channel was once accepted and never read.
     law = ch.gaussian_law(0.0, 1.0)
     assert ch.additive(law, 0.5).sigma is ch.UNIT_SIGMA
-    for sigma in (sg.constant(1.0), sg.identity_channel()):
+    for sigma in (sg.constant(1.0), sg.constant(1.0, domain=(-10.0, 10.0))):
         assert ch.ChannelSpec("additive", 0.5, sigma=sigma, initial=law).sigma is sigma
     for sigma in (sg.sqrt_one_plus_square(), sg.constant(2.0)):
         with pytest.raises(DomainError):

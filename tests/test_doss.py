@@ -1,12 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from fbm_infoflow import doss, sigma as sg
+from fbm_infoflow import channels as ch, doss, sigma as sg
 from fbm_infoflow.errors import DegenerateTimeError, FlowEscapeError, RangeError
 
 TOL = 1e-10
+
+
+def _flat(c):
+    """sigma = c as a custom model, so that its channels take the flow route."""
+    return sg.custom(lambda x: np.full_like(np.asarray(x, float), c),
+                     lambda x: np.zeros_like(np.asarray(x, float)),
+                     lambda x: np.zeros_like(np.asarray(x, float)), (-1e9, 1e9))
+
+
+def _flow_field(sigma, x0, t, h):
+    field = ch.density_at(ch.multiplicative(sigma, x0, h), t)
+    assert field.flow is not None
+    return field
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +30,7 @@ def phi_sinh():
 
 
 def test_unit_sigma_flow_is_shift():
-    phi = doss.solve_phi(sg.identity_channel(), 3.0, (-5, 5))
+    phi = doss.solve_phi(sg.constant(1.0), 3.0, (-5, 5))
     zs = np.linspace(-5, 5, 101)
     assert np.max(np.abs(phi(zs) - (3.0 + zs))) <= TOL
 
@@ -54,8 +69,8 @@ def test_flow_accuracy_against_sinh():
 
 @pytest.mark.parametrize("x0", [0.0, 1.0])
 def test_wider_table_extends_narrower(x0):
-    # Both tables start from x0 with the same steps, so a Richardson stencil
-    # t +- delta whose flows fall in two z-range buckets reads one flow.
+    # Both tables start from x0 with the same steps, so the one table of a sigma
+    # can be made longer without changing any value a field has read.
     s = sg.sqrt_one_plus_square()
     narrow, wide = doss.solve_phi(s, x0, (-8, 8)), doss.solve_phi(s, x0, (-16, 16))
     rng = np.random.default_rng(3)
@@ -84,7 +99,7 @@ def test_invert_phi_inverts_phi(phi_sinh, z):
 
 def test_invert_examples(phi_sinh):
     assert doss.invert_phi(phi_sinh, np.sinh(1.0)) == pytest.approx(1.0, abs=1e-10)
-    phi = doss.solve_phi(sg.identity_channel(), 3.0, (-5, 5))
+    phi = doss.solve_phi(sg.constant(1.0), 3.0, (-5, 5))
     assert doss.invert_phi(phi, 3.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -123,76 +138,89 @@ def test_invert_out_of_range(phi_sinh):
         doss.invert_phi(phi_sinh, 1e6)
 
 
+# The push-forward of N(0, t^{2H}) through the flow is the flow field's pdf.
+
 def test_pushforward_gaussian_value():
-    phi = doss.solve_phi(sg.constant(1.0), 0.0, (-8, 8))
-    val = doss.pushforward_density(phi, 1.0, 0.75, 0.0)
+    val = _flow_field(_flat(1.0), 0.0, 1.0, 0.75).pdf(0.0)
     assert val == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
 
 
 def test_pushforward_constant_sigma_matches_gaussian():
+    # x0 = 1 lies z0 = 1/c from the table's anchor 0: the field is a shift in z.
     c, x0, t, h = 2.0, 1.0, 1.5, 0.3
-    phi = doss.solve_phi(sg.constant(c), x0, (-10, 10))
     var = c * c * t ** (2 * h)
     xs = x0 + np.linspace(-3, 3, 41) * np.sqrt(var)
     exact = np.exp(-0.5 * (xs - x0) ** 2 / var) / np.sqrt(2 * np.pi * var)
-    got = doss.pushforward_density(phi, t, h, xs)
+    got = _flow_field(_flat(c), x0, t, h).pdf(xs)
     assert np.max(np.abs(got - exact) / exact) <= 1e-10
 
 
-def test_pushforward_normalizes(phi_sinh):
-    t, h = 0.5, 0.75   # z_domain edge sits at 6.7 std of B^H_t, tail < 1e-10
-    lo, hi = phi_sinh.x_range
-    mass, _ = quad(lambda x: doss.pushforward_density(phi_sinh, t, h, x),
-                   lo, hi, limit=200,
+def test_pushforward_normalizes():
+    field = _flow_field(sg.sqrt_one_plus_square(), 0.0, 0.5, 0.75)
+    mass, _ = quad(field.pdf, field.lo, field.hi, limit=200,
                    points=np.sinh(np.linspace(-3, 3, 9)))
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_pushforward_nonnegative(phi_sinh):
-    xs = np.linspace(*phi_sinh.x_range, 1001)
-    assert np.all(doss.pushforward_density(phi_sinh, 1.0, 0.5, xs) >= 0)
+def test_pushforward_nonnegative():
+    field = _flow_field(sg.sqrt_one_plus_square(), 0.0, 1.0, 0.5)
+    assert np.all(field.pdf(np.linspace(field.lo, field.hi, 1001)) >= 0)
 
 
-def test_t_zero_degenerate(phi_sinh):
+def test_t_zero_degenerate():
     with pytest.raises(DegenerateTimeError):
-        doss.pushforward_density(phi_sinh, 0.0, 0.5, 0.0)
+        ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5), 0.0)
 
 
 def test_flow_escape():
+    # The table stops at sigma's edge, asinh 5 = 2.31 in z, and says so; a field
+    # whose window would drop more than ABS_TOL of its mass there raises.
     s = sg.sqrt_one_plus_square(domain=(-5, 5))
-    with pytest.raises(FlowEscapeError):
-        doss.solve_phi(s, 0.0, (-6, 6))
+    phi = doss.solve_phi(s, 0.0, (-6, 6))
+    assert phi.x_range == (-5.0, 5.0)
+    assert phi.z_domain == pytest.approx((-math.asinh(5.0), math.asinh(5.0)), abs=1e-12)
+    with pytest.raises(FlowEscapeError, match=r"drops 0\.0208 of the mass"):
+        ch.density_at(ch.multiplicative(s, 0.0, 0.5), 1.0)
+    field = ch.density_at(ch.multiplicative(s, 0.0, 0.5), 0.09)   # 7.7 std: 1.4e-14
+    assert field.flow[2] == pytest.approx(math.asinh(5.0), abs=1e-12)
 
 
 def test_flow_inside_domain_builds():
     # z(5) = asinh 5 = 2.31 passes the z-range's end 2 before the domain's edge
     phi = doss.solve_phi(sg.sqrt_one_plus_square(domain=(-5, 5)), 0.0, (-2, 2))
     assert -5.0 < phi.x_range[0] and phi.x_range[1] < 5.0
+    assert phi.z_domain == (-2.0, 2.0)
     assert phi(2.0) == pytest.approx(np.sinh(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("x0", [0.0, 7.0])
 def test_flow_start_outside_domain(x0):
+    s = sg.sqrt_one_plus_square(domain=(2, 5))
     with pytest.raises(FlowEscapeError, match=f"x0 = {x0:g} lies outside"):
-        doss.solve_phi(sg.sqrt_one_plus_square(domain=(2, 5)), x0, (-1, 1))
+        doss.solve_phi(s, x0, (-1, 1))
+    with pytest.raises(FlowEscapeError, match="outside sigma's working domain"):
+        ch.density_at(ch.multiplicative(s, x0, 0.5), 1.0)
 
 
 def test_flow_escape_names_z_reached():
     s = sg.sqrt_one_plus_square(domain=(-5, 5))
-    with pytest.raises(FlowEscapeError, match=r"x = -5 .* z = -2\.31244"):
-        doss.solve_phi(s, 0.0, (-2.4, 2.4))
+    phi = doss.solve_phi(s, 0.0, (-2.4, 1.0))
+    assert phi.z_domain[0] == pytest.approx(-2.31244, abs=1e-5) and phi.z_domain[1] == 1.0
+    assert phi(phi.z_domain[0]) == -5.0
+    with pytest.raises(RangeError):
+        phi(-2.4)
 
 
-def test_pushforward_matches_mc_histogram(phi_sinh):
+def test_pushforward_matches_mc_histogram():
     # X = sinh(Z), Z ~ N(0,1): histogram of 1e6 draws vs integrated density
+    pdf = _flow_field(sg.sqrt_one_plus_square(), 0.0, 1.0, 0.5).pdf
     rng = np.random.default_rng(99)
     n = 1_000_000
     x = np.sinh(rng.standard_normal(n))
     edges = np.sinh(np.linspace(-3.0, 3.0, 31))
     counts, _ = np.histogram(x, bins=edges)
     for i in range(len(edges) - 1):
-        p, _ = quad(lambda u: doss.pushforward_density(phi_sinh, 1.0, 0.5, u),
-                    edges[i], edges[i + 1], limit=100)
+        p, _ = quad(pdf, edges[i], edges[i + 1], limit=100)
         expect = n * p
         se = np.sqrt(n * p * (1 - p))
         assert abs(counts[i] - expect) <= 4 * se

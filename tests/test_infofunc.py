@@ -278,15 +278,24 @@ def test_z_rule_raises_at_point_cap(monkeypatch):
         nf.entropy(p)
 
 
-@pytest.mark.parametrize("y0, t, h, message", [
-    (1.0, 0.05, 0.5, "drops"),           # q's table cuts 2.5e-5 of p's mass
-    (1.0, 0.05, 0.75, "drops"),          # ... and 63% of it
-    (1e5, 0.5, 0.5, "do not overlap"),
+@pytest.mark.parametrize("x0, y0, t, h, q_first", [
+    (0.0, 1.0, 0.05, 0.5, False),        # q's own 8-std window misses some of p's mass
+    (0.0, 1.0, 0.05, 0.75, False),       # ... and most of it
+    (0.0, 1.0, 0.05, 0.9, False),        # ... and all of it
+    (0.0, 1e5, 0.5, 0.5, False),         # the windows do not overlap
+    (1e5, 1.0, 0.5, 0.5, True),          # q, built first, must read the longer table p needs
 ])
-def test_flow_divergence_rejects_a_cut_of_p_mass(y0, t, h, message):
+def test_flow_divergence_matches_closed_form(x0, y0, t, h, q_first):
+    # Under one sigma, X_t and Y_t are phi(z0 + Z) with z0 = asinh x0 and asinh y0
+    # on sqrt1p: KL = dz^2 / (2 t^{2H}) and J_{sigma^2} = dz^2 / t^{4H}.  q is read
+    # on p's window from the one table of sigma, whatever its own window.
     s = sg.sqrt_one_plus_square()
-    p = ch.density_at(ch.multiplicative(s, 0.0, h), t)
-    q = ch.density_at(ch.multiplicative(s, y0, h), t)
-    for divergence in (nf.kl_divergence, nf.relative_fisher):
-        with pytest.raises(SupportError, match=message):
-            divergence(p, q)
+    order = (y0, x0) if q_first else (x0, y0)
+    built = {x: ch.density_at(ch.multiplicative(s, x, h), t) for x in order}
+    p, q = built[x0], built[y0]
+    dz2, v = (math.asinh(y0) - math.asinh(x0)) ** 2, t ** (2 * h)
+    exact = {"kl": dz2 / (2 * v), "relative_fisher": dz2 / v ** 2}
+    got = {"kl": nf.kl_divergence(p, q),
+           "relative_fisher": nf.relative_fisher(p, q, lambda x: s.fn(x) ** 2)}
+    for name, value in exact.items():
+        assert abs(got[name] - value) <= nf.ABS_TOL + nf.REL_TOL * abs(value), name

@@ -23,14 +23,16 @@ def test_constant_eval_everywhere():
 
 
 def test_identity_channel_is_unit():
-    s = sg.identity_channel()
+    # The identity channel dX = dB^H is the constant 1; it has no model of its own.
+    s = sg.constant(1.0)
     assert (s.kind, s.c) == ("constant", 1.0)
     assert s.fn(123.0) == 1.0
     assert s.d1(123.0) == 0.0
+    assert not hasattr(sg, "identity_channel")
 
 
 @pytest.mark.parametrize("model", [
-    sg.constant(0.5), sg.constant(2.0), sg.identity_channel(),
+    sg.constant(0.5), sg.constant(2.0), sg.constant(1.0),
     sg.sqrt_one_plus_square(),
 ])
 def test_derivatives_match_finite_differences(model):
