@@ -39,6 +39,8 @@ _XBIG = 26.543                  # Cody's: erfc and exp(-w^2) are below 1e-306 pa
 ABS_TOL = 1e-10         # mass a flow window may drop; infofunc's absolute tolerance
 _Z_STD = 8.0            # a flow field's window: this many std of B^H_t about z0
 _FLOWS = 8              # Lamperti tables kept, one per sigma
+_Z_REACH = 64.0         # a table runs at most this far each way from its anchor in z:
+                        # 64 000 nodes at doss's 2e-3 spacing, 3x sqrt1p's whole table
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
 _KERNEL_ENTRIES = 1 << 16   # entries of one block's buffers in all: 512 kB, in L2
 UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
@@ -126,7 +128,8 @@ def additive(initial, hurst):
 class DensityField:
     """A one-dimensional density on [lo, hi]: pdf, score and, for additive fields,
     the score's x-derivative.  `step` or `flow` picks the trapezoid rule of
-    `infofunc`; a field with neither goes to QUADPACK over [lo, hi]."""
+    `infofunc`; a field with neither goes to its adaptive Gauss-Kronrod rule in x
+    over [lo, hi]."""
 
     lo: float
     hi: float
@@ -165,16 +168,18 @@ def gaussian_field(mean, variance):
 class _Lamperti:
     """The Lamperti table z(x) = int_a^x dy / sigma(y), a the midpoint of sigma's
     working domain: two starts under one sigma differ by a shift in z, so it serves
-    every start, H and t.  It is made longer whenever a field reaches past its end;
-    a longer table repeats a shorter one node for node, so no value changes, and a
-    field made earlier reads the longer one too."""
+    every start, H and t.  It is made longer whenever a field reaches past its end,
+    up to _Z_REACH from a; a longer table repeats a shorter one node for node, so
+    no value changes, and a field made earlier reads the longer one too."""
 
     def __init__(self, sigma):
         self.sigma, self.phi, self.asked = sigma, None, (0.0, 0.0)
 
     def cover(self, z_lo, z_hi):
-        """The table, built out to [z_lo, z_hi] in z or to sigma's edge."""
+        """The table, built out to [z_lo, z_hi] in z, or to sigma's edge or _Z_REACH
+        from the anchor where either comes first."""
         a, b = self.asked
+        z_lo, z_hi = max(z_lo, -_Z_REACH), min(z_hi, _Z_REACH)
         if z_lo < a or z_hi > b:
             self.asked = min(a, z_lo), max(b, z_hi)
             self.phi = doss.solve_phi(self.sigma, sum(self.sigma.domain) / 2, self.asked)
@@ -182,7 +187,8 @@ class _Lamperti:
 
     def z_of(self, x):
         """z at the points x of sigma's domain.  Where x lies past the table's end,
-        the table's z range doubles toward that end until it gets there."""
+        the table's z range doubles toward that end until it gets there, or raises
+        FlowEscapeError once it has reached _Z_REACH."""
         while True:
             try:
                 return doss.invert_phi(self.phi, x)
@@ -191,14 +197,20 @@ class _Lamperti:
                 if np.min(x) < lo or np.max(x) > hi:
                     raise FlowEscapeError(f"x outside sigma's working domain [{lo:g}, {hi:g}]")
                 x_lo, x_hi = self.phi.x_range
-                self.cover(min(2.0 * a, -1.0) if np.min(x) < x_lo else a,
-                           max(2.0 * b, 1.0) if np.max(x) > x_hi else b)
+                below, above = np.min(x) < x_lo, np.max(x) > x_hi
+                if (below and a == -_Z_REACH) or (above and b == _Z_REACH):
+                    raise FlowEscapeError(
+                        f"x = {np.min(x) if below else np.max(x):g} lies more than "
+                        f"{_Z_REACH:g} in z from the midpoint of sigma's domain, "
+                        "past the end of its Lamperti table")
+                self.cover(min(2.0 * a, -1.0) if below else a, max(2.0 * b, 1.0) if above else b)
 
 
 def _multiplicative_field(channel, t):
     """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
-    on the window z0 +- z_edge: _Z_STD std, or less where sigma's edge is nearer.
-    FlowEscapeError if the N(0, var) mass beyond z_edge is above ABS_TOL."""
+    on the window z0 +- z_edge: _Z_STD std, or less where the table's end, sigma's
+    edge or _Z_REACH, is nearer.  FlowEscapeError if the N(0, var) mass beyond
+    z_edge is above ABS_TOL."""
     sig = channel.sigma
     var = float(t) ** (2.0 * channel.hurst.value)
     if sig.kind == "constant":
@@ -212,8 +224,9 @@ def _multiplicative_field(channel, t):
     dropped = math.erfc(z_edge / math.sqrt(2.0 * var))
     if dropped > ABS_TOL:
         raise FlowEscapeError(
-            f"sigma's working domain ends {z_edge / sd:.4g} std from x0 = {channel.x0:g} "
-            f"in z: the window drops {dropped:.3g} of the mass of X_t, above {ABS_TOL:g}")
+            f"sigma's table ends {z_edge / sd:.4g} std from x0 = {channel.x0:g} in z, at "
+            f"sigma's edge or {_Z_REACH:g} from its midpoint: the window drops {dropped:.3g} "
+            f"of the mass of X_t, above {ABS_TOL:g}")
 
     def flow_map(z):
         return table.phi(z0 + z)

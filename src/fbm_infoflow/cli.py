@@ -17,6 +17,9 @@ import sys
 
 import click
 import numpy as np
+# numpy loads these lazily; loading them with the package keeps that cost
+# in set-up, not in the first cell that draws.
+import numpy.random
 
 from . import channels as ch
 from . import fbm
@@ -252,16 +255,17 @@ class _SuiteRunner:
     def _check_rhs(self, report, rhs, channel):
         """Check report.rhs, the quadrature of the definition rhs, two more ways.
         On the first cell of its suite that computes, if its fields are flow fields,
-        rhs again by QUADPACK in x, on the fields with their flow tags dropped; the
-        row fails unless the two agree within the rhs's declared accuracy.  With an
-        oracle, the Monte Carlo estimate of rhs = scale * E[g(X_t)], X_t ~ channel."""
+        rhs again by the adaptive Gauss-Kronrod rule in x, on the fields with their
+        flow tags dropped, over p's own window as the z rule takes it; the row fails
+        unless the two agree within the rhs's declared accuracy.  With an oracle,
+        the Monte Carlo estimate of rhs = scale * E[g(X_t)], X_t ~ channel."""
         # Declared accuracy of the quadrature rhs; it dominates the oracle's slack
         # when g is constant and the standard error vanishes.
         accuracy = abs(rhs.scale) * nf.ABS_TOL + nf.REL_TOL * abs(report.rhs)
         if report.identity_name not in self._cross_checked and rhs.fields[0].flow is not None:
             x_rhs = rhs.value([dataclasses.replace(f, flow=None) for f in rhs.fields])
             agree = abs(x_rhs - report.rhs) <= accuracy
-            report.method_notes += (f"; x-space quadpack rhs={x_rhs:.12g}"
+            report.method_notes += (f"; x-space gauss-kronrod rhs={x_rhs:.12g}"
                                     f"{'' if agree else ' DISAGREES'}")
             report.passed = report.passed and agree
         if self.oracle:

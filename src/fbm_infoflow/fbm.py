@@ -11,6 +11,10 @@ and its imaginary part (Wood & Chan 1994; Dietrich & Newsam 1997).
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these lazily; loading them with the package keeps that cost
+# in set-up, not in the first cell that draws.
+import numpy.fft
+import numpy.random
 
 from .errors import DomainError, GridError
 

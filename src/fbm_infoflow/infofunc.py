@@ -6,21 +6,22 @@ E_p[g(X, f(X))], f being p's density, evaluated by `_expect` with one trapezoid
 rule, `_trapezoid`, whose step halves until two sums agree to the tolerances:
 in z for flow fields X = flow_map(Z), Z ~ N(0, var), and in x over p's own
 domain for Gaussian and grid-law fields, which carry the base step.  It
-converges geometrically on these integrands.  Adaptive quadrature in x (scipy QUADPACK)
-takes fields with no common tag and is the reference the rule is tested
-against.  A weight b is an array callable, None meaning 1.
+converges geometrically on these integrands.  Fields with no common tag go to
+an adaptive Gauss-Kronrod rule in x over p's own domain, `_gauss_kronrod`, the
+reference the trapezoid rule is tested against.  A weight b is an array
+callable, None meaning 1.
 """
 
 import math
+import types
 
 import numpy as np
-from scipy import integrate
 
-from .channels import ABS_TOL      # absolute tolerance of QUADPACK and the trapezoid rule
+from .channels import ABS_TOL      # absolute tolerance of both rules
 from .errors import QuadratureError, SupportError
 
-REL_TOL = 1e-8          # relative tolerance of QUADPACK and the trapezoid rule
-_LIMIT = 200            # QUADPACK subdivisions
+REL_TOL = 1e-8          # relative tolerance of both rules
+_LIMIT = 200            # subintervals at which the Gauss-Kronrod rule gives up
 _MAX_POINTS = 1 << 14   # trapezoid nodes at which the rule gives up
 _TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
@@ -34,7 +35,8 @@ def _check_support(p, q):
 
 def _expect(g, p, q=None):
     """E_p[g(X, f(X))] with f = p.pdf; q, when given, is the second field of a
-    divergence and must contain p's support.  A flow q is read on p's window."""
+    divergence and must contain p's support.  Every rule integrates over p's own
+    window and reads q there."""
     fields = (p,) if q is None else (p, q)
     if all(fl.flow is not None for fl in fields):
         flow_map, var, z_edge = p.flow
@@ -46,23 +48,19 @@ def _expect(g, p, q=None):
         return _trapezoid(weighted, -z_edge, z_edge, math.sqrt(var) / 4.0)
     if q is not None:
         _check_support(p, q)
-    if all(fl.step is not None for fl in fields):
-        # A Gaussian or grid-law q has a density on all of R, so p's own domain is kept.
-        def weighted(x):
-            f = p.pdf(x)
-            return np.where(f > _TINY, f * g(x, np.maximum(f, _TINY)), 0.0)
-        return _trapezoid(weighted, p.lo, p.hi, min(fl.step for fl in fields))
 
-    def integrand(x):
+    # A Gaussian or grid-law q has a density on all of the line, and a flow q on
+    # all of sigma's domain, through its one table.
+    def weighted(x):
         f = p.pdf(x)
-        return float(f * g(x, f)) if f > _TINY else 0.0
-
-    lo, hi = max(fl.lo for fl in fields), min(fl.hi for fl in fields)
-    result = integrate.quad(integrand, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
-                            limit=_LIMIT, full_output=1)
-    if len(result) > 3:
-        raise QuadratureError(f"quadrature did not converge: {result[3]}")
-    return result[0]
+        return np.where(f > _TINY, f * g(x, np.maximum(f, _TINY)), 0.0)
+    if all(fl.step is not None for fl in fields):
+        return _trapezoid(weighted, p.lo, p.hi, min(fl.step for fl in fields))
+    value, _, _, *failure = integrate.quad(weighted, p.lo, p.hi, epsabs=ABS_TOL,
+                                           epsrel=REL_TOL, limit=_LIMIT)
+    if failure:
+        raise QuadratureError(f"quadrature did not converge: {failure[0]}")
+    return value
 
 
 def _trapezoid(weighted, a, b, step0):
@@ -80,6 +78,85 @@ def _trapezoid(weighted, a, b, step0):
         if abs(value - previous) <= ABS_TOL + REL_TOL * abs(value):
             return float(value)
     raise QuadratureError(f"trapezoid rule: no two sums agreed within {_MAX_POINTS} points")
+
+
+# The 21-point Kronrod rule and the 10-point Gauss rule inside it on [-1, 1]
+# (Piessens et al. 1983, QUADPACK, routine QK21): nodes ascending, the Gauss
+# weights 0 at the Kronrod-only nodes.
+_XK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+       0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+       0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+       0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+       0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+       0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+       0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+       0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+       0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WK0 = 0.149445554002916905664936468389821
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_NODES = np.array([-x for x in _XK] + [0.0] + list(_XK[::-1]))
+_KRONROD = np.array(_WK + (_WK0,) + _WK[::-1])
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[11::2] = _WG[::-1]
+_EPS = np.finfo(float).eps
+
+
+def _kronrod(f, a, b):
+    """The 21-point Kronrod values of int f on the intervals [a, b] and QUADPACK's
+    error estimates of them, from one call of f on all their nodes, ascending."""
+    half = 0.5 * (b - a)
+    fv = f(((a + half)[:, None] + half[:, None] * _NODES).ravel()).reshape(a.size, 21)
+    kronrod = fv @ _KRONROD
+    error = half * np.abs(kronrod - fv @ _GAUSS)
+    spread = half * (np.abs(fv - 0.5 * kronrod[:, None]) @ _KRONROD)
+    s = spread != 0.0
+    error[s] = spread[s] * np.minimum(1.0, (200.0 * error[s] / spread[s]) ** 1.5)
+    return half * kronrod, np.maximum(50.0 * _EPS * half * (np.abs(fv) @ _KRONROD), error)
+
+
+def _gauss_kronrod(f, a, b, epsabs, epsrel, limit):
+    """int_a^b f by globally adaptive bisection with the 21-point Gauss-Kronrod pair.
+    Each round bisects the intervals of largest error until those left hold at most
+    half of max(epsabs, epsrel |I|), and evaluates f on all new intervals at once.
+    Returns (value, error estimate, {"neval": n}), and a message as a fourth
+    element when limit intervals do not reach the tolerance."""
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    area, error = _kronrod(f, lo, hi)
+    neval = 21
+    while True:
+        value, total = float(np.sum(area)), float(np.sum(error))
+        tol = max(epsabs, epsrel * abs(value))
+        if total <= tol:
+            return value, total, {"neval": neval}
+        worst = np.argsort(error)[::-1]
+        left = total - np.cumsum(error[worst])          # error left after each bisection
+        count = min(int(np.searchsorted(-left, -0.5 * tol)) + 1, lo.size, limit - lo.size)
+        if count <= 0:
+            return value, total, {"neval": neval}, (
+                f"{limit} subintervals leave an error estimate of {total:.3g}, above {tol:.3g}")
+        split = np.sort(worst[:count])
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.column_stack((lo[split], mid)).ravel()
+        new_hi = np.column_stack((mid, hi[split])).ravel()
+        new_area, new_error = _kronrod(f, new_lo, new_hi)
+        neval += 21 * new_lo.size
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        lo, hi, area, error = (np.concatenate((old[keep], new)) for old, new in (
+            (lo, new_lo), (hi, new_hi), (area, new_area), (error, new_error)))
+        order = np.argsort(lo)                          # intervals kept in ascending x
+        lo, hi, area, error = lo[order], hi[order], area[order], error[order]
+
+
+# The rule keeps QUADPACK's call shape, integrate.quad(f, a, b, ...) -> (value,
+# error, {"neval": n}[, message]), because the benchmark's tracer wraps it there
+# and its tests pin that shape; the benchmark change of ROADMAP direction 1
+# retires this seam.
+integrate = types.SimpleNamespace(quad=_gauss_kronrod)
 
 
 def expectation(field, g, q=None):

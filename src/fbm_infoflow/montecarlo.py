@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads these lazily; loading them with the package keeps that cost
+# in set-up, not in the first cell that draws.
+import numpy.random
 
 from . import channels as ch
 from .errors import DomainError

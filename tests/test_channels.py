@@ -94,6 +94,32 @@ def test_flow_field_reads_past_its_table():
         short.pdf(np.array([0.0, 2e9]))
 
 
+@pytest.mark.parametrize("x0, error", [
+    (50.0, None),                               # the window, z in [42, 58], fits
+    (60.0, "drops 6.33e-05 of the mass"),       # the window reaches z = 68
+    (1e6, r"x = 1e\+06 lies more than 64 in z"),  # 500 million nodes out
+])
+def test_flow_table_stops_at_its_reach(x0, error):
+    # sigma = 1 as a custom sigma takes the flow route, so X_t = x0 + B^H_t through
+    # a table anchored at 0 that reaches z = x0.  The table stops 64 from its
+    # anchor, so its nodes and memory are bounded however far x0 lies.
+    sigma = sg.custom(np.ones_like, np.zeros_like, np.zeros_like, (-1e9, 1e9))
+    tracemalloc.start()
+    try:
+        if error is None:
+            field = ch.density_at(ch.multiplicative(sigma, x0, 0.5), 1.0)
+            assert nf.entropy(field) == pytest.approx(0.5 * math.log(2 * math.pi * math.e),
+                                                      abs=1e-10)
+        else:
+            with pytest.raises(FlowEscapeError, match=error):
+                ch.density_at(ch.multiplicative(sigma, x0, 0.5), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ch._Lamperti(sigma).phi.z_grid.size <= 2 * 64 * 500 + 1
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_grid_convolution_matches_gaussian_closed_form():
     # Gaussian(0,1) tabulated on a grid, convolved: must match Gaussian(0, 1+t^{2H})
     grid = np.linspace(-10, 10, 4001)

@@ -261,7 +261,7 @@ _SQRT1P = {"channel": {"sigma": {"kind": "sqrt1p"}, "x0": 0.0}, "kl": {"y0": 1.0
 
 
 # The widest sqrt1p cell of the 3 x 3 grid, t = 2 and H = 0.75, where x reaches
-# +-3.5e5, is where QUADPACK works hardest.
+# +-3.5e5, is where the adaptive rule in x works hardest.
 @pytest.mark.parametrize("suite, rhs, t, h", [
     ("debruijn-mult", "debruijn_rhs", 1.0, 0.5), ("kl-flow", "kl_flow_rhs", 1.0, 0.5),
     ("debruijn-mult", "debruijn_rhs", 2.0, 0.75), ("kl-flow", "kl_flow_rhs", 2.0, 0.75),
@@ -271,7 +271,7 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs, t, h):
     cfg = {"suites": [suite], "t_grid": [t], "hurst_grid": [h], **_SQRT1P}
     runner = cli._SuiteRunner(cfg)
     first, second = runner.run_combo(suite, t, h), runner.run_combo(suite, t, h)
-    assert first.passed and "x-space quadpack rhs=" in first.method_notes
+    assert first.passed and "x-space gauss-kronrod rhs=" in first.method_notes
     assert "x-space" not in second.method_notes
     # The x route (fields without a flow tag) off by 1e-6 relative fails the row.
     exact = infofunc.expectation
@@ -300,7 +300,7 @@ def test_rhs_definition_feeds_check_cross_check_and_oracle(monkeypatch):
     rep = cli._SuiteRunner(cfg).run_combo("debruijn-mult", 1.0, 0.5)
     assert not rep.passed and rep.abs_discrepancy > rep.tolerance
     assert rep.extras["mc_ok"], rep.extras
-    assert "x-space quadpack rhs=" in rep.method_notes
+    assert "x-space gauss-kronrod rhs=" in rep.method_notes
     assert "DISAGREES" not in rep.method_notes
 
 
@@ -318,7 +318,7 @@ def test_failing_cell_becomes_an_error_row(tmp_path):
     assert failed["passed"] == "false" and failed["rhs"] == "nan"
     assert failed["method_notes"].startswith(
         "error: debruijn-mult t=4 H=0.9: FlowEscapeError: ")
-    assert passed["passed"] == "true" and "x-space quadpack rhs=" in passed["method_notes"]
+    assert passed["passed"] == "true" and "x-space gauss-kronrod rhs=" in passed["method_notes"]
 
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")
@@ -389,14 +389,17 @@ def test_additive_sweep_passes_everywhere(initial):
     assert code == 0, [(r.identity_name, r.t, r.hurst) for r in rows if not r.passed]
 
 
+# The flow sweep: t from the default min_t to 4 and H from 0.1 to 0.9.
+_SWEEP_TS, _SWEEP_HS = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0], [0.1, 0.2, 0.3, 0.5, 0.75, 0.9]
+
+
 def test_flow_sweep_computes_every_cell_with_mass_in_the_window():
-    # debruijn-mult and kl-flow on sqrt1p over t from the default min_t to 4 and H
-    # from 0.1 to 0.9.  Only t = 4, H = 0.9 raises: sigma's edge, z = 21.4, lies
-    # 6.1 std out, beyond which 8e-10 of the mass lies, above ABS_TOL.  Every
-    # kl-flow rhs is the closed form -H t^{2H-1} asinh(1)^2 / t^{4H}.
-    ts, hs = [0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0], [0.1, 0.2, 0.3, 0.5, 0.75, 0.9]
+    # debruijn-mult and kl-flow on sqrt1p over the sweep.  Only t = 4, H = 0.9
+    # raises: sigma's edge, z = 21.4, lies 6.1 std out, beyond which 8e-10 of the
+    # mass lies, above ABS_TOL.  Every kl-flow rhs is the closed form
+    # -H t^{2H-1} asinh(1)^2 / t^{4H}.
     _, rows, _ = cli.run_suite({"suites": ["debruijn-mult", "kl-flow"], **_SQRT1P,
-                                "t_grid": ts, "hurst_grid": hs})
+                                "t_grid": _SWEEP_TS, "hurst_grid": _SWEEP_HS})
     assert len(rows) == 84
     for r in rows:
         if (r.t, r.hurst) == (4.0, 0.9):
@@ -412,6 +415,23 @@ def test_flow_sweep_computes_every_cell_with_mass_in_the_window():
             if r.t == 0.05 and r.hurst in (0.75, 0.9):
                 continue
         assert r.passed, (r.identity_name, r.t, r.hurst, r.method_notes)
+
+
+@pytest.mark.parametrize("suite", ["debruijn-mult", "kl-flow"])
+def test_x_space_cross_check_agrees_over_the_flow_sweep(suite):
+    # Each cell of the sweep run as the first of its suite, so that it takes the
+    # x-space cross-check.  The x rule integrates over p's own window, as the z
+    # rule does; over the common window of p and q it cut p's mass at small t,
+    # and kl-flow read DISAGREES there.  t = 4, H = 0.9 raises (the sweep above).
+    for t in _SWEEP_TS:
+        for h in _SWEEP_HS:
+            if (t, h) == (4.0, 0.9):
+                continue
+            runner = cli._SuiteRunner({"suites": [suite], "t_grid": [t], "hurst_grid": [h],
+                                       **_SQRT1P})
+            notes = runner.run_combo(suite, t, h).method_notes
+            assert "x-space gauss-kronrod rhs=" in notes, (t, h, notes)
+            assert "DISAGREES" not in notes, (t, h, notes)
 
 
 # Small versions of the benchmark's three workload configs.
@@ -430,8 +450,9 @@ _WORKLOADS = {
 
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_quadpack_runs_only_in_the_flow_cross_check(monkeypatch, workload):
-    # QUADPACK is the reference route: every field the channels build carries a
-    # trapezoid-rule tag, and only the first flow cell's cross-check drops it.
+    # The adaptive rule in x, at the seam QUADPACK had, is the reference route: every
+    # field the channels build carries a trapezoid-rule tag, and only the first
+    # flow cell's cross-check drops it.
     calls = []
     quad = infofunc.integrate.quad
     monkeypatch.setattr(infofunc.integrate, "quad",

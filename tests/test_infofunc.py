@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
+from fbm_infoflow import channels as ch, identities as idn, infofunc as nf, sigma as sg
 from fbm_infoflow.errors import QuadratureError, SupportError
 
 
@@ -19,9 +19,10 @@ def _untagged(mean, var):
 
 @contextlib.contextmanager
 def _no_quadpack():
-    """Fail every call into QUADPACK: fields with a rule tag must not reach it."""
+    """Fail every call into the adaptive rule in x: fields with a trapezoid-rule tag
+    must not reach it."""
     def no_quadpack(*args, **kwargs):
-        raise AssertionError("a field with a rule tag reached QUADPACK")
+        raise AssertionError("a field with a rule tag reached the adaptive rule")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nf.integrate, "quad", no_quadpack)
         yield
@@ -153,8 +154,7 @@ def test_entropy_power_monotone_in_entropy():
     assert nf.entropy_power(p) < nf.entropy_power(q)
 
 
-# Gaussian pairs for which q's domain (mean +/- 10 std) holds all of p's mass,
-# so the QUADPACK route over the common domain sees the whole integral.
+# Gaussian pairs for which q's domain (mean +/- 10 std) holds all of p's mass.
 _mean = st.floats(-3.0, 3.0)
 _var = st.floats(0.1, 100.0)
 _shift = st.floats(-0.5, 0.5)        # in units of p's std
@@ -258,7 +258,7 @@ def test_z_rule_matches_sqrt1p_closed_forms(monkeypatch, h, t):
     assert p.flow is not None and q.flow is not None
 
     def no_quadpack(*args, **kwargs):
-        raise AssertionError("flow fields must not reach QUADPACK")
+        raise AssertionError("flow fields must not reach the adaptive rule in x")
     monkeypatch.setattr(nf.integrate, "quad", no_quadpack)
     got = {
         "entropy": nf.entropy(p),
@@ -299,3 +299,101 @@ def test_flow_divergence_matches_closed_form(x0, y0, t, h, q_first):
            "relative_fisher": nf.relative_fisher(p, q, lambda x: s.fn(x) ** 2)}
     for name, value in exact.items():
         assert abs(got[name] - value) <= nf.ABS_TOL + nf.REL_TOL * abs(value), name
+
+
+# Cells of the flow sweep of tests/test_cli.py, its corners and widest windows
+# (QUADPACK's scalar callbacks take ~0.1 s a wide cell), without t = 4, H = 0.9,
+# whose window would drop more than ABS_TOL of the mass.
+_SWEEP = [(t, h) for t in (0.05, 0.5, 2.0, 4.0) for h in (0.1, 0.5, 0.75, 0.9)
+          if (t, h) != (4.0, 0.9)]
+
+
+@contextlib.contextmanager
+def _against_quadpack():
+    """Run scipy's QUADPACK beside the Gauss-Kronrod rule on each integrand the
+    rule gets, as a scalar callback; yields the list of (rule, QUADPACK) results.
+    The rule must hand the integrand its nodes in ascending order."""
+    rule, results = nf.integrate.quad, []
+
+    def both(f, a, b, **tolerances):
+        def ascending(x):
+            assert np.all(np.diff(x) > 0), "the rule's nodes are out of order"
+            return f(x)
+        got = rule(ascending, a, b, **tolerances)
+        results.append((got, integrate.quad(lambda x: float(f(np.array([x]))[0]), a, b,
+                                            full_output=1, **tolerances)))
+        return got
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nf.integrate, "quad", both)
+        yield results
+
+
+def _assert_rule_meets_quadpack(results):
+    for got, ref in results:
+        assert len(got) == 3 and all(type(v) is float for v in got[:2]), got
+        assert got[2]["neval"] > 0 and got[2]["neval"] % 21 == 0
+        if len(ref) == 3:       # QUADPACK converged
+            assert abs(got[0] - ref[0]) <= nf.ABS_TOL + nf.REL_TOL * abs(ref[0]), (got, ref)
+
+
+@pytest.mark.parametrize("rhs_of", ["debruijn", "kl-flow"])
+def test_gauss_kronrod_matches_quadpack_over_the_flow_sweep(rhs_of):
+    # The x-space cross-check's integrands: the sqrt1p rhs definitions on fields
+    # with their flow tags dropped.  The rule converges on every cell, where
+    # QUADPACK gives up on three of the widest, meets QUADPACK wherever it
+    # converges, and meets the z rule everywhere.
+    s = sg.sqrt_one_plus_square()
+    for t, h in _SWEEP:
+        x = ch.multiplicative(s, 0.0, h)
+        rhs = (idn.debruijn_rhs(x, t) if rhs_of == "debruijn"
+               else idn.kl_flow_rhs(x, ch.multiplicative(s, 1.0, h), t))
+        z_rhs = rhs.value()
+        with _against_quadpack() as results:
+            x_rhs = rhs.value([dataclasses.replace(f, flow=None) for f in rhs.fields])
+        assert len(results) == 1
+        _assert_rule_meets_quadpack(results)
+        accuracy = abs(rhs.scale) * nf.ABS_TOL + nf.REL_TOL * abs(z_rhs)
+        assert abs(x_rhs - z_rhs) <= accuracy, (t, h)
+
+
+@pytest.mark.parametrize("mean, var, other", [(0.0, 1.0, (1.0, 1.5)), (0.3, 0.01, (0.25, 0.02)),
+                                              (-2.0, 100.0, (5.0, 80.0))])
+def test_gauss_kronrod_matches_gaussian_closed_forms(mean, var, other):
+    m2, v2 = other
+    p, q = _untagged(mean, var), _untagged(m2, v2)
+    exact = {"entropy": 0.5 * math.log(2 * math.pi * math.e * var), "fisher": 1.0 / var,
+             "kl": 0.5 * (math.log(v2 / var) + (var + (mean - m2) ** 2) / v2 - 1.0),
+             "relative_fisher": (mean - m2) ** 2 / v2 ** 2 + (1.0 / v2 - 1.0 / var) ** 2 * var}
+    with _against_quadpack() as results:
+        got = {"entropy": nf.entropy(p), "fisher": nf.generalized_fisher(p),
+               "kl": nf.kl_divergence(p, q), "relative_fisher": nf.relative_fisher(p, q)}
+    assert len(results) == 4
+    _assert_rule_meets_quadpack(results)
+    for name, value in exact.items():
+        assert abs(got[name] - value) <= nf.ABS_TOL + nf.REL_TOL * abs(value), name
+
+
+@pytest.mark.parametrize("peaks", [[-7.5, -2.0, 1.5, 6.0], [-8.0, -3.5, 0.5, 4.0, 8.5]])
+def test_gauss_kronrod_evaluates_in_ascending_order(peaks):
+    # Narrow Lorentzian peaks make the rule bisect intervals far apart in one
+    # round; each round's nodes still reach the integrand in ascending order.
+    exact = sum(0.1 * (math.atan((10.0 - c) / 0.01) - math.atan((-10.0 - c) / 0.01))
+                for c in peaks)
+    with _against_quadpack() as results:
+        nf.integrate.quad(lambda x: sum(1e-3 / (1e-4 + (x - c) ** 2) for c in peaks),
+                          -10.0, 10.0, epsabs=nf.ABS_TOL, epsrel=nf.REL_TOL, limit=nf._LIMIT)
+    _assert_rule_meets_quadpack(results)
+    assert abs(results[0][0][0] - exact) <= nf.ABS_TOL + nf.REL_TOL * exact
+
+
+def test_gauss_kronrod_reports_a_failure():
+    # Bisection cannot resolve a jump below the tolerance within the limit.
+    value, error, info, message = nf.integrate.quad(
+        lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0), 0.0, 1.0, epsabs=1e-14, epsrel=0.0,
+        limit=10)
+    assert abs(value - 1.0 / 3.0) < 1e-2 and error > 1e-14 and info["neval"] > 0
+    assert "10 subintervals" in message
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(QuadratureError):
+        mp.setattr(nf, "_LIMIT", 10)
+        nf.entropy(ch.DensityField(lo=-1.0, hi=1.0, pdf=lambda x: np.where(x < 1 / 3, 0.75, 0.0),
+                                   score_fn=lambda x: np.zeros_like(x)))
