@@ -17,7 +17,7 @@ Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
 X = flow_map(Z), Z ~ N(0, var), a (flow_map, var, z_edge) tag for the rule in z,
 additive fields a step, the base step of the rule in x (a quarter of the std of
 the Gaussian or of B^H_t).  Every flow field of one sigma reads one Lamperti
-table, which `channels` alone builds and grows.
+table, which `channels` alone builds, once, out to sigma's edge or _Z_REACH.
 """
 
 import functools
@@ -164,62 +164,43 @@ def gaussian_field(mean, variance):
     )
 
 
-@functools.lru_cache(maxsize=_FLOWS)     # _Lamperti(sigma): one table per sigma
-class _Lamperti:
+@functools.lru_cache(maxsize=_FLOWS)
+def _lamperti(sigma):
     """The Lamperti table z(x) = int_a^x dy / sigma(y), a the midpoint of sigma's
-    working domain: two starts under one sigma differ by a shift in z, so it serves
-    every start, H and t.  It is made longer whenever a field reaches past its end,
-    up to _Z_REACH from a; a longer table repeats a shorter one node for node, so
-    no value changes, and a field made earlier reads the longer one too."""
+    working domain, out to sigma's edge or _Z_REACH from a in z: two starts under one
+    sigma differ by a shift in z, so it serves every start, H and t."""
+    return doss.solve_phi(sigma, sum(sigma.domain) / 2, (-_Z_REACH, _Z_REACH))
 
-    def __init__(self, sigma):
-        self.sigma, self.phi, self.asked = sigma, None, (0.0, 0.0)
 
-    def cover(self, z_lo, z_hi):
-        """The table, built out to [z_lo, z_hi] in z, or to sigma's edge or _Z_REACH
-        from the anchor where either comes first."""
-        a, b = self.asked
-        z_lo, z_hi = max(z_lo, -_Z_REACH), min(z_hi, _Z_REACH)
-        if z_lo < a or z_hi > b:
-            self.asked = min(a, z_lo), max(b, z_hi)
-            self.phi = doss.solve_phi(self.sigma, sum(self.sigma.domain) / 2, self.asked)
-        return self.phi
-
-    def z_of(self, x):
-        """z at the points x of sigma's domain.  Where x lies past the table's end,
-        the table's z range doubles toward that end until it gets there, or raises
-        FlowEscapeError once it has reached _Z_REACH."""
-        while True:
-            try:
-                return doss.invert_phi(self.phi, x)
-            except RangeError:
-                (lo, hi), (a, b) = self.sigma.domain, self.asked
-                if np.min(x) < lo or np.max(x) > hi:
-                    raise FlowEscapeError(f"x outside sigma's working domain [{lo:g}, {hi:g}]")
-                x_lo, x_hi = self.phi.x_range
-                below, above = np.min(x) < x_lo, np.max(x) > x_hi
-                if (below and a == -_Z_REACH) or (above and b == _Z_REACH):
-                    raise FlowEscapeError(
-                        f"x = {np.min(x) if below else np.max(x):g} lies more than "
-                        f"{_Z_REACH:g} in z from the midpoint of sigma's domain, "
-                        "past the end of its Lamperti table")
-                self.cover(min(2.0 * a, -1.0) if below else a, max(2.0 * b, 1.0) if above else b)
+def _z_of(table, x):
+    """z at the points x, or FlowEscapeError for a point outside sigma's working
+    domain or past the table's end."""
+    try:
+        return doss.invert_phi(table, x)
+    except RangeError:
+        lo, hi = table.sigma.domain
+        if np.min(x) < lo or np.max(x) > hi:
+            raise FlowEscapeError(
+                f"x outside sigma's working domain [{lo:g}, {hi:g}]") from None
+        raise FlowEscapeError(
+            f"x = {np.min(x) if np.min(x) < table.x_range[0] else np.max(x):g} lies more "
+            f"than {_Z_REACH:g} in z from the midpoint of sigma's domain, past the end "
+            "of its Lamperti table") from None
 
 
 def _multiplicative_field(channel, t):
     """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
-    on the window z0 +- z_edge: _Z_STD std, or less where the table's end, sigma's
-    edge or _Z_REACH, is nearer.  FlowEscapeError if the N(0, var) mass beyond
-    z_edge is above ABS_TOL."""
+    on the window z0 +- z_edge: _Z_STD std, or less where the table ends nearer, at
+    sigma's edge or _Z_REACH.  FlowEscapeError if the N(0, var) mass beyond z_edge
+    is above ABS_TOL."""
     sig = channel.sigma
     var = float(t) ** (2.0 * channel.hurst.value)
     if sig.kind == "constant":
         return gaussian_field(channel.x0, sig.c ** 2 * var)
     sd = math.sqrt(var)
-    table = _Lamperti(sig)
-    table.cover(-_Z_STD * sd, _Z_STD * sd)      # a table to start from, about its anchor
-    z0 = float(table.z_of(channel.x0))
-    z_lo, z_hi = table.cover(z0 - _Z_STD * sd, z0 + _Z_STD * sd).z_domain
+    table = _lamperti(sig)
+    z0 = float(_z_of(table, channel.x0))
+    z_lo, z_hi = table.z_domain
     z_edge = min(_Z_STD * sd, z0 - z_lo, z_hi - z0)
     dropped = math.erfc(z_edge / math.sqrt(2.0 * var))
     if dropped > ABS_TOL:
@@ -229,16 +210,16 @@ def _multiplicative_field(channel, t):
             f"of the mass of X_t, above {ABS_TOL:g}")
 
     def flow_map(z):
-        return table.phi(z0 + z)
+        return table(z0 + z)
     lo, hi = flow_map(np.array([-z_edge, z_edge])).tolist()
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        z = table.z_of(x) - z0
+        z = _z_of(table, x) - z0
         return np.exp(-0.5 * z ** 2 / var) / math.sqrt(2.0 * math.pi * var) / sig.fn(x)
 
     def score(x):
-        z = table.z_of(x) - z0
+        z = _z_of(table, x) - z0
         x = np.asarray(x, dtype=float)
         s = sig.fn(x)
         return -z / (var * s) - sig.d1(x) / s

@@ -44,7 +44,6 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
-_RICHARDSON_SUITES = ("debruijn-mult", "debruijn-additive", "kl-flow", "fokker-planck")
 # fbm-stats path values sampled at a time.  A circulant batch holds 32 bytes per
 # value, 4 MiB in all: the complex buffer (16), one normal temporary (8) and the
 # paths (8); a Cholesky batch holds the normals and the paths (16).
@@ -244,13 +243,10 @@ class _SuiteRunner:
         if self.fd_step is not None and not 0.0 < self.fd_step < min(run_times):
             raise ConfigError("config key 'fd_step' must be > 0 and below every time "
                               f"at or above min_t, not {self.fd_step!r}")
-        richardson = not set(self.suites).isdisjoint(_RICHARDSON_SUITES)
-        for t in run_times:
-            step = max(self.fd_step or idn._default_step(t) if richardson else 0.0,
-                       idn.ENTROPY_POWER_STEP if "entropy-power" in self.suites else 0.0)
-            if t <= step:
-                raise ConfigError(f"config key 't_grid' has time {t:g}, at or above min_t "
-                                  f"but not above its suites' time step {step:g}")
+        if "entropy-power" in self.suites and min(run_times) <= idn.ENTROPY_POWER_STEP:
+            raise ConfigError(f"config key 't_grid' has time {min(run_times):g}, at or above "
+                              "min_t but not above entropy-power's time step "
+                              f"{idn.ENTROPY_POWER_STEP:g}")
 
     def _check_rhs(self, report, rhs, channel):
         """Check report.rhs, the quadrature of the definition rhs, two more ways.

@@ -9,8 +9,9 @@ dz/dx = 1/sigma(x) the other; both evaluate the points in the order given, and
 their callers pass ascending points, where the interval search is fastest.
 
 The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
-equal x pieces, so they depend on sigma and x0 alone: a wider table extends a
-narrower one node for node, and both give the same values on the common range.
+equal x pieces, so they depend on sigma and x0 alone, and a node's z on the
+nodes before it alone: how far a table runs changes none of its values.  A
+table's arrays are read-only, since every flow field of a sigma reads one.
 """
 
 import math
@@ -27,6 +28,7 @@ _COARSE_STEP = 0.25         # z step of the midpoint rule that places the nodes
 _PIECES = math.ceil(_COARSE_STEP / _TABLE_STEP)   # equal x pieces per coarse step
 _FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_ROUNDING = 1e-12           # relative shortfall of a node's z that counts as rounding
 
 
 def _hermite(knots, values, slopes):
@@ -65,6 +67,8 @@ class PhiSolution:
         s = self.sigma.fn(self.phi_grid)
         self._forward = _hermite(self.z_grid, self.phi_grid, s)
         self._inverse = _hermite(self.phi_grid, self.z_grid, 1.0 / s)
+        for a in self._forward + self._inverse:     # z_grid and phi_grid are the knots
+            a.flags.writeable = False
 
     @property
     def x_range(self):
@@ -87,24 +91,28 @@ def solve_phi(sigma, x0, z_domain):
     x0, (lo, hi) = float(x0), sigma.domain
     if not lo <= x0 <= hi:
         raise FlowEscapeError(f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
-    (x_neg, z_neg), (x_pos, z_pos) = (_lamperti_nodes(sigma, x0, z_end) for z_end in (z_lo, z_hi))
+    (x_neg, z_neg, end_neg), (x_pos, z_pos, end_pos) = (
+        _lamperti_nodes(sigma, x0, z_end) for z_end in (z_lo, z_hi))
     return PhiSolution(
-        sigma=sigma, x0=x0, z_domain=(max(z_lo, z_neg[-1]), min(z_hi, z_pos[-1])),
+        sigma=sigma, x0=x0, z_domain=(end_neg, end_pos),
         z_grid=np.concatenate([z_neg[::-1], z_pos[1:]]),
         phi_grid=np.concatenate([x_neg[::-1], x_pos[1:]]),
     )
 
 
 def _lamperti_nodes(sigma, x0, z_end):
-    """The x nodes from x0 (first) toward z_end, and z(x) at each, until z reaches z_end
-    or x sigma's edge.  Midpoint steps of _COARSE_STEP in z place the coarse nodes;
-    each is cut into _PIECES equal x pieces, whose z increments are 8-point
-    Gauss-Legendre panels of 1/sigma, summed outward from x0."""
+    """The x nodes from x0 (first) toward z_end, z(x) at each, and the z they reach:
+    z_end, or less where x reaches sigma's edge first.  Midpoint steps of _COARSE_STEP
+    in z place the coarse nodes; each is cut into _PIECES equal x pieces, whose z
+    increments are 8-point Gauss-Legendre panels of 1/sigma, summed outward from x0.
+    A z within _ROUNDING of z_end, relative, has reached it: its sum's rounding
+    must not cost another coarse step."""
     lo, hi = sigma.domain
     step = math.copysign(_COARSE_STEP, z_end)
     coarse, s = [x0], sigma.fn(np.array([x0]))[0]
     xs, dzs, z = [np.array([x0])], [np.zeros(1)], np.zeros(1)
-    while abs(z[-1]) < abs(z_end) and coarse[-1] not in (lo, hi):
+    reach = abs(z_end) * (1.0 - _ROUNDING)
+    while abs(z[-1]) < reach and coarse[-1] not in (lo, hi):
         start = len(coarse) - 1
         for _ in range(math.ceil((abs(z_end) - abs(z[-1])) / _COARSE_STEP)):
             half = min(max(coarse[-1] + 0.5 * step * s, lo), hi)
@@ -126,7 +134,7 @@ def _lamperti_nodes(sigma, x0, z_end):
         dzs.append(0.5 * width * sum(w * inv[j::8] for j, w in enumerate(_GL_WEIGHTS)))
         # A fixed order of sums: a node's z does not depend on how far the table runs.
         z = np.cumsum(np.concatenate(dzs))
-    return np.concatenate(xs), z
+    return np.concatenate(xs), z, z_end if abs(z[-1]) >= reach else z[-1]
 
 
 def invert_phi(phi, x):

@@ -68,7 +68,8 @@ def _report(name, t, hurst, lhs, rhs, tol, notes="", extras=None):
 
 
 def _default_step(t):
-    return 1e-3 * max(t, 1.0)
+    """1e-3 max(t, 1), or t / 200 where that is smaller (t < 0.2): below t always."""
+    return min(t / 200.0, 1e-3 * max(t, 1.0))
 
 
 def _check_step(t, fd_step):

@@ -75,9 +75,8 @@ def test_constant_sigma_flow_field_is_gaussian(c, x0, h, t):
 
 def test_flow_field_reads_past_its_table():
     # At t = 0.05, H = 0.9 the window is |z| <= 0.54, |x| <= 0.57.  A field reads
-    # all of sigma's domain: past the table's end it makes the table longer, and
-    # reads what a table built long from the start gives, asinh's push-forward;
-    # past sigma's domain it raises.
+    # all of sigma's domain, far past its window: asinh's push-forward, whatever
+    # fields of sigma were built before it; past sigma's domain it raises.
     t, h, xs = 0.05, 0.9, np.array([-4.0, 0.1, 4.0])
     var = t ** (2 * h)
     exact = (np.exp(-0.5 * np.arcsinh(xs) ** 2 / var) / np.sqrt(2 * np.pi * var)
@@ -116,8 +115,16 @@ def test_flow_table_stops_at_its_reach(x0, error):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ch._Lamperti(sigma).phi.z_grid.size <= 2 * 64 * 500 + 1
+    assert ch._lamperti(sigma).z_grid.size <= 2 * 64 * 500 + 1
     assert peak < 16 * 2 ** 20, peak
+
+
+def test_shared_flow_table_is_read_only():
+    # Every flow field of a sigma reads its one cached table, so none may write to it.
+    table = ch._lamperti(sg.sqrt_one_plus_square())
+    for a in (table.z_grid, table.phi_grid, *table._forward, *table._inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            a[1] = 0.0
 
 
 def test_grid_convolution_matches_gaussian_closed_form():

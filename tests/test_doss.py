@@ -69,8 +69,8 @@ def test_flow_accuracy_against_sinh():
 
 @pytest.mark.parametrize("x0", [0.0, 1.0])
 def test_wider_table_extends_narrower(x0):
-    # Both tables start from x0 with the same steps, so the one table of a sigma
-    # can be made longer without changing any value a field has read.
+    # Both tables start from x0 with the same steps, so how far a table runs
+    # changes none of the values it shares with a shorter one.
     s = sg.sqrt_one_plus_square()
     narrow, wide = doss.solve_phi(s, x0, (-8, 8)), doss.solve_phi(s, x0, (-16, 16))
     rng = np.random.default_rng(3)
@@ -80,6 +80,15 @@ def test_wider_table_extends_narrower(x0):
     lo, hi = narrow(-8.0), narrow(8.0)
     xs = np.concatenate([rng.uniform(lo, hi, 20_000), narrow.phi_grid[inner]])
     assert np.array_equal(doss.invert_phi(narrow, xs), doss.invert_phi(wide, xs))
+
+
+def test_table_stops_at_the_asked_end():
+    # With sigma = 1 the nodes' z sum to 7.999999999999999 at the end of +-8, a
+    # rounding short of it; that end is reached, with no coarse step past it.
+    phi = doss.solve_phi(sg.constant(1.0), 0.0, (-8, 8))
+    assert phi.z_grid.size == 2 * 8 * 500 + 1 and phi.z_domain == (-8.0, 8.0)
+    assert np.max(np.abs(phi.z_grid[[0, -1]] - [-8.0, 8.0])) <= 1e-12
+    assert phi(8.0) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_invert_round_trip(phi_sinh):

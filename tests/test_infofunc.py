@@ -283,7 +283,7 @@ def test_z_rule_raises_at_point_cap(monkeypatch):
     (0.0, 1.0, 0.05, 0.75, False),       # ... and most of it
     (0.0, 1.0, 0.05, 0.9, False),        # ... and all of it
     (0.0, 1e5, 0.5, 0.5, False),         # the windows do not overlap
-    (1e5, 1.0, 0.5, 0.5, True),          # q, built first, must read the longer table p needs
+    (1e5, 1.0, 0.5, 0.5, True),          # q, built first, reads the table far out at p
 ])
 def test_flow_divergence_matches_closed_form(x0, y0, t, h, q_first):
     # Under one sigma, X_t and Y_t are phi(z0 + Z) with z0 = asinh x0 and asinh y0
