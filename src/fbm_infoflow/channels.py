@@ -14,16 +14,21 @@ A DensityField bundles the density, its log-gradient (score) and domain
 metadata; pdf and score_fn take an array of points and return an array of
 the same shape.  Additive fields also carry the x-derivative of the score.
 Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
-X = flow_map(Z), Z ~ N(0, var), a (flow_map, var, z_edge) tag for the rule in z,
-additive fields a step, the base step of the rule in x (a quarter of the std of
-the Gaussian or of B^H_t).  Every flow field of one sigma reads one Lamperti
-table, which `channels` alone builds, once, out to sigma's edge or _Z_REACH.
+X = Phi(z0 + Z), Z ~ N(0, var), a `Flow` tag for the rule in z, additive fields
+a step, the base step of the rule in x (a quarter of the std of the Gaussian or
+of B^H_t).  Every flow field of one sigma reads one Lamperti table, which
+`channels` alone builds, once, out to sigma's edge or _Z_REACH.
+
+`DensityField.at` reads a field's law at points of its own coordinate, z on a
+flow field and x otherwise, as `Values`: ln p, the score and, for a divergence,
+ln(p/q) and q's score.  A flow field's come in closed form from z, so only pdf,
+score_fn and the start x0 invert phi.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -124,6 +129,96 @@ def additive(initial, hurst):
     return ChannelSpec(variant="additive", hurst=as_hurst(hurst), initial=initial)
 
 
+class Flow(NamedTuple):
+    """A flow field's law: X = Phi(z0 + Z), Z ~ N(0, var) cut at +-z_edge, Phi the
+    flow of sigma's Lamperti table."""
+
+    table: doss.PhiSolution
+    z0: float
+    var: float
+    z_edge: float
+
+    def x(self, z):
+        return self.table(self.z0 + z)
+
+
+class Values:
+    """A field p read at points x, with a divergence's second field q: p's density,
+    ln p and score there, and ln(p/q) and q's score, each computed on first use,
+    here from the fields' pdf and score_fn."""
+
+    def __init__(self, x, p, q=None):
+        self.x, self._p, self._q = x, p, q
+
+    @functools.cached_property
+    def pdf(self):
+        return self._p.pdf(self.x)
+
+    @functools.cached_property
+    def logp(self):
+        return np.log(np.maximum(self.pdf, _TINY))
+
+    @functools.cached_property
+    def score(self):
+        return self._p.score_fn(self.x)
+
+    @functools.cached_property
+    def log_ratio(self):
+        return np.log(np.maximum(self.pdf, _TINY) / np.maximum(self._q.pdf(self.x), _TINY))
+
+    @functools.cached_property
+    def score_q(self):
+        return self._q.score_fn(self.x)
+
+
+class _FlowValues(Values):
+    """A flow field's Values at x = Phi(z0 + z), in closed form from the offsets z:
+    ln p = -z^2/(2 var) - ln sqrt(2 pi var) - ln sigma(x) and
+    score = -z/(var sigma(x)) - sigma'(x)/sigma(x).  A q of the same table and var
+    sits at the offset z + dz, dz = z0(p) - z0(q), so ln(p/q) = dz (z + dz/2) / var,
+    where sigma cancels and nothing underflows; any other q is read through its
+    pdf and score_fn, as is p's density."""
+
+    def __init__(self, z, p, q=None):
+        flow = p.flow
+        super().__init__(flow.x(z), p, q)
+        self.z, self._flow = z, flow
+        shared = (q is not None and q.flow is not None and q.flow.table is flow.table
+                  and q.flow.var == flow.var)
+        self._dz = flow.z0 - q.flow.z0 if shared else None
+
+    @functools.cached_property
+    def _sigma(self):
+        sig = self._flow.table.sigma
+        return sig.fn(self.x), sig.d1(self.x)
+
+    def _score_at(self, z):
+        s, d1 = self._sigma
+        return -z / (self._flow.var * s) - d1 / s
+
+    @functools.cached_property
+    def logp(self):
+        var = self._flow.var
+        return (-0.5 * self.z ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
+                - np.log(self._sigma[0]))
+
+    @functools.cached_property
+    def score(self):
+        return self._score_at(self.z)
+
+    @functools.cached_property
+    def log_ratio(self):
+        if self._dz is None:
+            return self.logp - np.log(np.maximum(self._q.pdf(self.x), _TINY))
+        return self._dz * (self.z + 0.5 * self._dz) / self._flow.var
+
+    @functools.cached_property
+    def score_q(self):
+        if self._dz is None:
+            return self._q.score_fn(self.x)
+        return self._score_at(self.z + self._dz)
+
+
 @dataclass(frozen=True)
 class DensityField:
     """A one-dimensional density on [lo, hi]: pdf, score and, for additive fields,
@@ -137,8 +232,13 @@ class DensityField:
     score_fn: Callable = field(repr=False)
     step: Optional[float] = None                      # base step of the x rule
     dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
-    flow: Optional[Tuple[Callable, float, float]] = field(
-        default=None, repr=False, compare=False)   # (flow_map, var, z_edge), X = flow_map(Z)
+    flow: Optional[Flow] = field(default=None, repr=False, compare=False)
+
+    def at(self, u, q=None):
+        """The field's Values at points u of its own coordinate: the offsets z of
+        X = flow.x(z) on a flow field, x otherwise; q, when given, is the second
+        field of a divergence."""
+        return (Values if self.flow is None else _FlowValues)(u, self, q)
 
 
 def gaussian_field(mean, variance):
@@ -209,9 +309,8 @@ def _multiplicative_field(channel, t):
             f"sigma's edge or {_Z_REACH:g} from its midpoint: the window drops {dropped:.3g} "
             f"of the mass of X_t, above {ABS_TOL:g}")
 
-    def flow_map(z):
-        return table(z0 + z)
-    lo, hi = flow_map(np.array([-z_edge, z_edge])).tolist()
+    flow = Flow(table, z0, var, z_edge)
+    lo, hi = flow.x(np.array([-z_edge, z_edge])).tolist()
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
@@ -224,7 +323,7 @@ def _multiplicative_field(channel, t):
         s = sig.fn(x)
         return -z / (var * s) - sig.d1(x) / s
 
-    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=(flow_map, var, z_edge))
+    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=flow)
 
 
 # Cody (1969), Rational Chebyshev approximations for the error function, Math.

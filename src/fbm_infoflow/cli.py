@@ -266,7 +266,7 @@ class _SuiteRunner:
             report.passed = report.passed and agree
         if self.oracle:
             n, seed = self.oracle
-            est = mc.mc_expectation(channel, report.t, rhs.g, n, seed)
+            est = mc.mc_expectation(channel, report.t, rhs.g, n, seed, rhs.fields)
             value, se = rhs.scale * est.mean, abs(rhs.scale) * est.std_error
             report.extras.update(mc_value=value, mc_std_error=se,
                                  mc_ok=abs(value - report.rhs) <= 4.0 * se + accuracy)

@@ -7,8 +7,10 @@ discrepancy against a tolerance.  Every check takes one channel and one time
 t and returns an `IdentityReport`.  There is one De Bruijn check for both
 channel families: the additive channel X_0 + B^H_t is the unit-sigma case.
 The De Bruijn and KL identities write their rhs once, as an `Rhs` definition
-rhs = scale * E[g(X_t)]: the check integrates it, and the runner's x-space
-cross-check and Monte Carlo oracle evaluate the same definition.
+rhs = scale * E[g(v)], v the fields' `channels.Values` at X_t: the check
+integrates it, and the runner's x-space cross-check and Monte Carlo oracle
+evaluate the same definition.  g reads the score from v, which a flow field
+gives in closed form from z.
 """
 
 import functools
@@ -86,8 +88,8 @@ def _rate(hv, t):
 
 
 class Rhs(NamedTuple):
-    """rhs = scale * E[g(X)] with X distributed as fields[0]; for a divergence,
-    fields[1] is its q."""
+    """rhs = scale * E[g(v)], v the fields' channels.Values at X, X distributed as
+    fields[0]; for a divergence, fields[1] is its q."""
 
     scale: float
     g: Callable
@@ -96,7 +98,7 @@ class Rhs(NamedTuple):
     def value(self, fields=None):
         """rhs on `fields`, by default its own; e.g. those with their flow tags dropped."""
         p, *q = fields or self.fields
-        return self.scale * nf.expectation(p, self.g, *q)
+        return self.scale * nf.expect_values(p, self.g, *q)
 
 
 def richardson_derivative(f, t, step):
@@ -127,8 +129,8 @@ def debruijn_rhs(channel, t):
     sig = channel.sigma
     field_t = ch.density_at(channel, t)
 
-    def g(x):
-        return sig.fn(x) ** 2 * field_t.score_fn(x) ** 2 - sig.curvature(x)
+    def g(v):
+        return sig.fn(v.x) ** 2 * v.score ** 2 - sig.curvature(v.x)
     return Rhs(_rate(channel.hurst.value, t), g, (field_t,))
 
 
@@ -174,8 +176,8 @@ def kl_flow_rhs(x_channel, y_channel, t):
     sig = x_channel.sigma
     px, py = ch.density_at(x_channel, t), ch.density_at(y_channel, t)
 
-    def g(x):
-        return sig.fn(x) ** 2 * (px.score_fn(x) - py.score_fn(x)) ** 2
+    def g(v):
+        return sig.fn(v.x) ** 2 * (v.score - v.score_q) ** 2
     return Rhs(-_rate(x_channel.hurst.value, t), g, (px, py))
 
 

@@ -1,15 +1,17 @@
 """Information functionals over DensityFields.
 
 Entropy, generalized Fisher information, KL divergence, relative Fisher
-information and entropy power.  Each functional is one expectation
-E_p[g(X, f(X))], f being p's density, evaluated by `_expect` with one trapezoid
-rule, `_trapezoid`, whose step halves until two sums agree to the tolerances:
-in z for flow fields X = flow_map(Z), Z ~ N(0, var), and in x over p's own
-domain for Gaussian and grid-law fields, which carry the base step.  It
-converges geometrically on these integrands.  Fields with no common tag go to
-an adaptive Gauss-Kronrod rule in x over p's own domain, `_gauss_kronrod`, the
-reference the trapezoid rule is tested against.  A weight b is an array
-callable, None meaning 1.
+information and entropy power.  Each functional is one expectation E_p[g(v)],
+v the fields' `channels.Values` at X (x, ln p, the score and, for a divergence,
+ln(p/q) and q's score), evaluated by `expect_values` with one trapezoid rule,
+`_trapezoid`, whose step halves until two sums agree to the tolerances: in z
+for flow fields X = Phi(z0 + Z), Z ~ N(0, var), whose Values come in closed
+form from z, and in x over p's own domain for Gaussian and grid-law fields,
+which carry the base step.  It converges geometrically on these integrands.
+Fields with no common tag go to an adaptive Gauss-Kronrod rule in x over p's
+own domain, `_gauss_kronrod`, the reference the trapezoid rule is tested
+against, and read the fields through their pdf and score_fn.  A weight b is an
+array callable, None meaning 1.
 """
 
 import math
@@ -17,6 +19,7 @@ import types
 
 import numpy as np
 
+from . import channels as ch
 from .channels import ABS_TOL      # absolute tolerance of both rules
 from .errors import QuadratureError, SupportError
 
@@ -33,27 +36,28 @@ def _check_support(p, q):
         raise SupportError("support of p not contained in support of q")
 
 
-def _expect(g, p, q=None):
-    """E_p[g(X, f(X))] with f = p.pdf; q, when given, is the second field of a
-    divergence and must contain p's support.  Every rule integrates over p's own
-    window and reads q there."""
+def expect_values(p, g, q=None):
+    """E_p[g(v)], v the fields' channels.Values at X ~ p; q, when given, is the
+    second field of a divergence and must contain p's support.  Every rule
+    integrates over p's own window and reads q there."""
     fields = (p,) if q is None else (p, q)
     if all(fl.flow is not None for fl in fields):
-        flow_map, var, z_edge = p.flow
+        var, z_edge = p.flow.var, p.flow.z_edge
         norm = 1.0 / math.sqrt(2.0 * math.pi * var)
 
         def weighted(z):
-            x = flow_map(z)
-            return norm * np.exp(-0.5 * z * z / var) * g(x, p.pdf(x))
+            return norm * np.exp(-0.5 * z * z / var) * g(p.at(z, q))
         return _trapezoid(weighted, -z_edge, z_edge, math.sqrt(var) / 4.0)
     if q is not None:
         _check_support(p, q)
 
     # A Gaussian or grid-law q has a density on all of the line, and a flow q on
-    # all of sigma's domain, through its one table.
+    # all of sigma's domain, through its one table.  The points are x, whatever
+    # p's tag, so p is read through its pdf and score_fn too.
     def weighted(x):
-        f = p.pdf(x)
-        return np.where(f > _TINY, f * g(x, np.maximum(f, _TINY)), 0.0)
+        v = ch.Values(x, p, q)
+        f = v.pdf
+        return np.where(f > _TINY, f * g(v), 0.0)
     if all(fl.step is not None for fl in fields):
         return _trapezoid(weighted, p.lo, p.hi, min(fl.step for fl in fields))
     value, _, _, *failure = integrate.quad(weighted, p.lo, p.hi, epsabs=ABS_TOL,
@@ -162,33 +166,33 @@ integrate = types.SimpleNamespace(quad=_gauss_kronrod)
 def expectation(field, g, q=None):
     """E[g(X)] for X with the given density field; q, when given, is the second
     field of a divergence, which must contain the field's support."""
-    return _expect(lambda x, f: g(x), field, q)
+    return expect_values(field, lambda v: g(v.x), q)
 
 
 def entropy(field):
     """Shannon differential entropy -int f ln f."""
-    return _expect(lambda x, f: -np.log(f), field)
+    return expect_values(field, lambda v: -v.logp)
 
 
 def generalized_fisher(field, b=None):
     """J_b = E[b(X) (d/dx ln f(X))^2] >= 0."""
-    def g(x, f):
-        s2 = field.score_fn(x) ** 2
-        return s2 if b is None else b(x) * s2
-    return _expect(g, field)
+    def g(v):
+        s2 = v.score ** 2
+        return s2 if b is None else b(v.x) * s2
+    return expect_values(field, g)
 
 
 def kl_divergence(p, q):
     """K(p || q) = int p ln(p/q) >= 0."""
-    return _expect(lambda x, f: np.log(f / np.maximum(q.pdf(x), _TINY)), p, q)
+    return expect_values(p, lambda v: v.log_ratio, q)
 
 
 def relative_fisher(p, q, b=None):
     """J_b(p || q) = E_p[b(X) (d/dx ln(p/q)(X))^2] >= 0."""
-    def g(x, f):
-        ds2 = (p.score_fn(x) - q.score_fn(x)) ** 2
-        return ds2 if b is None else b(x) * ds2
-    return _expect(g, p, q)
+    def g(v):
+        ds2 = (v.score - v.score_q) ** 2
+        return ds2 if b is None else b(v.x) * ds2
+    return expect_values(p, g, q)
 
 
 def entropy_power(field):

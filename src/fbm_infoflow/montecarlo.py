@@ -1,9 +1,12 @@
 """Sampling-based oracle for the quadrature path.
 
 Because X_t = phi(B^H_t), only the endpoint B^H_t ~ N(0, t^{2H}) is ever
-sampled; no path simulation is needed.  Estimates are reproducible per seed
-and accumulated with a streaming mean/variance merge so batches can be
-processed independently.
+sampled; no path simulation is needed.  A flow channel's draws stay in z, sorted
+so that phi's forward lookups run in ascending order, and g reads the field's
+Values from them (`channels.DensityField.at`), so no draw inverts phi.  Each
+batch is evaluated in blocks of _BLOCK draws, whose temporaries fit in L2.
+Estimates are reproducible per seed and accumulated with a streaming
+mean/variance merge so batches can be processed independently.
 
 Estimates with one seed share their normal draws (common random numbers):
 batch j of every call is seeded by child j of SeedSequence(seed), whatever the
@@ -26,6 +29,7 @@ from . import channels as ch
 from .errors import DomainError
 
 _BATCH = 1 << 17
+_BLOCK = 1 << 15        # draws g sees at once: a block's float arrays are 256 kB each
 _MEMO_BLOCKS = 16
 
 
@@ -43,8 +47,8 @@ class RunningMoments:
         if nb == 0:
             return
         mb = float(np.mean(batch))
-        m2b = float(np.sum((batch - mb) ** 2))
-        self._merge(nb, mb, m2b)
+        d = batch - mb
+        self._merge(nb, mb, float(d @ d))
 
     def merge(self, other):
         self._merge(other.n, other.mean, other.m2)
@@ -99,7 +103,9 @@ def _standard_normal(rng, n):
 
 
 def sample_endpoint(channel, t, n, rng):
-    """Draw n samples of X_t; a flow channel's come out ascending, for phi's lookups."""
+    """Draw n samples of X_t in the coordinate its field reads (DensityField.at): for
+    a flow channel the offsets z of X_t = flow.x(z), ascending, for phi's lookups,
+    and cut at the field's window; x for every other channel."""
     hv = channel.hurst.value
     sd = float(t) ** hv
     z = _standard_normal(rng, n) * sd
@@ -107,9 +113,9 @@ def sample_endpoint(channel, t, n, rng):
         sig = channel.sigma
         if sig.kind == "constant":
             return channel.x0 + sig.c * z
-        flow_map, _, z_edge = ch.density_at(channel, t).flow
+        z_edge = ch.density_at(channel, t).flow.z_edge
         z.sort()
-        return flow_map(np.clip(z, -z_edge, z_edge, out=z))
+        return np.clip(z, -z_edge, z_edge, out=z)
     law = channel.initial
     if law.kind == "gaussian":
         x0 = _standard_normal(rng, n) * math.sqrt(law.variance)
@@ -125,19 +131,24 @@ def sample_endpoint(channel, t, n, rng):
     return x0 + z
 
 
-def mc_expectation(channel, t, g, n, seed):
-    """Monte Carlo estimate of E[g(X_t)] with n samples."""
+def mc_expectation(channel, t, g, n, seed, fields=None):
+    """Monte Carlo estimate of E[g(X_t)] with n samples.  g takes the samples x; or,
+    given `fields`, the law of X_t and for a divergence its q, g takes their
+    channels.Values at the samples, as an identities.Rhs g does."""
     if n < 100:
         raise DomainError("mc_expectation needs n >= 100")
     if t <= 0:
         raise DomainError("mc_expectation needs t > 0")
+    p, *q = fields or (ch.density_at(channel, t),)
+    read = g if fields else lambda v: g(v.x)
     acc = RunningMoments()
     streams = np.random.SeedSequence(seed).spawn((n + _BATCH - 1) // _BATCH)
     remaining = n
     for ss in streams:
         nb = min(_BATCH, remaining)
         remaining -= nb
-        x = sample_endpoint(channel, t, nb, np.random.default_rng(ss))
-        acc.update(g(x))
+        draws = sample_endpoint(channel, t, nb, np.random.default_rng(ss))
+        for i in range(0, nb, _BLOCK):
+            acc.update(read(p.at(draws[i:i + _BLOCK], *q)))
     return McEstimate(mean=acc.mean, std_error=acc.std_error)
 

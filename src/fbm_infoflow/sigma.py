@@ -42,7 +42,9 @@ class SigmaModel:
         _check_derivatives(self)
 
     def curvature(self, x):
-        """sigma''(x) sigma(x) + sigma'(x)^2, i.e. (sigma^2)''(x) / 2."""
+        """sigma''(x) sigma(x) + sigma'(x)^2, i.e. (sigma^2)''(x) / 2: 0 for a constant."""
+        if self.kind == "constant":
+            return np.zeros_like(np.asarray(x, float))
         return (np.asarray(self.d2(x)) * np.asarray(self.fn(x))
                 + np.asarray(self.d1(x)) ** 2)
 

@@ -101,8 +101,10 @@ def test_flow_field_reads_past_its_table():
 def test_flow_table_stops_at_its_reach(x0, error):
     # sigma = 1 as a custom sigma takes the flow route, so X_t = x0 + B^H_t through
     # a table anchored at 0 that reaches z = x0.  The table stops 64 from its
-    # anchor, so its nodes and memory are bounded however far x0 lies.
+    # anchor, so its nodes and memory are bounded however far x0 lies.  The cases'
+    # sigmas compare equal, so the cache is emptied for each case to build its own.
     sigma = sg.custom(np.ones_like, np.zeros_like, np.zeros_like, (-1e9, 1e9))
+    ch._lamperti.cache_clear()
     tracemalloc.start()
     try:
         if error is None:

@@ -274,8 +274,8 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs, t, h):
     assert first.passed and "x-space gauss-kronrod rhs=" in first.method_notes
     assert "x-space" not in second.method_notes
     # The x route (fields without a flow tag) off by 1e-6 relative fails the row.
-    exact = infofunc.expectation
-    monkeypatch.setattr(infofunc, "expectation", lambda field, g, q=None: exact(field, g, q)
+    exact = infofunc.expect_values
+    monkeypatch.setattr(infofunc, "expect_values", lambda field, g, q=None: exact(field, g, q)
                         * (1.0 + 1e-6 if field.flow is None else 1.0))
     # ... and the cross-check evaluates the suite's own rhs definition.
     definition, built = getattr(idn, rhs), []

@@ -77,7 +77,7 @@ def test_additive_rhs_is_the_unit_sigma_case():
         for h, t in ((0.3, 0.5), (0.75, 2.0)):
             chan = ch.additive(law, h)
             rhs = idn.debruijn_rhs(chan, t)
-            assert np.array_equal(rhs.g(x), rhs.fields[0].score_fn(x) ** 2)
+            assert np.array_equal(rhs.g(ch.Values(x, rhs.fields[0])), rhs.fields[0].score_fn(x) ** 2)
             rep = idn.debruijn_check(chan, t, tol=1e-4)
             assert rep.identity_name == "debruijn-additive" and rep.rhs == rhs.value()
             if law.kind == "gaussian":

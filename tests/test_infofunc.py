@@ -301,6 +301,31 @@ def test_flow_divergence_matches_closed_form(x0, y0, t, h, q_first):
         assert abs(got[name] - value) <= nf.ABS_TOL + nf.REL_TOL * abs(value), name
 
 
+def test_flow_divergence_across_tables_reads_q_through_its_density():
+    # Two sqrt1p models are distinct sigmas with a table each, so q is not a z-shift
+    # of p: it is read through its pdf and score_fn at p's points.
+    p, q = (ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), x0, 0.75), 0.05)
+            for x0 in (0.0, 1.0))
+    assert p.flow.table is not q.flow.table
+    dz2, v = math.asinh(1.0) ** 2, 0.05 ** 1.5
+    exact = {"kl": dz2 / (2 * v), "relative_fisher": dz2 / v ** 2}
+    got = {"kl": nf.kl_divergence(p, q),
+           "relative_fisher": nf.relative_fisher(p, q, lambda x: 1.0 + x ** 2)}
+    for name, value in exact.items():
+        assert abs(got[name] - value) <= nf.ABS_TOL + nf.REL_TOL * abs(value), name
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-6])
+def test_flow_kl_at_small_t_reads_its_closed_form(t):
+    # sqrt1p from 0 and from 1 at H = 1/2: KL = dz^2 / (2t), dz = asinh 1, 3884 at
+    # t = 1e-4.  Read through q's density, q underflowed on p's window and a log
+    # clamped at 1e-300 gave 694 there; ln(p/q) from z has no density to underflow.
+    s = sg.sqrt_one_plus_square()
+    p, q = (ch.density_at(ch.multiplicative(s, x0, 0.5), t) for x0 in (0.0, 1.0))
+    kl = math.asinh(1.0) ** 2 / (2 * t)
+    assert abs(nf.kl_divergence(p, q) - kl) <= nf.ABS_TOL + nf.REL_TOL * kl
+
+
 # Cells of the flow sweep of tests/test_cli.py, its corners and widest windows
 # (QUADPACK's scalar callbacks take ~0.1 s a wide cell), without t = 4, H = 0.9,
 # whose window would drop more than ABS_TOL of the mass.

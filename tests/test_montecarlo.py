@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbm_infoflow import channels as ch, montecarlo as mc, sigma as sg
+from fbm_infoflow import channels as ch, doss, identities as idn, infofunc as nf
+from fbm_infoflow import montecarlo as mc, sigma as sg
 from fbm_infoflow.errors import DomainError
 
 
@@ -39,13 +40,56 @@ def test_gaussian_law_draws_no_component_index():
 
 
 def test_flow_samples_come_out_ascending():
+    # A flow channel's draws stay in z, sorted and cut at the window: X_t = flow.x(z).
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
     t, n = 2.0, 5000
-    x = mc.sample_endpoint(chan, t, n, np.random.default_rng(8))
-    assert np.all(np.diff(x) >= 0)
-    flow_map, _, z_edge = ch.density_at(chan, t).flow
+    draws = mc.sample_endpoint(chan, t, n, np.random.default_rng(8))
+    flow = ch.density_at(chan, t).flow
     z = np.sort(np.random.default_rng(8).standard_normal(n) * t ** 0.75)
-    assert np.array_equal(x, flow_map(np.clip(z, -z_edge, z_edge)))
+    assert np.array_equal(draws, np.clip(z, -flow.z_edge, flow.z_edge))
+    assert np.all(np.diff(flow.x(draws)) >= 0)
+
+
+@pytest.mark.parametrize("chan", [
+    ch.additive(ch.gaussian_law(0.5, 2.0), 0.75),
+    ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6)], ids=["gaussian", "flow"])
+def test_blocked_oracle_is_the_plain_estimator(chan):
+    # The oracle evaluates g on blocks of _BLOCK draws and merges their moments: the
+    # same estimate as one mean and standard error over all the batches' draws.
+    n, seed, t = 2 * mc._BATCH + 5, 13, 1.5
+    field = ch.density_at(chan, t)
+
+    def g(x):
+        return np.sin(x) + x ** 2
+    est = mc.mc_expectation(chan, t, g, n, seed)
+    streams = np.random.SeedSequence(seed).spawn(3)
+    draws = np.concatenate([mc.sample_endpoint(chan, t, nb, np.random.default_rng(ss))
+                            for ss, nb in zip(streams, (mc._BATCH, mc._BATCH, 5))])
+    values = g(draws if field.flow is None else field.flow.x(draws))
+    assert est.mean == pytest.approx(np.mean(values), rel=1e-13)
+    assert est.std_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-10)
+
+
+def test_sampled_path_inverts_only_the_starts(monkeypatch):
+    # The z rule and the oracle read a flow field's ln p and score from z, so the
+    # only point phi^-1 sees is the start x0 of each field density_at builds.
+    inverted, built = [], []
+    invert, density_at = doss.invert_phi, ch.density_at
+    monkeypatch.setattr(doss, "invert_phi",
+                        lambda phi, x: inverted.append(np.size(x)) or invert(phi, x))
+    monkeypatch.setattr(ch, "density_at",
+                        lambda channel, t: built.append(t) or density_at(channel, t))
+    s = sg.sqrt_one_plus_square()
+    x, y = ch.multiplicative(s, 0.0, 0.75), ch.multiplicative(s, 1.0, 0.75)
+    n = mc._BATCH + mc._BLOCK + 3
+    for rhs in (idn.debruijn_rhs(x, 1.0), idn.kl_flow_rhs(x, y, 1.0)):
+        assert math.isfinite(rhs.value())
+        est = mc.mc_expectation(x, 1.0, rhs.g, n, 5, rhs.fields)
+        assert math.isfinite(est.mean) and est.std_error > 0
+    mc.mc_expectation(x, 1.0, np.square, n, 5)
+    p, q = ch.density_at(x, 1.0), ch.density_at(y, 1.0)
+    assert nf.entropy(p) > 0 and nf.kl_divergence(p, q) > 0
+    assert built and inverted == [1] * len(built)
 
 
 @pytest.fixture

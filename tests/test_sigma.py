@@ -16,6 +16,20 @@ def test_constant_second_derivative_zero():
     assert s.d2(5.0) == 0.0
 
 
+def test_constant_curvature_reads_no_derivative():
+    # (sigma^2)'' / 2 of a constant is 0: one zeros array of x's shape, with none of
+    # sigma, sigma' and sigma'' evaluated.
+    s = sg.constant(2.0)
+
+    def unused(x):
+        raise AssertionError("a constant's curvature evaluated sigma")
+    for attr in ("fn", "d1", "d2"):
+        object.__setattr__(s, attr, unused)
+    assert np.array_equal(s.curvature(np.linspace(-3.0, 3.0, 7)), np.zeros(7))
+    c = s.curvature(1.5)
+    assert c == 0.0 and np.shape(c) == ()
+
+
 def test_constant_eval_everywhere():
     s = sg.constant(3.5, domain=(-100, 100))
     xs = np.linspace(-100, 100, 17)
