@@ -170,6 +170,10 @@ class Values:
     def score_q(self):
         return self._q.score_fn(self.x)
 
+    def sigma(self, model):
+        """model's sigma and sigma' at x."""
+        return model.fn(self.x), model.d1(self.x)
+
 
 class _FlowValues(Values):
     """A flow field's Values at x = Phi(z0 + z), in closed form from the offsets z:
@@ -191,6 +195,10 @@ class _FlowValues(Values):
     def _sigma(self):
         sig = self._flow.table.sigma
         return sig.fn(self.x), sig.d1(self.x)
+
+    def sigma(self, model):
+        """model's sigma and sigma' at x: for the field's own sigma, those its score took."""
+        return self._sigma if model == self._flow.table.sigma else super().sigma(model)
 
     def _score_at(self, z):
         s, d1 = self._sigma
@@ -252,7 +260,7 @@ def gaussian_field(mean, variance):
         return np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(2 * math.pi * variance)
 
     def score(x):
-        return -(np.asarray(x, dtype=float) - mean) / variance
+        return (mean - np.asarray(x, dtype=float)) / variance
 
     def dscore(x):
         return np.full(np.shape(x), -1.0 / variance)[()]

@@ -44,9 +44,9 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
-# fbm-stats path values sampled at a time.  A circulant batch holds 32 bytes per
-# value, 4 MiB in all: the complex buffer (16), one normal temporary (8) and the
-# paths (8); a Cholesky batch holds the normals and the paths (16).
+# fbm-stats path values sampled at a time, for every H from one draw.  A circulant
+# batch holds 24 bytes per value, 3 MiB, and a 512 kB transform block: the normals
+# (16) and one H's paths (8); a Cholesky batch the normals and the paths (16).
 _FBM_BATCH_ENTRIES = 1 << 17
 
 
@@ -207,8 +207,10 @@ _STEIN_RS = ((lambda y: y, np.ones_like), (lambda y: y ** 2, lambda y: 2 * y),
 
 class _SuiteRunner:
     """Runs one (suite, t, H) cell at a time.  Each cell computes on its own; the
-    only value kept across cells is an fbm-stats row's sampling, which depends
-    on H alone."""
+    only values kept across cells are fbm-stats' figures, one per H.  Their
+    sampling is shared across H: the first fbm-stats cell samples every H of the
+    grid from one draw of normals per batch and method, and each H's figures
+    are those it would get alone."""
 
     def __init__(self, cfg):
         """Read and check every config value, so that no cell meets a bad one."""
@@ -304,38 +306,72 @@ class _SuiteRunner:
 
     def _fbm_stats_row(self, t, h, tol):
         if h not in self._fbm_cache:
-            n, dt, n_paths, seed = self.fbm_stats
-            grid = dt * np.arange(1, n + 1)
-            exact = fbm.covariance(grid[:, None], grid[None, :], h)
-            batch = max(1, _FBM_BATCH_ENTRIES // n)     # paths per batch
-            stats = {}
-            for i, method in enumerate(("cholesky", "circulant")):
-                # Sums of v v^T and of v^2 (v^2)^T over batches of paths, so the
-                # memory held does not grow with n_paths.
-                vv, sq_sq = np.zeros((n, n)), np.zeros((n, n))
-                seeds = np.random.SeedSequence(seed + i).spawn((n_paths + batch - 1) // batch)
-                for j, batch_seed in enumerate(seeds):
-                    vals, _ = fbm.sample_paths(grid, h, method=method, seed=batch_seed,
-                                               n_paths=min(batch, n_paths - j * batch))
-                    vv += vals.T @ vals
-                    sq = np.square(vals, out=vals)
-                    sq_sq += sq.T @ sq
-                emp = vv / n_paths
-                # Sample variance of each product v_i v_j from second moments of v^2.
-                prod_var = (sq_sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
-                stats[method] = (emp, np.sqrt(prod_var / n_paths))
-            z_worst = max(
-                float(np.max(np.abs(stats[m][0] - exact) / stats[m][1]))
-                for m in stats)
-            cross = float(np.max(
-                np.abs(stats["cholesky"][0] - stats["circulant"][0])
-                / np.sqrt(stats["cholesky"][1] ** 2 + stats["circulant"][1] ** 2)))
-            self._fbm_cache[h] = (z_worst, cross, n, n_paths)
-        z_worst, cross, n, n_paths = self._fbm_cache[h]
+            self._fbm_cache.update(self._fbm_stats(
+                [x for x in dict.fromkeys([h, *self.h_grid]) if x not in self._fbm_cache]))
+        stats = self._fbm_cache[h]
+        if isinstance(stats, FbmInfoflowError):
+            raise stats
+        z_worst, cross, n, n_paths = stats
         return idn._report(
             "fbm-stats", t, h, max(z_worst, cross), 0.0, tol,
             notes=f"max |z| vs exact cov = {z_worst:.3g}; cross-method max |z| = "
                   f"{cross:.3g}; {n} grid pts, {n_paths} paths per method")
+
+    def _fbm_stats(self, hs):
+        """{h: (z_worst, cross, n, n_paths)} for each h of hs, or the FbmInfoflowError
+        its set-up raised, which fails that h alone."""
+        n, dt, n_paths, seed = self.fbm_stats
+        grid = dt * np.arange(1, n + 1)
+        out, cells = {}, {}     # cells: h -> (exact covariance, sampler per method)
+        for h in hs:
+            try:
+                cells[h] = (fbm.covariance(grid[:, None], grid[None, :], h),
+                            [fbm.PathSampler(grid, h, m) for m in ("cholesky", "circulant")])
+            except FbmInfoflowError as exc:
+                out[h] = exc
+        chol, circ = (_path_moments({h: s[i] for h, (_, s) in cells.items()},
+                                    n, n_paths, seed + i) for i in range(2))
+        for h, (exact, _) in cells.items():
+            z_worst = max(float(np.max(np.abs(m[h][0] - exact) / m[h][1])) for m in (chol, circ))
+            cross = float(np.max(np.abs(chol[h][0] - circ[h][0])
+                                 / np.sqrt(chol[h][1] ** 2 + circ[h][1] ** 2)))
+            out[h] = (z_worst, cross, n, n_paths)
+        return out
+
+
+def _path_moments(samplers, n, n_paths, seed):
+    """{h: (mean of v v^T, standard error of each entry)} over n_paths paths v of
+    each h's sampler, one grid of n points and one method for all.  Batch j of
+    paths is drawn from child j of SeedSequence(seed) whatever H, so its normals
+    are drawn once, into one buffer, and every H's sampler maps them to its own
+    paths."""
+    batch = max(1, _FBM_BATCH_ENTRIES // n)     # paths per batch
+    # Sums of v v^T and of v^2 (v^2)^T over batches of paths, so the memory held
+    # grows neither with n_paths nor with the number of H.
+    sums = {h: (np.zeros((n, n)), np.zeros((n, n))) for h in samplers}
+    buffers, paths = {}, np.empty((batch, n))
+    for j, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // batch))):
+        k = min(batch, n_paths - j * batch)
+        drawn = {}      # this batch's normals, by the method that takes them
+        for h, sampler in samplers.items():
+            kind = sampler.method       # "cholesky" after a circulant fallback
+            if kind not in drawn:
+                if kind not in buffers:
+                    buffers[kind] = np.empty(sampler.normal_count(batch))
+                drawn[kind] = np.random.default_rng(batch_seed).standard_normal(
+                    out=buffers[kind][:sampler.normal_count(k)])
+            vals = sampler.paths(drawn[kind], k, out=paths[:k])
+            vv, sq_sq = sums[h]
+            vv += vals.T @ vals
+            sq = np.square(vals, out=vals)
+            sq_sq += sq.T @ sq
+    moments = {}
+    for h, (vv, sq_sq) in sums.items():
+        emp = vv / n_paths
+        # Sample variance of each product v_i v_j from second moments of v^2.
+        prod_var = (sq_sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
+        moments[h] = (emp, np.sqrt(prod_var / n_paths))
+    return moments
 
 
 def run_suite(cfg):

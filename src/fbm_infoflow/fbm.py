@@ -6,6 +6,8 @@ fractional Gaussian noise covariance followed by a cumulative sum (uniform
 grids, O(n log n)).  Both draw from the exact finite-dimensional law.  The
 circulant sampler keeps two independent paths from each transform, its real
 and its imaginary part (Wood & Chan 1994; Dietrich & Newsam 1997).
+`PathSampler` factors one (grid, H) once and maps standard normals to paths;
+the normals do not depend on H, so one draw can serve every H.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,7 @@ import numpy.random
 from .errors import DomainError, GridError
 
 _UNIFORM_RTOL = 1e-9
+_FFT_ENTRIES = 1 << 15      # complex entries a circulant sampler transforms at a time
 
 
 @dataclass(frozen=True)
@@ -84,41 +87,86 @@ def _circulant_eigenvalues(n, h):
     return np.fft.fft(row).real
 
 
-def _sample_fgn_circulant(n, h, rng, n_paths):
-    """Unit-step fGn via circulant (Davies-Harte) embedding.
-
-    The transform of one row of complex noise scaled by sqrt(lam / m) has real
-    and imaginary parts that are independent, each with the exact covariance,
-    so ceil(n_paths / 2) rows are drawn: paths [0, rows) are the real parts and
-    the rest the imaginary parts of the first rows.  One path is the real part
-    of one row.  Returns None when the embedding is not nonnegative definite
-    for (n, H).
-    """
+def _circulant_scale(n, h):
+    """sqrt(lam / m) of the circulant (Davies-Harte) embedding of unit-step fGn,
+    m = 2n, or None when the embedding is not nonnegative definite for (n, H)."""
     lam = _circulant_eigenvalues(n, h)
     if np.min(lam) < -1e-10 * np.max(lam):
         return None
     lam = np.clip(lam, 0.0, None)
-    m = 2 * n
-    rows = (n_paths + 1) // 2
-    # Filled and transformed in place: one complex buffer and the paths.
-    w = np.empty((rows, m), dtype=complex)
-    w.real = rng.standard_normal((rows, m))
-    w.imag = rng.standard_normal((rows, m))
-    w *= np.sqrt(lam / m)
-    np.fft.fft(w, axis=1, out=w)
-    fgn = np.empty((n_paths, n))
-    fgn[:rows] = w.real[:, :n]
-    fgn[rows:] = w.imag[:n_paths - rows, :n]
-    return fgn
+    return np.sqrt(lam / (2 * n))
 
 
-def _sample_cholesky(grid, h, rng, n_paths):
+def _cholesky_factor(grid, h):
     cov = covariance(grid[:, None], grid[None, :], h)
     # Tiny jitter guards against roundoff-level indefiniteness on fine grids.
     jitter = 1e-12 * np.max(np.diag(cov))
-    chol = np.linalg.cholesky(cov + jitter * np.eye(len(grid)))
-    z = rng.standard_normal((n_paths, len(grid)))
-    return z @ chol.T
+    return np.linalg.cholesky(cov + jitter * np.eye(len(grid)))
+
+
+class PathSampler:
+    """Exact fBm paths on one grid for one H, the factor computed once.
+
+    `paths(normals, n_paths)` maps `normal_count(n_paths)` standard normals to
+    n_paths paths.  Samplers of one grid and `method` take the same normals
+    whatever H, so one draw can serve every H (common random numbers).
+
+    Cholesky: one row of normals per path, times the factor of the path
+    covariance (any strictly increasing grid).  Circulant: rows of complex noise,
+    real parts first, scaled by sqrt(lam / m) and transformed; the real and
+    imaginary parts of a row are independent paths with the exact covariance, so
+    ceil(n_paths / 2) rows give paths [0, rows) as the real parts and the rest as
+    the imaginary parts of the first rows (uniform grids from dt, O(n log n)).
+    Where the embedding is not nonnegative definite for (n, H), the sampler falls
+    back to Cholesky: `method` is then "cholesky" and `used_fallback` true.
+    """
+
+    def __init__(self, grid, h, method="circulant"):
+        self.h = as_hurst(h)
+        self.grid = _validate_grid(grid)
+        self.used_fallback = False
+        if method == "circulant":
+            uniform, self._dt = _is_uniform_from_zero(self.grid)
+            if not uniform:
+                raise GridError("circulant sampler requires a uniform grid starting at dt")
+            self._scale = _circulant_scale(self.grid.size, self.h)
+            if self._scale is None:
+                self.used_fallback, method = True, "cholesky"
+        elif method != "cholesky":
+            raise GridError(f"unknown sampling method {method!r}")
+        if method == "cholesky":
+            self._chol = _cholesky_factor(self.grid, self.h)
+        self.method = method
+
+    def normal_count(self, n_paths):
+        """Standard normals n_paths paths take."""
+        n = self.grid.size
+        return n_paths * n if self.method == "cholesky" else (n_paths + 1) // 2 * 4 * n
+
+    def paths(self, normals, n_paths, out=None):
+        """The (n_paths, len(grid)) paths of the normals, in out if given.  A
+        circulant sampler transforms _FFT_ENTRIES of them at a time, in one
+        512 kB complex buffer: each row's transform is the same bits in any block."""
+        n = self.grid.size
+        if self.method == "cholesky":
+            return np.matmul(normals.reshape(n_paths, n), self._chol.T, out=out)
+        rows = (n_paths + 1) // 2
+        re, im = normals.reshape(2, rows, 2 * n)
+        out = np.empty((n_paths, n)) if out is None else out
+        step = max(1, _FFT_ENTRIES // (2 * n))
+        buf = np.empty((min(step, rows), 2 * n), dtype=complex)
+        for r in range(0, rows, step):
+            e = min(r + step, rows)
+            w = buf[:e - r]
+            np.multiply(re[r:e], self._scale, out=w.real)
+            np.multiply(im[r:e], self._scale, out=w.imag)
+            np.fft.fft(w, axis=1, out=w)
+            np.cumsum(w.real[:, :n], axis=1, out=out[r:e])
+            # Paths [rows, n_paths) are the imaginary parts of rows [0, n_paths - rows).
+            rest = out[rows + r:rows + e]
+            np.cumsum(w.imag[:len(rest), :n], axis=1, out=rest)
+        out *= self._dt ** self.h.value
+        return out
 
 
 def sample_paths(grid, h, method="circulant", seed=0, n_paths=1):
@@ -127,24 +175,6 @@ def sample_paths(grid, h, method="circulant", seed=0, n_paths=1):
     Returns (values, used_fallback) where values has shape (n_paths, len(grid)).
     Reproducible: same (grid, h, method, seed, n_paths) gives identical output.
     """
-    h = as_hurst(h)
-    grid = _validate_grid(grid)
-    rng = np.random.default_rng(seed)
-    used_fallback = False
-    if method == "cholesky":
-        values = _sample_cholesky(grid, h, rng, n_paths)
-    elif method == "circulant":
-        uniform, dt = _is_uniform_from_zero(grid)
-        if not uniform:
-            raise GridError("circulant sampler requires a uniform grid starting at dt")
-        fgn = _sample_fgn_circulant(len(grid), h, rng, n_paths)
-        if fgn is None:
-            used_fallback = True
-            values = _sample_cholesky(grid, h, rng, n_paths)
-        else:
-            values = np.cumsum(fgn, axis=1, out=fgn)
-            values *= dt ** h.value
-    else:
-        raise GridError(f"unknown sampling method {method!r}")
-    return values, used_fallback
-
+    sampler = PathSampler(grid, h, method)
+    normals = np.random.default_rng(seed).standard_normal(sampler.normal_count(n_paths))
+    return sampler.paths(normals, n_paths), sampler.used_fallback

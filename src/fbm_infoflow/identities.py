@@ -125,12 +125,20 @@ def debruijn_check(channel, t, fd_step=None, tol=1e-4):
 
 
 def debruijn_rhs(channel, t):
-    """debruijn_check's rhs, g = sigma^2 score^2 - (sigma'' sigma + sigma'^2)."""
+    """debruijn_check's rhs, g = sigma^2 score^2 - (sigma'' sigma + sigma'^2): c^2 score^2
+    for a constant sigma = c.  g takes sigma and sigma' from v, which on a flow
+    field has them from its score, and evaluates sigma'' once."""
     sig = channel.sigma
     field_t = ch.density_at(channel, t)
+    if sig.kind == "constant":
+        c2 = sig.c * sig.c
 
-    def g(v):
-        return sig.fn(v.x) ** 2 * v.score ** 2 - sig.curvature(v.x)
+        def g(v):
+            return c2 * v.score ** 2
+    else:
+        def g(v):
+            s, d1 = v.sigma(sig)
+            return s ** 2 * v.score ** 2 - (sig.d2(v.x) * s + d1 ** 2)
     return Rhs(_rate(channel.hurst.value, t), g, (field_t,))
 
 
@@ -172,12 +180,18 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
 
 
 def kl_flow_rhs(x_channel, y_channel, t):
-    """kl_flow_check's rhs, g = sigma^2 (score_X - score_Y)^2 under X_t, with q the law of Y_t."""
+    """kl_flow_check's rhs, g = sigma^2 (score_X - score_Y)^2 under X_t, with q the law of
+    Y_t; sigma as debruijn_rhs takes it."""
     sig = x_channel.sigma
     px, py = ch.density_at(x_channel, t), ch.density_at(y_channel, t)
+    if sig.kind == "constant":
+        c2 = sig.c * sig.c
 
-    def g(v):
-        return sig.fn(v.x) ** 2 * (v.score - v.score_q) ** 2
+        def g(v):
+            return c2 * (v.score - v.score_q) ** 2
+    else:
+        def g(v):
+            return v.sigma(sig)[0] ** 2 * (v.score - v.score_q) ** 2
     return Rhs(-_rate(x_channel.hurst.value, t), g, (px, py))
 
 

@@ -46,9 +46,11 @@ class RunningMoments:
         nb = batch.size
         if nb == 0:
             return
-        mb = float(np.mean(batch))
+        mb = float(np.sum(batch) / nb)         # np.mean's own arithmetic
         d = batch - mb
-        self._merge(nb, mb, float(d @ d))
+        # einsum's loop, not d @ d: a BLAS ddot may wake OpenBLAS's threads, which
+        # stall some fresh processes for most of a second.
+        self._merge(nb, mb, float(np.einsum("i,i->", d, d)))
 
     def merge(self, other):
         self._merge(other.n, other.mean, other.m2)
@@ -112,7 +114,9 @@ def sample_endpoint(channel, t, n, rng):
     if channel.variant == "multiplicative":
         sig = channel.sigma
         if sig.kind == "constant":
-            return channel.x0 + sig.c * z
+            z *= sig.c
+            z += channel.x0
+            return z
         z_edge = ch.density_at(channel, t).flow.z_edge
         z.sort()
         return np.clip(z, -z_edge, z_edge, out=z)
@@ -120,7 +124,8 @@ def sample_endpoint(channel, t, n, rng):
     if law.kind == "gaussian":
         x0 = _standard_normal(rng, n) * math.sqrt(law.variance)
         x0 += law.mean
-        return x0 + z
+        x0 += z
+        return x0
     # The interpolant of a grid law is a mixture of hat functions, one per grid
     # point, weighted by its trapezoid weight: a grid point each, then triangular
     # noise over its two neighbouring intervals.
@@ -128,7 +133,8 @@ def sample_endpoint(channel, t, n, rng):
     weights = law.values * np.convolve(np.diff(y), [1.0, 1.0])
     k = np.repeat(np.arange(y.size), rng.multinomial(n, weights / weights.sum()))
     x0 = rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
-    return x0 + z
+    x0 += z
+    return x0
 
 
 def mc_expectation(channel, t, g, n, seed, fields=None):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from fbm_infoflow import channels as ch, cli, doss, fbm, identities as idn, infofunc
 from fbm_infoflow.cli import main
+from fbm_infoflow.errors import DomainError
 
 
 def _base_config(tmp_path, **overrides):
@@ -226,20 +227,95 @@ def test_fbm_stats_cell_memory_is_bounded():
     # 630 MiB per cell at 64 grid points and 10 000 paths.  Holding every path
     # at once took 49 MiB at 10 000 paths and 195 MiB at 40 000; sampled in
     # batches, the paths take the same memory whatever n_paths is.  A circulant
-    # batch of 2^17 path values, two paths per transform, peaks at 4.2 MiB;
-    # the bound leaves 1.8 MiB of margin.
-    for n_paths in (10000, 40000):
-        cfg = {"suites": ["fbm-stats"], "t_grid": [1.0], "hurst_grid": [0.75],
-               "fbm_stats": {"n": 64, "n_paths": n_paths, "seed": 1}}
-        runner = cli._SuiteRunner(cfg)
-        tracemalloc.start()
-        try:
-            rep = runner.run_combo("fbm-stats", 1.0, 0.75)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2 ** 20, (n_paths, peak)
-        assert rep.passed, rep
+    # batch of 2^17 path values holds its normals, one H's paths and a 512 kB
+    # transform block, and peaks at 3.8 MiB on one H and 4.2 MiB on three, whose
+    # sampling shares each batch's normals; the bound leaves 1.8 MiB of margin.
+    for hs in ([0.75], [0.3, 0.5, 0.75]):
+        for n_paths in (10000, 40000):
+            cfg = {"suites": ["fbm-stats"], "t_grid": [1.0], "hurst_grid": hs,
+                   "fbm_stats": {"n": 64, "n_paths": n_paths, "seed": 1}}
+            runner = cli._SuiteRunner(cfg)
+            tracemalloc.start()
+            try:
+                rep = runner.run_combo("fbm-stats", 1.0, 0.75)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * 2 ** 20, (hs, n_paths, peak)
+            assert rep.passed, rep
+
+
+_FBM_STATS = {"suites": ["fbm-stats"], "t_grid": [0.5, 1.0],
+              "fbm_stats": {"n": 16, "n_paths": 9001, "seed": 4}}
+
+
+def _fbm_rows(hs, first=None):
+    """fbm-stats rows of a runner on hurst_grid hs, by H, the cell at H = first first."""
+    runner = cli._SuiteRunner(dict(_FBM_STATS, hurst_grid=hs))
+    order = sorted(hs, key=lambda h: h != first)
+    return {h: runner.run_combo("fbm-stats", 1.0, h).row() for h in order}
+
+
+@pytest.mark.parametrize("first", [0.3, 0.75])
+def test_fbm_stats_shared_sampling_matches_each_h_alone(first):
+    # One draw serves every H, and each row is the bits it would be with its H alone.
+    rows = _fbm_rows([0.3, 0.5, 0.75], first)
+    for h, row in rows.items():
+        assert row == _fbm_rows([h])[h], h
+
+
+def test_fbm_stats_circulant_fallback_keeps_its_own_draw(monkeypatch):
+    # An H whose embedding is not nonnegative definite samples by Cholesky from a
+    # fresh generator of the batch seed, as sample_paths does; the others keep theirs.
+    scale = fbm._circulant_scale
+    monkeypatch.setattr(fbm, "_circulant_scale",
+                        lambda n, h: None if h.value == 0.5 else scale(n, h))
+    rows = _fbm_rows([0.3, 0.5, 0.75])
+    for h, row in rows.items():
+        assert row == _fbm_rows([h])[h], h
+
+
+def test_fbm_stats_draws_each_batch_once_per_method(monkeypatch):
+    seeds, drawn = [], []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+            seeds.append(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            out = self._rng.standard_normal(*args, **kwargs)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    _fbm_rows([0.3, 0.5, 0.75])
+    n, n_paths = 16, 9001
+    batch = cli._FBM_BATCH_ENTRIES // n
+    rows = [(min(batch, n_paths - i) + 1) // 2 for i in range(0, n_paths, batch)]
+    assert len(seeds) == len(set(seeds)) == 2 * len(rows)
+    # Cholesky: one normal per path value; circulant: two per row of 2n entries.
+    assert sum(drawn) == n_paths * n + sum(rows) * 4 * n
+
+
+def test_fbm_stats_error_at_one_h_fails_only_its_rows(monkeypatch):
+    clean = {(r.hurst, r.t): r.row() for r in cli.run_suite(
+        dict(_FBM_STATS, hurst_grid=[0.3, 0.5, 0.75]))[1]}
+    covariance = fbm.covariance
+
+    def failing(s, t, h):
+        if fbm.as_hurst(h).value == 0.5:
+            raise DomainError("injected")
+        return covariance(s, t, h)
+    monkeypatch.setattr(fbm, "covariance", failing)
+    code, rows, _ = cli.run_suite(dict(_FBM_STATS, hurst_grid=[0.3, 0.5, 0.75]))
+    assert code == 3
+    for r in rows:
+        if r.hurst == 0.5:
+            assert r.extras["error"] == f"fbm-stats t={r.t:g} H=0.5: DomainError: injected"
+        else:
+            assert r.row() == clean[(r.hurst, r.t)]
 
 
 def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):

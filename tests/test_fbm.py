@@ -130,6 +130,25 @@ def test_circulant_one_path_is_the_real_part_of_one_transform():
     assert np.array_equal(one[0], two[0])
 
 
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+def test_one_draw_serves_every_h(method, monkeypatch):
+    # The normals do not depend on H: one draw gives each H the paths sample_paths
+    # draws for it alone, whatever the circulant transform's block size.
+    n, n_paths, seed = 64, 1001, 17
+    grid = np.arange(1, n + 1) / n
+    samplers = [fbm.PathSampler(grid, h, method) for h in (0.2, 0.5, 0.8)]
+    counts = {s.normal_count(n_paths) for s in samplers}
+    assert len(counts) == 1
+    normals = np.random.default_rng(seed).standard_normal(counts.pop())
+    out = np.empty((n_paths, n))
+    for entries in (fbm._FFT_ENTRIES, 3 * 2 * n):
+        monkeypatch.setattr(fbm, "_FFT_ENTRIES", entries)
+        for s in samplers:
+            alone, fallback = fbm.sample_paths(grid, s.h, method, seed, n_paths)
+            assert not fallback and s.method == method
+            assert np.array_equal(s.paths(normals, n_paths, out=out), alone)
+
+
 def test_seed_reproducibility():
     grid = np.arange(1, 65) / 64
     a, _ = fbm.sample_paths(grid, 0.6, method="circulant", seed=123)

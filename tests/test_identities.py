@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,38 @@ def test_nonconstant_sigma_debruijn():
     rep = idn.debruijn_check(chan, 1.0, fd_step=1e-3, tol=1e-4)
     assert rep.passed
     assert rep.abs_discrepancy <= 1e-4
+
+
+def _old_debruijn_g(sig, v):
+    return sig.fn(v.x) ** 2 * v.score ** 2 - sig.curvature(v.x)
+
+
+def test_debruijn_g_evaluates_sigma_three_times_a_point():
+    # sigma and sigma' come from the flow Values, which its score took; sigma'' once.
+    base, points = sg.sqrt_one_plus_square(), []
+
+    def counted(f):
+        def wrapped(x):
+            points.append(np.size(x))
+            return f(x)
+        return wrapped
+    sig = sg.custom(counted(base.fn), counted(base.d1), counted(base.d2), base.domain)
+    rhs = idn.debruijn_rhs(ch.multiplicative(sig, 0.0, 0.75), 1.0)
+    field = rhs.fields[0]
+    v = field.at(np.linspace(-2.0, 2.0, 101))
+    points.clear()
+    g = rhs.g(v)
+    assert sum(points) == 3 * 101
+    assert np.array_equal(g, _old_debruijn_g(sig, field.at(v.z)))
+    plain = ch.Values(v.x, dataclasses.replace(field, flow=None))
+    assert np.array_equal(rhs.g(plain), _old_debruijn_g(sig, plain))
+
+
+def test_debruijn_g_of_a_constant_sigma_is_c2_score2():
+    sig = sg.constant(2.5)
+    rhs = idn.debruijn_rhs(ch.multiplicative(sig, 0.3, 0.6), 1.5)
+    v = rhs.fields[0].at(np.linspace(-10.0, 10.0, 1001))
+    assert np.array_equal(rhs.g(v), _old_debruijn_g(sig, v))
 
 
 def test_report_invariant():

@@ -217,6 +217,18 @@ def test_running_moments_matches_numpy():
     assert acc.variance == pytest.approx(np.var(data, ddof=1), rel=1e-12)
 
 
+def test_running_moments_block_m2_is_two_pass():
+    # A block's m2 is centred on its own mean first, so a mean of 1e6 against an
+    # sd of 1 costs nothing; the reference sums exactly (fsum) about the exact mean.
+    x = np.random.default_rng(3).normal(1e6, 1.0, 1 << 15)
+    acc = mc.RunningMoments()
+    acc.update(x)
+    mean = math.fsum(x) / x.size
+    m2 = math.fsum(((x - mean) ** 2).tolist())
+    assert acc.mean == np.mean(x)
+    assert abs(acc.m2 - m2) <= 1e-14 * m2
+
+
 def test_running_moments_merge_associative():
     rng = np.random.default_rng(1)
     a, b = rng.standard_normal(5000), rng.standard_normal(3000)
