@@ -282,11 +282,14 @@ def _lamperti(sigma):
 
 def _z_of(table, x):
     """z at the points x, or FlowEscapeError for a point outside sigma's working
-    domain or past the table's end."""
+    domain or past the table's end, or a NaN."""
     try:
         return doss.invert_phi(table, x)
     except RangeError:
         lo, hi = table.sigma.domain
+        if np.isnan(x).any():
+            raise FlowEscapeError(
+                f"x = nan is not a point of sigma's working domain [{lo:g}, {hi:g}]") from None
         if np.min(x) < lo or np.max(x) > hi:
             raise FlowEscapeError(
                 f"x outside sigma's working domain [{lo:g}, {hi:g}]") from None

@@ -5,8 +5,11 @@ z(x) = int_{x0}^x dy / sigma(y).  The table holds z at x nodes about
 _TABLE_STEP apart in z, each node's z a cumulative sum of 8-point
 Gauss-Legendre panels of 1/sigma.  phi and its inverse are the cubic Hermite
 interpolants of that one table with exact slopes, dx/dz = sigma(x) one way and
-dz/dx = 1/sigma(x) the other; both evaluate the points in the order given, and
-their callers pass ascending points, where the interval search is fastest.
+dz/dx = 1/sigma(x) the other; both evaluate the points in the order and shape
+given.  phi finds a point's interval in O(1), from a bucket table over its
+z knots, which lie about _TABLE_STEP apart (_IntervalIndex); the inverse's x
+knots spread over orders of magnitude, so it keeps a binary search, fastest on
+ascending points, which is what its callers pass.
 
 The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
 equal x pieces, so they depend on sigma and x0 alone, and a node's z on the
@@ -29,6 +32,8 @@ _PIECES = math.ceil(_COARSE_STEP / _TABLE_STEP)   # equal x pieces per coarse st
 _FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _ROUNDING = 1e-12           # relative shortfall of a node's z that counts as rounding
+_BUCKETS_PER_KNOT = 2       # the most buckets of phi's interval index per knot
+_MAX_DEPTH = 4              # the most knots a bucket may hold: each costs a compare
 
 
 def _hermite(knots, values, slopes):
@@ -41,12 +46,70 @@ def _hermite(knots, values, slopes):
             (m0 + m1 - 2.0 * secant) / (h * h))
 
 
-def _evaluate(coeffs, q):
-    """The interpolant at points q >= knots[0], in any order and shape; a knot gets its value."""
+def _evaluate(coeffs, q, i):
+    """The interpolant at points q, in any order and shape, on their intervals i:
+    Horner's rule in place, the operations of c0 + u (c1 + u (c2 + u c3)) in their order."""
     knots, c0, c1, c2, c3 = coeffs
-    i = np.minimum(np.searchsorted(knots, q, side="right") - 1, c0.size - 1)
     u = q - knots[i]
-    return c0[i] + u * (c1[i] + u * (c2[i] + u * c3[i]))
+    r = c3[i]
+    r *= u
+    r += c2[i]
+    r *= u
+    r += c1[i]
+    r *= u
+    r += c0[i]
+    return r
+
+
+def _search(knots, q):
+    """The interval of each point q: searchsorted(knots, q, 'right') - 1, kept to
+    0 .. size - 2, which is the count of the interior knots <= q."""
+    return np.searchsorted(knots[1:-1], q, side="right")
+
+
+class _IntervalIndex:
+    """_search(knots, q) in O(1) for every q in [lo, hi], for knots about evenly
+    spaced.  q's interval is the count of the keys knots[1:] that are <= q, kept
+    to the last interval.  q's bucket is int((q - origin) * inv_width), the
+    expression that places each key, so it is monotone in q: every key of an
+    earlier bucket is <= q, and every key of a later one > q.  The count is
+    therefore the keys before q's bucket plus at most `depth` compares with the
+    bucket's own; a compare past the last key reads the last key, which counts
+    only where the clamp to the last interval applies.  A bucket is twice the
+    smallest knot gap wide, or wider where that makes more than _BUCKETS_PER_KNOT
+    buckets a knot, so the table stays bounded for any sigma; where knots crowd
+    more than _MAX_DEPTH to a bucket, the binary search is the cheaper one."""
+
+    def __init__(self, knots, lo, hi):
+        origin, end = min(lo, knots[0]), max(hi, knots[-1])
+        width = max(2.0 * np.min(np.diff(knots)),
+                    (end - origin) / (_BUCKETS_PER_KNOT * knots.size))
+        self.origin, self.inv_width = origin, 1.0 / width
+        self.knots, self.keys, self.last = knots, knots[1:], knots.size - 2
+        counts = np.bincount(self._bucket(self.keys), minlength=self._bucket(end) + 1)
+        self.depth = int(counts.max())
+        # int32 halves the table; one intp copy a call costs less than the
+        # memory, and int32 indices would be converted by every take.
+        self.before = (np.cumsum(counts) - counts).astype(np.int32)
+        self.before.flags.writeable = False
+
+    def _bucket(self, q):
+        return ((q - self.origin) * self.inv_width).astype(np.intp)
+
+    def __call__(self, q):
+        if self.depth > _MAX_DEPTH:
+            return _search(self.knots, q)
+        key = np.take(self.before, self._bucket(q)).astype(np.intp)
+        i = key + (np.take(self.keys, key, mode="clip") <= q)
+        for _ in range(1, self.depth):
+            key += 1
+            i += np.take(self.keys, key, mode="clip") <= q
+        return np.minimum(i, self.last)
+
+
+def _within(a, lo, hi):
+    """Whether every point of a lies in [lo, hi]; a NaN does not."""
+    return a.size == 0 or (lo <= np.min(a) and np.max(a) <= hi)
 
 
 @dataclass
@@ -62,6 +125,7 @@ class PhiSolution:
     phi_grid: np.ndarray
     _forward: tuple = field(init=False, repr=False)
     _inverse: tuple = field(init=False, repr=False)
+    _index: _IntervalIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         s = self.sigma.fn(self.phi_grid)
@@ -69,6 +133,7 @@ class PhiSolution:
         self._inverse = _hermite(self.phi_grid, self.z_grid, 1.0 / s)
         for a in self._forward + self._inverse:     # z_grid and phi_grid are the knots
             a.flags.writeable = False
+        self._index = _IntervalIndex(self.z_grid, *self.z_domain)
 
     @property
     def x_range(self):
@@ -77,10 +142,10 @@ class PhiSolution:
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         lo, hi = self.z_domain
-        if np.any(z < lo) or np.any(z > hi):
-            raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}]")
+        if not _within(z, lo, hi):
+            raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}], or not a number")
         # Only rounding on the table's last interval can leave x_range.
-        return np.clip(_evaluate(self._forward, z), *self.x_range)
+        return np.clip(_evaluate(self._forward, z, self._index(z)), *self.x_range)
 
 
 def solve_phi(sigma, x0, z_domain):
@@ -142,6 +207,6 @@ def invert_phi(phi, x):
     interpolant of the table's Lamperti integral z(x), whose slope is 1/sigma."""
     arr = np.asarray(x, dtype=float)
     lo, hi = phi.x_range
-    if np.any(arr < lo) or np.any(arr > hi):
-        raise RangeError(f"x outside flow range [{lo:g}, {hi:g}]")
-    return _evaluate(phi._inverse, arr)
+    if not _within(arr, lo, hi):
+        raise RangeError(f"x outside flow range [{lo:g}, {hi:g}], or not a number")
+    return _evaluate(phi._inverse, arr, _search(phi.phi_grid, arr))

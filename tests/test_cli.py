@@ -430,15 +430,16 @@ def test_flow_rows_do_not_depend_on_cell_order():
 
 def test_flow_lookups_come_in_ascending_order(monkeypatch):
     # phi and invert_phi evaluate points in the order given; every caller passes
-    # ascending points, where the table's interval search is fastest.
+    # ascending points, where invert_phi's binary search is fastest and phi's
+    # bucket lookups read the table in order.
     unsorted = []
     evaluate = doss._evaluate
 
-    def checked(coeffs, q):
+    def checked(coeffs, q, i):
         flat = np.ravel(q)
         if flat.size > 1 and np.any(np.diff(flat) < 0):
             unsorted.append(flat.size)
-        return evaluate(coeffs, q)
+        return evaluate(coeffs, q, i)
     monkeypatch.setattr(doss, "_evaluate", checked)
     code, rows, _ = cli.run_suite({"suites": ["debruijn-mult", "kl-flow", "fokker-planck"],
                                    "t_grid": [0.5, 2.0], "hurst_grid": [0.3, 0.75], **_SQRT1P,

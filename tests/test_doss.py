@@ -112,25 +112,70 @@ def test_invert_examples(phi_sinh):
     assert doss.invert_phi(phi, 3.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def _reference(coeffs, q):
+    """The interpolant by binary search and the nested Hermite formula."""
+    knots, c0, c1, c2, c3 = coeffs
+    i = np.minimum(np.searchsorted(knots, q, side="right") - 1, c0.size - 1)
+    u = q - knots[i]
+    return c0[i] + u * (c1[i] + u * (c2[i] + u * c3[i]))
+
+
 def test_ascending_evaluation_is_bit_identical(phi_sinh):
-    # phi and invert_phi evaluate the points in the order and shape given; a
-    # node maps exactly to its node
+    # phi and invert_phi evaluate the points in the order and shape given, to the
+    # bits of a binary search and the nested formula; a node maps exactly to its node
     rng = np.random.default_rng(5)
     shuffled = rng.uniform(-3.9, 3.9, 4000)
     nodes = rng.permutation(phi_sinh.z_grid[np.abs(phi_sinh.z_grid) <= 4.0])
-    for z in (shuffled, nodes, shuffled[:600].reshape(20, 30)):
+    for z in (shuffled, nodes, shuffled[:600].reshape(20, 30), np.sort(shuffled)):
         x = phi_sinh(z)
         assert x.shape == z.shape
-        assert np.array_equal(x, np.clip(doss._evaluate(phi_sinh._forward, z),
-                                         *phi_sinh.x_range))
+        assert np.array_equal(x, np.clip(_reference(phi_sinh._forward, z), *phi_sinh.x_range))
         back = doss.invert_phi(phi_sinh, x)
         assert back.shape == z.shape
-        assert np.array_equal(back, doss._evaluate(phi_sinh._inverse, x))
+        assert np.array_equal(back, _reference(phi_sinh._inverse, x))
     idx = rng.permutation(phi_sinh.z_grid.size)[:2000]     # a node maps to its node
     inside = idx[np.abs(phi_sinh.z_grid[idx]) <= 4.0]
     assert np.array_equal(phi_sinh(phi_sinh.z_grid[inside]), phi_sinh.phi_grid[inside])
     assert np.array_equal(doss.invert_phi(phi_sinh, phi_sinh.phi_grid[idx]),
                           phi_sinh.z_grid[idx])
+
+
+def _steep(edge):
+    """sigma = 1 + x^2 on (-edge, edge): its nodes crowd toward sigma's edges."""
+    return sg.custom(lambda x: 1.0 + np.square(x), lambda x: 2.0 * np.asarray(x, float),
+                     lambda x: np.full_like(np.asarray(x, float), 2.0), (-edge, edge))
+
+
+@pytest.mark.parametrize("sigma, depth", [
+    (sg.sqrt_one_plus_square(), 2),    # to sigma's edge: 21 751 nodes
+    (sg.constant(1.0), 2),             # nodes on multiples of 2e-3, +-8 short by a rounding
+    (_steep(20.0), 3),                 # three nodes to a bucket
+    (_steep(1e3), 57),                 # gaps 8e-6 to 6e-3: the binary search takes over
+], ids=["sqrt1p", "unit", "steep", "crowded"])
+def test_interval_index_is_a_binary_search(sigma, depth):
+    # phi's bucketed interval search finds the interval searchsorted does at every
+    # node, a rounding either side of it and both ends of the domain, in any
+    # order and shape; a point of the domain below the first node gets interval 0.
+    phi = doss.solve_phi(sigma, 0.0, (-8, 8) if sigma.kind == "constant" else (-64, 64))
+    knots, index = phi.z_grid, phi._index
+    assert index.depth == depth
+    lo, hi = phi.z_domain
+    q = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                        [lo, hi]])
+    q = np.random.default_rng(2).permutation(q[(lo <= q) & (q <= hi)])
+    last = knots.size - 2
+    expected = np.minimum(np.searchsorted(knots, q, side="right") - 1, last)
+    assert np.array_equal(index(q), np.maximum(expected, 0))
+    assert np.array_equal(expected < 0, q < knots[0])
+    assert np.any(q < knots[0]) == (sigma.kind == "constant")
+    for shaped in (q[:600].reshape(20, 30), q[0], q[1:2].reshape(())):
+        got = index(shaped)
+        assert np.shape(got) == np.shape(shaped)
+        assert np.array_equal(got, np.clip(np.searchsorted(knots, shaped, side="right") - 1,
+                                           0, last))
+    ascending = np.sort(q[q >= knots[0]])
+    assert np.array_equal(phi(ascending), np.clip(_reference(phi._forward, ascending),
+                                                  *phi.x_range))
 
 
 def test_evaluation_does_not_depend_on_order(phi_sinh):
@@ -145,6 +190,15 @@ def test_evaluation_does_not_depend_on_order(phi_sinh):
 def test_invert_out_of_range(phi_sinh):
     with pytest.raises(RangeError):
         doss.invert_phi(phi_sinh, 1e6)
+
+
+def test_nan_is_out_of_range(phi_sinh):
+    # A NaN has no interval: both directions reject it, as they do a point outside.
+    for f in (phi_sinh, lambda x: doss.invert_phi(phi_sinh, x)):
+        for bad in (np.array([0.0, np.nan]), np.nan):
+            with pytest.raises(RangeError, match="or not a number"):
+                f(bad)
+        assert f(np.array([])).size == 0
 
 
 # The push-forward of N(0, t^{2H}) through the flow is the flow field's pdf.

@@ -147,6 +147,26 @@ def test_one_seed_draws_each_block_once(memo, monkeypatch):
     assert nothing_kept.cache_info().misses == 12
 
 
+def test_flow_blocks_are_sorted_once(memo):
+    # A flow channel's draws are its sorted normals times sd, cut at the window.
+    # A second cell with the same seed at another (t, H) draws and sorts nothing
+    # new; a Gaussian channel on the same seed draws its own blocks, unsorted.
+    sig = sg.sqrt_one_plus_square()
+    for t, h in ((0.5, 0.3), (2.0, 0.75)):
+        chan = ch.multiplicative(sig, 0.0, h)
+        rng, gen = np.random.default_rng(8), np.random.default_rng(8)
+        z = mc.sample_endpoint(chan, t, 1000, gen)
+        z_edge = ch.density_at(chan, t).flow.z_edge
+        ref = np.clip(np.sort(rng.standard_normal(1000) * t ** h), -z_edge, z_edge)
+        assert np.array_equal(z, ref) and gen.bit_generator.state == rng.bit_generator.state
+        mc.mc_expectation(chan, t, np.square, 1000, 8)
+        assert memo.cache_info().misses == 2          # this draw's block and the seed's
+    law = ch.gaussian_law(0.0, 1.0)
+    x = mc.sample_endpoint(ch.additive(law, 0.5), 2.0, 1000, np.random.default_rng(8))
+    assert memo.cache_info().misses == 4
+    assert np.array_equal(x, _plain_endpoint(law, 2.0, 0.5, 1000, np.random.default_rng(8)))
+
+
 def test_memo_memory_is_bounded(memo):
     # ROADMAP: memory stays bounded whatever the sample count.  4e6 samples
     # draw 62 blocks; the memo keeps the last _MEMO_BLOCKS, and a batch's own

@@ -1,6 +1,8 @@
 """SHA-256 digests of the report bodies of the benchmark's workload configs.
 
-    python3 tools/report_bodies.py --seeds 1 2 3
+    python3 tools/report_bodies.py --seeds 1 2 3 > digests.txt
+    python3 tools/report_bodies.py --seeds 1 2 3 --workload sqrt1p-mult-quad
+    python3 tools/report_bodies.py --seeds 1 2 3 --expect digests.txt
 
 Run from anywhere; the package is imported from this checkout's `src/`.  For
 each workload of `perfbench/workloads.json` (read, never written) and each
@@ -8,7 +10,10 @@ seed, the workload's config template gets the seed in its "$seed" fields and
 runs in-process, as `fbm-infoflow run` would, writing its reports to a
 temporary directory.  The digest covers every report file the run writes, in
 name order, the CSV report without its first line, which holds the timestamp.
-Two checkouts whose digests agree wrote byte-identical reports.
+Two checkouts whose digests agree wrote byte-identical reports.  With
+`--expect FILE`, a file of lines this script printed (from another checkout,
+say), each line printed must be the file's line for its workload and seed, and
+the exit code is 1 when any is not, or when any run's exit code is not 0.
 """
 
 import argparse
@@ -53,12 +58,31 @@ def body_digest(cfg):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run this workload only; repeat for more (default: all)")
+    ap.add_argument("--expect", type=Path, metavar="FILE",
+                    help="exit 1 unless every line printed is this file's line")
     args = ap.parse_args()
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
-    for name, spec in workloads.items():
+    unknown = set(args.workload or ()) - set(workloads)
+    if unknown:
+        ap.error(f"unknown workload {', '.join(sorted(unknown))}; "
+                 f"choose from {', '.join(workloads)}")
+    expected = {}
+    if args.expect:
+        for line in args.expect.read_text().splitlines():
+            expected[tuple(line.split()[:2])] = line.strip()
+    ok = True
+    for name in args.workload or workloads:
         for seed in args.seeds:
-            exit_code, digest = body_digest(with_seed(spec["config"], seed))
-            print(f"{name} seed={seed} exit={exit_code} sha256={digest}")
+            exit_code, digest = body_digest(with_seed(workloads[name]["config"], seed))
+            line = f"{name} seed={seed} exit={exit_code} sha256={digest}"
+            if args.expect and (exit_code != 0 or expected.get((name, f"seed={seed}")) != line):
+                ok = False
+                line += "  MISMATCH"
+            print(line, flush=True)
+    if not ok:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
