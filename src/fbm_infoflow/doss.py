@@ -33,7 +33,6 @@ _FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _ROUNDING = 1e-12           # relative shortfall of a node's z that counts as rounding
 _BUCKETS_PER_KNOT = 2       # the most buckets of phi's interval index per knot
-_MAX_DEPTH = 4              # the most knots a bucket may hold: each costs a compare
 
 
 def _hermite(knots, values, slopes):
@@ -78,14 +77,14 @@ class _IntervalIndex:
     only where the clamp to the last interval applies.  A bucket is twice the
     smallest knot gap wide, or wider where that makes more than _BUCKETS_PER_KNOT
     buckets a knot, so the table stays bounded for any sigma; where knots crowd
-    more than _MAX_DEPTH to a bucket, the binary search is the cheaper one."""
+    into a bucket, each more costs one compare."""
 
     def __init__(self, knots, lo, hi):
         origin, end = min(lo, knots[0]), max(hi, knots[-1])
         width = max(2.0 * np.min(np.diff(knots)),
                     (end - origin) / (_BUCKETS_PER_KNOT * knots.size))
         self.origin, self.inv_width = origin, 1.0 / width
-        self.knots, self.keys, self.last = knots, knots[1:], knots.size - 2
+        self.keys, self.last = knots[1:], knots.size - 2
         counts = np.bincount(self._bucket(self.keys), minlength=self._bucket(end) + 1)
         self.depth = int(counts.max())
         # int32 halves the table; one intp copy a call costs less than the
@@ -97,8 +96,6 @@ class _IntervalIndex:
         return ((q - self.origin) * self.inv_width).astype(np.intp)
 
     def __call__(self, q):
-        if self.depth > _MAX_DEPTH:
-            return _search(self.knots, q)
         key = np.take(self.before, self._bucket(q)).astype(np.intp)
         i = key + (np.take(self.keys, key, mode="clip") <= q)
         for _ in range(1, self.depth):
@@ -156,6 +153,8 @@ def solve_phi(sigma, x0, z_domain):
     x0, (lo, hi) = float(x0), sigma.domain
     if not lo <= x0 <= hi:
         raise FlowEscapeError(f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
+    if x0 in (lo, hi):      # the table would hold x0 alone, which nothing interpolates
+        raise FlowEscapeError(f"x0 = {x0:g} lies at sigma's edge: the flow covers no interval")
     (x_neg, z_neg, end_neg), (x_pos, z_pos, end_pos) = (
         _lamperti_nodes(sigma, x0, z_end) for z_end in (z_lo, z_hi))
     return PhiSolution(

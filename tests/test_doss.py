@@ -150,7 +150,7 @@ def _steep(edge):
     (sg.sqrt_one_plus_square(), 2),    # to sigma's edge: 21 751 nodes
     (sg.constant(1.0), 2),             # nodes on multiples of 2e-3, +-8 short by a rounding
     (_steep(20.0), 3),                 # three nodes to a bucket
-    (_steep(1e3), 57),                 # gaps 8e-6 to 6e-3: the binary search takes over
+    (_steep(1e3), 57),                 # gaps 8e-6 to 6e-3: 57 compares, still exact
 ], ids=["sqrt1p", "unit", "steep", "crowded"])
 def test_interval_index_is_a_binary_search(sigma, depth):
     # phi's bucketed interval search finds the interval searchsorted does at every
@@ -263,6 +263,16 @@ def test_flow_start_outside_domain(x0):
         doss.solve_phi(s, x0, (-1, 1))
     with pytest.raises(FlowEscapeError, match="outside sigma's working domain"):
         ch.density_at(ch.multiplicative(s, x0, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("x0", [2.0, 5.0])
+@pytest.mark.parametrize("z_domain", [(0, 1), (-1, 0), (-1, 1)])
+def test_flow_from_the_edge_covers_no_interval(x0, z_domain):
+    # The flow stops at sigma's edge, so from x0 on it the table would hold x0
+    # alone, which nothing interpolates: solve_phi says so, whichever side is asked.
+    s = sg.sqrt_one_plus_square(domain=(2, 5))
+    with pytest.raises(FlowEscapeError, match=f"x0 = {x0:g} lies at sigma's edge"):
+        doss.solve_phi(s, x0, z_domain)
 
 
 def test_flow_escape_names_z_reached():
