@@ -17,9 +17,6 @@ import sys
 
 import click
 import numpy as np
-# numpy loads these lazily; loading them with the package keeps that cost
-# in set-up, not in the first cell that draws.
-import numpy.random
 
 from . import channels as ch
 from . import fbm
@@ -29,16 +26,7 @@ from . import montecarlo as mc
 from . import sigma as sg
 from .errors import ConfigError, DomainError, FbmInfoflowError
 
-DEFAULT_TOLERANCES = {
-    "debruijn-mult": 1e-4,
-    "debruijn-additive": 1e-6,
-    "kl-flow": 1e-5,
-    "fokker-planck": 1e-3,
-    "stein": 1e-10,
-    "entropy-power": 1e-4,
-    "fbm-stats": 5.0,
-}
-SUITES = tuple(DEFAULT_TOLERANCES)
+SUITES = tuple(idn.DEFAULT_TOLERANCES)
 
 CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
@@ -130,7 +118,7 @@ _KEYS = {
                                    "[lo, hi] with lo < hi"),
     "channel.initial.n": _at_least(2001, 1),
     **{f"tolerances.{suite}": _Key(tol, _number, lambda v: v >= 0.0, ">= 0")
-       for suite, tol in DEFAULT_TOLERANCES.items()},
+       for suite, tol in idn.DEFAULT_TOLERANCES.items()},
     "oracle.kind": _choice("mc"),
     "oracle.samples": _at_least(100000, 100),
     "oracle.seed": _at_least(0, 0),

@@ -8,8 +8,7 @@ interpolants of that one table with exact slopes, dx/dz = sigma(x) one way and
 dz/dx = 1/sigma(x) the other; both evaluate the points in the order and shape
 given.  phi finds a point's interval in O(1), from a bucket table over its
 z knots, which lie about _TABLE_STEP apart (_IntervalIndex); the inverse's x
-knots spread over orders of magnitude, so it keeps a binary search, fastest on
-ascending points, which is what its callers pass.
+knots spread over orders of magnitude, so it keeps a binary search.
 
 The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
 equal x pieces, so they depend on sigma and x0 alone, and a node's z on the

@@ -25,6 +25,18 @@ from . import channels as ch
 from . import infofunc as nf
 from .errors import DomainError, StepError
 
+# The default tolerance of each identity's row, on |lhs - rhs|: each check's tol
+# and the runner's `tolerances` config block default to it.
+DEFAULT_TOLERANCES = {
+    "debruijn-mult": 1e-4,
+    "debruijn-additive": 1e-6,
+    "kl-flow": 1e-5,
+    "fokker-planck": 1e-3,
+    "stein": 1e-10,
+    "entropy-power": 1e-4,
+    "fbm-stats": 5.0,
+}
+
 
 @dataclass
 class IdentityReport:
@@ -109,17 +121,19 @@ def richardson_derivative(f, t, step):
     return (4.0 * d2 - d1) / 3.0
 
 
-def debruijn_check(channel, t, fd_step=None, tol=1e-4):
+def debruijn_check(channel, t, fd_step=None, tol=None):
     """Entropy flow of dX = sigma(X) o dB^H against its Fisher-information form.
 
     rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] };
-    on an additive channel sigma = 1 and rhs = H t^{2H-1} J_1(X_t).
+    on an additive channel sigma = 1 and rhs = H t^{2H-1} J_1(X_t).  tol defaults
+    to the row's DEFAULT_TOLERANCES entry, debruijn-mult's or debruijn-additive's.
     """
     fd_step = _check_step(t, fd_step)
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
     rhs = debruijn_rhs(channel, t).value()
     name = "debruijn-mult" if channel.variant == "multiplicative" else "debruijn-additive"
+    tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     return _report(name, t, channel.hurst.value, lhs, rhs, tol,
                    notes=f"richardson fd_step={fd_step:g}")
 
@@ -142,7 +156,8 @@ def debruijn_rhs(channel, t):
     return Rhs(_rate(channel.hurst.value, t), g, (field_t,))
 
 
-def kl_flow_check(x_channel, y_channel, t, fd_step=None, tol=1e-4):
+def kl_flow_check(x_channel, y_channel, t, fd_step=None,
+                  tol=DEFAULT_TOLERANCES["kl-flow"]):
     """d/dt K(X_t || Y_t) against -H t^{2H-1} J_{sigma^2}(X_t || Y_t).
 
     Both channels must be multiplicative with the same diffusion coefficient
@@ -195,13 +210,13 @@ def kl_flow_rhs(x_channel, y_channel, t):
     return Rhs(-_rate(x_channel.hurst.value, t), g, (px, py))
 
 
-def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
+def fokker_planck_residual(channel, t, x_grid, fd_step_t=None):
     """Residual of the marginal-density PDE for dX = sigma(X) o dB^H:
 
         dP/dt - H t^{2H-1} ( -(sigma' sigma P)_x + (sigma^2 P)_xx )
 
     evaluated on x_grid.  Time derivative by Richardson finite differences of
-    the density; spatial derivatives of P by central differences at step dx,
+    the density; spatial derivatives of P by central differences at step 5e-3,
     sigma derivatives analytic.
     """
     if channel.variant != "multiplicative":
@@ -210,6 +225,7 @@ def fokker_planck_residual(channel, t, x_grid, fd_step_t=None, dx=5e-3):
     hv = channel.hurst.value
     x = np.asarray(x_grid, dtype=float)
     sig = channel.sigma
+    dx = 5e-3
 
     def pdf_at(s, pts):
         return ch.density_at(channel, s).pdf(pts)
@@ -238,7 +254,7 @@ def _gauss_hermite():
     return u, w / math.sqrt(math.pi)
 
 
-def stein_check(mu, variance, r, r_prime, tol=1e-10):
+def stein_check(mu, variance, r, r_prime, tol=DEFAULT_TOLERANCES["stein"]):
     """Stein's identity E[r(Y)(Y-mu)] = variance * E[r'(Y)], Y ~ N(mu, variance),
     both sides by Gauss-Hermite quadrature."""
     if variance <= 0:
@@ -255,7 +271,7 @@ def stein_check(mu, variance, r, r_prime, tol=1e-10):
 ENTROPY_POWER_STEP = 1e-3
 
 
-def entropy_power_check(channel, t, tol=1e-4):
+def entropy_power_check(channel, t, tol=DEFAULT_TOLERANCES["entropy-power"]):
     """d^2N/dt^2 of the entropy power N(X_t) of an additive channel, by second
     differences at steps delta and delta/2, Richardson-combined, against 2 N g
     with g(t, H, X_t) = H(2H-1) t^{2H-2} J_1 - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)];

@@ -111,7 +111,7 @@ _EPS = np.finfo(float).eps
 
 def _kronrod(f, a, b):
     """The 21-point Kronrod values of int f on the intervals [a, b] and QUADPACK's
-    error estimates of them, from one call of f on all their nodes, ascending."""
+    error estimates of them, from one call of f on all their nodes."""
     half = 0.5 * (b - a)
     fv = f(((a + half)[:, None] + half[:, None] * _NODES).ravel()).reshape(a.size, 21)
     kronrod = fv @ _KRONROD
@@ -142,18 +142,13 @@ def _gauss_kronrod(f, a, b, epsabs, epsrel, limit):
         if count <= 0:
             return value, total, {"neval": neval}, (
                 f"{limit} subintervals leave an error estimate of {total:.3g}, above {tol:.3g}")
-        split = np.sort(worst[:count])
+        split = worst[:count]
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.column_stack((lo[split], mid)).ravel()
-        new_hi = np.column_stack((mid, hi[split])).ravel()
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
         new_area, new_error = _kronrod(f, new_lo, new_hi)
         neval += 21 * new_lo.size
-        keep = np.ones(lo.size, dtype=bool)
-        keep[split] = False
-        lo, hi, area, error = (np.concatenate((old[keep], new)) for old, new in (
+        lo, hi, area, error = (np.concatenate((np.delete(old, split), new)) for old, new in (
             (lo, new_lo), (hi, new_hi), (area, new_area), (error, new_error)))
-        order = np.argsort(lo)                          # intervals kept in ascending x
-        lo, hi, area, error = lo[order], hi[order], area[order], error[order]
 
 
 # The rule keeps QUADPACK's call shape, integrate.quad(f, a, b, ...) -> (value,
@@ -163,10 +158,9 @@ def _gauss_kronrod(f, a, b, epsabs, epsrel, limit):
 integrate = types.SimpleNamespace(quad=_gauss_kronrod)
 
 
-def expectation(field, g, q=None):
-    """E[g(X)] for X with the given density field; q, when given, is the second
-    field of a divergence, which must contain the field's support."""
-    return expect_values(field, lambda v: g(v.x), q)
+def expectation(field, g):
+    """E[g(X)] for X with the given density field."""
+    return expect_values(field, lambda v: g(v.x))
 
 
 def entropy(field):

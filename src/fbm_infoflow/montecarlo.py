@@ -1,22 +1,19 @@
 """Sampling-based oracle for the quadrature path.
 
 Because X_t = phi(B^H_t), only the endpoint B^H_t ~ N(0, t^{2H}) is ever
-sampled; no path simulation is needed.  A flow channel's draws stay in z,
-ascending, and g reads the field's Values from them (`channels.DensityField.at`),
-so no draw inverts phi.  Each batch is evaluated in blocks of _BLOCK draws,
-whose temporaries fit in L2.  Estimates are reproducible per seed and
-accumulated with a streaming mean/variance merge so batches can be processed
+sampled; no path simulation is needed.  A flow channel's draws stay in z, and
+g reads the field's Values from them (`channels.DensityField.at`), so no draw
+inverts phi.  Each batch is evaluated in blocks of _BLOCK draws, whose
+temporaries fit in L2.  Estimates are reproducible per seed and accumulated
+with a streaming mean/variance merge so batches can be processed
 independently.
 
 Estimates with one seed share their normal draws (common random numbers):
 batch j of every call is seeded by child j of SeedSequence(seed), whatever the
 channel, t or H.  Each block of standard normals is therefore drawn once and
-kept in a memo keyed by the generator's exact state, the count and whether it
-is sorted, at most _MEMO_BLOCKS blocks of at most _BATCH normals (16 MiB); a
-hit returns the same numbers and leaves the generator where a fresh draw would.
-A flow channel's block is sorted once, in the memo, and scaled by the standard
-deviation: its draws are the same bits as the sorted scaled draws, and a cell
-at another t or H sorts nothing.
+kept in a memo keyed by the generator's exact state and the count, at most
+_MEMO_BLOCKS blocks of at most _BATCH normals (16 MiB); a hit returns the same
+numbers and leaves the generator where a fresh draw would.
 """
 
 import functools
@@ -83,45 +80,39 @@ class McEstimate:
 
 
 @functools.lru_cache(maxsize=_MEMO_BLOCKS)
-def _normal_block(state, inc, has_uint32, uinteger, n, ascending):
-    """n standard normals from a PCG64 generator in the given state, sorted if
-    ascending, read-only, and the generator's state after the draw."""
+def _normal_block(state, inc, has_uint32, uinteger, n):
+    """n standard normals from a PCG64 generator in the given state, read-only,
+    and the generator's state after the draw."""
     bg = np.random.PCG64(0)          # its state is set next
     bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                 "has_uint32": has_uint32, "uinteger": uinteger}
     normals = np.random.Generator(bg).standard_normal(n)
-    if ascending:
-        normals.sort()
     normals.flags.writeable = False
     return normals, bg.state
 
 
-def _standard_normal(rng, n, ascending=False):
-    """rng.standard_normal(n), sorted if ascending.  A PCG64 block of at most
-    _BATCH normals is drawn and sorted once: a repeat returns the same read-only
-    block and sets rng where the draw left it."""
+def _standard_normal(rng, n):
+    """rng.standard_normal(n).  A PCG64 block of at most _BATCH normals is drawn
+    once: a repeat returns the same read-only block and sets rng where the draw
+    left it."""
     bg = rng.bit_generator
     if n > _BATCH or type(bg) is not np.random.PCG64:
-        normals = rng.standard_normal(n)
-        return np.sort(normals) if ascending else normals
+        return rng.standard_normal(n)
     st = bg.state
     normals, bg.state = _normal_block(st["state"]["state"], st["state"]["inc"],
-                                      st["has_uint32"], st["uinteger"], n, ascending)
+                                      st["has_uint32"], st["uinteger"], n)
     return normals
 
 
 def sample_endpoint(channel, t, n, rng):
     """Draw n samples of X_t in the coordinate its field reads (DensityField.at): for
-    a flow channel the offsets z of X_t = flow.x(z), ascending, for phi's lookups,
-    and cut at the field's window; x for every other channel."""
-    sd = float(t) ** channel.hurst.value
+    a flow channel the offsets z of X_t = flow.x(z), cut at the field's window; x
+    for every other channel."""
+    z = _standard_normal(rng, n) * float(t) ** channel.hurst.value
     sig = channel.sigma
     if channel.variant == "multiplicative" and sig.kind != "constant":
         z_edge = ch.density_at(channel, t).flow.z_edge
-        # sd > 0 and rounding is monotone: sd times the sorted normals is sorted.
-        z = _standard_normal(rng, n, ascending=True) * sd
         return np.clip(z, -z_edge, z_edge, out=z)
-    z = _standard_normal(rng, n) * sd
     if channel.variant == "multiplicative":
         z *= sig.c
         z += channel.x0

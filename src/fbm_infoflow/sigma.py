@@ -62,19 +62,28 @@ def constant(c, domain=(-1e9, 1e9)):
     )
 
 
+# sqrt1p's sigma, sigma' and sigma'', defined once so that two models of one
+# domain compare equal and share every table cached on sigma.
+def _sqrt1p(x):
+    return np.sqrt(1.0 + np.asarray(x, float) ** 2)
+
+
+def _sqrt1p_d1(x):
+    return np.asarray(x, float) / np.sqrt(1.0 + np.asarray(x, float) ** 2)
+
+
+def _sqrt1p_d2(x):
+    return (1.0 + np.asarray(x, float) ** 2) ** -1.5
+
+
 def sqrt_one_plus_square(domain=(-1e9, 1e9)):
     """sigma(x) = sqrt(1 + x^2).
 
     Canonical nonconstant test case: its flow has the closed form sinh, so
     every downstream quantity has an independent oracle.
     """
-    return SigmaModel(
-        kind="sqrt1p",
-        fn=lambda x: np.sqrt(1.0 + np.asarray(x, float) ** 2),
-        d1=lambda x: np.asarray(x, float) / np.sqrt(1.0 + np.asarray(x, float) ** 2),
-        d2=lambda x: (1.0 + np.asarray(x, float) ** 2) ** -1.5,
-        domain=(float(domain[0]), float(domain[1])),
-    )
+    return SigmaModel(kind="sqrt1p", fn=_sqrt1p, d1=_sqrt1p_d1, d2=_sqrt1p_d2,
+                      domain=(float(domain[0]), float(domain[1])))
 
 
 def custom(fn, d1, d2, domain):

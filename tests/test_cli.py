@@ -131,8 +131,7 @@ def test_entropy_power_row_is_the_identity_check():
     runner = cli._SuiteRunner(cfg)
     for t, h in ((0.5, 0.3), (2.0, 0.75)):
         row = runner.run_combo("entropy-power", t, h)
-        check = idn.entropy_power_check(ch.additive(runner.initial, h), t,
-                                        cli.DEFAULT_TOLERANCES["entropy-power"])
+        check = idn.entropy_power_check(ch.additive(runner.initial, h), t)
         assert dataclasses.asdict(row) == dataclasses.asdict(check)
 
 
@@ -404,7 +403,9 @@ def test_failing_cell_becomes_an_error_row(tmp_path):
 
 def test_flow_tabulated_once_per_sigma(monkeypatch):
     # One Lamperti table serves every H, x0 and kl.y0 of a sigma: the 3 x 3 grid
-    # builds it once, from sigma's midpoint 0, out to its reach of 64 in z.
+    # builds it once, from sigma's midpoint 0, out to its reach of 64 in z.  Equal
+    # sigmas share a table, so the one an earlier test built is dropped first.
+    ch._lamperti.cache_clear()
     calls = []
     solve = doss.solve_phi
     monkeypatch.setattr(doss, "solve_phi", lambda *a: calls.append(a) or solve(*a))
@@ -428,26 +429,15 @@ def test_flow_rows_do_not_depend_on_cell_order():
     assert len(forward) == 27 and forward == backward
 
 
-def test_flow_lookups_come_in_ascending_order(monkeypatch):
-    # phi and invert_phi evaluate points in the order given; every caller passes
-    # ascending points, where invert_phi's binary search is fastest and phi's
-    # bucket lookups read the table in order.
-    unsorted = []
-    evaluate = doss._evaluate
-
-    def checked(coeffs, q, i):
-        flat = np.ravel(q)
-        if flat.size > 1 and np.any(np.diff(flat) < 0):
-            unsorted.append(flat.size)
-        return evaluate(coeffs, q, i)
-    monkeypatch.setattr(doss, "_evaluate", checked)
+def test_flow_suites_pass_with_the_oracle():
+    # The three flow suites on sqrt1p: every row passes, and the oracle meets the
+    # quadrature rhs on every De Bruijn and KL row.
     code, rows, _ = cli.run_suite({"suites": ["debruijn-mult", "kl-flow", "fokker-planck"],
                                    "t_grid": [0.5, 2.0], "hurst_grid": [0.3, 0.75], **_SQRT1P,
                                    "oracle": {"kind": "mc", "samples": 2000, "seed": 1}})
     assert code == 0 and len(rows) == 12
     oracle = [r.extras["mc_ok"] for r in rows if "mc_ok" in r.extras]
     assert len(oracle) == 8 and all(oracle)
-    assert unsorted == []
 
 
 @pytest.mark.parametrize("initial", [

@@ -205,6 +205,31 @@ def test_kl_flow_nonconstant_sigma():
     assert rep.rhs <= 0.0
 
 
+def test_equal_sqrt1p_models_share_one_table():
+    # Two sqrt1p models built apart compare equal, so they read sigma's one
+    # Lamperti table, and kl-flow across them has the lhs of one model object.
+    ch._lamperti.cache_clear()
+    a, b = sg.sqrt_one_plus_square(), sg.sqrt_one_plus_square()
+    assert a == b
+    two = idn.kl_flow_check(ch.multiplicative(a, 0.0, 0.5), ch.multiplicative(b, 1.0, 0.5), 1.0)
+    assert ch._lamperti.cache_info().misses == 1
+    one = idn.kl_flow_check(ch.multiplicative(a, 0.0, 0.5), ch.multiplicative(a, 1.0, 0.5), 1.0)
+    assert two.lhs == one.lhs and two.rhs == one.rhs
+
+
+def test_checks_default_to_their_rows_tolerance():
+    # The library's checks and the runner's config read one table.
+    gauss = ch.gaussian_law(0.0, 1.0)
+    s = sg.constant(1.0)
+    reports = [idn.debruijn_check(ch.multiplicative(s, 0.0, 0.5), 1.0),
+               idn.debruijn_check(ch.additive(gauss, 0.5), 1.0),
+               idn.kl_flow_check(ch.multiplicative(s, 0.0, 0.5), ch.multiplicative(s, 1.0, 0.5), 1.0),
+               idn.stein_check(0.0, 1.0, np.sin, np.cos),
+               idn.entropy_power_check(ch.additive(gauss, 0.5), 1.0)]
+    for rep in reports:
+        assert rep.tolerance == idn.DEFAULT_TOLERANCES[rep.identity_name], rep.identity_name
+
+
 def test_fokker_planck_heat_equation():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     res = idn.fokker_planck_residual(chan, 1.0, np.linspace(-4, 4, 81))

@@ -39,15 +39,14 @@ def test_gaussian_law_draws_no_component_index():
     assert np.array_equal(x, 2.0 + np.sqrt(0.5) * rng.standard_normal(1000) + z)
 
 
-def test_flow_samples_come_out_ascending():
-    # A flow channel's draws stay in z, sorted and cut at the window: X_t = flow.x(z).
+def test_flow_samples_are_clipped_normals():
+    # A flow channel's draws stay in z, in draw order, cut at the window: X_t = flow.x(z).
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
     t, n = 2.0, 5000
     draws = mc.sample_endpoint(chan, t, n, np.random.default_rng(8))
-    flow = ch.density_at(chan, t).flow
-    z = np.sort(np.random.default_rng(8).standard_normal(n) * t ** 0.75)
-    assert np.array_equal(draws, np.clip(z, -flow.z_edge, flow.z_edge))
-    assert np.all(np.diff(flow.x(draws)) >= 0)
+    z_edge = ch.density_at(chan, t).flow.z_edge
+    z = np.random.default_rng(8).standard_normal(n) * t ** 0.75
+    assert np.array_equal(draws, np.clip(z, -z_edge, z_edge))
 
 
 @pytest.mark.parametrize("chan", [
@@ -147,23 +146,24 @@ def test_one_seed_draws_each_block_once(memo, monkeypatch):
     assert nothing_kept.cache_info().misses == 12
 
 
-def test_flow_blocks_are_sorted_once(memo):
-    # A flow channel's draws are its sorted normals times sd, cut at the window.
-    # A second cell with the same seed at another (t, H) draws and sorts nothing
-    # new; a Gaussian channel on the same seed draws its own blocks, unsorted.
+def test_flow_and_gaussian_channels_share_blocks(memo):
+    # A flow channel's draws are its normals times sd, cut at the window.  A second
+    # cell with the same seed at another (t, H) draws nothing new; a Gaussian
+    # channel on the same seed reads the flow's block for B^H_t and draws only
+    # its own noise.
     sig = sg.sqrt_one_plus_square()
     for t, h in ((0.5, 0.3), (2.0, 0.75)):
         chan = ch.multiplicative(sig, 0.0, h)
         rng, gen = np.random.default_rng(8), np.random.default_rng(8)
         z = mc.sample_endpoint(chan, t, 1000, gen)
         z_edge = ch.density_at(chan, t).flow.z_edge
-        ref = np.clip(np.sort(rng.standard_normal(1000) * t ** h), -z_edge, z_edge)
+        ref = np.clip(rng.standard_normal(1000) * t ** h, -z_edge, z_edge)
         assert np.array_equal(z, ref) and gen.bit_generator.state == rng.bit_generator.state
         mc.mc_expectation(chan, t, np.square, 1000, 8)
         assert memo.cache_info().misses == 2          # this draw's block and the seed's
     law = ch.gaussian_law(0.0, 1.0)
     x = mc.sample_endpoint(ch.additive(law, 0.5), 2.0, 1000, np.random.default_rng(8))
-    assert memo.cache_info().misses == 4
+    assert memo.cache_info().misses == 3
     assert np.array_equal(x, _plain_endpoint(law, 2.0, 0.5, 1000, np.random.default_rng(8)))
 
 
