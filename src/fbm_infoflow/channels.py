@@ -313,6 +313,8 @@ def _multiplicative_field(channel, t):
     z0 = float(_z_of(table, channel.x0))
     z_lo, z_hi = table.z_domain
     z_edge = min(_Z_STD * sd, z0 - z_lo, z_hi - z0)
+    while not z_lo <= z0 - z_edge <= z0 + z_edge <= z_hi:   # rounded past the table's end
+        z_edge = math.nextafter(z_edge, 0.0)
     dropped = math.erfc(z_edge / math.sqrt(2.0 * var))
     if dropped > ABS_TOL:
         raise FlowEscapeError(

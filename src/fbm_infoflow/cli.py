@@ -225,7 +225,8 @@ class _SuiteRunner:
         self._fbm_cache = {}
 
     def _check_times(self):
-        """Every time the run checks must lie above each time step its suites take."""
+        """Some time lies at or above min_t, and fd_step, when given, below every
+        such time; each check's default step lies below its own t."""
         run_times = [t for t in self.t_grid if t >= self.min_t]
         if not run_times:
             raise ConfigError("config key 'min_t' must be at or below some time in "
@@ -233,10 +234,6 @@ class _SuiteRunner:
         if self.fd_step is not None and not 0.0 < self.fd_step < min(run_times):
             raise ConfigError("config key 'fd_step' must be > 0 and below every time "
                               f"at or above min_t, not {self.fd_step!r}")
-        if "entropy-power" in self.suites and min(run_times) <= idn.ENTROPY_POWER_STEP:
-            raise ConfigError(f"config key 't_grid' has time {min(run_times):g}, at or above "
-                              "min_t but not above entropy-power's time step "
-                              f"{idn.ENTROPY_POWER_STEP:g}")
 
     def _check_rhs(self, report, rhs, channel):
         """Check report.rhs, the quadrature of the definition rhs, two more ways.
@@ -277,7 +274,7 @@ class _SuiteRunner:
         if suite == "fokker-planck":
             x_grid = np.linspace(-4.0, 4.0, 81)
             chan = ch.multiplicative(self.sigma, self.x0, h)
-            resid = idn.fokker_planck_residual(chan, t, x_grid, fd_step_t=self.fd_step)
+            resid = idn.fokker_planck_residual(chan, t, x_grid, fd_step=self.fd_step)
             worst = float(np.max(np.abs(resid)))
             return idn._report("fokker-planck", t, h, worst, 0.0, tol,
                                notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts")
@@ -288,7 +285,8 @@ class _SuiteRunner:
                                notes="max residual over r in {y, y^2, y^3, sin} "
                                      "and configured (mu, v) cases")
         if suite == "entropy-power":
-            return idn.entropy_power_check(ch.additive(self.initial, h), t, tol=tol)
+            return idn.entropy_power_check(ch.additive(self.initial, h), t,
+                                           fd_step=self.fd_step, tol=tol)
         if suite == "fbm-stats":
             return self._fbm_stats_row(t, h, tol)
 

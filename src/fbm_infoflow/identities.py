@@ -14,12 +14,10 @@ gives in closed form from z.
 """
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import channels as ch
 from . import infofunc as nf
@@ -113,12 +111,15 @@ class Rhs(NamedTuple):
         return self.scale * nf.expect_values(p, self.g, *q)
 
 
-def richardson_derivative(f, t, step):
-    """First derivative by central differences at steps delta and delta/2,
-    Richardson-combined to fourth order."""
-    d1 = (f(t + step) - f(t - step)) / (2.0 * step)
-    d2 = (f(t + step / 2) - f(t - step / 2)) / step
-    return (4.0 * d2 - d1) / 3.0
+def richardson_derivative(f, t, step, order=1):
+    """The first or second derivative of f at t from central differences D at steps
+    delta and delta/2, Richardson-combined to fourth order: (4 D(delta/2) - D(delta)) / 3
+    cancels D's leading truncation error, delta^2 f^(3)(t) / 6 or delta^2 f^(4)(t) / 12."""
+    def central(d):
+        if order == 1:
+            return (f(t + d) - f(t - d)) / (2.0 * d)
+        return (f(t + d) - 2.0 * f(t) + f(t - d)) / d ** 2
+    return (4.0 * central(step / 2) - central(step)) / 3.0
 
 
 def debruijn_check(channel, t, fd_step=None, tol=None):
@@ -210,81 +211,61 @@ def kl_flow_rhs(x_channel, y_channel, t):
     return Rhs(-_rate(x_channel.hurst.value, t), g, (px, py))
 
 
-def fokker_planck_residual(channel, t, x_grid, fd_step_t=None):
+def fokker_planck_residual(channel, t, x_grid, fd_step=None):
     """Residual of the marginal-density PDE for dX = sigma(X) o dB^H:
 
         dP/dt - H t^{2H-1} ( -(sigma' sigma P)_x + (sigma^2 P)_xx )
 
-    evaluated on x_grid.  Time derivative by Richardson finite differences of
-    the density; spatial derivatives of P by central differences at step 5e-3,
-    sigma derivatives analytic.
+    evaluated on x_grid.  Each derivative of P is richardson_derivative's: in t
+    at fd_step, in x at step 5e-3; sigma's derivatives are analytic.
     """
     if channel.variant != "multiplicative":
         raise DomainError("fokker_planck_residual needs a multiplicative channel")
-    fd_step_t = _check_step(t, fd_step_t)
-    hv = channel.hurst.value
+    fd_step = _check_step(t, fd_step)
     x = np.asarray(x_grid, dtype=float)
     sig = channel.sigma
+    field_t = ch.density_at(channel, t)
     dx = 5e-3
 
-    def pdf_at(s, pts):
-        return ch.density_at(channel, s).pdf(pts)
+    @functools.cache    # P, P_x and P_xx share the shifts 0, +-dx, +-dx/2
+    def p_shifted(u):
+        return field_t.pdf(x + u)
 
-    dp_dt = richardson_derivative(lambda s: pdf_at(s, x), t, fd_step_t)
-
-    p0 = pdf_at(t, x)
-    pp = pdf_at(t, x + dx)
-    pm = pdf_at(t, x - dx)
-    p_x = (pp - pm) / (2 * dx)
-    p_xx = (pp - 2 * p0 + pm) / dx ** 2
+    dp_dt = richardson_derivative(lambda s: ch.density_at(channel, s).pdf(x), t, fd_step)
+    p_x = richardson_derivative(p_shifted, 0.0, dx)
+    p_xx = richardson_derivative(p_shifted, 0.0, dx, order=2)
 
     s0 = sig.fn(x)
     s1 = sig.d1(x)
     # -(sigma' sigma P)_x + (sigma^2 P)_xx, expanded in P, P_x, P_xx
-    spatial = (sig.curvature(x) * p0
+    spatial = (sig.curvature(x) * p_shifted(0.0)
                + 3.0 * s0 * s1 * p_x
                + s0 ** 2 * p_xx)
-    return dp_dt - _rate(hv, t) * spatial
-
-
-@functools.cache     # built on first use: it costs ~1 MB of peak RSS
-def _gauss_hermite():
-    """Nodes u and weights w of the 128-node Gauss-Hermite rule for N(0, 1/2)."""
-    u, w = hermgauss(128)
-    return u, w / math.sqrt(math.pi)
+    return dp_dt - _rate(channel.hurst.value, t) * spatial
 
 
 def stein_check(mu, variance, r, r_prime, tol=DEFAULT_TOLERANCES["stein"]):
     """Stein's identity E[r(Y)(Y-mu)] = variance * E[r'(Y)], Y ~ N(mu, variance),
-    both sides by Gauss-Hermite quadrature."""
-    if variance <= 0:
-        raise DomainError("stein_check needs variance > 0")
-    u, w = _gauss_hermite()
-    y = mu + math.sqrt(2.0 * variance) * u
-    lhs = float(np.sum(w * np.asarray(r(y), dtype=float) * (y - mu)))
-    rhs = variance * float(np.sum(w * np.asarray(r_prime(y), dtype=float)))
-    notes = f"gauss-hermite n={y.size}"
-    return _report("stein", 0.0, 0.0, lhs, rhs, tol, notes)
+    both sides by infofunc's expectation on the Gaussian field."""
+    y_field = ch.gaussian_field(mu, variance)
+    lhs = nf.expectation(y_field, lambda y: r(y) * (y - mu))
+    rhs = variance * nf.expectation(y_field, r_prime)
+    return _report("stein", 0.0, 0.0, lhs, rhs, tol, "trapezoid rule")
 
 
-# entropy_power_check's time step, fixed: a checked time must lie above it.
-ENTROPY_POWER_STEP = 1e-3
-
-
-def entropy_power_check(channel, t, tol=DEFAULT_TOLERANCES["entropy-power"]):
-    """d^2N/dt^2 of the entropy power N(X_t) of an additive channel, by second
-    differences at steps delta and delta/2, Richardson-combined, against 2 N g
-    with g(t, H, X_t) = H(2H-1) t^{2H-2} J_1 - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)];
+def entropy_power_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["entropy-power"]):
+    """d^2N/dt^2 of the entropy power N(X_t) of an additive channel, by
+    richardson_derivative at fd_step, against 2 N g with
+    g(t, H, X_t) = H(2H-1) t^{2H-2} J_1 - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)];
     g > 0 makes N convex at t, else concave.  g uses J_1 = -E[d_x^2 ln p_t] and
     dJ_1/dt = -2H t^{2H-1} E[(d_x^2 ln p_t)^2], not a time difference of J_1.  The
     tolerance is tol * max(1, |2 N g|)."""
     if channel.variant != "additive":
         raise DomainError("entropy_power_check needs an additive channel")
-    step = ENTROPY_POWER_STEP
-    if t <= step:
-        raise StepError(f"t = {t:g} must exceed the entropy-power step {step:g}")
+    fd_step = _check_step(t, fd_step)
     hv = channel.hurst.value
 
+    @functools.cache    # the rhs and both second differences share N(X_t)
     def n_at(s):
         return nf.entropy_power(ch.density_at(channel, s))
 
@@ -295,11 +276,7 @@ def entropy_power_check(channel, t, tol=DEFAULT_TOLERANCES["entropy-power"]):
          - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
     n = n_at(t)
     rhs = 2.0 * n * g
-
-    def second_difference(d):
-        return (n_at(t + d) - 2.0 * n + n_at(t - d)) / d ** 2
-    # Richardson: the leading truncation error, d^2 N''''(t) / 12, cancels.
-    d2n = (4.0 * second_difference(step / 2) - second_difference(step)) / 3.0
+    d2n = richardson_derivative(n_at, t, fd_step, order=2)
     kind = "convex" if g > 0 else "concave"
     return _report("entropy-power", t, hv, d2n, rhs, tol * max(1.0, abs(rhs)),
                    notes=f"g={g:.9g} -> {kind}; N={n:.9g}",

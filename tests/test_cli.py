@@ -545,11 +545,28 @@ def test_entropy_power_skips_times_below_min_t(tmp_path):
 
 
 def test_time_steps_checked_only_for_selected_suites(tmp_path):
-    # 5e-4 lies below entropy-power's 1e-3 step, but stein takes no time step.
+    # 5e-4 lies below a 1e-3 step, but stein takes no time step, and every suite
+    # that does defaults to a step below its t.
     cfg = _base_config(tmp_path, suites=["stein"], t_grid=[5e-4, 1.0], min_t=1e-4)
     result = _run(tmp_path, cfg)
     assert result.exit_code == 0, result.output
     assert "4 checks, 0 failed (0 excluded below min_t)" in result.output
+
+
+def test_fd_step_reaches_every_suite_with_a_time_derivative(tmp_path):
+    # Each suite's time derivative is richardson_derivative at the configured step.
+    suites = ["debruijn-mult", "kl-flow", "fokker-planck", "entropy-power"]
+    rows = {}
+    for fd_step in (None, 4e-3):
+        cfg = _base_config(tmp_path, suites=suites, t_grid=[1.0], hurst_grid=[0.75],
+                           channel={"sigma": {"kind": "sqrt1p"}})
+        if fd_step:
+            cfg["fd_step"] = fd_step
+        _, got, _ = cli.run_suite(cfg)
+        rows[fd_step] = {r.identity_name: r.lhs for r in got}
+    assert all(rows[None][s] != rows[4e-3][s] for s in suites)
+    chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.75)
+    assert rows[4e-3]["entropy-power"] == idn.entropy_power_check(chan, 1.0, fd_step=4e-3).lhs
 
 
 def test_grid_law_readme_keys(tmp_path):
@@ -651,7 +668,7 @@ def test_invalid_constructor_values_are_config_errors(tmp_path, edit, key):
     (lambda c: c.update(fd_step=1.0), "'fd_step'"),
     (lambda c: c.update(output=5), "'output'"),
     (lambda c: c.update(suites=["entropy-power"], t_grid=[0.0008, 1.0], min_t=1e-4,
-                        fd_step=1e-4), "'t_grid'"),
+                        fd_step=1e-3), "'fd_step'"),
     (lambda c: c.update(min_t=5), "'min_t'"),
     (lambda c: c.update(min_t=float("nan")), "'min_t'"),
     (lambda c: c["channel"].update(x0=float("nan")), "'channel.x0'"),
@@ -668,7 +685,7 @@ def test_invalid_constructor_values_are_config_errors(tmp_path, edit, key):
         "sigma.c-text", "x0-text", "grid-n-negative", "tolerance-text", "stein-short-case",
         "stein-variance", "oracle.samples-text", "oracle.samples-few", "oracle.seed",
         "fbm_stats.n", "fbm_stats.dt", "fbm_stats.n_paths", "fd_step-above-t", "output",
-        "t_grid-at-entropy-power-step", "min_t-above-every-t",
+        "entropy-power-fd_step-above-t", "min_t-above-every-t",
         "min_t-nan", "x0-nan", "variance-infinite", "oracle.samples-infinite",
         "t_grid-numeric-text", "t_grid-bool", "oracle.samples-fraction", "grid-n-fraction",
         "fbm_stats.seed-bool"])

@@ -34,6 +34,18 @@ def test_nonconstant_sigma_debruijn():
     assert rep.abs_discrepancy <= 1e-4
 
 
+@pytest.mark.parametrize("x0, t, h", [(1.0, 1.0, 0.5), (10.0, 0.25, 0.3)])
+def test_debruijn_on_a_window_cut_at_the_tables_end(x0, t, h):
+    # sigma(x) = x on (1e-3, 1e3): X_t = x0 exp(B^H_t), so dh/dt = H / t.  The
+    # window is cut at the table's end, and z0 + (z_hi - z0) once rounded past
+    # z_hi, so that building X_t raised a RangeError.
+    sig = sg.custom(lambda x: np.asarray(x, float), lambda x: np.ones_like(x),
+                    lambda x: np.zeros_like(x), (1e-3, 1e3))
+    rep = idn.debruijn_check(ch.multiplicative(sig, x0, h), t)
+    assert rep.passed
+    assert rep.rhs == pytest.approx(h / t, rel=1e-9)
+
+
 def _old_debruijn_g(sig, v):
     return sig.fn(v.x) ** 2 * v.score ** 2 - sig.curvature(v.x)
 
@@ -248,6 +260,30 @@ def test_fokker_planck_nonconstant():
     assert np.max(np.abs(res)) <= 1e-3
 
 
+@pytest.mark.parametrize("t, h", [(0.05, 0.5), (0.05, 0.75), (0.1, 0.75),
+                                  (0.05, 0.9), (0.1, 0.9), (0.2, 0.9)])
+def test_fokker_planck_at_small_t(t, h):
+    # The runner's grid of 81 points on [-4, 4]: second-order central differences
+    # in x at 5e-3 left residuals of up to 0.148 here, against the 1e-3 tolerance.
+    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, h)
+    res = idn.fokker_planck_residual(chan, t, np.linspace(-4, 4, 81))
+    assert np.max(np.abs(res)) <= idn.DEFAULT_TOLERANCES["fokker-planck"]
+
+
+def test_richardson_derivative_is_exact_on_polynomials():
+    # (4 D(d/2) - D(d)) / 3 cancels D's d^2 term; the next, d^4 f^(5) for the first
+    # derivative and d^4 f^(6) for the second, vanishes on a quartic and a quintic.
+    def quintic(s):
+        return s ** 5 - 2.0 * s ** 3 + 0.5 * s ** 2 - s + 3.0
+
+    def quartic(s):
+        return s ** 4 - 2.0 * s ** 3 + 0.5 * s ** 2 - s + 3.0
+    # f''(0.5) = 20/8 - 12/2 + 1 of the quintic, f'(0.5) = 4/8 - 6/4 + 1/2 - 1 of the quartic
+    assert idn.richardson_derivative(quintic, 0.5, 0.1, order=2) == pytest.approx(
+        -2.5, rel=1e-12)
+    assert idn.richardson_derivative(quartic, 0.5, 0.1) == pytest.approx(-1.5, rel=1e-12)
+
+
 def test_stein_identity_examples():
     rep = idn.stein_check(0.5, 2.0, lambda y: y, lambda y: np.ones_like(y))
     assert rep.lhs == pytest.approx(2.0, abs=1e-10)
@@ -290,9 +326,10 @@ def test_entropy_power_second_difference_matches_formula():
     (ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5)), (0.1, 0.2, 0.3, 0.5, 0.75)),
     (ch.gaussian_law(0.0, 1.0), (0.1, 0.2, 0.3))], ids=["grid", "gaussian"])
 def test_entropy_power_richardson_at_small_t(law, hs):
-    # At t = 0.05 one second difference at the 1e-3 step is off by its
-    # truncation error, 1.7e-4 relative, and these rows failed their 1e-4
-    # tolerance; the Richardson combination with the half step lands within 2e-8.
+    # At t = 0.05 one second difference at a 1e-3 step is off by its truncation
+    # error, 1.7e-4 relative, and these rows failed their 1e-4 tolerance; the
+    # Richardson combination with the half step, at the default step t / 200,
+    # lands within 2e-8.
     for h in hs:
         (rep,) = _entropy_power(h, [0.05], law)
         assert rep.passed
@@ -332,6 +369,13 @@ def test_fisher_information_is_minus_mean_score_derivative(law):
 
 
 def test_entropy_power_step_error():
+    # entropy_power_check takes its time step as every check does: fd_step, or
+    # _default_step(t), and fd_step must lie below t.
     chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
-    with pytest.raises(StepError):
-        idn.entropy_power_check(chan, idn.ENTROPY_POWER_STEP)
+    for fd_step in (2.0, 2.5, 0.0):
+        with pytest.raises(StepError):
+            idn.entropy_power_check(chan, 2.0, fd_step=fd_step)
+    assert idn._default_step(2.0) == 2e-3
+    default = idn.entropy_power_check(chan, 2.0)
+    assert default.lhs == idn.entropy_power_check(chan, 2.0, fd_step=2e-3).lhs
+    assert default.passed

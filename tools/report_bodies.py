@@ -3,6 +3,7 @@
     python3 tools/report_bodies.py --seeds 1 2 3 > digests.txt
     python3 tools/report_bodies.py --seeds 1 2 3 --workload sqrt1p-mult-quad
     python3 tools/report_bodies.py --seeds 1 2 3 --expect digests.txt
+    python3 tools/report_bodies.py --seeds 1 --dump bodies/
 
 Run from anywhere; the package is imported from this checkout's `src/`.  For
 each workload of `perfbench/workloads.json` (read, never written) and each
@@ -14,6 +15,9 @@ Two checkouts whose digests agree wrote byte-identical reports.  With
 `--expect FILE`, a file of lines this script printed (from another checkout,
 say), each line printed must be the file's line for its workload and seed, and
 the exit code is 1 when any is not, or when any run's exit code is not 0.
+With `--dump DIR`, each run also writes the bodies it digests to
+DIR/<workload>/seed<k>/, one file per report, so that `diff -r` between the
+dumps of two checkouts names the rows that moved.
 """
 
 import argparse
@@ -40,8 +44,9 @@ def with_seed(template, seed):
     return template
 
 
-def body_digest(cfg):
-    """(exit code, SHA-256 of the report bodies) of one in-process run of cfg."""
+def body_digest(cfg, dump=None):
+    """(exit code, SHA-256 of the report bodies) of one in-process run of cfg; with
+    dump, a directory, the bodies are written there too."""
     with tempfile.TemporaryDirectory() as out:
         cfg = dict(cfg, output=str(Path(out) / "report"))
         exit_code, rows, runner = cli.run_suite(cfg)
@@ -52,6 +57,9 @@ def body_digest(cfg):
             if path.name == "report.csv":
                 text = text.split(b"\n", 1)[1]
             digest.update(path.name.encode() + b"\0" + text)
+            if dump:
+                dump.mkdir(parents=True, exist_ok=True)
+                (dump / path.name).write_bytes(text)
     return exit_code, digest.hexdigest()
 
 
@@ -62,6 +70,8 @@ def main():
                     help="run this workload only; repeat for more (default: all)")
     ap.add_argument("--expect", type=Path, metavar="FILE",
                     help="exit 1 unless every line printed is this file's line")
+    ap.add_argument("--dump", type=Path, metavar="DIR",
+                    help="also write each run's report bodies to DIR/<workload>/seed<k>/")
     args = ap.parse_args()
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
     unknown = set(args.workload or ()) - set(workloads)
@@ -75,7 +85,8 @@ def main():
     ok = True
     for name in args.workload or workloads:
         for seed in args.seeds:
-            exit_code, digest = body_digest(with_seed(workloads[name]["config"], seed))
+            dump = args.dump and args.dump / name / f"seed{seed}"
+            exit_code, digest = body_digest(with_seed(workloads[name]["config"], seed), dump)
             line = f"{name} seed={seed} exit={exit_code} sha256={digest}"
             if args.expect and (exit_code != 0 or expected.get((name, f"seed={seed}")) != line):
                 ok = False
