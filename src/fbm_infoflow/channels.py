@@ -302,8 +302,8 @@ def _z_of(table, x):
 def _multiplicative_field(channel, t):
     """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
     on the window z0 +- z_edge: _Z_STD std, or less where the table ends nearer, at
-    sigma's edge or _Z_REACH.  FlowEscapeError if the N(0, var) mass beyond z_edge
-    is above ABS_TOL."""
+    sigma's edge or _Z_REACH.  FlowEscapeError if z0 lies past the table's reach, or
+    the N(0, var) mass beyond z_edge is above ABS_TOL."""
     sig = channel.sigma
     var = float(t) ** (2.0 * channel.hurst.value)
     if sig.kind == "constant":
@@ -312,6 +312,10 @@ def _multiplicative_field(channel, t):
     table = _lamperti(sig)
     z0 = float(_z_of(table, channel.x0))
     z_lo, z_hi = table.z_domain
+    if not z_lo <= z0 <= z_hi:      # x0 on the last knot's overshoot of _Z_REACH
+        raise FlowEscapeError(
+            f"x0 = {channel.x0:g} lies more than {_Z_REACH:g} in z from the midpoint of "
+            "sigma's domain, past the end of its Lamperti table")
     z_edge = min(_Z_STD * sd, z0 - z_lo, z_hi - z0)
     while not z_lo <= z0 - z_edge <= z0 + z_edge <= z_hi:   # rounded past the table's end
         z_edge = math.nextafter(z_edge, 0.0)

@@ -130,6 +130,19 @@ def test_flow_table_stops_at_its_reach(x0, error):
     assert peak < 16 * 2 ** 20, peak        # 6.35 MiB measured, phi's bucket table included
 
 
+@pytest.mark.parametrize("end", [0, 1])
+def test_flow_from_the_tables_last_knot_past_its_reach(end):
+    # For sigma = sqrt(2 + x^2) the last coarse step of the table overshoots 64 in z,
+    # so the table's end knots lie past its z_domain.  An x0 there is rejected, not
+    # a window of negative width.
+    sigma = sg.custom(lambda x: np.sqrt(2 + x * x), lambda x: x / np.sqrt(2 + x * x),
+                      lambda x: 2 / (2 + x * x) ** 1.5, (-1e30, 1e30))
+    table = ch._lamperti(sigma)
+    assert abs(table.z_grid[-end]) > 64.0 == abs(table.z_domain[end])
+    with pytest.raises(FlowEscapeError, match="lies more than 64 in z"):
+        ch.density_at(ch.multiplicative(sigma, table.x_range[end], 0.5), 1.0)
+
+
 def test_shared_flow_table_is_read_only():
     # Every flow field of a sigma reads its one cached table, so none may write to it.
     table = ch._lamperti(sg.sqrt_one_plus_square())
