@@ -60,25 +60,48 @@ class InitialLaw:
     variance: float = 1.0
     grid: Optional[np.ndarray] = None           # support points, strictly increasing
     values: Optional[np.ndarray] = None         # density values on grid, linear between
+    # A grid law's decomposition, computed once when the law is built: the slopes
+    # of its interpolant on the grid's intervals, its kinks (y_k, J_k, S_k) as
+    # _grid_field reads them, and the weights of its hat mixture, which
+    # montecarlo.sample_endpoint draws from.  The law keeps read-only copies of
+    # grid and values, and its decomposition is read-only too.
+    slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    kinks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    hat_weights: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if self.kind == "gaussian":
             if self.variance <= 0:
                 raise DomainError("Gaussian initial law needs variance > 0")
         elif self.kind == "grid":
-            g = np.asarray(self.grid, dtype=float)
-            v = np.asarray(self.values, dtype=float)
+            g = np.array(self.grid, dtype=float)
+            v = np.array(self.values, dtype=float)
             if g.ndim != 1 or g.shape != v.shape or g.size < 8:
                 raise DomainError("grid initial law needs matching 1-d arrays (>= 8 points)")
-            if np.any(np.diff(g) <= 0):
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+                raise DomainError("grid and density values must be finite")
+            dy = np.diff(g)
+            if np.any(dy <= 0):
                 raise DomainError("grid must be strictly increasing")
             if np.any(v < 0):
                 raise DomainError("grid density must be nonnegative")
             mass = np.trapezoid(v, g)
             if abs(mass - 1.0) > 1e-8:
                 raise DomainError(f"grid density integrates to {mass:.10g}, not 1")
-            object.__setattr__(self, "grid", g)
-            object.__setattr__(self, "values", v)
+            slopes = np.diff(v) / dy
+            jump = np.zeros_like(v)
+            jump[0], jump[-1] = v[0], -v[-1]
+            bend = np.diff(slopes, prepend=0.0, append=0.0)
+            kink = (jump != 0.0) | (bend != 0.0)
+            kinks = (g[kink], jump[kink], bend[kink])
+            hats = v * np.convolve(dy, [1.0, 1.0])
+            hats /= hats.sum()
+            for a in (g, v, slopes, hats, *kinks):
+                a.flags.writeable = False
+            for name, value in (("grid", g), ("values", v), ("slopes", slopes),
+                                ("kinks", kinks), ("hat_weights", hats)):
+                object.__setattr__(self, name, value)
         else:
             raise DomainError(f"unknown initial law kind {self.kind!r}")
 
@@ -431,13 +454,8 @@ def _grid_field(law, s):
         p" = sum_k (S_k - J_k a_k / sd) phi(a_k) / sd
     with psi(a) = phi(a) - a Q(a), sgn(0) = +1, and p0, p0' right-continuous, so a
     point on a kink takes the same side in both."""
-    y, v = law.grid, law.values
-    slope = np.diff(v) / np.diff(y)
-    jump = np.zeros_like(v)
-    jump[0], jump[-1] = v[0], -v[-1]
-    bend = np.diff(slope, prepend=0.0, append=0.0)
-    kink = (jump != 0.0) | (bend != 0.0)
-    yk, jk, sk = y[kink], jump[kink], bend[kink]
+    y, v, slope = law.grid, law.values, law.slopes
+    yk, jk, sk = law.kinks
     sd = math.sqrt(s)
     rows = max(1, _KERNEL_ENTRIES // (8 * yk.size))     # about 8 rows x kinks buffers live
 

@@ -274,10 +274,12 @@ class _SuiteRunner:
         if suite == "fokker-planck":
             x_grid = np.linspace(-4.0, 4.0, 81)
             chan = ch.multiplicative(self.sigma, self.x0, h)
-            resid = idn.fokker_planck_residual(chan, t, x_grid, fd_step=self.fd_step)
+            step = idn._check_step(t, self.fd_step)
+            resid = idn.fokker_planck_residual(chan, t, x_grid, fd_step=step)
             worst = float(np.max(np.abs(resid)))
             return idn._report("fokker-planck", t, h, worst, 0.0, tol,
-                               notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts")
+                               notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts; "
+                                     f"richardson fd_step={step:g}")
         if suite == "stein":
             worst = max(idn.stein_check(mu, v, r, rp, tol=tol).abs_discrepancy
                         for mu, v in self.stein_cases for r, rp in _STEIN_RS)

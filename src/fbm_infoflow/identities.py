@@ -279,5 +279,5 @@ def entropy_power_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["entrop
     d2n = richardson_derivative(n_at, t, fd_step, order=2)
     kind = "convex" if g > 0 else "concave"
     return _report("entropy-power", t, hv, d2n, rhs, tol * max(1.0, abs(rhs)),
-                   notes=f"g={g:.9g} -> {kind}; N={n:.9g}",
+                   notes=f"g={g:.9g} -> {kind}; N={n:.9g}; richardson fd_step={fd_step:g}",
                    extras={"entropy_power": n, "g": g, "classification": kind})

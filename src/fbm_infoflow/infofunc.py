@@ -69,18 +69,24 @@ def expect_values(p, g, q=None):
 
 def _trapezoid(weighted, a, b, step0):
     """int_a^b weighted by the trapezoid rule: the step starts at most step0 and
-    halves until two sums agree within ABS_TOL + REL_TOL |I|."""
+    halves until two sums agree within ABS_TOL + REL_TOL |I|.  No sum is accepted
+    before the first halving, so one call of weighted takes the base nodes (the
+    even points) with the first halving's midpoints (the odd ones)."""
     n = max(2, math.ceil((b - a) / step0))
     step = (b - a) / n
-    vals = weighted(np.linspace(a, b, n + 1))
-    total = np.sum(vals) - 0.5 * (vals[0] + vals[-1])
-    value = step * total
-    while 2 * n + 1 <= _MAX_POINTS:
-        total += np.sum(weighted(a + step * (np.arange(n) + 0.5)))
-        n, step = 2 * n, step / 2
-        previous, value = value, step * total
-        if abs(value - previous) <= ABS_TOL + REL_TOL * abs(value):
-            return float(value)
+    if 2 * n + 1 <= _MAX_POINTS:
+        vals = weighted(np.linspace(a, b, 2 * n + 1))
+        total = np.sum(vals[::2]) - 0.5 * (vals[0] + vals[-1])
+        value, mids = step * total, vals[1::2]
+        while True:
+            total += np.sum(mids)
+            n, step = 2 * n, step / 2
+            previous, value = value, step * total
+            if abs(value - previous) <= ABS_TOL + REL_TOL * abs(value):
+                return float(value)
+            if 2 * n + 1 > _MAX_POINTS:
+                break
+            mids = weighted(a + step * (np.arange(n) + 0.5))
     raise QuadratureError(f"trapezoid rule: no two sums agreed within {_MAX_POINTS} points")
 
 

@@ -127,8 +127,7 @@ def sample_endpoint(channel, t, n, rng):
     # point, weighted by its trapezoid weight: a grid point each, then triangular
     # noise over its two neighbouring intervals.
     y = law.grid
-    weights = law.values * np.convolve(np.diff(y), [1.0, 1.0])
-    k = np.repeat(np.arange(y.size), rng.multinomial(n, weights / weights.sum()))
+    k = np.repeat(np.arange(y.size), rng.multinomial(n, law.hat_weights))
     x0 = rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
     x0 += z
     return x0

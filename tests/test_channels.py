@@ -419,6 +419,53 @@ def test_grid_law_validation():
         ch.grid_law(grid, -np.full(101, 0.5))
     with pytest.raises(DomainError):
         ch.gaussian_law(0.0, -1.0)
+    # A NaN passed every check once (v < 0, a non-increasing step and a mass off 1
+    # are all false for NaN), and the law's field gave NaN rows.
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in range(2):
+            arrays = [grid.copy(), np.full(101, 0.5)]
+            arrays[where][50] = bad
+            with pytest.raises(DomainError, match="finite"):
+                ch.grid_law(*arrays)
+
+
+def _decomposition(y, v):
+    """A grid law's interval slopes, kinks (y_k, J_k, S_k) and hat-mixture
+    probabilities, from scratch."""
+    slopes = np.diff(v) / np.diff(y)
+    jump = np.zeros_like(v)
+    jump[0], jump[-1] = v[0], -v[-1]
+    bend = np.diff(slopes, prepend=0.0, append=0.0)
+    kink = (jump != 0.0) | (bend != 0.0)
+    hats = v * np.convolve(np.diff(y), [1.0, 1.0])
+    return slopes, (y[kink], jump[kink], bend[kink]), hats / hats.sum()
+
+
+_TENT_GRID = np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("law", [_uniform_law(), _two_bump_law(),
+                                 ch.grid_law(_TENT_GRID, 1.0 - np.abs(_TENT_GRID))],
+                         ids=["uniform", "two-bump", "tent"])
+def test_grid_field_reads_the_laws_decomposition(law):
+    slopes, kinks, hats = _decomposition(law.grid, law.values)
+    np.testing.assert_array_equal(law.slopes, slopes)
+    for stored, fresh in zip(law.kinks, kinks):
+        np.testing.assert_array_equal(stored, fresh)
+    np.testing.assert_array_equal(law.hat_weights, hats)
+    # The law's arrays are read-only, so the decomposition cannot go stale.
+    for a in (law.grid, law.values, law.slopes, law.hat_weights, *law.kinks):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # A field built on a from-scratch decomposition gives the same values.
+    fresh = ch.InitialLaw(kind="grid", grid=law.grid, values=law.values)
+    for name, value in (("slopes", slopes), ("kinks", kinks), ("hat_weights", hats)):
+        object.__setattr__(fresh, name, value)
+    x = np.linspace(law.grid[0] - 1.0, law.grid[-1] + 1.0, 257)
+    for s in (1e-4, 0.5):
+        f, g = ch._grid_field(law, s), ch._grid_field(fresh, s)
+        for name in ("pdf", "score_fn", "dscore_fn"):
+            np.testing.assert_array_equal(getattr(f, name)(x), getattr(g, name)(x))
 
 
 def test_additive_channel_takes_only_the_unit_sigma():

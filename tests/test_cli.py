@@ -121,9 +121,22 @@ def test_entropy_power_table_from_report_rows(tmp_path):
     assert keys == [(0.3, 0.5), (0.3, 2.0), (0.75, 0.5), (0.75, 2.0)]
     for rec in table:
         notes = rows[rec["t"], rec["hurst"]]["method_notes"]
-        g, n = re.fullmatch(r"g=(\S+) -> \w+; N=(\S+)", notes).groups()
+        g, n = re.fullmatch(r"g=(\S+) -> \w+; N=(\S+); richardson fd_step=\S+", notes).groups()
         assert float(rec["g"]) == pytest.approx(float(g), rel=1e-8, abs=0)
         assert float(rec["entropy_power"]) == pytest.approx(float(n), rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("fd_step", [None, 2e-3])
+def test_entropy_power_and_fokker_planck_rows_name_their_step(fd_step):
+    # Both rows once noted only their result, not the time step their lhs took.
+    cfg = {"suites": ["entropy-power", "fokker-planck"], "fd_step": fd_step,
+           "channel": {"initial": {"kind": "grid", "n": 401}}}
+    runner = cli._SuiteRunner(cfg)
+    for t in (0.1, 0.5, 2.0):
+        step = idn._default_step(t) if fd_step is None else fd_step
+        for suite in ("entropy-power", "fokker-planck"):
+            notes = runner.run_combo(suite, t, 0.75).method_notes
+            assert notes.endswith(f"; richardson fd_step={step:g}"), (suite, t, notes)
 
 
 def test_entropy_power_row_is_the_identity_check():

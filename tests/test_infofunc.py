@@ -276,6 +276,90 @@ def test_z_rule_raises_at_point_cap(monkeypatch):
     monkeypatch.setattr(nf, "_MAX_POINTS", 100)    # the first sums hold 65 and 129
     with pytest.raises(QuadratureError):
         nf.entropy(p)
+    # The cap counts every point the integrand sees: the first two sums together
+    # would pass it, so the rule raises before evaluating any.
+    seen = []
+
+    def counting(v):
+        seen.append(v.z.size)
+        return -v.logp
+    with pytest.raises(QuadratureError):
+        nf.expect_values(p, counting)
+    assert sum(seen) <= nf._MAX_POINTS
+
+
+def _two_call_trapezoid(weighted, a, b, step0):
+    """The trapezoid rule as one call for the base nodes and one for each halving's
+    midpoints: the reference the one-call first halving must match bit for bit."""
+    n = max(2, math.ceil((b - a) / step0))
+    step = (b - a) / n
+    vals = weighted(np.linspace(a, b, n + 1))
+    total = np.sum(vals) - 0.5 * (vals[0] + vals[-1])
+    value = step * total
+    while 2 * n + 1 <= nf._MAX_POINTS:
+        total += np.sum(weighted(a + step * (np.arange(n) + 0.5)))
+        n, step = 2 * n, step / 2
+        previous, value = value, step * total
+        if abs(value - previous) <= nf.ABS_TOL + nf.REL_TOL * abs(value):
+            return float(value)
+    raise QuadratureError("no two sums agreed")
+
+
+def _rule_fields(kind, t, h):
+    """A field, a q of the same rule tag and the Fisher weight of the field's De
+    Bruijn rhs: sqrt1p flow fields from 0 and 1 with sigma^2, Gaussian fields, or the
+    uniform grid law's field with a Gaussian q, with 1."""
+    if kind == "flow":
+        s = sg.sqrt_one_plus_square()
+        p, q = (ch.density_at(ch.multiplicative(s, x0, h), t) for x0 in (0.0, 1.0))
+        return p, q, lambda x: s.fn(x) ** 2
+    v = t ** (2 * h)
+    if kind == "gaussian":
+        return (ch.density_at(ch.additive(ch.gaussian_law(0.0, 1.0), h), t),
+                ch.gaussian_field(0.5, 1.5 + v), None)
+    grid = np.linspace(-1.0, 1.0, 2001)
+    law = ch.grid_law(grid, np.full(grid.size, 0.5))
+    return ch.density_at(ch.additive(law, h), t), ch.gaussian_field(0.0, 1.0 / 3.0 + v), None
+
+
+_workload_cells = pytest.mark.parametrize(
+    "t, h", [(t, h) for t in (0.5, 1.0, 2.0) for h in (0.3, 0.5, 0.75)])
+
+
+@_workload_cells
+@pytest.mark.parametrize("kind", ["flow", "gaussian", "grid"])
+def test_one_call_first_halving_matches_two_calls_bit_for_bit(monkeypatch, kind, t, h):
+    # The unweighted Fisher information of a flow field at t = 2, H >= 0.5 takes a
+    # second halving, so later halvings are checked too.
+    p, q, b = _rule_fields(kind, t, h)
+
+    def functionals():
+        return (nf.entropy(p), nf.generalized_fisher(p), nf.generalized_fisher(p, b),
+                nf.kl_divergence(p, q))
+    got = functionals()
+    monkeypatch.setattr(nf, "_trapezoid", _two_call_trapezoid)
+    assert got == functionals()
+
+
+@_workload_cells
+@pytest.mark.parametrize("kind", ["flow", "gaussian", "grid"])
+def test_integral_calls_its_integrand_once(kind, t, h):
+    # Entropy, the De Bruijn rhs's Fisher information and KL stop at their first
+    # halving here, and the base nodes and the first halving's midpoints are one call.
+    p, q, b = _rule_fields(kind, t, h)
+    weight = (lambda x: 1.0) if b is None else b
+    for g, other in ((lambda v: -v.logp, None), (lambda v: weight(v.x) * v.score ** 2, None),
+                     (lambda v: v.log_ratio, q)):
+        calls = []
+        nf.expect_values(p, lambda v: calls.append(v.x.size) or g(v), other)
+        assert len(calls) == 1
+
+
+def test_later_halvings_call_the_integrand_once_each():
+    p, _, _ = _rule_fields("flow", 2.0, 0.75)
+    calls = []
+    nf.expect_values(p, lambda v: calls.append(v.z.size) or v.score ** 2)
+    assert calls == [129, 128]
 
 
 @pytest.mark.parametrize("x0, y0, t, h, q_first", [
