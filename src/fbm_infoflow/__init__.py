@@ -5,7 +5,8 @@ from . import channels, doss, fbm, identities, infofunc, montecarlo, sigma
 from .channels import (
     ChannelSpec,
     DensityField,
-    InitialLaw,
+    GaussianLaw,
+    GridLaw,
     additive,
     density_at,
     gaussian_field,

@@ -51,105 +51,120 @@ _KERNEL_ENTRIES = 1 << 16   # entries of one block's buffers in all: 512 kB, in 
 UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
 
 
-@dataclass(frozen=True)
-class InitialLaw:
-    """Initial distribution of X_0 for the additive channel."""
+def _check_normal(what, mean, variance):
+    if not (math.isfinite(mean) and 0.0 < variance < math.inf):
+        raise DomainError(f"{what} needs a finite mean and 0 < variance < inf, "
+                          f"not N({mean}, {variance})")
 
-    kind: str                                   # 'gaussian' | 'grid'
-    mean: float = 0.0
-    variance: float = 1.0
-    grid: Optional[np.ndarray] = None           # support points, strictly increasing
-    values: Optional[np.ndarray] = None         # density values on grid, linear between
-    # A grid law's decomposition, computed once when the law is built: the slopes
-    # of its interpolant on the grid's intervals, its kinks (y_k, J_k, S_k) as
-    # _grid_field reads them, and the weights of its hat mixture, which
-    # montecarlo.sample_endpoint draws from.  The law keeps read-only copies of
-    # grid and values, and its decomposition is read-only too.
-    slopes: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    kinks: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    hat_weights: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                              compare=False)
+
+@dataclass(frozen=True)
+class GaussianLaw:
+    """X_0 ~ N(mean, variance): a finite mean and 0 < variance < inf."""
+
+    mean: float
+    variance: float
+    kind = "gaussian"
 
     def __post_init__(self):
-        if self.kind == "gaussian":
-            if self.variance <= 0:
-                raise DomainError("Gaussian initial law needs variance > 0")
-        elif self.kind == "grid":
-            g = np.array(self.grid, dtype=float)
-            v = np.array(self.values, dtype=float)
-            if g.ndim != 1 or g.shape != v.shape or g.size < 8:
-                raise DomainError("grid initial law needs matching 1-d arrays (>= 8 points)")
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-                raise DomainError("grid and density values must be finite")
-            dy = np.diff(g)
-            if np.any(dy <= 0):
-                raise DomainError("grid must be strictly increasing")
-            if np.any(v < 0):
-                raise DomainError("grid density must be nonnegative")
-            mass = np.trapezoid(v, g)
-            if abs(mass - 1.0) > 1e-8:
-                raise DomainError(f"grid density integrates to {mass:.10g}, not 1")
-            slopes = np.diff(v) / dy
-            jump = np.zeros_like(v)
-            jump[0], jump[-1] = v[0], -v[-1]
-            bend = np.diff(slopes, prepend=0.0, append=0.0)
-            kink = (jump != 0.0) | (bend != 0.0)
-            kinks = (g[kink], jump[kink], bend[kink])
-            hats = v * np.convolve(dy, [1.0, 1.0])
-            hats /= hats.sum()
-            for a in (g, v, slopes, hats, *kinks):
-                a.flags.writeable = False
-            for name, value in (("grid", g), ("values", v), ("slopes", slopes),
-                                ("kinks", kinks), ("hat_weights", hats)):
-                object.__setattr__(self, name, value)
-        else:
-            raise DomainError(f"unknown initial law kind {self.kind!r}")
+        _check_normal("Gaussian initial law", self.mean, self.variance)
+
+
+@dataclass(frozen=True, eq=False)
+class GridLaw:
+    """X_0 with the piecewise-linear density through (grid, values), 0 off the grid.
+    The law keeps read-only float copies of grid and values and, computed once when
+    it is built, its decomposition: the slopes of its interpolant on the grid's
+    intervals, its kinks (y_k, J_k, S_k) as _grid_field reads them, and the weights
+    of its hat mixture, which montecarlo.sample_endpoint draws from.  Two grid laws
+    are equal when their grids and values are."""
+
+    grid: np.ndarray            # support points, strictly increasing
+    values: np.ndarray          # density values on grid, linear between
+    kind = "grid"
+
+    def __post_init__(self):
+        g = np.array(self.grid, dtype=float)
+        v = np.array(self.values, dtype=float)
+        if g.ndim != 1 or g.shape != v.shape or g.size < 8:
+            raise DomainError("grid initial law needs matching 1-d arrays (>= 8 points)")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+            raise DomainError("grid and density values must be finite")
+        dy = np.diff(g)
+        if np.any(dy <= 0):
+            raise DomainError("grid must be strictly increasing")
+        if np.any(v < 0):
+            raise DomainError("grid density must be nonnegative")
+        mass = np.trapezoid(v, g)
+        if abs(mass - 1.0) > 1e-8:
+            raise DomainError(f"grid density integrates to {mass:.10g}, not 1")
+        slopes = np.diff(v) / dy
+        jump = np.zeros_like(v)
+        jump[0], jump[-1] = v[0], -v[-1]
+        bend = np.diff(slopes, prepend=0.0, append=0.0)
+        kink = (jump != 0.0) | (bend != 0.0)
+        kinks = (g[kink], jump[kink], bend[kink])
+        hats = v * np.convolve(dy, [1.0, 1.0])
+        hats /= hats.sum()
+        for a in (g, v, slopes, hats, *kinks):
+            a.flags.writeable = False
+        # Into the instance's dict, since a frozen dataclass refuses setattr.
+        vars(self).update(grid=g, values=v, slopes=slopes, kinks=kinks, hat_weights=hats)
+
+    def __eq__(self, other):
+        if not isinstance(other, GridLaw):
+            return NotImplemented
+        return (np.array_equal(self.grid, other.grid)
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        return hash((tuple(self.grid.tolist()), tuple(self.values.tolist())))
 
 
 def gaussian_law(mean, variance):
-    return InitialLaw(kind="gaussian", mean=float(mean), variance=float(variance))
+    return GaussianLaw(float(mean), float(variance))
 
 
 def grid_law(grid, values):
-    return InitialLaw(kind="grid", grid=np.asarray(grid, float),
-                      values=np.asarray(values, float))
+    return GridLaw(grid, values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSpec:
-    """Either a multiplicative channel (sigma, x0) or an additive one (initial law).
-    An additive channel's sigma is UNIT_SIGMA, or any other constant 1."""
+    """A multiplicative channel, started at the point x0 under sigma, or an additive
+    one, started from an initial law: it holds exactly one of x0 and initial, and
+    `variant` follows from which.  An additive channel's sigma is UNIT_SIGMA, or any
+    other constant 1."""
 
-    variant: str                       # 'multiplicative' | 'additive'
     hurst: HurstParameter
     sigma: Optional[SigmaModel] = None
     x0: Optional[float] = None
-    initial: Optional[InitialLaw] = None
+    initial: Optional[GaussianLaw | GridLaw] = None
 
     def __post_init__(self):
-        self.hurst = as_hurst(self.hurst)
-        if self.variant == "multiplicative":
-            if self.sigma is None or self.x0 is None:
-                raise DomainError("multiplicative channel needs sigma and x0")
-        elif self.variant == "additive":
-            if self.initial is None:
-                raise DomainError("additive channel needs an initial law")
-            if self.sigma is None:
-                self.sigma = UNIT_SIGMA
-            elif (self.sigma.kind, self.sigma.c) != ("constant", 1.0):
-                raise DomainError("additive channel has sigma = 1; it takes no other sigma")
-        else:
-            raise DomainError(f"unknown channel variant {self.variant!r}")
+        if (self.x0 is None) == (self.initial is None):
+            raise DomainError("a channel holds a start x0 or an initial law, exactly one")
+        if self.initial is None:
+            if self.sigma is None or not math.isfinite(self.x0):
+                raise DomainError("multiplicative channel needs sigma and a finite x0, "
+                                  f"not x0 = {self.x0}")
+        elif self.sigma is not None and (self.sigma.kind, self.sigma.c) != ("constant", 1.0):
+            raise DomainError("additive channel has sigma = 1; it takes no other sigma")
+        vars(self).update(hurst=as_hurst(self.hurst),
+                          sigma=UNIT_SIGMA if self.sigma is None else self.sigma)
+
+    @property
+    def variant(self):
+        """'additive' when the channel starts from an initial law, else 'multiplicative'."""
+        return "multiplicative" if self.initial is None else "additive"
 
 
 def multiplicative(sigma, x0, hurst):
-    return ChannelSpec(variant="multiplicative", hurst=as_hurst(hurst),
-                       sigma=sigma, x0=float(x0))
+    return ChannelSpec(hurst, sigma=sigma, x0=float(x0))
 
 
 def additive(initial, hurst):
     """X_t = X_0 + B^H_t with X_0 ~ initial: dX = sigma(X) o dB^H with sigma = 1."""
-    return ChannelSpec(variant="additive", hurst=as_hurst(hurst), initial=initial)
+    return ChannelSpec(hurst, initial=initial)
 
 
 class Flow(NamedTuple):
@@ -274,8 +289,7 @@ class DensityField:
 
 def gaussian_field(mean, variance):
     mean, variance = float(mean), float(variance)
-    if variance <= 0:
-        raise DomainError("Gaussian field needs variance > 0")
+    _check_normal("Gaussian field", mean, variance)
     sd = math.sqrt(variance)
 
     def pdf(x):
@@ -501,7 +515,9 @@ def _grid_field(law, s):
 
 
 def density_at(channel, t):
-    """Law of X_t as a DensityField. Requires t > 0."""
+    """Law of X_t as a DensityField. Requires 0 < t < inf."""
+    if not math.isfinite(t):
+        raise DomainError(f"density_at requires a finite t, not {t}")
     if t <= 0:
         raise DegenerateTimeError("density_at requires t > 0")
     if channel.variant == "multiplicative":

@@ -139,8 +139,8 @@ def mc_expectation(channel, t, g, n, seed, fields=None):
     channels.Values at the samples, as an identities.Rhs g does."""
     if n < 100:
         raise DomainError("mc_expectation needs n >= 100")
-    if t <= 0:
-        raise DomainError("mc_expectation needs t > 0")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"mc_expectation needs 0 < t < inf, not {t}")
     p, *q = fields or (ch.density_at(channel, t),)
     read = g if fields else lambda v: g(v.x)
     acc = RunningMoments()

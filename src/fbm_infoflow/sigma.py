@@ -1,11 +1,12 @@
 """Diffusion coefficient models with analytic first and second derivatives.
 
 Every formula downstream needs at most sigma, sigma' and sigma''. Models are
-validated at construction: positivity on a grid scan of the working domain,
-and agreement of the analytic derivatives with central finite differences at
-64 probe points.
+validated at construction: a finite working domain, sigma finite and positive
+on a grid scan of it, and agreement of the analytic derivatives with central
+finite differences at 64 probe points.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -36,8 +37,8 @@ class SigmaModel:
 
     def __post_init__(self):
         lo, hi = self.domain
-        if not lo < hi:
-            raise DomainError(f"working domain [{lo}, {hi}] is empty")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DomainError(f"working domain [{lo}, {hi}] is not finite and nonempty")
         _check_positivity(self)
         _check_derivatives(self)
 
@@ -112,11 +113,12 @@ def _probe_points(domain, n):
 def _check_positivity(model):
     xs = _probe_points(model.domain, 257)
     vals = np.asarray(model.fn(xs), dtype=float)
-    if np.any(vals < _POSITIVITY_FLOOR):
-        bad = xs[np.argmin(vals)]
+    bad = ~(np.isfinite(vals) & (vals >= _POSITIVITY_FLOOR))     # a NaN compares false
+    if bad.any():
+        i = np.argmax(bad)
         raise DomainError(
-            f"sigma({bad:g}) = {np.min(vals):g} below positivity floor "
-            f"{_POSITIVITY_FLOOR:g}"
+            f"sigma({xs[i]:g}) = {vals[i]:g}: not finite or below the positivity "
+            f"floor {_POSITIVITY_FLOOR:g}"
         )
 
 
@@ -136,7 +138,7 @@ def _check_derivatives(model):
     a2 = np.asarray(model.d2(xs), dtype=float)
     err1 = np.max(np.abs(fd1 - a1) / (1.0 + np.abs(a1)))
     err2 = np.max(np.abs(fd2 - a2) / (1.0 + np.abs(a2)))
-    if err1 > _FD_RTOL or err2 > _FD_RTOL:
+    if not (err1 <= _FD_RTOL and err2 <= _FD_RTOL):     # a NaN compares false
         raise DomainError(
             f"analytic derivatives disagree with finite differences "
             f"(rel err d1={err1:.2e}, d2={err2:.2e})"

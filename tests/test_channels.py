@@ -458,7 +458,7 @@ def test_grid_field_reads_the_laws_decomposition(law):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     # A field built on a from-scratch decomposition gives the same values.
-    fresh = ch.InitialLaw(kind="grid", grid=law.grid, values=law.values)
+    fresh = ch.GridLaw(law.grid, law.values)
     for name, value in (("slopes", slopes), ("kinks", kinks), ("hat_weights", hats)):
         object.__setattr__(fresh, name, value)
     x = np.linspace(law.grid[0] - 1.0, law.grid[-1] + 1.0, 257)
@@ -473,7 +473,112 @@ def test_additive_channel_takes_only_the_unit_sigma():
     law = ch.gaussian_law(0.0, 1.0)
     assert ch.additive(law, 0.5).sigma is ch.UNIT_SIGMA
     for sigma in (sg.constant(1.0), sg.constant(1.0, domain=(-10.0, 10.0))):
-        assert ch.ChannelSpec("additive", 0.5, sigma=sigma, initial=law).sigma is sigma
+        assert ch.ChannelSpec(0.5, sigma=sigma, initial=law).sigma is sigma
     for sigma in (sg.sqrt_one_plus_square(), sg.constant(2.0)):
         with pytest.raises(DomainError):
-            ch.ChannelSpec(variant="additive", hurst=0.5, sigma=sigma, initial=law)
+            ch.ChannelSpec(hurst=0.5, sigma=sigma, initial=law)
+
+
+def test_grid_laws_compare_and_hash_by_value():
+    # The tagged union's dataclass == compared the arrays inside a tuple, so == raised
+    # on a grid law and on a channel holding one, and hash() raised.
+    grid = np.linspace(-1.0, 1.0, 11)
+    a = ch.grid_law(grid, np.full(11, 0.5))
+    b = ch.grid_law(grid.copy(), np.full(11, 0.5))
+    tent = ch.grid_law(grid, 1.0 - np.abs(grid))
+    assert a == b and hash(a) == hash(b)
+    assert a != tent and a != ch.gaussian_law(0.0, 1.0)
+    signed = grid.copy()
+    signed[5] = -0.0                    # == as numpy compares: -0.0 is 0.0
+    assert ch.grid_law(signed, a.values) == a and hash(ch.grid_law(signed, a.values)) == hash(a)
+    assert {a, b, tent} == {a, tent} and {a: "uniform"}[b] == "uniform"
+    assert ch.additive(a, 0.5) == ch.additive(b, 0.5)
+    assert ch.additive(a, 0.5) != ch.additive(tent, 0.5)
+
+
+def test_grid_law_is_read_only():
+    law = _uniform_law(n=11)
+    for name in ("grid", "values", "slopes", "kinks", "hat_weights", "kind"):
+        with pytest.raises(AttributeError):
+            setattr(law, name, None)
+    with pytest.raises(AttributeError):
+        del law.slopes
+
+
+def test_each_law_holds_only_its_own_fields():
+    grid = np.linspace(-1.0, 1.0, 11)
+    assert not hasattr(ch, "InitialLaw")
+    assert (ch.GaussianLaw.kind, ch.GridLaw.kind) == ("gaussian", "grid")
+    # A grid law with a variance and a Gaussian law with a grid were once accepted.
+    with pytest.raises(TypeError):
+        ch.GridLaw(grid, np.full(11, 0.5), variance=-5.0)
+    with pytest.raises(TypeError):
+        ch.GaussianLaw(0.0, 1.0, grid=grid)
+    assert ch.GaussianLaw(0.5, 2.0) == ch.gaussian_law(0.5, 2.0)
+    assert ch.GridLaw(grid, np.full(11, 0.5)) == ch.grid_law(grid, np.full(11, 0.5))
+
+
+def test_channel_variant_follows_from_what_it_holds():
+    law = ch.gaussian_law(0.0, 1.0)
+    additive = ch.ChannelSpec(0.5, initial=law)
+    multiplicative = ch.ChannelSpec(0.5, sigma=sg.constant(2.0), x0=1.0)
+    assert (additive.variant, multiplicative.variant) == ("additive", "multiplicative")
+    assert ch.additive(law, 0.5) == additive
+    assert ch.multiplicative(sg.constant(2.0), 1.0, 0.5).variant == "multiplicative"
+    # Nothing a channel holds can be reassigned, so it cannot come to hold both.
+    for name, value in (("variant", "multiplicative"), ("x0", 0.0), ("initial", law),
+                        ("sigma", sg.constant(2.0)), ("hurst", 0.7)):
+        with pytest.raises(AttributeError):
+            setattr(additive, name, value)
+    assert hash(additive) == hash(ch.additive(law, 0.5))
+    with pytest.raises(TypeError):
+        ch.ChannelSpec(0.5, variant="additive", initial=law)
+
+
+_LAW = ch.gaussian_law(0.0, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ch.ChannelSpec(0.5, sigma=sg.constant(1.0), x0=0.0, initial=_LAW),
+    lambda: ch.ChannelSpec(0.5, x0=3.0, initial=_LAW),
+    lambda: ch.ChannelSpec(0.5, sigma=sg.constant(1.0)),
+    lambda: ch.ChannelSpec(0.5),
+    lambda: ch.multiplicative(sg.constant(1.0), math.nan, 0.5),
+    lambda: ch.multiplicative(sg.constant(1.0), math.inf, 0.5),
+    lambda: ch.multiplicative(sg.sqrt_one_plus_square(), -math.inf, 0.5),
+    lambda: ch.gaussian_law(math.nan, 1.0),
+    lambda: ch.gaussian_law(math.inf, 1.0),
+    lambda: ch.gaussian_law(0.0, math.nan),
+    lambda: ch.gaussian_law(0.0, math.inf),
+    lambda: ch.gaussian_law(0.0, 0.0),
+], ids=["x0-and-law", "x0-and-law-no-sigma", "neither", "neither-no-sigma", "x0-nan",
+        "x0-inf", "x0-minus-inf", "mean-nan", "mean-inf", "variance-nan", "variance-inf",
+        "variance-zero"])
+def test_meaningless_channel_inputs_raise(build):
+    # Each but the last was accepted: a channel holding both a start and a law read
+    # one and ignored the other, and a NaN or infinite mean, variance or x0 reached
+    # the trapezoid rule as a bare ValueError.
+    with pytest.raises(DomainError):
+        build()
+
+
+@pytest.mark.parametrize("mean, variance", [(0.0, math.nan), (math.nan, 1.0),
+                                            (0.0, math.inf), (-math.inf, 1.0)])
+def test_gaussian_field_rejects_non_finite_parameters(mean, variance):
+    # gaussian_field(0, nan) once built a field with lo = hi = step = NaN.
+    with pytest.raises(DomainError):
+        ch.gaussian_field(mean, variance)
+
+
+@pytest.mark.parametrize("channel", [
+    ch.multiplicative(sg.constant(1.0), 0.0, 0.5),
+    ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5),
+    ch.additive(_LAW, 0.5),
+    ch.additive(_uniform_law(n=11), 0.5),
+], ids=["constant", "sqrt1p", "gaussian-law", "grid-law"])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_density_at_rejects_non_finite_time(channel, t):
+    # t = nan passed the t <= 0 guard and gave a NaN field; t = inf raised a bare
+    # ValueError.
+    with pytest.raises(DomainError):
+        ch.density_at(channel, t)

@@ -299,3 +299,11 @@ def test_running_moments_merge_is_order_invariant(batches, rnd):
     assert a.n == b.n == sum(len(x) for x in batches)
     assert b.mean == pytest.approx(a.mean, rel=1e-9, abs=1e-9)
     assert b.m2 == pytest.approx(a.m2, rel=1e-9, abs=1e-6)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_non_finite_or_nonpositive_time_rejected(t):
+    # t = nan once gave McEstimate(mean=nan, std_error=nan).
+    chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
+    with pytest.raises(DomainError):
+        mc.mc_expectation(chan, t, lambda x: x, 1000, 0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,34 @@ def test_custom_wrong_derivative_rejected():
             d2=lambda x: np.exp(np.asarray(x, float)),
             domain=(-1, 1),
         )
+
+
+def _unit(x):
+    return np.ones_like(np.asarray(x, float))
+
+
+def _zero(x):
+    return np.zeros_like(np.asarray(x, float))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sg.constant(math.nan),
+    lambda: sg.constant(math.inf),
+    lambda: sg.custom(lambda x: np.where(np.asarray(x) > 0.5, np.nan, 1.0), _zero, _zero,
+                      (-1.0, 1.0)),
+    lambda: sg.custom(_unit, lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.0), _zero,
+                      (-1.0, 1.0)),
+    lambda: sg.custom(_unit, _zero, lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.0),
+                      (-1.0, 1.0)),
+    lambda: sg.sqrt_one_plus_square(domain=(-math.inf, math.inf)),
+    lambda: sg.constant(1.0, domain=(0.0, math.inf)),
+    lambda: sg.constant(1.0, domain=(math.nan, 1.0)),
+], ids=["constant-nan", "constant-inf", "custom-nan-sigma", "custom-nan-d1",
+        "custom-nan-d2", "sqrt1p-infinite-domain", "constant-half-infinite-domain",
+        "nan-domain"])
+def test_non_finite_sigma_or_domain_rejected(build):
+    # A NaN compares false with the positivity floor and with the derivative
+    # tolerance, so a constant NaN or infinity, or a custom sigma NaN on part of its
+    # domain, passed both checks; an infinite domain raised numpy's ValueError.
+    with pytest.raises(DomainError):
+        build()
