@@ -22,7 +22,9 @@ of B^H_t).  Every flow field of one sigma reads one Lamperti table, which
 `DensityField.at` reads a field's law at points of its own coordinate, z on a
 flow field and x otherwise, as `Values`: ln p, the score and, for a divergence,
 ln(p/q) and q's score.  A flow field's come in closed form from z, so only pdf,
-score_fn and the start x0 invert phi.
+score_fn and the start x0 invert phi; a grid-law field's density, score and the
+score's derivative come from one pass of its kernel, which gives p, p' and p"
+at once.
 """
 
 import functools
@@ -182,8 +184,8 @@ class Flow(NamedTuple):
 
 class Values:
     """A field p read at points x, with a divergence's second field q: p's density,
-    ln p and score there, and ln(p/q) and q's score, each computed on first use,
-    here from the fields' pdf and score_fn."""
+    ln p, score and the score's x-derivative there, and ln(p/q) and q's score,
+    each computed on first use, here from the fields' pdf, score_fn and dscore_fn."""
 
     def __init__(self, x, p, q=None):
         self.x, self._p, self._q = x, p, q
@@ -207,6 +209,10 @@ class Values:
     @functools.cached_property
     def score_q(self):
         return self._q.score_fn(self.x)
+
+    @functools.cached_property
+    def dscore(self):
+        return self._p.dscore_fn(self.x)
 
     def sigma(self, model):
         """model's sigma and sigma' at x."""
@@ -265,12 +271,34 @@ class _FlowValues(Values):
         return self._score_at(self.z + self._dz)
 
 
+class _GridValues(Values):
+    """A grid-law field's Values at x: its density, score and the score's derivative
+    from one pass of its kernel, which gives p, p' and p" at once."""
+
+    @functools.cached_property
+    def _derivatives(self):
+        return self._p.derivatives(self.x)
+
+    @functools.cached_property
+    def pdf(self):
+        return self._derivatives[0]
+
+    @functools.cached_property
+    def score(self):
+        return _score(*self._derivatives[:2])
+
+    @functools.cached_property
+    def dscore(self):
+        return _dscore(*self._derivatives)
+
+
 @dataclass(frozen=True)
 class DensityField:
     """A one-dimensional density on [lo, hi]: pdf, score and, for additive fields,
     the score's x-derivative.  `step` or `flow` picks the trapezoid rule of
     `infofunc`; a field with neither goes to its adaptive Gauss-Kronrod rule in x
-    over [lo, hi]."""
+    over [lo, hi].  A grid-law field also carries `derivatives`, its density and
+    the density's first two x-derivatives from one pass of its kernel."""
 
     lo: float
     hi: float
@@ -279,12 +307,15 @@ class DensityField:
     step: Optional[float] = None                      # base step of the x rule
     dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
     flow: Optional[Flow] = field(default=None, repr=False, compare=False)
+    derivatives: Optional[Callable] = field(default=None, repr=False)  # [p, p', p"]
 
     def at(self, u, q=None):
         """The field's Values at points u of its own coordinate: the offsets z of
         X = flow.x(z) on a flow field, x otherwise; q, when given, is the second
         field of a divergence."""
-        return (Values if self.flow is None else _FlowValues)(u, self, q)
+        if self.flow is not None:
+            return _FlowValues(u, self, q)
+        return (Values if self.derivatives is None else _GridValues)(u, self, q)
 
 
 def gaussian_field(mean, variance):
@@ -498,20 +529,22 @@ def _grid_field(law, s):
                 sums[2, i:i + rows] = ((e @ sk) - (u @ jk) / s) / (_SQRT_2PI * sd)
         return [o.reshape(np.shape(x))[()] for o in sums]
 
-    def pdf(x):
-        return _derivatives(x, 0)[0]
-
-    def score(x):
-        f, df = _derivatives(x, 1)
-        return df / np.maximum(f, _TINY)
-
-    def dscore(x):
-        f, df, d2f = _derivatives(x, 2)
-        f = np.maximum(f, _TINY)
-        return d2f / f - (df / f) ** 2
-
     return DensityField(lo=float(y[0] - _FIELD_STD * sd), hi=float(y[-1] + _FIELD_STD * sd),
-                        pdf=pdf, score_fn=score, step=sd / 4, dscore_fn=dscore)
+                        pdf=lambda x: _derivatives(x, 0)[0],
+                        score_fn=lambda x: _score(*_derivatives(x, 1)),
+                        step=sd / 4, dscore_fn=lambda x: _dscore(*_derivatives(x, 2)),
+                        derivatives=lambda x: _derivatives(x, 2))
+
+
+def _score(f, df):
+    """The score p'/p from p and p', p clamped at _TINY."""
+    return df / np.maximum(f, _TINY)
+
+
+def _dscore(f, df, d2f):
+    """The score's x-derivative p"/p - (p'/p)^2 from p, p' and p", p clamped at _TINY."""
+    f = np.maximum(f, _TINY)
+    return d2f / f - (df / f) ** 2
 
 
 def density_at(channel, t):

@@ -7,8 +7,9 @@ Gauss-Legendre panels of 1/sigma.  phi and its inverse are the cubic Hermite
 interpolants of that one table with exact slopes, dx/dz = sigma(x) one way and
 dz/dx = 1/sigma(x) the other; both evaluate the points in the order and shape
 given.  phi finds a point's interval in O(1), from a bucket table over its
-z knots, which lie about _TABLE_STEP apart (_IntervalIndex); the inverse's x
-knots spread over orders of magnitude, so it keeps a binary search.
+z knots, which lie about _TABLE_STEP apart (_IntervalIndex): on sqrt1p's table
+no bucket holds two knots, so a lookup is one compare.  The inverse's x knots
+spread over orders of magnitude, so it keeps a binary search.
 
 The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
 equal x pieces, so they depend on sigma and x0 alone, and a node's z on the
@@ -31,7 +32,7 @@ _PIECES = math.ceil(_COARSE_STEP / _TABLE_STEP)   # equal x pieces per coarse st
 _FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _ROUNDING = 1e-12           # relative shortfall of a node's z that counts as rounding
-_BUCKETS_PER_KNOT = 2       # the most buckets of phi's interval index per knot
+_BUCKETS_PER_KNOT = 4       # the most buckets of phi's interval index per knot
 
 
 def _hermite(knots, values, slopes):
@@ -73,15 +74,15 @@ class _IntervalIndex:
     earlier bucket is <= q, and every key of a later one > q.  The count is
     therefore the keys before q's bucket plus at most `depth` compares with the
     bucket's own; a compare past the last key reads the last key, which counts
-    only where the clamp to the last interval applies.  A bucket is twice the
-    smallest knot gap wide, or wider where that makes more than _BUCKETS_PER_KNOT
-    buckets a knot, so the table stays bounded for any sigma; where knots crowd
-    into a bucket, each more costs one compare."""
+    only where the clamp to the last interval applies.  A bucket is the smallest
+    knot gap wide, or wider where that makes more than _BUCKETS_PER_KNOT buckets
+    a knot, so the table stays bounded for any sigma; where knots crowd into a
+    bucket, each more costs one compare.  sqrt1p's table of 21 751 knots gets
+    58 323 buckets (233 kB of int32) of at most one knot each."""
 
     def __init__(self, knots, lo, hi):
         origin, end = min(lo, knots[0]), max(hi, knots[-1])
-        width = max(2.0 * np.min(np.diff(knots)),
-                    (end - origin) / (_BUCKETS_PER_KNOT * knots.size))
+        width = max(np.min(np.diff(knots)), (end - origin) / (_BUCKETS_PER_KNOT * knots.size))
         self.origin, self.inv_width = origin, 1.0 / width
         self.keys, self.last = knots[1:], knots.size - 2
         counts = np.bincount(self._bucket(self.keys), minlength=self._bucket(end) + 1)

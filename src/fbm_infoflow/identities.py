@@ -14,6 +14,7 @@ gives in closed form from z.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import channels as ch
 from . import infofunc as nf
-from .errors import DomainError, StepError
+from .errors import DegenerateTimeError, DomainError, StepError
 
 # The default tolerance of each identity's row, on |lhs - rhs|: each check's tol
 # and the runner's `tolerances` config block default to it.
@@ -85,6 +86,13 @@ def _default_step(t):
 
 
 def _check_step(t, fd_step):
+    """fd_step, or _default_step(t) for None, once t is a time with a density:
+    DomainError for a t that is not finite, DegenerateTimeError for t <= 0, as
+    density_at raises, and StepError unless 0 < fd_step < t."""
+    if not math.isfinite(t):
+        raise DomainError(f"the check requires a finite t, not {t}")
+    if t <= 0:
+        raise DegenerateTimeError(f"the check requires t > 0, not {t}")
     if fd_step is None:
         fd_step = _default_step(t)
     if not 0.0 < fd_step < t:
@@ -270,8 +278,8 @@ def entropy_power_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["entrop
         return nf.entropy_power(ch.density_at(channel, s))
 
     field_t = ch.density_at(channel, t)
-    mean_d2 = nf.expectation(field_t, field_t.dscore_fn)
-    var_d2 = nf.expectation(field_t, lambda x: (field_t.dscore_fn(x) - mean_d2) ** 2)
+    mean_d2 = nf.expect_values(field_t, lambda v: v.dscore)
+    var_d2 = nf.expect_values(field_t, lambda v: (v.dscore - mean_d2) ** 2)
     g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * -mean_d2
          - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
     n = n_at(t)

@@ -10,7 +10,8 @@ form from z, and in x over p's own domain for Gaussian and grid-law fields,
 which carry the base step.  It converges geometrically on these integrands.
 Fields with no common tag go to an adaptive Gauss-Kronrod rule in x over p's
 own domain, `_gauss_kronrod`, the reference the trapezoid rule is tested
-against, and read the fields through their pdf and score_fn.  A weight b is an
+against.  Both rules in x read p's Values at x (`channels.DensityField.at`), a
+flow p's and every q's through their pdf and score_fn.  A weight b is an
 array callable, None meaning 1.
 """
 
@@ -53,9 +54,9 @@ def expect_values(p, g, q=None):
 
     # A Gaussian or grid-law q has a density on all of the line, and a flow q on
     # all of sigma's domain, through its one table.  The points are x, whatever
-    # p's tag, so p is read through its pdf and score_fn too.
+    # p's tag, so a flow p is read through its pdf and score_fn too.
     def weighted(x):
-        v = ch.Values(x, p, q)
+        v = ch.Values(x, p, q) if p.flow is not None else p.at(x, q)
         f = v.pdf
         return np.where(f > _TINY, f * g(v), 0.0)
     if all(fl.step is not None for fl in fields):

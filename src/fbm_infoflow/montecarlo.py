@@ -3,10 +3,14 @@
 Because X_t = phi(B^H_t), only the endpoint B^H_t ~ N(0, t^{2H}) is ever
 sampled; no path simulation is needed.  A flow channel's draws stay in z, and
 g reads the field's Values from them (`channels.DensityField.at`), so no draw
-inverts phi.  Each batch is evaluated in blocks of _BLOCK draws, whose
-temporaries fit in L2.  Estimates are reproducible per seed and accumulated
-with a streaming mean/variance merge so batches can be processed
-independently.
+inverts phi.  Each batch is evaluated in blocks of _BLOCK draws: on a flow
+channel a block holds about seven block-sized float arrays at once (phi's
+index and Horner temporaries, x, sigma, sigma', the score and g's products),
+and one 1e5-draw estimate of the De Bruijn rhs on sqrt1p peaks at 1.8 MiB
+(tracemalloc), so that the allocator keeps its memory between calls rather
+than returning it and faulting it in again.  Estimates are reproducible per
+seed and accumulated with a streaming mean/variance merge so batches can be
+processed independently.
 
 Estimates with one seed share their normal draws (common random numbers):
 batch j of every call is seeded by child j of SeedSequence(seed), whatever the
@@ -29,7 +33,7 @@ from . import channels as ch
 from .errors import DomainError
 
 _BATCH = 1 << 17
-_BLOCK = 1 << 15        # draws g sees at once: a block's float arrays are 256 kB each
+_BLOCK = 1 << 14        # draws g sees at once: 128 kB a float array
 _MEMO_BLOCKS = 16
 
 

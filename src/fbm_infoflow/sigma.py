@@ -129,6 +129,9 @@ def _check_derivatives(model):
     h2 = 1e-4 * scale
     lo, hi = model.domain
     inner = (xs - 2 * h2 >= lo) & (xs + 2 * h2 <= hi)
+    if not inner.any():
+        raise DomainError(f"working domain [{lo:g}, {hi:g}] is too narrow to probe sigma's "
+                          "derivatives: no probe point lies 2e-4 (1 + |x|) inside both ends")
     xs, h1, h2, scale = xs[inner], h1[inner], h2[inner], scale[inner]
 
     f = lambda x: np.asarray(model.fn(x), dtype=float)

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from fbm_infoflow import channels as ch, identities as idn, infofunc as nf, sigma as sg
-from fbm_infoflow.errors import DomainError, StepError
+from fbm_infoflow.errors import DegenerateTimeError, DomainError, StepError
 
 
 def test_constant_sigma_entropy_flow_is_h_over_t():
@@ -89,6 +90,28 @@ def test_step_error():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     with pytest.raises(StepError):
         idn.debruijn_check(chan, 0.5, fd_step=0.6)
+
+
+_SQRT1P = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5)
+_CHECKS_AT = {
+    "debruijn": lambda t: idn.debruijn_check(_SQRT1P, t),
+    "kl-flow": lambda t: idn.kl_flow_check(
+        _SQRT1P, ch.multiplicative(sg.sqrt_one_plus_square(), 1.0, 0.5), t),
+    "fokker-planck": lambda t: idn.fokker_planck_residual(_SQRT1P, t, [0.0]),
+    "entropy-power": lambda t: idn.entropy_power_check(
+        ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), t),
+}
+
+
+@pytest.mark.parametrize("check", _CHECKS_AT.values(), ids=_CHECKS_AT.keys())
+@pytest.mark.parametrize("t, error", [
+    (math.nan, DomainError), (math.inf, DomainError),
+    (0.0, DegenerateTimeError), (-1.0, DegenerateTimeError)])
+def test_bad_time_is_blamed_on_t(check, t, error):
+    # A check rejects a t without a density before its time step, as density_at
+    # does; a NaN or infinite t raised StepError, naming the step it made from t.
+    with pytest.raises(error, match=f"not {t}$"):
+        check(t)
 
 
 def test_wrong_variant_rejected():

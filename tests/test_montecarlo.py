@@ -184,6 +184,25 @@ def test_memo_memory_is_bounded(memo):
     assert peak <= (mc._MEMO_BLOCKS + 8) * block, peak       # 20 blocks measured
 
 
+def test_oracle_working_set_is_bounded(memo):
+    # A flow channel's block holds about seven block-sized arrays at once (phi's
+    # index and Horner temporaries, x, sigma, sigma', the score, g's products);
+    # blocks of 2^14 draws keep one 1e5-draw estimate below 2 MiB of temporaries
+    # (1.77 MiB measured; 2.52 MiB with blocks of 2^15).
+    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5)
+    rhs = idn.debruijn_rhs(chan, 1.0)
+    warm = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 1, rhs.fields)    # memo warm
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        est = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 1, rhs.fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est == warm and memo.cache_info().hits == 1
+    assert peak - start <= 2 * 2 ** 20, peak - start
+
+
 def test_draw_above_batch_is_not_kept(memo):
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     x = mc.sample_endpoint(chan, 1.0, mc._BATCH + 1, np.random.default_rng(6))

@@ -120,3 +120,12 @@ def test_non_finite_sigma_or_domain_rejected(build):
     # domain, passed both checks; an infinite domain raised numpy's ValueError.
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize("width", [1e-5, 4e-4])
+def test_domain_too_narrow_to_probe_rejected(width):
+    # No probe point lies far enough inside a domain this narrow for the
+    # derivative check's stencil, which raised numpy's ValueError on the empty set.
+    with pytest.raises(DomainError, match=r"working domain \[0, .*\] is too narrow"):
+        sg.constant(1.0, domain=(0.0, width))
+    assert sg.constant(1.0, domain=(0.0, 1e-3)).domain == (0.0, 1e-3)
