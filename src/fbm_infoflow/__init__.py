@@ -5,7 +5,10 @@ from . import channels, doss, fbm, identities, infofunc, montecarlo, sigma
 from .channels import (
     ChannelSpec,
     DensityField,
+    FlowField,
+    GaussianField,
     GaussianLaw,
+    GridField,
     GridLaw,
     additive,
     density_at,

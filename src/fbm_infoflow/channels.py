@@ -1,4 +1,4 @@
-"""Channel models and the density interface they share.
+"""Channel models and the density fields they give.
 
 Two channel variants are supported: the multiplicative model
 dX = sigma(X) o dB^H with X_0 = x0 (density by push-forward through the
@@ -10,27 +10,20 @@ one Gaussian CDF term per jump of the interpolant's value and one Bachelier
 ramp term per jump of its slope, with erfc from Cody's (1969) rational
 approximations in numpy.
 
-A DensityField bundles the density, its log-gradient (score) and domain
-metadata; pdf and score_fn take an array of points and return an array of
-the same shape.  Additive fields also carry the x-derivative of the score.
-Every field carries a tag for the trapezoid rule of `infofunc`: flow fields
-X = Phi(z0 + Z), Z ~ N(0, var), a `Flow` tag for the rule in z, additive fields
-a step, the base step of the rule in x (a quarter of the std of the Gaussian or
-of B^H_t).  Every flow field of one sigma reads one Lamperti table, which
-`channels` alone builds, once, out to sigma's edge or _Z_REACH.
-
-`DensityField.at` reads a field's law at points of its own coordinate, z on a
-flow field and x otherwise, as `Values`: ln p, the score and, for a divergence,
-ln(p/q) and q's score.  A flow field's come in closed form from z, so only pdf,
-score_fn and the start x0 invert phi; a grid-law field's density, score and the
-score's derivative come from one pass of its kernel, which gives p, p' and p"
-at once.
+`density_at` gives a GaussianField, a FlowField (X = Phi(z0 + Z), Z ~ N(0, var),
+under a non-constant sigma) or a GridField (a grid law plus N(0, s)), each
+holding only what it means; a DensityField is a plain density, for tests and
+user code.  Every field has a window [lo, hi], the array callables pdf and
+score_fn, and `at`, which reads its law as `Values`: ln p, the score and, for a
+divergence, ln(p/q) and q's score, in closed form where the type has one.  Every
+flow field of one sigma reads one Lamperti table, which `channels` alone
+builds, once, out to sigma's edge or _Z_REACH.
 """
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,7 +69,7 @@ class GridLaw:
     """X_0 with the piecewise-linear density through (grid, values), 0 off the grid.
     The law keeps read-only float copies of grid and values and, computed once when
     it is built, its decomposition: the slopes of its interpolant on the grid's
-    intervals, its kinks (y_k, J_k, S_k) as _grid_field reads them, and the weights
+    intervals, its kinks (y_k, J_k, S_k) as GridField reads them, and the weights
     of its hat mixture, which montecarlo.sample_endpoint draws from.  Two grid laws
     are equal when their grids and values are."""
 
@@ -169,23 +162,10 @@ def additive(initial, hurst):
     return ChannelSpec(hurst, initial=initial)
 
 
-class Flow(NamedTuple):
-    """A flow field's law: X = Phi(z0 + Z), Z ~ N(0, var) cut at +-z_edge, Phi the
-    flow of sigma's Lamperti table."""
-
-    table: doss.PhiSolution
-    z0: float
-    var: float
-    z_edge: float
-
-    def x(self, z):
-        return self.table(self.z0 + z)
-
-
 class Values:
-    """A field p read at points x, with a divergence's second field q: p's density,
-    ln p, score and the score's x-derivative there, and ln(p/q) and q's score,
-    each computed on first use, here from the fields' pdf, score_fn and dscore_fn."""
+    """A field p read at points x by p.at(u, q), u the field's own coordinate, with a
+    divergence's second field q: p's density, ln p and score there, and ln(p/q) and
+    q's score, each computed on first use, here from the fields' pdf and score_fn."""
 
     def __init__(self, x, p, q=None):
         self.x, self._p, self._q = x, p, q
@@ -210,13 +190,30 @@ class Values:
     def score_q(self):
         return self._q.score_fn(self.x)
 
-    @functools.cached_property
-    def dscore(self):
-        return self._p.dscore_fn(self.x)
-
     def sigma(self, model):
         """model's sigma and sigma' at x."""
         return model.fn(self.x), model.d1(self.x)
+
+
+class _GaussianValues(Values):
+    """A Gaussian field's Values at x: ln p, the score's derivative and, against a
+    Gaussian q, ln(p/q) in closed form, so nothing underflows; other q's via their pdf."""
+
+    @functools.cached_property
+    def logp(self):
+        m, v = self._p.mean, self._p.variance
+        return -0.5 * (self.x - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+
+    @functools.cached_property
+    def log_ratio(self):
+        q = self._q
+        if isinstance(q, GaussianField):
+            return self.logp - q.at(self.x).logp
+        return self.logp - np.log(np.maximum(q.pdf(self.x), _TINY))
+
+    @functools.cached_property
+    def dscore(self):
+        return np.full(np.shape(self.x), -1.0 / self._p.variance)[()]
 
 
 class _FlowValues(Values):
@@ -228,29 +225,27 @@ class _FlowValues(Values):
     pdf and score_fn, as is p's density."""
 
     def __init__(self, z, p, q=None):
-        flow = p.flow
-        super().__init__(flow.x(z), p, q)
-        self.z, self._flow = z, flow
-        shared = (q is not None and q.flow is not None and q.flow.table is flow.table
-                  and q.flow.var == flow.var)
-        self._dz = flow.z0 - q.flow.z0 if shared else None
+        super().__init__(p.x(z), p, q)
+        self.z = z
+        shared = isinstance(q, FlowField) and q.table is p.table and q.var == p.var
+        self._dz = p.z0 - q.z0 if shared else None
 
     @functools.cached_property
     def _sigma(self):
-        sig = self._flow.table.sigma
+        sig = self._p.table.sigma
         return sig.fn(self.x), sig.d1(self.x)
 
     def sigma(self, model):
         """model's sigma and sigma' at x: for the field's own sigma, those its score took."""
-        return self._sigma if model == self._flow.table.sigma else super().sigma(model)
+        return self._sigma if model == self._p.table.sigma else super().sigma(model)
 
     def _score_at(self, z):
         s, d1 = self._sigma
-        return -z / (self._flow.var * s) - d1 / s
+        return -z / (self._p.var * s) - d1 / s
 
     @functools.cached_property
     def logp(self):
-        var = self._flow.var
+        var = self._p.var
         return (-0.5 * self.z ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
                 - np.log(self._sigma[0]))
 
@@ -262,7 +257,7 @@ class _FlowValues(Values):
     def log_ratio(self):
         if self._dz is None:
             return self.logp - np.log(np.maximum(self._q.pdf(self.x), _TINY))
-        return self._dz * (self.z + 0.5 * self._dz) / self._flow.var
+        return self._dz * (self.z + 0.5 * self._dz) / self._p.var
 
     @functools.cached_property
     def score_q(self):
@@ -272,12 +267,12 @@ class _FlowValues(Values):
 
 
 class _GridValues(Values):
-    """A grid-law field's Values at x: its density, score and the score's derivative
+    """A grid field's Values at x: its density, score and the score's derivative
     from one pass of its kernel, which gives p, p' and p" at once."""
 
     @functools.cached_property
     def _derivatives(self):
-        return self._p.derivatives(self.x)
+        return self._p.derivatives(self.x, 2)
 
     @functools.cached_property
     def pdf(self):
@@ -294,50 +289,45 @@ class _GridValues(Values):
 
 @dataclass(frozen=True)
 class DensityField:
-    """A one-dimensional density on [lo, hi]: pdf, score and, for additive fields,
-    the score's x-derivative.  `step` or `flow` picks the trapezoid rule of
-    `infofunc`; a field with neither goes to its adaptive Gauss-Kronrod rule in x
-    over [lo, hi].  A grid-law field also carries `derivatives`, its density and
-    the density's first two x-derivatives from one pass of its kernel."""
+    """A plain one-dimensional density with support [lo, hi]: its pdf and score,
+    which infofunc integrates by its adaptive Gauss-Kronrod rule over [lo, hi]."""
 
     lo: float
     hi: float
     pdf: Callable = field(repr=False)
     score_fn: Callable = field(repr=False)
-    step: Optional[float] = None                      # base step of the x rule
-    dscore_fn: Optional[Callable] = field(default=None, repr=False)  # d/dx score
-    flow: Optional[Flow] = field(default=None, repr=False, compare=False)
-    derivatives: Optional[Callable] = field(default=None, repr=False)  # [p, p', p"]
 
-    def at(self, u, q=None):
-        """The field's Values at points u of its own coordinate: the offsets z of
-        X = flow.x(z) on a flow field, x otherwise; q, when given, is the second
-        field of a divergence."""
-        if self.flow is not None:
-            return _FlowValues(u, self, q)
-        return (Values if self.derivatives is None else _GridValues)(u, self, q)
+    def at(self, x, q=None):
+        return Values(x, self, q)
+
+
+@dataclass(frozen=True)
+class GaussianField:
+    """N(mean, variance) on the window mean +- _FIELD_STD std, with the x rule's step std/4."""
+
+    mean: float
+    variance: float
+
+    def __post_init__(self):
+        _check_normal("Gaussian field", self.mean, self.variance)
+        sd = math.sqrt(self.variance)
+        vars(self).update(lo=self.mean - _FIELD_STD * sd, hi=self.mean + _FIELD_STD * sd,
+                          step=sd / 4)
+
+    def pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return (np.exp(-0.5 * (x - self.mean) ** 2 / self.variance)
+                / math.sqrt(2 * math.pi * self.variance))
+
+    def score_fn(self, x):
+        return (self.mean - np.asarray(x, dtype=float)) / self.variance
+
+    def at(self, x, q=None):
+        return _GaussianValues(x, self, q)
 
 
 def gaussian_field(mean, variance):
-    mean, variance = float(mean), float(variance)
-    _check_normal("Gaussian field", mean, variance)
-    sd = math.sqrt(variance)
-
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(2 * math.pi * variance)
-
-    def score(x):
-        return (mean - np.asarray(x, dtype=float)) / variance
-
-    def dscore(x):
-        return np.full(np.shape(x), -1.0 / variance)[()]
-
-    return DensityField(
-        lo=mean - _FIELD_STD * sd, hi=mean + _FIELD_STD * sd,
-        pdf=pdf, score_fn=score,
-        step=sd / 4, dscore_fn=dscore,
-    )
+    return GaussianField(float(mean), float(variance))
 
 
 @functools.lru_cache(maxsize=_FLOWS)
@@ -393,22 +383,41 @@ def _multiplicative_field(channel, t):
             f"sigma's table ends {z_edge / sd:.4g} std from x0 = {channel.x0:g} in z, at "
             f"sigma's edge or {_Z_REACH:g} from its midpoint: the window drops {dropped:.3g} "
             f"of the mass of X_t, above {ABS_TOL:g}")
+    return FlowField(table, z0, var, z_edge)
 
-    flow = Flow(table, z0, var, z_edge)
-    lo, hi = flow.x(np.array([-z_edge, z_edge])).tolist()
 
-    def pdf(x):
+@dataclass(frozen=True, eq=False)
+class FlowField:
+    """X = Phi(z0 + Z), Z ~ N(0, var) cut at +-z_edge, Phi the flow of sigma's Lamperti
+    table, on the window [lo, hi] = Phi(z0 -+ z_edge).  Its Values are read at offsets
+    z, in closed form.  Two flow fields are equal when they are one object."""
+
+    table: doss.PhiSolution
+    z0: float
+    var: float
+    z_edge: float
+
+    def __post_init__(self):
+        lo, hi = self.x(np.array([-self.z_edge, self.z_edge])).tolist()
+        vars(self).update(lo=lo, hi=hi)
+
+    def x(self, z):
+        return self.table(self.z0 + z)
+
+    def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        z = _z_of(table, x) - z0
-        return np.exp(-0.5 * z ** 2 / var) / math.sqrt(2.0 * math.pi * var) / sig.fn(x)
+        z = _z_of(self.table, x) - self.z0
+        return (np.exp(-0.5 * z ** 2 / self.var) / math.sqrt(2.0 * math.pi * self.var)
+                / self.table.sigma.fn(x))
 
-    def score(x):
-        z = _z_of(table, x) - z0
-        x = np.asarray(x, dtype=float)
+    def score_fn(self, x):
+        z = _z_of(self.table, x) - self.z0
+        x, sig = np.asarray(x, dtype=float), self.table.sigma
         s = sig.fn(x)
-        return -z / (var * s) - sig.d1(x) / s
+        return -z / (self.var * s) - sig.d1(x) / s
 
-    return DensityField(lo=lo, hi=hi, pdf=pdf, score_fn=score, flow=flow)
+    def at(self, z, q=None):
+        return _FlowValues(z, self, q)
 
 
 # Cody (1969), Rational Chebyshev approximations for the error function, Math.
@@ -487,25 +496,36 @@ def _erfc(w, e):
     return erfc, ierfc
 
 
-def _grid_field(law, s):
+@dataclass(frozen=True)
+class GridField:
     """Law of X_0 + N(0, s) for a grid law, read as its piecewise-linear interpolant
     p0 = sum_k J_k 1{x >= y_k} + S_k (x - y_k)_+ over the kinks y_k, with value jumps
-    J_k and slope jumps S_k.  With u_k = x - y_k, sd = sqrt(s) and a_k = u_k / sd, a
-    kink adds J_k Phi(a_k) and Bachelier's ramp S_k (u_k Phi(a_k) + sd phi(a_k)).  A
-    kink at or left of x (u_k >= 0) enters through Q = 1 - Phi around p0(x), so that
-    every term is a tail and none cancels:
+    J_k and slope jumps S_k, on the grid +- _FIELD_STD sd, sd = sqrt(s), with the x
+    rule's step sd/4.  With u_k = x - y_k and a_k = u_k / sd, a kink adds J_k Phi(a_k)
+    and Bachelier's ramp S_k (u_k Phi(a_k) + sd phi(a_k)).  A kink at or left of x
+    (u_k >= 0) enters through Q = 1 - Phi around p0(x), so that every term is a tail
+    and none cancels:
         p  = p0(x) + sum_k S_k sd psi(|a_k|) - sgn(u_k) J_k Q(|a_k|)
         p' = p0'(x) + sum_k J_k phi(a_k) / sd - sgn(u_k) S_k Q(|a_k|)
         p" = sum_k (S_k - J_k a_k / sd) phi(a_k) / sd
     with psi(a) = phi(a) - a Q(a), sgn(0) = +1, and p0, p0' right-continuous, so a
     point on a kink takes the same side in both."""
-    y, v, slope = law.grid, law.values, law.slopes
-    yk, jk, sk = law.kinks
-    sd = math.sqrt(s)
-    rows = max(1, _KERNEL_ENTRIES // (8 * yk.size))     # about 8 rows x kinks buffers live
 
-    def _derivatives(x, order):
-        """p and its first `order` x-derivatives, numpy scalars for a scalar x."""
+    law: GridLaw
+    s: float
+
+    def __post_init__(self):
+        sd, y = math.sqrt(self.s), self.law.grid
+        vars(self).update(sd=sd, step=sd / 4, lo=float(y[0] - _FIELD_STD * sd),
+                          hi=float(y[-1] + _FIELD_STD * sd),
+                          _rows=max(1, _KERNEL_ENTRIES // (8 * self.law.kinks[0].size)))
+
+    def derivatives(self, x, order):
+        """p and its first `order` x-derivatives, numpy scalars for a scalar x; a
+        block of _rows points at a time, about 8 rows x kinks buffers live."""
+        y, v, slope = self.law.grid, self.law.values, self.law.slopes
+        yk, jk, sk = self.law.kinks
+        s, sd, rows = self.s, self.sd, self._rows
         xa = np.asarray(x, dtype=float).ravel()
         sums = np.empty((order + 1, xa.size))
         for i in range(0, xa.size, rows):
@@ -529,11 +549,14 @@ def _grid_field(law, s):
                 sums[2, i:i + rows] = ((e @ sk) - (u @ jk) / s) / (_SQRT_2PI * sd)
         return [o.reshape(np.shape(x))[()] for o in sums]
 
-    return DensityField(lo=float(y[0] - _FIELD_STD * sd), hi=float(y[-1] + _FIELD_STD * sd),
-                        pdf=lambda x: _derivatives(x, 0)[0],
-                        score_fn=lambda x: _score(*_derivatives(x, 1)),
-                        step=sd / 4, dscore_fn=lambda x: _dscore(*_derivatives(x, 2)),
-                        derivatives=lambda x: _derivatives(x, 2))
+    def pdf(self, x):
+        return self.derivatives(x, 0)[0]
+
+    def score_fn(self, x):
+        return _score(*self.derivatives(x, 1))
+
+    def at(self, x, q=None):
+        return _GridValues(x, self, q)
 
 
 def _score(f, df):
@@ -548,7 +571,7 @@ def _dscore(f, df, d2f):
 
 
 def density_at(channel, t):
-    """Law of X_t as a DensityField. Requires 0 < t < inf."""
+    """Law of X_t as a GaussianField, FlowField or GridField. Requires 0 < t < inf."""
     if not math.isfinite(t):
         raise DomainError(f"density_at requires a finite t, not {t}")
     if t <= 0:
@@ -559,4 +582,4 @@ def density_at(channel, t):
     law = channel.initial
     if law.kind == "gaussian":
         return gaussian_field(law.mean, law.variance + s)
-    return _grid_field(law, s)
+    return GridField(law, s)

@@ -7,7 +7,6 @@ Config files are JSON; the schema is documented in README.md.  Exit codes:
 
 import collections
 import csv
-import dataclasses
 import datetime
 import io
 import json
@@ -231,22 +230,23 @@ class _SuiteRunner:
         if not run_times:
             raise ConfigError("config key 'min_t' must be at or below some time in "
                               f"t_grid, or the run checks nothing; not {self.min_t!r}")
-        if self.fd_step is not None and not 0.0 < self.fd_step < min(run_times):
+        if not (self.fd_step is None or 0.0 < self.fd_step < min(run_times)):
             raise ConfigError("config key 'fd_step' must be > 0 and below every time "
                               f"at or above min_t, not {self.fd_step!r}")
 
     def _check_rhs(self, report, rhs, channel):
         """Check report.rhs, the quadrature of the definition rhs, two more ways.
         On the first cell of its suite that computes, if its fields are flow fields,
-        rhs again by the adaptive Gauss-Kronrod rule in x, on the fields with their
-        flow tags dropped, over p's own window as the z rule takes it; the row fails
+        rhs again by the adaptive Gauss-Kronrod rule in x, reading them through their
+        pdf and score_fn, over p's own window as the z rule takes it; the row fails
         unless the two agree within the rhs's declared accuracy.  With an oracle,
         the Monte Carlo estimate of rhs = scale * E[g(X_t)], X_t ~ channel."""
         # Declared accuracy of the quadrature rhs; it dominates the oracle's slack
         # when g is constant and the standard error vanishes.
         accuracy = abs(rhs.scale) * nf.ABS_TOL + nf.REL_TOL * abs(report.rhs)
-        if report.identity_name not in self._cross_checked and rhs.fields[0].flow is not None:
-            x_rhs = rhs.value([dataclasses.replace(f, flow=None) for f in rhs.fields])
+        p, *q = rhs.fields
+        if report.identity_name not in self._cross_checked and isinstance(p, ch.FlowField):
+            x_rhs = rhs.scale * nf.expect_gauss_kronrod(p, rhs.g, *q)
             agree = abs(x_rhs - report.rhs) <= accuracy
             report.method_notes += (f"; x-space gauss-kronrod rhs={x_rhs:.12g}"
                                     f"{'' if agree else ' DISAGREES'}")

@@ -113,9 +113,8 @@ class Rhs(NamedTuple):
     g: Callable
     fields: tuple
 
-    def value(self, fields=None):
-        """rhs on `fields`, by default its own; e.g. those with their flow tags dropped."""
-        p, *q = fields or self.fields
+    def value(self):
+        p, *q = self.fields
         return self.scale * nf.expect_values(p, self.g, *q)
 
 

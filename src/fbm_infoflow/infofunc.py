@@ -1,18 +1,15 @@
-"""Information functionals over DensityFields.
+"""Information functionals over density fields.
 
 Entropy, generalized Fisher information, KL divergence, relative Fisher
 information and entropy power.  Each functional is one expectation E_p[g(v)],
 v the fields' `channels.Values` at X (x, ln p, the score and, for a divergence,
-ln(p/q) and q's score), evaluated by `expect_values` with one trapezoid rule,
-`_trapezoid`, whose step halves until two sums agree to the tolerances: in z
-for flow fields X = Phi(z0 + Z), Z ~ N(0, var), whose Values come in closed
-form from z, and in x over p's own domain for Gaussian and grid-law fields,
-which carry the base step.  It converges geometrically on these integrands.
-Fields with no common tag go to an adaptive Gauss-Kronrod rule in x over p's
-own domain, `_gauss_kronrod`, the reference the trapezoid rule is tested
-against.  Both rules in x read p's Values at x (`channels.DensityField.at`), a
-flow p's and every q's through their pdf and score_fn.  A weight b is an
-array callable, None meaning 1.
+ln(p/q) and q's score), evaluated by `expect_values` by a rule its fields' types
+pick.  Flow fields take the trapezoid rule `_trapezoid`, whose step halves until
+two sums agree to the tolerances, in z, where their Values are closed forms;
+Gaussian and grid fields take it in x over p's own window.  It converges
+geometrically on these integrands.  Any other pair goes to `expect_gauss_kronrod`,
+an adaptive Gauss-Kronrod rule in x over p's own window and the reference the
+trapezoid rule is tested against.  A weight b is an array callable, None meaning 1.
 """
 
 import math
@@ -21,19 +18,25 @@ import types
 import numpy as np
 
 from . import channels as ch
-from .channels import ABS_TOL      # absolute tolerance of both rules
+from .channels import _TINY, ABS_TOL   # the density floor; both rules' absolute tolerance
 from .errors import QuadratureError, SupportError
 
 REL_TOL = 1e-8          # relative tolerance of both rules
 _LIMIT = 200            # subintervals at which the Gauss-Kronrod rule gives up
 _MAX_POINTS = 1 << 14   # trapezoid nodes at which the rule gives up
-_TINY = 1e-300
 _SUPPORT_P_MIN = 1e-12
 
 
 def _check_support(p, q):
+    """SupportError where p has mass and q none, at 65 points of the windows' overlap;
+    for a plain q, whose support is [q.lo, q.hi], also at 65 points of p's window.  A
+    Gaussian or grid q has a density on all of the line, a flow q on sigma's domain."""
     xs = np.linspace(max(p.lo, q.lo), min(p.hi, q.hi), 65)
-    if np.any((p.pdf(xs) >= _SUPPORT_P_MIN) & (q.pdf(xs) <= _TINY)):
+    outside = (p.pdf(xs) >= _SUPPORT_P_MIN) & (q.pdf(xs) <= _TINY)
+    if isinstance(q, ch.DensityField):
+        xs = np.linspace(p.lo, p.hi, 65)
+        outside |= (p.pdf(xs) >= _SUPPORT_P_MIN) & ((xs < q.lo) | (xs > q.hi))
+    if np.any(outside):
         raise SupportError("support of p not contained in support of q")
 
 
@@ -42,30 +45,37 @@ def expect_values(p, g, q=None):
     second field of a divergence and must contain p's support.  Every rule
     integrates over p's own window and reads q there."""
     fields = (p,) if q is None else (p, q)
-    if all(fl.flow is not None for fl in fields):
-        var, z_edge = p.flow.var, p.flow.z_edge
-        norm = 1.0 / math.sqrt(2.0 * math.pi * var)
+    if all(isinstance(f, ch.FlowField) for f in fields):
+        norm = 1.0 / math.sqrt(2.0 * math.pi * p.var)
 
         def weighted(z):
-            return norm * np.exp(-0.5 * z * z / var) * g(p.at(z, q))
-        return _trapezoid(weighted, -z_edge, z_edge, math.sqrt(var) / 4.0)
-    if q is not None:
-        _check_support(p, q)
+            return norm * np.exp(-0.5 * z * z / p.var) * g(p.at(z, q))
+        return _trapezoid(weighted, -p.z_edge, p.z_edge, math.sqrt(p.var) / 4.0)
+    if all(isinstance(f, (ch.GaussianField, ch.GridField)) for f in fields):
+        return _trapezoid(_weighted_x(p, g, q), p.lo, p.hi, min(f.step for f in fields))
+    return expect_gauss_kronrod(p, g, q)
 
-    # A Gaussian or grid-law q has a density on all of the line, and a flow q on
-    # all of sigma's domain, through its one table.  The points are x, whatever
-    # p's tag, so a flow p is read through its pdf and score_fn too.
-    def weighted(x):
-        v = ch.Values(x, p, q) if p.flow is not None else p.at(x, q)
-        f = v.pdf
-        return np.where(f > _TINY, f * g(v), 0.0)
-    if all(fl.step is not None for fl in fields):
-        return _trapezoid(weighted, p.lo, p.hi, min(fl.step for fl in fields))
-    value, _, _, *failure = integrate.quad(weighted, p.lo, p.hi, epsabs=ABS_TOL,
+
+def expect_gauss_kronrod(p, g, q=None):
+    """expect_values by the adaptive Gauss-Kronrod rule in x over p's window, for fields
+    of any type: pairs with no common rule, and the runner's cross-check of the z rule."""
+    value, _, _, *failure = integrate.quad(_weighted_x(p, g, q), p.lo, p.hi, epsabs=ABS_TOL,
                                            epsrel=REL_TOL, limit=_LIMIT)
     if failure:
         raise QuadratureError(f"quadrature did not converge: {failure[0]}")
     return value
+
+
+def _weighted_x(p, g, q):
+    """x -> p(x) g(v), v p's Values at x (a flow p's from pdf, score_fn), 0 at p(x) <= _TINY."""
+    if q is not None:
+        _check_support(p, q)
+
+    def weighted(x):
+        v = ch.Values(x, p, q) if isinstance(p, ch.FlowField) else p.at(x, q)
+        f = v.pdf
+        return np.where(f > _TINY, f * g(v), 0.0)
+    return weighted
 
 
 def _trapezoid(weighted, a, b, step0):

@@ -2,7 +2,7 @@
 
 Because X_t = phi(B^H_t), only the endpoint B^H_t ~ N(0, t^{2H}) is ever
 sampled; no path simulation is needed.  A flow channel's draws stay in z, and
-g reads the field's Values from them (`channels.DensityField.at`), so no draw
+g reads the FlowField's Values from them (`channels.FlowField.at`), so no draw
 inverts phi.  Each batch is evaluated in blocks of _BLOCK draws: on a flow
 channel a block holds about seven block-sized float arrays at once (phi's
 index and Horner temporaries, x, sigma, sigma', the score and g's products),
@@ -109,13 +109,13 @@ def _standard_normal(rng, n):
 
 
 def sample_endpoint(channel, t, n, rng):
-    """Draw n samples of X_t in the coordinate its field reads (DensityField.at): for
-    a flow channel the offsets z of X_t = flow.x(z), cut at the field's window; x
-    for every other channel."""
+    """Draw n samples of X_t in the coordinate its field's `at` reads: for a flow
+    channel the offsets z of X_t = field.x(z), cut at the field's window; x for
+    every other channel."""
     z = _standard_normal(rng, n) * float(t) ** channel.hurst.value
     sig = channel.sigma
     if channel.variant == "multiplicative" and sig.kind != "constant":
-        z_edge = ch.density_at(channel, t).flow.z_edge
+        z_edge = ch.density_at(channel, t).z_edge
         return np.clip(z, -z_edge, z_edge, out=z)
     if channel.variant == "multiplicative":
         z *= sig.c

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from fbm_infoflow import channels as ch, infofunc as nf, sigma as sg
+from fbm_infoflow import channels as ch, identities as idn, infofunc as nf, sigma as sg
 from fbm_infoflow.errors import DegenerateTimeError, DomainError, FlowEscapeError
 
 
@@ -65,7 +65,7 @@ def test_constant_sigma_flow_field_is_gaussian(c, x0, h, t):
     # the Lamperti table, the field's pdf and the z rule against the Gaussian field
     flow = ch.density_at(ch.multiplicative(_flat_custom(c), x0, h), t)
     gauss = ch.density_at(ch.multiplicative(sg.constant(c), x0, h), t)
-    assert flow.flow is not None and _is_normal(gauss, x0, c ** 2 * t ** (2 * h))
+    assert isinstance(flow, ch.FlowField) and _is_normal(gauss, x0, c ** 2 * t ** (2 * h))
     xs = x0 + c * t ** h * np.linspace(-4.0, 4.0, 81)
     assert np.max(np.abs(flow.pdf(xs) / gauss.pdf(xs) - 1.0)) <= 1e-9
     assert nf.entropy(flow) == pytest.approx(nf.entropy(gauss), abs=1e-9)
@@ -179,28 +179,55 @@ def test_score_gaussian_examples():
     assert f2.score_fn(np.array([1.0, -2.0])) == pytest.approx([-0.5, 1.0])
 
 
+def _assert_at_reads_the_callables(f):
+    """f.at(u), u across f's window in its own coordinate: ln p and the score are
+    log pdf and score_fn at its points x within 1e-12 relative where pdf > 1e-300,
+    and dscore, where defined, is the Richardson derivative of score_fn at step
+    sd/100 within 1e-10 of |dscore| + score^2, the scale of that derivative's own
+    error (a few 1e-12 on a grid field)."""
+    flow = isinstance(f, ch.FlowField)
+    v = f.at(np.linspace(-f.z_edge, f.z_edge, 101) if flow else np.linspace(f.lo, f.hi, 101))
+    pdf, score = f.pdf(v.x), f.score_fn(v.x)
+    keep = pdf > 1e-300
+    np.testing.assert_allclose(v.logp[keep], np.log(pdf[keep]), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(v.score[keep], score[keep], rtol=1e-12, atol=0.0)
+    if not flow:
+        sd = f.sd if isinstance(f, ch.GridField) else math.sqrt(f.variance)
+        fd = idn.richardson_derivative(f.score_fn, v.x, sd / 100)
+        scale = np.abs(v.dscore) + v.score ** 2
+        assert np.all((np.abs(v.dscore - fd) <= 1e-10 * scale)[keep])
+
+
 @pytest.mark.parametrize("make_field", [
     lambda: ch.density_at(
         ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6), 1.0),
     lambda: ch.density_at(ch.additive(_uniform_law(), 0.5), 1.0),
     lambda: ch.density_at(ch.additive(ch.gaussian_law(0.5, 2.0), 0.3), 0.7),
+    lambda: ch.density_at(
+        ch.multiplicative(sg.sqrt_one_plus_square(), 0.5, 0.3), 2.0),
+    lambda: ch.density_at(ch.additive(
+        ch.grid_law(np.linspace(-1.0, 1.0, 9), 1.0 - np.abs(np.linspace(-1.0, 1.0, 9))), 0.5),
+        0.25),
+    lambda: ch.gaussian_field(1.0, 0.5),
 ])
 def test_score_consistent_with_fd_of_log_density(make_field):
     f = make_field()
+    _assert_at_reads_the_callables(f)
     xs = np.linspace(-2.0, 2.0, 25)
     eps = 1e-5
     fd = (np.log(np.atleast_1d(f.pdf(xs + eps)))
           - np.log(np.atleast_1d(f.pdf(xs - eps)))) / (2 * eps)
     sc = np.atleast_1d(f.score_fn(xs))
     assert np.max(np.abs(fd - sc) / (1.0 + np.abs(sc))) <= 1e-5
-    if f.dscore_fn is None:     # flow fields carry no derivative of the score
+    if isinstance(f, ch.FlowField):     # flow fields carry no derivative of the score
         return
     fd = (f.score_fn(xs + eps) - f.score_fn(xs - eps)) / (2 * eps)
-    ds = f.dscore_fn(xs)
+    ds = f.at(xs).dscore
     assert ds.shape == xs.shape
     assert np.max(np.abs(fd - ds) / (1.0 + np.abs(ds))) <= 1e-5
     # a scalar point gives numpy scalars, as an array gives arrays
-    assert all(isinstance(fn(0.5), np.floating) for fn in (f.pdf, f.score_fn, f.dscore_fn))
+    assert all(isinstance(fn(0.5), np.floating)
+               for fn in (f.pdf, f.score_fn, lambda x: f.at(x).dscore))
 
 
 def _two_bump_law(n=2001):
@@ -272,23 +299,23 @@ _kink_cases = pytest.mark.parametrize(
 
 @_kink_cases
 def test_grid_field_matches_kink_sum(law, s):
-    f = ch._grid_field(law, s)
+    f = ch.GridField(law, s)
     x = np.concatenate([np.linspace(f.lo, f.hi, 101), law.grid[::40], law.grid[-1:]])
     pdf, score, dscore = _kink_sum(law, s, x.tolist())
     np.testing.assert_allclose(f.pdf(x), pdf, rtol=1e-12, atol=0.0)
     # The float sum's own rounding in the tails bounds how close score and dscore come.
-    for got, want in ((f.score_fn(x), score), (f.dscore_fn(x), dscore)):
+    for got, want in ((f.score_fn(x), score), (f.at(x).dscore, dscore)):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 @_kink_cases
 def test_grid_field_blocks_do_not_change_values(law, s, monkeypatch):
     x = np.random.default_rng(1).uniform(law.grid[0] - 1.0, law.grid[-1] + 1.0, 301)
-    f = ch._grid_field(law, s)
-    want = [f.pdf(x), f.score_fn(x), f.dscore_fn(x)]
+    f = ch.GridField(law, s)
+    want = [f.pdf(x), f.score_fn(x), f.at(x).dscore]
     monkeypatch.setattr(ch, "_KERNEL_ENTRIES", 0)        # one point a block
-    f = ch._grid_field(law, s)
-    pdf, score, dscore = f.pdf(x), f.score_fn(x), f.dscore_fn(x)
+    f = ch.GridField(law, s)
+    pdf, score, dscore = f.pdf(x), f.score_fn(x), f.at(x).dscore
     np.testing.assert_allclose(pdf, want[0], rtol=1e-13, atol=0.0)
     assert np.max(np.abs(score - want[1])) <= 1e-13 * np.max(np.abs(want[1]))
     # dscore = f''/f - score^2 cancels; its rounding is relative to score^2.
@@ -342,7 +369,7 @@ def _assert_exact(f, kinks, s, x):
     """pdf within 1e-12 relative of the exact value; score and dscore within 1e-12
     of |value| + 1/sd and |value| + 1/s, their scales, which counts only where they
     cross 0 or underflow."""
-    got = (f.pdf(x), f.score_fn(x), f.dscore_fn(x))
+    got = (f.pdf(x), f.score_fn(x), f.at(x).dscore)
     for g, want, scale in zip(got, _exact(kinks, s, x), (0.0, 1.0 / math.sqrt(s), 1.0 / s)):
         assert np.all(np.abs(g - want) <= 1e-12 * (np.abs(want) + scale))
 
@@ -408,7 +435,8 @@ def test_coarse_grid_law_convolves_at_small_t():
     f = ch.density_at(ch.additive(_uniform_law(n=11), 0.5), 0.01)
     x = np.concatenate([np.linspace(f.lo, f.hi, 41), np.linspace(-1.0, 1.0, 11)])
     _assert_exact(f, [(-1.0, 0.5, 0.0), (1.0, -0.5, 0.0)], 0.01, x)
-    assert nf.generalized_fisher(f) == pytest.approx(-nf.expectation(f, f.dscore_fn), rel=1e-12)
+    assert nf.generalized_fisher(f) == pytest.approx(
+        -nf.expect_values(f, lambda v: v.dscore), rel=1e-12)
 
 
 def test_grid_law_validation():
@@ -463,9 +491,10 @@ def test_grid_field_reads_the_laws_decomposition(law):
         object.__setattr__(fresh, name, value)
     x = np.linspace(law.grid[0] - 1.0, law.grid[-1] + 1.0, 257)
     for s in (1e-4, 0.5):
-        f, g = ch._grid_field(law, s), ch._grid_field(fresh, s)
-        for name in ("pdf", "score_fn", "dscore_fn"):
-            np.testing.assert_array_equal(getattr(f, name)(x), getattr(g, name)(x))
+        f, g = ch.GridField(law, s), ch.GridField(fresh, s)
+        for got, want in zip((f.pdf(x), f.score_fn(x), f.at(x).dscore),
+                             (g.pdf(x), g.score_fn(x), g.at(x).dscore)):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_additive_channel_takes_only_the_unit_sigma():

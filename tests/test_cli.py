@@ -195,6 +195,22 @@ def test_verify_flags_are_checked_as_config_values(tmp_path, args, key):
     assert key in result.output and "config error" in result.output
 
 
+def test_verify_kl_flow_of_far_apart_gaussians(tmp_path):
+    # With c = 0.01, y0 = 1 lies 100 std from x0 = 0 at t = 1, and K = 5000 / t.  Read
+    # through densities clamped at 1e-300, KL was about 694 and the row failed with
+    # lhs -0.5 against rhs -5000.
+    out = tmp_path / "r"
+    result = CliRunner().invoke(main, [
+        "verify", "kl-flow", "-h", "0.5", "--t", "1", "--sigma", "constant", "--c", "0.01",
+        "--x0", "0", "--y0", "1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "r.csv") as fh:
+        (row,) = csv.DictReader(fh.read().splitlines()[1:])
+    assert row["passed"] == "true", row
+    assert float(row["lhs"]) == pytest.approx(-5000.0, rel=1e-9)
+    assert float(row["rhs"]) == pytest.approx(-5000.0, rel=1e-12)
+
+
 def test_verify_sqrt1p_without_c(tmp_path):
     result = CliRunner().invoke(main, [
         "verify", "debruijn-mult", "--sigma", "sqrt1p", "--hurst", "0.5", "--t", "1.0",
@@ -361,10 +377,10 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs, t, h):
     first, second = runner.run_combo(suite, t, h), runner.run_combo(suite, t, h)
     assert first.passed and "x-space gauss-kronrod rhs=" in first.method_notes
     assert "x-space" not in second.method_notes
-    # The x route (fields without a flow tag) off by 1e-6 relative fails the row.
-    exact = infofunc.expect_values
-    monkeypatch.setattr(infofunc, "expect_values", lambda field, g, q=None: exact(field, g, q)
-                        * (1.0 + 1e-6 if field.flow is None else 1.0))
+    # The x route off by 1e-6 relative fails the row.
+    exact = infofunc.expect_gauss_kronrod
+    monkeypatch.setattr(infofunc, "expect_gauss_kronrod",
+                        lambda field, g, q=None: exact(field, g, q) * (1.0 + 1e-6))
     # ... and the cross-check evaluates the suite's own rhs definition.
     definition, built = getattr(idn, rhs), []
     monkeypatch.setattr(idn, rhs, lambda *args: built.append(args) or definition(*args))
@@ -525,8 +541,8 @@ _WORKLOADS = {
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
 def test_quadpack_runs_only_in_the_flow_cross_check(monkeypatch, workload):
     # The adaptive rule in x, at the seam QUADPACK had, is the reference route: every
-    # field the channels build carries a trapezoid-rule tag, and only the first
-    # flow cell's cross-check drops it.
+    # field the channels build is of a type the trapezoid rule takes, and only the
+    # first flow cell's cross-check calls the adaptive rule.
     calls = []
     quad = infofunc.integrate.quad
     monkeypatch.setattr(infofunc.integrate, "quad",

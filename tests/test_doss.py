@@ -20,7 +20,7 @@ def _flat(c):
 
 def _flow_field(sigma, x0, t, h):
     field = ch.density_at(ch.multiplicative(sigma, x0, h), t)
-    assert field.flow is not None
+    assert isinstance(field, ch.FlowField)
     return field
 
 
@@ -245,7 +245,7 @@ def test_flow_escape():
     with pytest.raises(FlowEscapeError, match=r"drops 0\.0208 of the mass"):
         ch.density_at(ch.multiplicative(s, 0.0, 0.5), 1.0)
     field = ch.density_at(ch.multiplicative(s, 0.0, 0.5), 0.09)   # 7.7 std: 1.4e-14
-    assert field.flow.z_edge == pytest.approx(math.asinh(5.0), abs=1e-12)
+    assert field.z_edge == pytest.approx(math.asinh(5.0), abs=1e-12)
 
 
 def test_flow_inside_domain_builds():

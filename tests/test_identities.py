@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +67,7 @@ def test_debruijn_g_evaluates_sigma_three_times_a_point():
     g = rhs.g(v)
     assert sum(points) == 3 * 101
     assert np.array_equal(g, _old_debruijn_g(sig, field.at(v.z)))
-    plain = ch.Values(v.x, dataclasses.replace(field, flow=None))
+    plain = ch.Values(v.x, field)
     assert np.array_equal(rhs.g(plain), _old_debruijn_g(sig, plain))
 
 
@@ -388,7 +387,7 @@ def test_fisher_information_is_minus_mean_score_derivative(law):
         for t in (0.05, 0.1, 0.5, 1.0, 2.0):
             field = ch.density_at(ch.additive(law, h), t)
             j1 = nf.generalized_fisher(field)
-            assert -nf.expectation(field, field.dscore_fn) == pytest.approx(j1, rel=1e-12)
+            assert -nf.expect_values(field, lambda v: v.dscore) == pytest.approx(j1, rel=1e-12)
 
 
 def test_entropy_power_step_error():

@@ -44,7 +44,7 @@ def test_flow_samples_are_clipped_normals():
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
     t, n = 2.0, 5000
     draws = mc.sample_endpoint(chan, t, n, np.random.default_rng(8))
-    z_edge = ch.density_at(chan, t).flow.z_edge
+    z_edge = ch.density_at(chan, t).z_edge
     z = np.random.default_rng(8).standard_normal(n) * t ** 0.75
     assert np.array_equal(draws, np.clip(z, -z_edge, z_edge))
 
@@ -64,7 +64,7 @@ def test_blocked_oracle_is_the_plain_estimator(chan):
     streams = np.random.SeedSequence(seed).spawn(3)
     draws = np.concatenate([mc.sample_endpoint(chan, t, nb, np.random.default_rng(ss))
                             for ss, nb in zip(streams, (mc._BATCH, mc._BATCH, 5))])
-    values = g(draws if field.flow is None else field.flow.x(draws))
+    values = g(field.x(draws) if isinstance(field, ch.FlowField) else draws)
     assert est.mean == pytest.approx(np.mean(values), rel=1e-13)
     assert est.std_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-10)
 
@@ -156,7 +156,7 @@ def test_flow_and_gaussian_channels_share_blocks(memo):
         chan = ch.multiplicative(sig, 0.0, h)
         rng, gen = np.random.default_rng(8), np.random.default_rng(8)
         z = mc.sample_endpoint(chan, t, 1000, gen)
-        z_edge = ch.density_at(chan, t).flow.z_edge
+        z_edge = ch.density_at(chan, t).z_edge
         ref = np.clip(rng.standard_normal(1000) * t ** h, -z_edge, z_edge)
         assert np.array_equal(z, ref) and gen.bit_generator.state == rng.bit_generator.state
         mc.mc_expectation(chan, t, np.square, 1000, 8)
