@@ -28,17 +28,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import doss
-from .errors import DegenerateTimeError, DomainError, FlowEscapeError, RangeError
+from .errors import DegenerateTimeError, DomainError, FlowEscapeError, SupportError
 from .fbm import HurstParameter, as_hurst
 from .sigma import SigmaModel, constant
 
 _TINY = 1e-300
+_LOG_P_MASS = math.log(1e-12)   # ln p at and above which p has mass that q must hold
 _SQRT_1_PI = 0.56418958354775628695      # 1 / sqrt(pi), as Cody gives it
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _XBIG = 26.543                  # Cody's: erfc and exp(-w^2) are below 1e-306 past it
 ABS_TOL = 1e-10         # mass a flow window may drop; infofunc's absolute tolerance
 _Z_STD = 8.0            # a flow field's window: this many std of B^H_t about z0
 _FLOWS = 8              # Lamperti tables kept, one per sigma
+_STARTS = 64            # starts x0 whose z0 on their sigma's table are kept
 _Z_REACH = 64.0         # a table runs at most this far each way from its anchor in z:
                         # 64 000 nodes at doss's 2e-3 spacing, 3x sqrt1p's whole table
 _FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
@@ -184,11 +186,36 @@ class Values:
 
     @functools.cached_property
     def log_ratio(self):
-        return np.log(np.maximum(self.pdf, _TINY) / np.maximum(self._q.pdf(self.x), _TINY))
+        """ln(p/q): against a Gaussian q, the difference of ln p and its closed-form
+        ln q; against any other, ln q from q's density clamped at _TINY, so
+        SupportError where p has mass and that density is at most _TINY."""
+        q = self._q
+        if isinstance(q, GaussianField):
+            return self.logp - q.at(self.x).logp
+        qx = q.pdf(self.x)
+        self._check_support(qx <= _TINY)
+        return self.logp - np.log(np.maximum(qx, _TINY))
 
     @functools.cached_property
     def score_q(self):
-        return self._q.score_fn(self.x)
+        """q's score; a grid q's is q'/q from its density clamped at _TINY, so
+        SupportError where p has mass and that density is at most _TINY."""
+        q = self._q
+        if isinstance(q, GridField):
+            f, df = q.derivatives(self.x, 1)
+            self._check_support(f <= _TINY)
+            return _score(f, df)
+        self._check_support()
+        return q.score_fn(self.x)
+
+    def _check_support(self, empty=False):
+        """SupportError at the points x where p has mass (density at least 1e-12) and
+        q none: where `empty` holds, or outside a plain q's support [lo, hi]."""
+        q = self._q
+        if isinstance(q, DensityField):
+            empty = empty | (self.x < q.lo) | (self.x > q.hi)
+        if np.any(empty) and np.any(empty & (self.logp >= _LOG_P_MASS)):
+            raise SupportError("support of p not contained in support of q")
 
     def sigma(self, model):
         """model's sigma and sigma' at x."""
@@ -196,20 +223,12 @@ class Values:
 
 
 class _GaussianValues(Values):
-    """A Gaussian field's Values at x: ln p, the score's derivative and, against a
-    Gaussian q, ln(p/q) in closed form, so nothing underflows; other q's via their pdf."""
+    """A Gaussian field's Values at x: ln p and the score's derivative in closed form."""
 
     @functools.cached_property
     def logp(self):
         m, v = self._p.mean, self._p.variance
         return -0.5 * (self.x - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
-
-    @functools.cached_property
-    def log_ratio(self):
-        q = self._q
-        if isinstance(q, GaussianField):
-            return self.logp - q.at(self.x).logp
-        return self.logp - np.log(np.maximum(q.pdf(self.x), _TINY))
 
     @functools.cached_property
     def dscore(self):
@@ -221,8 +240,8 @@ class _FlowValues(Values):
     ln p = -z^2/(2 var) - ln sqrt(2 pi var) - ln sigma(x) and
     score = -z/(var sigma(x)) - sigma'(x)/sigma(x).  A q of the same table and var
     sits at the offset z + dz, dz = z0(p) - z0(q), so ln(p/q) = dz (z + dz/2) / var,
-    where sigma cancels and nothing underflows; any other q is read through its
-    pdf and score_fn, as is p's density."""
+    where sigma cancels and nothing underflows; any other q is read as Values reads
+    it, at x."""
 
     def __init__(self, z, p, q=None):
         super().__init__(p.x(z), p, q)
@@ -256,13 +275,13 @@ class _FlowValues(Values):
     @functools.cached_property
     def log_ratio(self):
         if self._dz is None:
-            return self.logp - np.log(np.maximum(self._q.pdf(self.x), _TINY))
+            return super().log_ratio
         return self._dz * (self.z + 0.5 * self._dz) / self._p.var
 
     @functools.cached_property
     def score_q(self):
         if self._dz is None:
-            return self._q.score_fn(self.x)
+            return super().score_q
         return self._score_at(self.z + self._dz)
 
 
@@ -338,23 +357,10 @@ def _lamperti(sigma):
     return doss.solve_phi(sigma, sum(sigma.domain) / 2, (-_Z_REACH, _Z_REACH))
 
 
-def _z_of(table, x):
-    """z at the points x, or FlowEscapeError for a point outside sigma's working
-    domain or past the table's end, or a NaN."""
-    try:
-        return doss.invert_phi(table, x)
-    except RangeError:
-        lo, hi = table.sigma.domain
-        if np.isnan(x).any():
-            raise FlowEscapeError(
-                f"x = nan is not a point of sigma's working domain [{lo:g}, {hi:g}]") from None
-        if np.min(x) < lo or np.max(x) > hi:
-            raise FlowEscapeError(
-                f"x outside sigma's working domain [{lo:g}, {hi:g}]") from None
-        raise FlowEscapeError(
-            f"x = {np.min(x) if np.min(x) < table.x_range[0] else np.max(x):g} lies more "
-            f"than {_Z_REACH:g} in z from the midpoint of sigma's domain, past the end "
-            "of its Lamperti table") from None
+@functools.lru_cache(maxsize=_STARTS)
+def _z0(sigma, x0):
+    """z0 = Phi^-1(x0) on sigma's Lamperti table, read once for every field from x0."""
+    return float(doss.invert_phi(_lamperti(sigma), x0))
 
 
 def _multiplicative_field(channel, t):
@@ -368,12 +374,12 @@ def _multiplicative_field(channel, t):
         return gaussian_field(channel.x0, sig.c ** 2 * var)
     sd = math.sqrt(var)
     table = _lamperti(sig)
-    z0 = float(_z_of(table, channel.x0))
+    z0 = _z0(sig, channel.x0)
     z_lo, z_hi = table.z_domain
     if not z_lo <= z0 <= z_hi:      # x0 on the last knot's overshoot of _Z_REACH
         raise FlowEscapeError(
-            f"x0 = {channel.x0:g} lies more than {_Z_REACH:g} in z from the midpoint of "
-            "sigma's domain, past the end of its Lamperti table")
+            f"x0 = {channel.x0:g} lies more than {_Z_REACH:g} in z from its Lamperti "
+            f"table's anchor (x = {table.x0:g}), past the table's end")
     z_edge = min(_Z_STD * sd, z0 - z_lo, z_hi - z0)
     while not z_lo <= z0 - z_edge <= z0 + z_edge <= z_hi:   # rounded past the table's end
         z_edge = math.nextafter(z_edge, 0.0)
@@ -406,12 +412,12 @@ class FlowField:
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        z = _z_of(self.table, x) - self.z0
+        z = doss.invert_phi(self.table, x) - self.z0
         return (np.exp(-0.5 * z ** 2 / self.var) / math.sqrt(2.0 * math.pi * self.var)
                 / self.table.sigma.fn(x))
 
     def score_fn(self, x):
-        z = _z_of(self.table, x) - self.z0
+        z = doss.invert_phi(self.table, x) - self.z0
         x, sig = np.asarray(x, dtype=float), self.table.sigma
         s = sig.fn(x)
         return -z / (self.var * s) - sig.d1(x) / s

@@ -3,13 +3,13 @@
 The flow needs no ODE solver: its inverse is the Lamperti integral
 z(x) = int_{x0}^x dy / sigma(y).  The table holds z at x nodes about
 _TABLE_STEP apart in z, each node's z a cumulative sum of 8-point
-Gauss-Legendre panels of 1/sigma.  phi and its inverse are the cubic Hermite
-interpolants of that one table with exact slopes, dx/dz = sigma(x) one way and
-dz/dx = 1/sigma(x) the other; both evaluate the points in the order and shape
-given.  phi finds a point's interval in O(1), from a bucket table over its
+Gauss-Legendre panels of 1/sigma.  phi is the cubic Hermite interpolant of that
+table with exact slopes dx/dz = sigma(x); phi^-1 is the integral itself, a node's
+z plus one more panel from it to x.  Both evaluate the points in the order and
+shape given.  phi finds a point's interval in O(1), from a bucket table over its
 z knots, which lie about _TABLE_STEP apart (_IntervalIndex): on sqrt1p's table
-no bucket holds two knots, so a lookup is one compare.  The inverse's x knots
-spread over orders of magnitude, so it keeps a binary search.
+no bucket holds two knots, so a lookup is one compare.  The x knots spread over
+orders of magnitude, so phi^-1 keeps a binary search.
 
 The nodes follow midpoint steps of _COARSE_STEP in z from x0, each cut into
 equal x pieces, so they depend on sigma and x0 alone, and a node's z on the
@@ -24,13 +24,13 @@ from typing import Tuple
 import numpy as np
 
 from . import sigma as sigma_mod
-from .errors import DomainError, FlowEscapeError, RangeError
+from .errors import DomainError, FlowEscapeError
 
 _TABLE_STEP = 2e-3          # target z spacing of the table's nodes
 _COARSE_STEP = 0.25         # z step of the midpoint rule that places the nodes
 _PIECES = math.ceil(_COARSE_STEP / _TABLE_STEP)   # equal x pieces per coarse step
 _FRACTIONS = np.arange(_PIECES) / _PIECES          # the nodes of a coarse step
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = (c[:, None] for c in np.polynomial.legendre.leggauss(8))  # columns
 _ROUNDING = 1e-12           # relative shortfall of a node's z that counts as rounding
 _BUCKETS_PER_KNOT = 4       # the most buckets of phi's interval index per knot
 
@@ -60,24 +60,18 @@ def _evaluate(coeffs, q, i):
     return r
 
 
-def _search(knots, q):
-    """The interval of each point q: searchsorted(knots, q, 'right') - 1, kept to
-    0 .. size - 2, which is the count of the interior knots <= q."""
-    return np.searchsorted(knots[1:-1], q, side="right")
-
-
 class _IntervalIndex:
-    """_search(knots, q) in O(1) for every q in [lo, hi], for knots about evenly
-    spaced.  q's interval is the count of the keys knots[1:] that are <= q, kept
-    to the last interval.  q's bucket is int((q - origin) * inv_width), the
-    expression that places each key, so it is monotone in q: every key of an
-    earlier bucket is <= q, and every key of a later one > q.  The count is
-    therefore the keys before q's bucket plus at most `depth` compares with the
-    bucket's own; a compare past the last key reads the last key, which counts
-    only where the clamp to the last interval applies.  A bucket is the smallest
-    knot gap wide, or wider where that makes more than _BUCKETS_PER_KNOT buckets
-    a knot, so the table stays bounded for any sigma; where knots crowd into a
-    bucket, each more costs one compare.  sqrt1p's table of 21 751 knots gets
+    """q's interval, searchsorted(knots, q, 'right') - 1 kept to 0 .. size - 2, in O(1)
+    for every q in [lo, hi], for knots about evenly spaced.  It is the count of the
+    keys knots[1:] that are <= q, kept to the last interval.  q's bucket is
+    int((q - origin) * inv_width), the expression that places each key, so it is
+    monotone in q: every key of an earlier bucket is <= q, and every key of a later
+    one > q.  The count is therefore the keys before q's bucket plus at most `depth`
+    compares with the bucket's own; a compare past the last key reads the last key,
+    which counts only where the clamp to the last interval applies.  A bucket is the
+    smallest knot gap wide, or wider where that makes more than _BUCKETS_PER_KNOT
+    buckets a knot, so the table stays bounded for any sigma; where knots crowd into
+    a bucket, each more costs one compare.  sqrt1p's table of 21 751 knots gets
     58 323 buckets (233 kB of int32) of at most one knot each."""
 
     def __init__(self, knots, lo, hi):
@@ -106,7 +100,7 @@ class _IntervalIndex:
 
 def _within(a, lo, hi):
     """Whether every point of a lies in [lo, hi]; a NaN does not."""
-    return a.size == 0 or (lo <= np.min(a) and np.max(a) <= hi)
+    return a.size == 0 or (lo <= a.min() and a.max() <= hi)
 
 
 @dataclass
@@ -121,14 +115,11 @@ class PhiSolution:
     z_grid: np.ndarray
     phi_grid: np.ndarray
     _forward: tuple = field(init=False, repr=False)
-    _inverse: tuple = field(init=False, repr=False)
     _index: _IntervalIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = self.sigma.fn(self.phi_grid)
-        self._forward = _hermite(self.z_grid, self.phi_grid, s)
-        self._inverse = _hermite(self.phi_grid, self.z_grid, 1.0 / s)
-        for a in self._forward + self._inverse:     # z_grid and phi_grid are the knots
+        self._forward = _hermite(self.z_grid, self.phi_grid, self.sigma.fn(self.phi_grid))
+        for a in self._forward + (self.phi_grid,):     # z_grid is _forward's knots
             a.flags.writeable = False
         self._index = _IntervalIndex(self.z_grid, *self.z_domain)
 
@@ -140,7 +131,7 @@ class PhiSolution:
         z = np.asarray(z, dtype=float)
         lo, hi = self.z_domain
         if not _within(z, lo, hi):
-            raise RangeError(f"z outside flow domain [{lo:g}, {hi:g}], or not a number")
+            raise FlowEscapeError(f"z outside flow domain [{lo:g}, {hi:g}], or not a number")
         # Only rounding on the table's last interval can leave x_range.
         return np.clip(_evaluate(self._forward, z, self._index(z)), *self.x_range)
 
@@ -192,20 +183,37 @@ def _lamperti_nodes(sigma, x0, z_end):
         if not np.all(width * step > 0):
             raise FlowEscapeError(f"flow stalls near x = {x[np.argmin(width * step)]:g}: "
                                   "its nodes do not advance")
-        inv = 1.0 / sigma.fn(((x[:-1] + 0.5 * width)[:, None]
-                              + (0.5 * width)[:, None] * _GL_NODES).ravel())
         xs.append(x[1:])
-        dzs.append(0.5 * width * sum(w * inv[j::8] for j, w in enumerate(_GL_WEIGHTS)))
+        dzs.append(_panels(sigma, x[:-1], x[1:]))
         # A fixed order of sums: a node's z does not depend on how far the table runs.
         z = np.cumsum(np.concatenate(dzs))
     return np.concatenate(xs), z, z_end if abs(z[-1]) >= reach else z[-1]
 
 
+def _panels(sigma, a, b):
+    """int_a^b dy / sigma(y) for each pair of points of the 1-d arrays a and b: one
+    8-point Gauss-Legendre panel each, its terms summed in node order by one call."""
+    half = 0.5 * (b - a)
+    inv = 1.0 / sigma.fn((a + half + half * _GL_NODES).ravel())
+    return half * (_GL_WEIGHTS * inv.reshape(8, -1)).cumsum(axis=0)[-1]
+
+
 def invert_phi(phi, x):
-    """Solve phi(z) = x for an array x; z has the shape of x.  It is the Hermite
-    interpolant of the table's Lamperti integral z(x), whose slope is 1/sigma."""
+    """Solve phi(z) = x for an array x; z has the shape of x.  It is the Lamperti
+    integral: the z of the table's node at or below x plus a panel from it to x, so
+    a node maps exactly to its z.  FlowEscapeError for a NaN, a point outside sigma's
+    working domain, or one past the table's end, at sigma's edge or z_domain's."""
     arr = np.asarray(x, dtype=float)
-    lo, hi = phi.x_range
-    if not _within(arr, lo, hi):
-        raise RangeError(f"x outside flow range [{lo:g}, {hi:g}], or not a number")
-    return _evaluate(phi._inverse, arr, _search(phi.phi_grid, arr))
+    if not _within(arr, *phi.x_range):
+        domain = "sigma's working domain [{:g}, {:g}]".format(*phi.sigma.domain)
+        if np.isnan(arr).any():
+            raise FlowEscapeError(f"x = nan is not a point of {domain}")
+        if not _within(arr, *phi.sigma.domain):
+            raise FlowEscapeError(f"x outside {domain}")
+        end = int(np.max(arr) > phi.x_range[1])
+        raise FlowEscapeError(f"x = {np.max(arr) if end else np.min(arr):g} lies more than "
+                              f"{abs(phi.z_domain[end]):g} in z from its Lamperti table's "
+                              f"anchor (x = {phi.x0:g}), past the table's end")
+    flat = arr.ravel()
+    k = np.searchsorted(phi.phi_grid[1:], flat, side="right")    # the node at or below
+    return (phi.z_grid[k] + _panels(phi.sigma, phi.phi_grid[k], flat)).reshape(arr.shape)[()]

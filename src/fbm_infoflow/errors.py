@@ -14,11 +14,7 @@ class GridError(FbmInfoflowError):
 
 
 class FlowEscapeError(FbmInfoflowError):
-    """The Doss-Sussmann flow left the diffusion coefficient's working domain."""
-
-
-class RangeError(FbmInfoflowError):
-    """Value outside the range of the tabulated flow."""
+    """A flow point or start off sigma's working domain or its table, or a NaN."""
 
 
 class DegenerateTimeError(FbmInfoflowError):

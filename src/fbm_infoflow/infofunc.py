@@ -19,25 +19,11 @@ import numpy as np
 
 from . import channels as ch
 from .channels import _TINY, ABS_TOL   # the density floor; both rules' absolute tolerance
-from .errors import QuadratureError, SupportError
+from .errors import QuadratureError
 
 REL_TOL = 1e-8          # relative tolerance of both rules
 _LIMIT = 200            # subintervals at which the Gauss-Kronrod rule gives up
 _MAX_POINTS = 1 << 14   # trapezoid nodes at which the rule gives up
-_SUPPORT_P_MIN = 1e-12
-
-
-def _check_support(p, q):
-    """SupportError where p has mass and q none, at 65 points of the windows' overlap;
-    for a plain q, whose support is [q.lo, q.hi], also at 65 points of p's window.  A
-    Gaussian or grid q has a density on all of the line, a flow q on sigma's domain."""
-    xs = np.linspace(max(p.lo, q.lo), min(p.hi, q.hi), 65)
-    outside = (p.pdf(xs) >= _SUPPORT_P_MIN) & (q.pdf(xs) <= _TINY)
-    if isinstance(q, ch.DensityField):
-        xs = np.linspace(p.lo, p.hi, 65)
-        outside |= (p.pdf(xs) >= _SUPPORT_P_MIN) & ((xs < q.lo) | (xs > q.hi))
-    if np.any(outside):
-        raise SupportError("support of p not contained in support of q")
 
 
 def expect_values(p, g, q=None):
@@ -68,9 +54,6 @@ def expect_gauss_kronrod(p, g, q=None):
 
 def _weighted_x(p, g, q):
     """x -> p(x) g(v), v p's Values at x (a flow p's from pdf, score_fn), 0 at p(x) <= _TINY."""
-    if q is not None:
-        _check_support(p, q)
-
     def weighted(x):
         v = ch.Values(x, p, q) if isinstance(p, ch.FlowField) else p.at(x, q)
         f = v.pdf

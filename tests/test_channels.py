@@ -1,5 +1,7 @@
 import bisect
+import contextlib
 import math
+import signal
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -130,23 +132,64 @@ def test_flow_table_stops_at_its_reach(x0, error):
     assert peak < 16 * 2 ** 20, peak        # 6.35 MiB measured, phi's bucket table included
 
 
+@contextlib.contextmanager
+def _alarm(seconds):
+    """TimeoutError from the block once it has run `seconds`: a hang fails the test."""
+    def fail(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# sigma = sqrt(2 + x^2) on +-1e30: its table stops at 64 in z, and its last coarse
+# step overshoots that, so its end knots lie past its z_domain.
+_SQRT_TWO_PLUS_SQUARE = sg.custom(
+    lambda x: np.sqrt(2 + x * x), lambda x: x / np.sqrt(2 + x * x),
+    lambda x: 2 / (2 + x * x) ** 1.5, (-1e30, 1e30))
+
+
 @pytest.mark.parametrize("end", [0, 1])
 def test_flow_from_the_tables_last_knot_past_its_reach(end):
-    # For sigma = sqrt(2 + x^2) the last coarse step of the table overshoots 64 in z,
-    # so the table's end knots lie past its z_domain.  An x0 there is rejected, not
-    # a window of negative width.
-    sigma = sg.custom(lambda x: np.sqrt(2 + x * x), lambda x: x / np.sqrt(2 + x * x),
-                      lambda x: 2 / (2 + x * x) ** 1.5, (-1e30, 1e30))
+    # An x0 on the table's end knots, past its z_domain, is rejected, not a window
+    # of negative width.
+    sigma = _SQRT_TWO_PLUS_SQUARE
     table = ch._lamperti(sigma)
     assert abs(table.z_grid[-end]) > 64.0 == abs(table.z_domain[end])
-    with pytest.raises(FlowEscapeError, match="lies more than 64 in z"):
+    with _alarm(10), pytest.raises(FlowEscapeError, match="lies more than 64 in z"):
         ch.density_at(ch.multiplicative(sigma, table.x_range[end], 0.5), 1.0)
+
+
+@pytest.mark.parametrize("sigma, step, error", [
+    (_SQRT_TWO_PLUS_SQUARE, -1, "table ends .* std from x0"),
+    (_SQRT_TWO_PLUS_SQUARE, 0, "table ends .* std from x0"),
+    (_SQRT_TWO_PLUS_SQUARE, 1, "table ends .* std from x0"),
+    (sg.sqrt_one_plus_square(), -1, "table ends 0 std from x0"),
+    (sg.sqrt_one_plus_square(), 0, "table ends 0 std from x0"),
+    (sg.sqrt_one_plus_square(), 1, "outside sigma's working domain"),
+], ids=["sqrt2-inner", "sqrt2-end", "sqrt2-outer", "sqrt1p-inner", "sqrt1p-edge",
+        "sqrt1p-outer"])
+@pytest.mark.parametrize("end", [0, 1])
+def test_start_at_the_tables_end_raises_and_does_not_hang(sigma, step, error, end):
+    # x0 = Phi(z_domain end), or its neighbouring float inward (-1) or outward (+1).
+    # Where the table stops at 64 in z, phi^-1 puts z0 within 4e-14 of that end;
+    # where it stops at sigma's edge, on it.  The window is cut to nothing there and
+    # raises; with a z0 past the end, cutting the window to fit never ended.
+    table = ch._lamperti(sigma)
+    x_end = float(table(table.z_domain[end]))
+    x0 = math.nextafter(x_end, step * (math.inf if end else -math.inf)) if step else x_end
+    with _alarm(10), pytest.raises(FlowEscapeError, match=error):
+        ch.density_at(ch.multiplicative(sigma, x0, 0.5), 1.0)
 
 
 def test_shared_flow_table_is_read_only():
     # Every flow field of a sigma reads its one cached table, so none may write to it.
     table = ch._lamperti(sg.sqrt_one_plus_square())
-    for a in (table.z_grid, table.phi_grid, *table._forward, *table._inverse,
+    for a in (table.z_grid, table.phi_grid, *table._forward,
               table._index.before):
         with pytest.raises(ValueError, match="read-only"):
             a[1] = 0.0

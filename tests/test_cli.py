@@ -364,6 +364,19 @@ def test_kl_flow_oracle_allows_for_quadrature_error(monkeypatch):
 _SQRT1P = {"channel": {"sigma": {"kind": "sqrt1p"}, "x0": 0.0}, "kl": {"y0": 1.0}}
 
 
+@pytest.mark.parametrize("t", [1e-4, 3e-4])
+def test_kl_flow_cross_check_at_small_t_reads_only_qs_score(t):
+    # The x-space cross-check reads q, a flow of the same table, through its
+    # score_fn, which is closed form where q's density underflows inside p's
+    # window (from about t = 6e-4 down at H = 1/2): no support check applies.
+    code, rows, _ = cli.run_suite({"suites": ["kl-flow"], **_SQRT1P, "t_grid": [t],
+                                   "hurst_grid": [0.5], "min_t": t})
+    (row,) = rows
+    assert code != 3 and "error" not in row.extras, row.extras
+    assert "x-space gauss-kronrod" in row.method_notes
+    assert "DISAGREES" not in row.method_notes, row.method_notes
+
+
 # The widest sqrt1p cell of the 3 x 3 grid, t = 2 and H = 0.75, where x reaches
 # +-3.5e5, is where the adaptive rule in x works hardest.
 @pytest.mark.parametrize("suite, rhs, t, h", [

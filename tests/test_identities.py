@@ -38,7 +38,7 @@ def test_nonconstant_sigma_debruijn():
 def test_debruijn_on_a_window_cut_at_the_tables_end(x0, t, h):
     # sigma(x) = x on (1e-3, 1e3): X_t = x0 exp(B^H_t), so dh/dt = H / t.  The
     # window is cut at the table's end, and z0 + (z_hi - z0) once rounded past
-    # z_hi, so that building X_t raised a RangeError.
+    # z_hi, so that building X_t raised an out-of-range error.
     sig = sg.custom(lambda x: np.asarray(x, float), lambda x: np.ones_like(x),
                     lambda x: np.zeros_like(x), (1e-3, 1e3))
     rep = idn.debruijn_check(ch.multiplicative(sig, x0, h), t)
@@ -280,6 +280,17 @@ def test_fokker_planck_nonconstant():
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
     res = idn.fokker_planck_residual(chan, 1.0, np.linspace(-4, 4, 81))
     assert np.max(np.abs(res)) <= 1e-3
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_fokker_planck_on_sqrt1p_reads_the_exact_inverse(t, h):
+    # sqrt1p-mult-quad's grid.  P_xx divides the density's error by dx^2 = 2.5e-5,
+    # so the residual is phi^-1's error: 2.34e-8 at worst with a Hermite interpolant
+    # of the inverse, 3.45e-10 with the Lamperti panel.
+    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, h)
+    res = idn.fokker_planck_residual(chan, t, np.linspace(-4, 4, 81))
+    assert np.max(np.abs(res)) <= 1e-9
 
 
 @pytest.mark.parametrize("t, h", [(0.05, 0.5), (0.05, 0.75), (0.1, 0.75),

@@ -123,6 +123,56 @@ def test_kl_nonnegative_on_test_fields():
             assert nf.kl_divergence(p, q) >= -nf.ABS_TOL
 
 
+def test_kl_of_a_flow_against_a_gaussian_reads_its_closed_form_log():
+    # X = sinh(Z), Z ~ N(0, 1), against N(0, 1): K = (e^2 - 1)/4 - 1/2 - E ln cosh Z.
+    # p's density is 2.9e-7 at x = 46.6, where q's underflows to 0, so read through
+    # q's pdf clamped at 1e-300, K was the floor's 0.71467.
+    p = ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6), 1.0)
+    z, w = np.polynomial.hermite_e.hermegauss(200)
+    exact = (math.e ** 2 - 1) / 4 - 0.5 - np.dot(w, np.log(np.cosh(z))) / np.sum(w)
+    assert nf.kl_divergence(p, ch.gaussian_field(0, 1)) == pytest.approx(exact, abs=1e-8)
+
+
+def _sqrt1p_flows_on_two_tables():
+    """sqrt1p flows from 0 and from 1 at t = 1e-4, H = 1/2, on two tables: sigma's
+    domains differ.  K = dz^2 / (2t) = 3884.10, dz = asinh 1."""
+    return (ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5), 1e-4),
+            ch.density_at(ch.multiplicative(sg.sqrt_one_plus_square(domain=(-1e8, 1e8)),
+                                            1.0, 0.5), 1e-4))
+
+
+def _gaussian_and_narrow_grid():
+    return (ch.gaussian_field(0, 1),
+            ch.GridField(ch.grid_law(np.linspace(-1, 1, 9), np.full(9, 0.5)), 0.01))
+
+
+@pytest.mark.parametrize("pair, divergence", [
+    (_gaussian_and_narrow_grid, nf.kl_divergence),
+    (_gaussian_and_narrow_grid, nf.relative_fisher),
+    (_sqrt1p_flows_on_two_tables, nf.kl_divergence),
+], ids=["gaussian-grid-kl_divergence", "gaussian-grid-relative_fisher",
+        "flows-on-two-tables-kl_divergence"])
+def test_support_is_checked_where_q_is_read_through_its_clamped_density(pair, divergence):
+    # q's density underflows to 0 under p's mass outside the windows' overlap, so a
+    # value read through it would be the density floor's: the Gaussian p against
+    # the narrow grid q (q.pdf(5) = 0, p.pdf(5) = 1.5e-6) read K = 7.5708036, and
+    # its relative Fisher information, whose q'/q the floor also decides, raised
+    # QuadratureError; the two flows, whose z rule ran no check, read K = 693.96.
+    p, q = pair()
+    with pytest.raises(SupportError):
+        divergence(p, q)
+
+
+def test_relative_fisher_of_flows_on_two_tables_reads_only_qs_score():
+    # A flow q's score is closed form in z wherever its density underflows, so no
+    # support check applies.  score_p - score_q = dz / (var sigma(X)), and
+    # E[1 / sigma^2] = E[sech^2 Z] = 1 - var + 2 var^2 + ..., var = t = 1e-4.
+    p, q = _sqrt1p_flows_on_two_tables()
+    var = 1e-4
+    exact = math.asinh(1.0) ** 2 / var ** 2 * (1 - var + 2 * var ** 2)
+    assert nf.relative_fisher(p, q) == pytest.approx(exact, rel=1e-8)
+
+
 def test_relative_fisher_gaussian_closed_form():
     for x0, y0, v in [(0.0, 1.0, 1.0), (0.5, -0.5, 2.0)]:
         p = ch.gaussian_field(x0, v)
