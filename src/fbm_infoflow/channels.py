@@ -15,8 +15,9 @@ under a non-constant sigma) or a GridField (a grid law plus N(0, s)), each
 holding only what it means; a DensityField is a plain density, for tests and
 user code.  Every field has a window [lo, hi], the array callables pdf and
 score_fn, and `at`, which reads its law as `Values`: ln p, the score and, for a
-divergence, ln(p/q) and q's score, in closed form where the type has one.  Every
-flow field of one sigma reads one Lamperti table, which `channels` alone
+divergence, ln(p/q) and q's score, in closed form where the type has one; the
+three that density_at builds also `draw` samples in the coordinate `at` reads.
+Every flow field of one sigma reads one Lamperti table, which `channels` alone
 builds, once, out to sigma's edge or _Z_REACH.
 """
 
@@ -60,7 +61,6 @@ class GaussianLaw:
 
     mean: float
     variance: float
-    kind = "gaussian"
 
     def __post_init__(self):
         _check_normal("Gaussian initial law", self.mean, self.variance)
@@ -72,12 +72,11 @@ class GridLaw:
     The law keeps read-only float copies of grid and values and, computed once when
     it is built, its decomposition: the slopes of its interpolant on the grid's
     intervals, its kinks (y_k, J_k, S_k) as GridField reads them, and the weights
-    of its hat mixture, which montecarlo.sample_endpoint draws from.  Two grid laws
-    are equal when their grids and values are."""
+    of its hat mixture, which GridField.draw samples from.  Two grid laws are equal
+    when their grids and values are."""
 
     grid: np.ndarray            # support points, strictly increasing
     values: np.ndarray          # density values on grid, linear between
-    kind = "grid"
 
     def __post_init__(self):
         g = np.array(self.grid, dtype=float)
@@ -344,6 +343,12 @@ class GaussianField:
     def at(self, x, q=None):
         return _GaussianValues(x, self, q)
 
+    def draw(self, normals, rng):
+        """Samples x = mean + sd N, N a block of standard normals."""
+        x = normals * math.sqrt(self.variance)
+        x += self.mean
+        return x
+
 
 def gaussian_field(mean, variance):
     return GaussianField(float(mean), float(variance))
@@ -424,6 +429,11 @@ class FlowField:
 
     def at(self, z, q=None):
         return _FlowValues(z, self, q)
+
+    def draw(self, normals, rng):
+        """Offsets z = sd N, N a block of standard normals, cut at +-z_edge."""
+        z = normals * math.sqrt(self.var)
+        return np.clip(z, -self.z_edge, self.z_edge, out=z)
 
 
 # Cody (1969), Rational Chebyshev approximations for the error function, Math.
@@ -564,6 +574,15 @@ class GridField:
     def at(self, x, q=None):
         return _GridValues(x, self, q)
 
+    def draw(self, normals, rng):
+        """Samples x = X_0 + sd N, N a block of standard normals and X_0, from rng, the
+        law's interpolant, a mixture of hat functions: a grid point each by its
+        hat weight, then triangular noise over its two neighbouring intervals."""
+        x, y = normals * self.sd, self.law.grid
+        k = np.repeat(np.arange(y.size), rng.multinomial(normals.size, self.law.hat_weights))
+        x += rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
+        return x
+
 
 def _score(f, df):
     """The score p'/p from p and p', p clamped at _TINY."""
@@ -586,6 +605,6 @@ def density_at(channel, t):
         return _multiplicative_field(channel, t)
     s = float(t) ** (2.0 * channel.hurst.value)
     law = channel.initial
-    if law.kind == "gaussian":
+    if isinstance(law, GaussianLaw):
         return gaussian_field(law.mean, law.variance + s)
     return GridField(law, s)

@@ -1,10 +1,10 @@
 """Sampling-based oracle for the quadrature path.
 
-Because X_t = phi(B^H_t), only the endpoint B^H_t ~ N(0, t^{2H}) is ever
-sampled; no path simulation is needed.  A flow channel's draws stay in z, and
-g reads the FlowField's Values from them (`channels.FlowField.at`), so no draw
-inverts phi.  Each batch is evaluated in blocks of _BLOCK draws: on a flow
-channel a block holds about seven block-sized float arrays at once (phi's
+Because X_t = Phi(z0 + B^H_t), or X_0 + B^H_t, only the law of the endpoint is
+sampled, by the `draw` of the field `channels.density_at` builds; no path
+simulation is needed.  A flow field's draws stay in z, which its `at` reads, so
+no draw inverts phi.  Each batch is evaluated in blocks of _BLOCK draws: on a
+flow channel a block holds about seven block-sized float arrays at once (phi's
 index and Horner temporaries, x, sigma, sigma', the score and g's products),
 and one 1e5-draw estimate of the De Bruijn rhs on sqrt1p peaks at 1.8 MiB
 (tracemalloc), so that the allocator keeps its memory between calls rather
@@ -14,10 +14,10 @@ processed independently.
 
 Estimates with one seed share their normal draws (common random numbers):
 batch j of every call is seeded by child j of SeedSequence(seed), whatever the
-channel, t or H.  Each block of standard normals is therefore drawn once and
-kept in a memo keyed by the generator's exact state and the count, at most
-_MEMO_BLOCKS blocks of at most _BATCH normals (16 MiB); a hit returns the same
-numbers and leaves the generator where a fresh draw would.
+channel, t or H, and draws one block of standard normals.  Each block is drawn
+once and kept in a memo keyed by the generator's exact state and the count, at
+most _MEMO_BLOCKS blocks of at most _BATCH normals (16 MiB); a hit returns the
+same numbers and leaves the generator where a fresh draw would.
 """
 
 import functools
@@ -109,32 +109,9 @@ def _standard_normal(rng, n):
 
 
 def sample_endpoint(channel, t, n, rng):
-    """Draw n samples of X_t in the coordinate its field's `at` reads: for a flow
-    channel the offsets z of X_t = field.x(z), cut at the field's window; x for
-    every other channel."""
-    z = _standard_normal(rng, n) * float(t) ** channel.hurst.value
-    sig = channel.sigma
-    if channel.variant == "multiplicative" and sig.kind != "constant":
-        z_edge = ch.density_at(channel, t).z_edge
-        return np.clip(z, -z_edge, z_edge, out=z)
-    if channel.variant == "multiplicative":
-        z *= sig.c
-        z += channel.x0
-        return z
-    law = channel.initial
-    if law.kind == "gaussian":
-        x0 = _standard_normal(rng, n) * math.sqrt(law.variance)
-        x0 += law.mean
-        x0 += z
-        return x0
-    # The interpolant of a grid law is a mixture of hat functions, one per grid
-    # point, weighted by its trapezoid weight: a grid point each, then triangular
-    # noise over its two neighbouring intervals.
-    y = law.grid
-    k = np.repeat(np.arange(y.size), rng.multinomial(n, law.hat_weights))
-    x0 = rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
-    x0 += z
-    return x0
+    """n samples of X_t, in the coordinate its field's `at` reads, from one block
+    of n standard normals (and, for a grid law, rng's later draws)."""
+    return ch.density_at(channel, t).draw(_standard_normal(rng, n), rng)
 
 
 def mc_expectation(channel, t, g, n, seed, fields=None):

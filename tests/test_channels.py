@@ -570,7 +570,7 @@ def test_grid_laws_compare_and_hash_by_value():
 
 def test_grid_law_is_read_only():
     law = _uniform_law(n=11)
-    for name in ("grid", "values", "slopes", "kinks", "hat_weights", "kind"):
+    for name in ("grid", "values", "slopes", "kinks", "hat_weights"):
         with pytest.raises(AttributeError):
             setattr(law, name, None)
     with pytest.raises(AttributeError):
@@ -580,7 +580,8 @@ def test_grid_law_is_read_only():
 def test_each_law_holds_only_its_own_fields():
     grid = np.linspace(-1.0, 1.0, 11)
     assert not hasattr(ch, "InitialLaw")
-    assert (ch.GaussianLaw.kind, ch.GridLaw.kind) == ("gaussian", "grid")
+    # The law's type is its tag: density_at dispatches on it.
+    assert not hasattr(ch.GaussianLaw, "kind") and not hasattr(ch.GridLaw, "kind")
     # A grid law with a variance and a Gaussian law with a grid were once accepted.
     with pytest.raises(TypeError):
         ch.GridLaw(grid, np.full(11, 0.5), variance=-5.0)

@@ -618,7 +618,7 @@ def test_grid_law_readme_keys(tmp_path):
     cfg["channel"]["initial"] = {"kind": "grid", "points": points.tolist(),
                                  "density": np.ones_like(points).tolist()}
     law = cli._SuiteRunner(cfg).initial
-    assert law.kind == "grid" and law.grid[0] == 0.0 and law.grid[-1] == 1.0
+    assert isinstance(law, ch.GridLaw) and law.grid[0] == 0.0 and law.grid[-1] == 1.0
     assert _run(tmp_path, cfg).exit_code == 0
     cfg["channel"]["initial"]["n"] = 201
     result = _run(tmp_path, cfg)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbm_infoflow import channels as ch, identities as idn, infofunc as nf, sigma as sg
+from fbm_infoflow import channels as ch, doss, identities as idn, infofunc as nf, sigma as sg
 from fbm_infoflow.errors import DegenerateTimeError, DomainError, StepError
 
 
@@ -148,7 +148,7 @@ def test_additive_rhs_is_the_unit_sigma_case():
             assert np.array_equal(rhs.g(ch.Values(x, rhs.fields[0])), rhs.fields[0].score_fn(x) ** 2)
             rep = idn.debruijn_check(chan, t, tol=1e-4)
             assert rep.identity_name == "debruijn-additive" and rep.rhs == rhs.value()
-            if law.kind == "gaussian":
+            if isinstance(law, ch.GaussianLaw):
                 assert rep.rhs == pytest.approx(
                     h * t ** (2 * h - 1) / (2.0 + t ** (2 * h)), abs=1e-12)
 
@@ -291,6 +291,23 @@ def test_fokker_planck_on_sqrt1p_reads_the_exact_inverse(t, h):
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, h)
     res = idn.fokker_planck_residual(chan, t, np.linspace(-4, 4, 81))
     assert np.max(np.abs(res)) <= 1e-9
+
+
+def test_fokker_planck_sees_the_slope_of_phi_inverse(monkeypatch):
+    # In z, with p_x and p_xx analytic, both sides reduce to p (z^2/v^2 - 1/v) for
+    # any sigma, so a z-form residual cannot fail.  On the x grid, phi^-1 is the one
+    # check of z'(x) = 1/sigma: a phi^-1 off by a relative 1e-6 shows as a residual
+    # of 2.0e-6 (3.45e-10 unperturbed, the test above).
+    invert = doss.invert_phi
+    monkeypatch.setattr(doss, "invert_phi", lambda phi, x: invert(phi, x) * (1.0 + 1e-6))
+    ch._z0.cache_clear()
+    try:
+        worst = max(np.max(np.abs(idn.fokker_planck_residual(
+            ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, h), t, np.linspace(-4, 4, 81))))
+            for t in (0.5, 1.0, 2.0) for h in (0.3, 0.5, 0.75))
+    finally:
+        ch._z0.cache_clear()        # no z0 read through the perturbed phi^-1 is kept
+    assert worst > 1e-6
 
 
 @pytest.mark.parametrize("t, h", [(0.05, 0.5), (0.05, 0.75), (0.1, 0.75),

@@ -31,12 +31,24 @@ def test_additive_gaussian_moments():
 
 
 def test_gaussian_law_draws_no_component_index():
-    # One component: B^H_t, then the law's own noise, and nothing else.
+    # X_t ~ N(m, v + t^{2H}) from one block of normals, and nothing else: X_0 and
+    # B^H_t were once two blocks.
     chan = ch.additive(ch.gaussian_law(2.0, 0.5), 0.75)
-    x = mc.sample_endpoint(chan, 1.5, 1000, np.random.default_rng(4))
+    gen = np.random.default_rng(4)
+    x = mc.sample_endpoint(chan, 1.5, 1000, gen)
     rng = np.random.default_rng(4)
-    z = rng.standard_normal(1000) * 1.5 ** 0.75
-    assert np.array_equal(x, 2.0 + np.sqrt(0.5) * rng.standard_normal(1000) + z)
+    assert np.array_equal(x, rng.standard_normal(1000) * math.sqrt(0.5 + 1.5 ** 1.5) + 2.0)
+    assert gen.bit_generator.state == rng.bit_generator.state
+
+
+def test_the_law_not_the_channel_decides_the_draws():
+    # An additive Gaussian channel and a constant-sigma one with the same law of X_t
+    # draw the same samples on one seed.
+    a = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), 1.0
+    b = ch.multiplicative(sg.constant(1.0), 0.0, 0.5), 2.0
+    assert ch.density_at(*a) == ch.density_at(*b) == ch.GaussianField(0.0, 2.0)
+    xa, xb = (mc.sample_endpoint(c, t, 1000, np.random.default_rng(7)) for c, t in (a, b))
+    assert np.array_equal(xa, xb)
 
 
 def test_flow_samples_are_clipped_normals():
@@ -44,9 +56,9 @@ def test_flow_samples_are_clipped_normals():
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
     t, n = 2.0, 5000
     draws = mc.sample_endpoint(chan, t, n, np.random.default_rng(8))
-    z_edge = ch.density_at(chan, t).z_edge
-    z = np.random.default_rng(8).standard_normal(n) * t ** 0.75
-    assert np.array_equal(draws, np.clip(z, -z_edge, z_edge))
+    field = ch.density_at(chan, t)
+    z = np.random.default_rng(8).standard_normal(n) * math.sqrt(field.var)
+    assert np.array_equal(draws, np.clip(z, -field.z_edge, field.z_edge))
 
 
 @pytest.mark.parametrize("chan", [
@@ -102,77 +114,77 @@ def memo():
 
 
 def _plain_endpoint(law, t, h, n, rng):
-    """X_t of an additive channel from plain generator draws: B^H_t, then the law's
-    own noise, normal for a Gaussian law; for a grid law the grid-point counts by
-    trapezoid weight, then triangular noise about each point."""
-    z = rng.standard_normal(n) * t ** h
-    if law.kind == "gaussian":
-        return rng.standard_normal(n) * math.sqrt(law.variance) + law.mean + z
+    """X_t of an additive channel from plain generator draws: one block of normals,
+    X_t's own for a Gaussian law; for a grid law B^H_t's, then the grid-point
+    counts by trapezoid weight and triangular noise about each point."""
+    s = t ** (2 * h)
+    if isinstance(law, ch.GaussianLaw):
+        return rng.standard_normal(n) * math.sqrt(law.variance + s) + law.mean
+    z = rng.standard_normal(n) * math.sqrt(s)
     y = law.grid
     weights = law.values * np.convolve(np.diff(y), [1.0, 1.0])   # neighbouring intervals
     k = np.repeat(np.arange(y.size), rng.multinomial(n, weights / weights.sum()))
     return rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)]) + z
 
 
-@pytest.mark.parametrize("law, blocks", [
-    (ch.gaussian_law(2.0, 0.5), 2),
-    (ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5)), 1)], ids=["gaussian", "grid"])
-def test_memo_hit_is_a_fresh_draw(memo, law, blocks):
-    # A Gaussian law draws two normal blocks (B^H_t and its own noise), a grid law
-    # one (its own noise is triangular).
+@pytest.mark.parametrize("law", [
+    ch.gaussian_law(2.0, 0.5),
+    ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5))], ids=["gaussian", "grid"])
+def test_memo_hit_is_a_fresh_draw(memo, law):
+    # Each law draws one normal block (a grid law's own noise is triangular).
     chan = ch.additive(law, 0.75)
     rng = np.random.default_rng(4)
     ref = _plain_endpoint(law, 1.5, 0.75, 1000, rng)
-    for _ in range(2):                  # a miss for each normal block, then hits
+    for _ in range(2):                  # a miss, then a hit
         gen = np.random.default_rng(4)
         x = mc.sample_endpoint(chan, 1.5, 1000, gen)
-        assert memo.cache_info().misses == blocks
+        assert memo.cache_info().misses == 1
         assert np.array_equal(x, ref)
         assert gen.bit_generator.state == rng.bit_generator.state
 
 
 def test_one_seed_draws_each_block_once(memo, monkeypatch):
-    # Three batches, two normal blocks each; a second estimate with the same
+    # Three batches, one normal block each; a second estimate with the same
     # seed at another (t, H) draws nothing new.  Both equal the estimates
     # drawn through a memo that keeps nothing.
     n = 2 * mc._BATCH + 5
     law = ch.gaussian_law(0.0, 1.0)
     a = mc.mc_expectation(ch.additive(law, 0.3), 0.5, np.square, n, 3)
-    assert memo.cache_info().misses == 6
+    assert memo.cache_info().misses == 3
     b = mc.mc_expectation(ch.additive(law, 0.75), 2.0, np.square, n, 3)
-    assert memo.cache_info().misses == 6
+    assert memo.cache_info().misses == 3
     nothing_kept = functools.lru_cache(maxsize=0)(memo.__wrapped__)
     monkeypatch.setattr(mc, "_normal_block", nothing_kept)
     assert b == mc.mc_expectation(ch.additive(law, 0.75), 2.0, np.square, n, 3)
     assert a == mc.mc_expectation(ch.additive(law, 0.3), 0.5, np.square, n, 3)
-    assert nothing_kept.cache_info().misses == 12
+    assert nothing_kept.cache_info().misses == 6
 
 
 def test_flow_and_gaussian_channels_share_blocks(memo):
     # A flow channel's draws are its normals times sd, cut at the window.  A second
-    # cell with the same seed at another (t, H) draws nothing new; a Gaussian
-    # channel on the same seed reads the flow's block for B^H_t and draws only
-    # its own noise.
+    # cell with the same seed at another (t, H) draws nothing new, nor does a
+    # Gaussian channel on the same seed: it reads the flow's block.
     sig = sg.sqrt_one_plus_square()
     for t, h in ((0.5, 0.3), (2.0, 0.75)):
         chan = ch.multiplicative(sig, 0.0, h)
         rng, gen = np.random.default_rng(8), np.random.default_rng(8)
         z = mc.sample_endpoint(chan, t, 1000, gen)
-        z_edge = ch.density_at(chan, t).z_edge
-        ref = np.clip(rng.standard_normal(1000) * t ** h, -z_edge, z_edge)
+        field = ch.density_at(chan, t)
+        ref = np.clip(rng.standard_normal(1000) * math.sqrt(field.var), -field.z_edge,
+                      field.z_edge)
         assert np.array_equal(z, ref) and gen.bit_generator.state == rng.bit_generator.state
         mc.mc_expectation(chan, t, np.square, 1000, 8)
         assert memo.cache_info().misses == 2          # this draw's block and the seed's
     law = ch.gaussian_law(0.0, 1.0)
     x = mc.sample_endpoint(ch.additive(law, 0.5), 2.0, 1000, np.random.default_rng(8))
-    assert memo.cache_info().misses == 3
+    assert memo.cache_info().misses == 2
     assert np.array_equal(x, _plain_endpoint(law, 2.0, 0.5, 1000, np.random.default_rng(8)))
 
 
 def test_memo_memory_is_bounded(memo):
     # ROADMAP: memory stays bounded whatever the sample count.  4e6 samples
-    # draw 62 blocks; the memo keeps the last _MEMO_BLOCKS, and a batch's own
-    # arrays (B^H_t, the law's noise, the component means, their sum) come on top.
+    # draw 31 blocks, one a batch; the memo keeps the last _MEMO_BLOCKS, and a
+    # batch's own arrays (its samples, g's values, a block's moments) come on top.
     block = 8 * mc._BATCH
     chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
     tracemalloc.start()
@@ -181,9 +193,9 @@ def test_memo_memory_is_bounded(memo):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert memo.cache_info().misses == 62
+    assert memo.cache_info().misses == 31
     assert memo.cache_info().currsize == mc._MEMO_BLOCKS
-    assert peak <= (mc._MEMO_BLOCKS + 8) * block, peak       # 20 blocks measured
+    assert peak <= (mc._MEMO_BLOCKS + 8) * block, peak       # 18 blocks measured
 
 
 def test_oracle_working_set_is_bounded(memo):
