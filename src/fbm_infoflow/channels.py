@@ -372,11 +372,24 @@ def _multiplicative_field(channel, t):
     """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
     on the window z0 +- z_edge: _Z_STD std, or less where the table ends nearer, at
     sigma's edge or _Z_REACH.  FlowEscapeError if z0 lies past the table's reach, or
-    the N(0, var) mass beyond z_edge is above ABS_TOL."""
+    the N(0, var) mass beyond z_edge is above ABS_TOL.  Under a constant sigma = c,
+    X_t ~ N(x0, c^2 var), and FlowEscapeError if x0 lies outside sigma's working
+    domain or that law's mass past it is above ABS_TOL."""
     sig = channel.sigma
     var = float(t) ** (2.0 * channel.hurst.value)
     if sig.kind == "constant":
-        return gaussian_field(channel.x0, sig.c ** 2 * var)
+        (lo, hi), x0 = sig.domain, channel.x0
+        if not lo <= x0 <= hi:
+            raise FlowEscapeError(
+                f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
+        law = gaussian_field(x0, sig.c ** 2 * var)
+        w = math.sqrt(2.0 * law.variance)
+        dropped = 0.5 * (math.erfc((x0 - lo) / w) + math.erfc((hi - x0) / w))
+        if dropped > ABS_TOL:
+            raise FlowEscapeError(
+                f"sigma's working domain [{lo:g}, {hi:g}] cuts {dropped:.3g} of the mass "
+                f"of X_t from x0 = {x0:g}, above {ABS_TOL:g}")
+        return law
     sd = math.sqrt(var)
     table = _lamperti(sig)
     z0 = _z0(sig, channel.x0)

@@ -31,11 +31,6 @@ CSV_COLUMNS = ("identity", "t", "hurst", "lhs", "rhs", "abs_discrepancy",
                "tolerance", "passed", "method_notes")
 MC_COLUMNS = ("mc_value", "mc_std_error", "mc_ok")
 
-# fbm-stats path values sampled at a time, for every H from one draw.  A circulant
-# batch holds 24 bytes per value, 3 MiB, and a 512 kB transform block: the normals
-# (16) and one H's paths (8); a Cholesky batch the normals and the paths (16).
-_FBM_BATCH_ENTRIES = 1 << 17
-
 
 def _value(key, raw, convert, ok, need):
     """convert(raw) as the value of config key `key`.  A value that does not
@@ -234,13 +229,15 @@ class _SuiteRunner:
             raise ConfigError("config key 'fd_step' must be > 0 and below every time "
                               f"at or above min_t, not {self.fd_step!r}")
 
-    def _check_rhs(self, report, rhs, channel):
-        """Check report.rhs, the quadrature of the definition rhs, two more ways.
-        On the first cell of its suite that computes, if its fields are flow fields,
-        rhs again by the adaptive Gauss-Kronrod rule in x, reading them through their
-        pdf and score_fn, over p's own window as the z rule takes it; the row fails
-        unless the two agree within the rhs's declared accuracy.  With an oracle,
-        the Monte Carlo estimate of rhs = scale * E[g(X_t)], X_t ~ channel."""
+    def _check_rhs(self, report, channel):
+        """Check report.rhs, the quadrature of the definition the check integrated,
+        two more ways.  On the first cell of its suite that computes, if its fields
+        are flow fields, rhs again by the adaptive Gauss-Kronrod rule in x, reading
+        them through their pdf and score_fn, over p's own window as the z rule takes
+        it; the row fails unless the two agree within the rhs's declared accuracy.
+        With an oracle, the Monte Carlo estimate of rhs = scale * E[g(X_t)],
+        X_t ~ channel."""
+        rhs = report.definition
         # Declared accuracy of the quadrature rhs; it dominates the oracle's slack
         # when g is constant and the standard error vanishes.
         accuracy = abs(rhs.scale) * nf.ABS_TOL + nf.REL_TOL * abs(report.rhs)
@@ -253,7 +250,7 @@ class _SuiteRunner:
             report.passed = report.passed and agree
         if self.oracle:
             n, seed = self.oracle
-            est = mc.mc_expectation(channel, report.t, rhs.g, n, seed, rhs.fields)
+            est = mc.mc_expectation(channel, report.t, rhs.g, n, seed, *q)
             value, se = rhs.scale * est.mean, abs(rhs.scale) * est.std_error
             report.extras.update(mc_value=value, mc_std_error=se,
                                  mc_ok=abs(value - report.rhs) <= 4.0 * se + accuracy)
@@ -265,21 +262,14 @@ class _SuiteRunner:
         if suite in ("debruijn-mult", "debruijn-additive"):
             chan = (ch.multiplicative(self.sigma, self.x0, h) if suite == "debruijn-mult"
                     else ch.additive(self.initial, h))
-            r = idn.debruijn_check(chan, t, fd_step=self.fd_step, tol=tol)
-            return self._check_rhs(r, idn.debruijn_rhs(chan, t), chan)
+            return self._check_rhs(idn.debruijn_check(chan, t, fd_step=self.fd_step, tol=tol),
+                                   chan)
         if suite == "kl-flow":
             x, y = (ch.multiplicative(self.sigma, x0, h) for x0 in (self.x0, self.y0))
-            r = idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol)
-            return self._check_rhs(r, idn.kl_flow_rhs(x, y, t), x)
+            return self._check_rhs(idn.kl_flow_check(x, y, t, fd_step=self.fd_step, tol=tol), x)
         if suite == "fokker-planck":
-            x_grid = np.linspace(-4.0, 4.0, 81)
-            chan = ch.multiplicative(self.sigma, self.x0, h)
-            step = idn._check_step(t, self.fd_step)
-            resid = idn.fokker_planck_residual(chan, t, x_grid, fd_step=step)
-            worst = float(np.max(np.abs(resid)))
-            return idn._report("fokker-planck", t, h, worst, 0.0, tol,
-                               notes=f"max |residual| over x in [-4,4], {len(x_grid)} pts; "
-                                     f"richardson fd_step={step:g}")
+            return idn.fokker_planck_check(ch.multiplicative(self.sigma, self.x0, h), t,
+                                           fd_step=self.fd_step, tol=tol)
         if suite == "stein":
             worst = max(idn.stein_check(mu, v, r, rp, tol=tol).abs_discrepancy
                         for mu, v in self.stein_cases for r, rp in _STEIN_RS)
@@ -317,49 +307,14 @@ class _SuiteRunner:
                             [fbm.PathSampler(grid, h, m) for m in ("cholesky", "circulant")])
             except FbmInfoflowError as exc:
                 out[h] = exc
-        chol, circ = (_path_moments({h: s[i] for h, (_, s) in cells.items()},
-                                    n, n_paths, seed + i) for i in range(2))
+        chol, circ = (fbm.path_moments({h: s[i] for h, (_, s) in cells.items()},
+                                       n_paths, seed + i) for i in range(2))
         for h, (exact, _) in cells.items():
             z_worst = max(float(np.max(np.abs(m[h][0] - exact) / m[h][1])) for m in (chol, circ))
             cross = float(np.max(np.abs(chol[h][0] - circ[h][0])
                                  / np.sqrt(chol[h][1] ** 2 + circ[h][1] ** 2)))
             out[h] = (z_worst, cross, n, n_paths)
         return out
-
-
-def _path_moments(samplers, n, n_paths, seed):
-    """{h: (mean of v v^T, standard error of each entry)} over n_paths paths v of
-    each h's sampler, one grid of n points and one method for all.  Batch j of
-    paths is drawn from child j of SeedSequence(seed) whatever H, so its normals
-    are drawn once, into one buffer, and every H's sampler maps them to its own
-    paths."""
-    batch = max(1, _FBM_BATCH_ENTRIES // n)     # paths per batch
-    # Sums of v v^T and of v^2 (v^2)^T over batches of paths, so the memory held
-    # grows neither with n_paths nor with the number of H.
-    sums = {h: (np.zeros((n, n)), np.zeros((n, n))) for h in samplers}
-    buffers, paths = {}, np.empty((batch, n))
-    for j, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // batch))):
-        k = min(batch, n_paths - j * batch)
-        drawn = {}      # this batch's normals, by the method that takes them
-        for h, sampler in samplers.items():
-            kind = sampler.method       # "cholesky" after a circulant fallback
-            if kind not in drawn:
-                if kind not in buffers:
-                    buffers[kind] = np.empty(sampler.normal_count(batch))
-                drawn[kind] = np.random.default_rng(batch_seed).standard_normal(
-                    out=buffers[kind][:sampler.normal_count(k)])
-            vals = sampler.paths(drawn[kind], k, out=paths[:k])
-            vv, sq_sq = sums[h]
-            vv += vals.T @ vals
-            sq = np.square(vals, out=vals)
-            sq_sq += sq.T @ sq
-    moments = {}
-    for h, (vv, sq_sq) in sums.items():
-        emp = vv / n_paths
-        # Sample variance of each product v_i v_j from second moments of v^2.
-        prod_var = (sq_sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
-        moments[h] = (emp, np.sqrt(prod_var / n_paths))
-    return moments
 
 
 def run_suite(cfg):

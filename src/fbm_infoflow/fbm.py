@@ -7,7 +7,8 @@ grids, O(n log n)).  Both draw from the exact finite-dimensional law.  The
 circulant sampler keeps two independent paths from each transform, its real
 and its imaginary part (Wood & Chan 1994; Dietrich & Newsam 1997).
 `PathSampler` factors one (grid, H) once and maps standard normals to paths;
-the normals do not depend on H, so one draw can serve every H.
+the normals do not depend on H, so one draw can serve every H, and
+`path_moments` samples the second moments of every H's paths from one draw.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,10 @@ from .errors import DomainError, GridError
 
 _UNIFORM_RTOL = 1e-9
 _FFT_ENTRIES = 1 << 15      # complex entries a circulant sampler transforms at a time
+# Path values path_moments samples at a time, for every H from one draw.  A circulant
+# batch holds 24 bytes per value, 3 MiB, and a 512 kB transform block: the normals
+# (16) and one H's paths (8); a Cholesky batch the normals and the paths (16).
+_BATCH_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -178,3 +183,40 @@ def sample_paths(grid, h, method="circulant", seed=0, n_paths=1):
     sampler = PathSampler(grid, h, method)
     normals = np.random.default_rng(seed).standard_normal(sampler.normal_count(n_paths))
     return sampler.paths(normals, n_paths), sampler.used_fallback
+
+
+def path_moments(samplers, n_paths, seed):
+    """{h: (mean of v v^T, standard error of each entry)} over n_paths paths v of
+    each h's PathSampler, all of one grid and one method.  Batch j of paths is
+    drawn from child j of SeedSequence(seed) whatever H, so its normals are drawn
+    once, into one buffer, and every H's sampler maps them to its own paths."""
+    if not samplers:
+        return {}
+    n = next(iter(samplers.values())).grid.size
+    batch = max(1, _BATCH_ENTRIES // n)         # paths per batch
+    # Sums of v v^T and of v^2 (v^2)^T over batches of paths, so the memory held
+    # grows neither with n_paths nor with the number of H.
+    sums = {h: (np.zeros((n, n)), np.zeros((n, n))) for h in samplers}
+    buffers, paths = {}, np.empty((batch, n))
+    for j, batch_seed in enumerate(np.random.SeedSequence(seed).spawn(-(-n_paths // batch))):
+        k = min(batch, n_paths - j * batch)
+        drawn = {}      # this batch's normals, by the method that takes them
+        for h, sampler in samplers.items():
+            kind = sampler.method       # "cholesky" after a circulant fallback
+            if kind not in drawn:
+                if kind not in buffers:
+                    buffers[kind] = np.empty(sampler.normal_count(batch))
+                drawn[kind] = np.random.default_rng(batch_seed).standard_normal(
+                    out=buffers[kind][:sampler.normal_count(k)])
+            vals = sampler.paths(drawn[kind], k, out=paths[:k])
+            vv, sq_sq = sums[h]
+            vv += vals.T @ vals
+            sq = np.square(vals, out=vals)
+            sq_sq += sq.T @ sq
+    moments = {}
+    for h, (vv, sq_sq) in sums.items():
+        emp = vv / n_paths
+        # Sample variance of each product v_i v_j from second moments of v^2.
+        prod_var = (sq_sq / n_paths - emp ** 2) * n_paths / (n_paths - 1)
+        moments[h] = (emp, np.sqrt(prod_var / n_paths))
+    return moments

@@ -8,9 +8,11 @@ t and returns an `IdentityReport`.  There is one De Bruijn check for both
 channel families: the additive channel X_0 + B^H_t is the unit-sigma case.
 The De Bruijn and KL identities write their rhs once, as an `Rhs` definition
 rhs = scale * E[g(v)], v the fields' `channels.Values` at X_t: the check
-integrates it, and the runner's x-space cross-check and Monte Carlo oracle
-evaluate the same definition.  g reads the score from v, which a flow field
-gives in closed form from z.
+integrates it and hands it to the runner on its report, as `definition`, so that
+the runner's x-space cross-check and Monte Carlo oracle evaluate the object the
+check integrated.  g reads the score from v, which a flow field gives in closed
+form from z.  The Fokker-Planck check reads its residual on a grid about the
+start x0, where X_t has its mass.
 """
 
 import functools
@@ -51,6 +53,8 @@ class IdentityReport:
     passed: bool
     method_notes: str = ""
     extras: dict = field(default_factory=dict)
+    # The Rhs the check integrated, for a De Bruijn or KL row; no part of row().
+    definition: "Rhs | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # numpy scalars leak into reports otherwise and break serialization
@@ -72,11 +76,12 @@ class IdentityReport:
         }
 
 
-def _report(name, t, hurst, lhs, rhs, tol, notes="", extras=None):
+def _report(name, t, hurst, lhs, rhs, tol, notes="", extras=None, definition=None):
     disc = abs(lhs - rhs)
     return IdentityReport(
         identity_name=name, t=t, hurst=hurst, lhs=lhs, rhs=rhs, abs_discrepancy=disc,
         tolerance=tol, passed=disc <= tol, method_notes=notes, extras=extras or {},
+        definition=definition,
     )
 
 
@@ -139,11 +144,11 @@ def debruijn_check(channel, t, fd_step=None, tol=None):
     fd_step = _check_step(t, fd_step)
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
-    rhs = debruijn_rhs(channel, t).value()
+    definition = debruijn_rhs(channel, t)
     name = "debruijn-mult" if channel.variant == "multiplicative" else "debruijn-additive"
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    return _report(name, t, channel.hurst.value, lhs, rhs, tol,
-                   notes=f"richardson fd_step={fd_step:g}")
+    return _report(name, t, channel.hurst.value, lhs, definition.value(), tol,
+                   notes=f"richardson fd_step={fd_step:g}", definition=definition)
 
 
 def debruijn_rhs(channel, t):
@@ -190,7 +195,7 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None,
                                 ch.density_at(y_channel, s))
 
     lhs = richardson_derivative(kl_at, t, fd_step)
-    rhs = kl_flow_rhs(x_channel, y_channel, t).value()
+    definition = kl_flow_rhs(x_channel, y_channel, t)
 
     kls = [kl_at(t - fd_step), kl_at(t), kl_at(t + fd_step)]
     slack = 10 * nf.ABS_TOL
@@ -198,8 +203,8 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None,
     notes = (f"richardson fd_step={fd_step:g}; KL(t-d,t,t+d)="
              f"{kls[0]:.9g},{kls[1]:.9g},{kls[2]:.9g}; "
              f"monotone={'yes' if monotone else 'NO'}")
-    return _report("kl-flow", t, hv, lhs, rhs, tol, notes,
-                   extras={"kl_values": kls, "monotone": monotone})
+    return _report("kl-flow", t, hv, lhs, definition.value(), tol, notes,
+                   extras={"kl_values": kls, "monotone": monotone}, definition=definition)
 
 
 def kl_flow_rhs(x_channel, y_channel, t):
@@ -249,6 +254,18 @@ def fokker_planck_residual(channel, t, x_grid, fd_step=None):
                + 3.0 * s0 * s1 * p_x
                + s0 ** 2 * p_xx)
     return dp_dt - _rate(channel.hurst.value, t) * spatial
+
+
+def fokker_planck_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["fokker-planck"]):
+    """The largest |fokker_planck_residual| on 81 points x0 + [-4, 4], against 0."""
+    if channel.variant != "multiplicative":
+        raise DomainError("fokker_planck_check needs a multiplicative channel")
+    fd_step = _check_step(t, fd_step)
+    x = channel.x0 + np.linspace(-4.0, 4.0, 81)
+    worst = float(np.max(np.abs(fokker_planck_residual(channel, t, x, fd_step))))
+    return _report("fokker-planck", t, channel.hurst.value, worst, 0.0, tol,
+                   notes=f"max |residual| over x in [{x[0]:g},{x[-1]:g}], {x.size} pts; "
+                         f"richardson fd_step={fd_step:g}")
 
 
 def stein_check(mu, variance, r, r_prime, tol=DEFAULT_TOLERANCES["stein"]):

@@ -2,15 +2,16 @@
 
 Because X_t = Phi(z0 + B^H_t), or X_0 + B^H_t, only the law of the endpoint is
 sampled, by the `draw` of the field `channels.density_at` builds; no path
-simulation is needed.  A flow field's draws stay in z, which its `at` reads, so
-no draw inverts phi.  Each batch is evaluated in blocks of _BLOCK draws: on a
-flow channel a block holds about seven block-sized float arrays at once (phi's
-index and Horner temporaries, x, sigma, sigma', the score and g's products),
-and one 1e5-draw estimate of the De Bruijn rhs on sqrt1p peaks at 1.8 MiB
-(tracemalloc), so that the allocator keeps its memory between calls rather
-than returning it and faulting it in again.  Estimates are reproducible per
-seed and accumulated with a streaming mean/variance merge so batches can be
-processed independently.
+simulation is needed.  The oracle reads its draws through that same field's
+`at`, as `channels.Values`, so the law it samples is the law it reads.  A flow
+field's draws stay in z, which its `at` reads, so no draw inverts phi.  Each
+batch is evaluated in blocks of _BLOCK draws: on a flow channel a block holds
+about seven block-sized float arrays at once (phi's index and Horner
+temporaries, x, sigma, sigma', the score and g's products), and one 1e5-draw
+estimate of the De Bruijn rhs on sqrt1p peaks at 1.8 MiB (tracemalloc), so that
+the allocator keeps its memory between calls rather than returning it and
+faulting it in again.  Estimates are reproducible per seed and accumulated with
+a streaming mean/variance merge so batches can be processed independently.
 
 Estimates with one seed share their normal draws (common random numbers):
 batch j of every call is seeded by child j of SeedSequence(seed), whatever the
@@ -22,6 +23,7 @@ same numbers and leaves the generator where a fresh draw would.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,16 +116,22 @@ def sample_endpoint(channel, t, n, rng):
     return ch.density_at(channel, t).draw(_standard_normal(rng, n), rng)
 
 
-def mc_expectation(channel, t, g, n, seed, fields=None):
-    """Monte Carlo estimate of E[g(X_t)] with n samples.  g takes the samples x; or,
-    given `fields`, the law of X_t and for a divergence its q, g takes their
-    channels.Values at the samples, as an identities.Rhs g does."""
-    if n < 100:
-        raise DomainError("mc_expectation needs n >= 100")
+def _whole(what, value, least):
+    """value as an int; DomainError unless it is a whole number >= least."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value == int(value) >= least)):
+        raise DomainError(f"mc_expectation needs a whole {what} >= {least}, not {value!r}")
+    return int(value)
+
+
+def mc_expectation(channel, t, g, n, seed, q=None):
+    """Monte Carlo estimate of E[g(v)] from n samples of X_t, v the channels.Values
+    at them of X_t's law density_at(channel, t), and for a divergence of its q, as
+    an identities.Rhs g reads them.  n is a whole number >= 100, seed one >= 0."""
+    n, seed = _whole("n", n, 100), _whole("seed", seed, 0)
     if not 0.0 < t < math.inf:
         raise DomainError(f"mc_expectation needs 0 < t < inf, not {t}")
-    p, *q = fields or (ch.density_at(channel, t),)
-    read = g if fields else lambda v: g(v.x)
+    p = ch.density_at(channel, t)
     acc = RunningMoments()
     streams = np.random.SeedSequence(seed).spawn((n + _BATCH - 1) // _BATCH)
     remaining = n
@@ -132,6 +140,5 @@ def mc_expectation(channel, t, g, n, seed, fields=None):
         remaining -= nb
         draws = sample_endpoint(channel, t, nb, np.random.default_rng(ss))
         for i in range(0, nb, _BLOCK):
-            acc.update(read(p.at(draws[i:i + _BLOCK], *q)))
+            acc.update(g(p.at(draws[i:i + _BLOCK], q)))
     return McEstimate(mean=acc.mean, std_error=acc.std_error)
-

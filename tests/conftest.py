@@ -40,12 +40,14 @@ def canonical_pairs():
         ("add-grid-sin", ch.additive(_uniform_grid_law(), 0.75), 0.5, np.sin),
     ]
     ent_channel = ch.multiplicative(s_nl, 0.0, 0.6)
-    pairs = {name: (lambda n, seed, c=channel, tt=t, gg=g: mc.mc_expectation(c, tt, gg, n, seed),
+    # The oracle hands g the Values at its samples, x among them.
+    pairs = {name: (lambda n, seed, c=channel, tt=t, gg=g:
+                    mc.mc_expectation(c, tt, lambda v: gg(v.x), n, seed),
                     lambda c=channel, tt=t, gg=g: nf.expectation(ch.density_at(c, tt), gg))
              for name, channel, t, g in cases}
     # The plug-in entropy estimate -mean[ln P_t(X)] against the entropy functional.
+    neg_log = _neg_log_density(ent_channel, 1.0)
     pairs["mult-sqrt1p-entropy"] = (
-        lambda n, seed: mc.mc_expectation(ent_channel, 1.0, _neg_log_density(ent_channel, 1.0),
-                                          n, seed),
+        lambda n, seed: mc.mc_expectation(ent_channel, 1.0, lambda v: neg_log(v.x), n, seed),
         lambda: nf.entropy(ch.density_at(ent_channel, 1.0)))
     return pairs

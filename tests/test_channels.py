@@ -52,6 +52,25 @@ def test_constant_sigma_matches_gaussian_pointwise():
     assert np.max(np.abs(f.pdf(xs) - exact) / exact) <= 1e-10
 
 
+@pytest.mark.parametrize("domain, x0, t, error", [
+    ((3.0, 4.0), 0.0, 1.0, r"x0 = 0 lies outside sigma's working domain \[3, 4\]"),
+    ((-1.0, 1.0), 0.0, 1.0, r"\[-1, 1\] cuts 0.317 of the mass of X_t from x0 = 0"),
+    ((-1.0, 1.0), 1.0, 1e-6, r"\[-1, 1\] cuts 0.5 of the mass"),
+    ((-1.0, 1.0), 0.0, 0.024, r"cuts 1.08e-10 of the mass")])
+def test_constant_sigma_law_must_lie_in_its_working_domain(domain, x0, t, error):
+    # X_t ~ N(x0, c^2 t^{2H}) may leave sigma's working domain no more mass than a
+    # flow window may drop: both once gave the Gaussian field regardless.
+    with pytest.raises(FlowEscapeError, match=error):
+        ch.density_at(ch.multiplicative(sg.constant(1.0, domain), x0, 0.5), t)
+
+
+def test_constant_sigma_law_inside_its_working_domain():
+    # At t = 0.023 the edges lie 6.59 std out, and 4.3e-11 of the mass past them
+    # (1.08e-10 at t = 0.024, the case above).
+    sig = sg.constant(1.0, (-1.0, 1.0))
+    assert ch.density_at(ch.multiplicative(sig, 0.0, 0.5), 0.023) == ch.GaussianField(0.0, 0.023)
+
+
 def _flat_custom(c):
     """sigma = c as a custom model, so density_at takes the flow route."""
     return sg.custom(lambda x: np.full_like(np.asarray(x, float), c),

@@ -320,7 +320,7 @@ def test_fbm_stats_draws_each_batch_once_per_method(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", Counting)
     _fbm_rows([0.3, 0.5, 0.75])
     n, n_paths = 16, 9001
-    batch = cli._FBM_BATCH_ENTRIES // n
+    batch = fbm._BATCH_ENTRIES // n
     rows = [(min(batch, n_paths - i) + 1) // 2 for i in range(0, n_paths, batch)]
     assert len(seeds) == len(set(seeds)) == 2 * len(rows)
     # Cholesky: one normal per path value; circulant: two per row of 2n entries.
@@ -394,13 +394,73 @@ def test_x_space_cross_check_on_first_flow_cell(monkeypatch, suite, rhs, t, h):
     exact = infofunc.expect_gauss_kronrod
     monkeypatch.setattr(infofunc, "expect_gauss_kronrod",
                         lambda field, g, q=None: exact(field, g, q) * (1.0 + 1e-6))
-    # ... and the cross-check evaluates the suite's own rhs definition.
+    # ... and the cross-check evaluates the definition the check built and integrated.
     definition, built = getattr(idn, rhs), []
     monkeypatch.setattr(idn, rhs, lambda *args: built.append(args) or definition(*args))
     shifted = cli._SuiteRunner(cfg).run_combo(suite, t, h)
     assert shifted.rhs == first.rhs
     assert not shifted.passed and "DISAGREES" in shifted.method_notes
-    assert len(built) == 2      # once for the check, once for the cross-check
+    assert len(built) == 1      # for the check, which hands it to the cross-check
+
+
+def test_oracle_rows_carry_the_definition_their_check_integrated():
+    # A De Bruijn or KL row holds the Rhs its check integrated, for the runner's
+    # second routes, and no part of the row reads it; every other row holds none.
+    cfg = {"suites": list(cli.SUITES), **_SQRT1P, "t_grid": [1.0], "hurst_grid": [0.5],
+           "fbm_stats": {"n": 8, "n_paths": 100}}
+    code, rows, _ = cli.run_suite(cfg)
+    assert code == 0 and [r.identity_name for r in rows] == list(cli.SUITES)
+    for rep in rows:
+        assert set(rep.row()) == set(cli.CSV_COLUMNS)
+        if rep.identity_name in _ORACLE_SUITES:
+            assert isinstance(rep.definition, idn.Rhs)
+            assert rep.definition.value() == rep.rhs, rep.identity_name
+            assert "definition" not in repr(rep)
+            assert dataclasses.replace(rep, definition=None) == rep
+        else:
+            assert rep.definition is None, rep.identity_name
+
+
+def test_fokker_planck_grid_follows_the_start(monkeypatch):
+    # On a grid fixed at [-4, 4], a start at x0 = 100 read P = 0 and a residual of
+    # 0.0, whatever the drift rate; on x0 +- 4 a rate off by 1 % fails the row.
+    cfg = {"suites": ["fokker-planck"], "channel": {"sigma": {"kind": "constant"}, "x0": 100.0},
+           "t_grid": [1.0], "hurst_grid": [0.5]}
+    exact = cli._SuiteRunner(cfg).run_combo("fokker-planck", 1.0, 0.5)
+    assert exact.passed and exact.method_notes.startswith(
+        "max |residual| over x in [96,104], 81 pts; ")
+    rate = idn._rate
+    monkeypatch.setattr(idn, "_rate", lambda hv, t: 1.01 * rate(hv, t))
+    off = cli._SuiteRunner(cfg).run_combo("fokker-planck", 1.0, 0.5)
+    assert not off.passed and off.lhs == pytest.approx(1.99e-3, rel=1e-2)
+
+
+@pytest.mark.parametrize("domain, cause", [
+    ([3.0, 4.0], "x0 = 0 lies outside sigma's working domain [3, 4]"),
+    ([-1.0, 1.0], "sigma's working domain [-1, 1] cuts 0.317 of the mass of X_t")])
+def test_constant_sigma_reads_its_working_domain(domain, cause):
+    # Both once passed with exit 0: the start outside the domain, and X_t with 0.317
+    # of its mass outside it.
+    code, rows, _ = cli.run_suite({
+        "suites": ["debruijn-mult"], "t_grid": [1.0], "hurst_grid": [0.5],
+        "channel": {"sigma": {"kind": "constant", "domain": domain}, "x0": 0.0}})
+    (row,) = rows
+    assert code == 3
+    assert row.extras["error"].startswith(f"debruijn-mult t=1 H=0.5: FlowEscapeError: {cause}")
+
+
+def test_fbm_stats_samples_through_fbm(monkeypatch):
+    # The first fbm-stats cell samples every H of the grid by fbm.path_moments, once
+    # a method; the next cell reads its figures.
+    calls, moments = [], fbm.path_moments
+    monkeypatch.setattr(fbm, "path_moments",
+                        lambda *args: calls.append(args) or moments(*args))
+    runner = cli._SuiteRunner(dict(_FBM_STATS, hurst_grid=[0.3, 0.75]))
+    runner.run_combo("fbm-stats", 0.5, 0.3)
+    runner.run_combo("fbm-stats", 0.5, 0.75)
+    assert [(sorted(samplers), {s.method for s in samplers.values()}, n_paths, seed)
+            for samplers, n_paths, seed in calls] == [
+        ([0.3, 0.75], {"cholesky"}, 9001, 4), ([0.3, 0.75], {"circulant"}, 9001, 5)]
 
 
 def test_rhs_definition_feeds_check_cross_check_and_oracle(monkeypatch):

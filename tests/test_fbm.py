@@ -176,3 +176,17 @@ def test_circulant_speed_smoke():
     start = time.monotonic()
     fbm.sample_paths(grid, 0.7, method="circulant", seed=1)
     assert time.monotonic() - start < 1.0
+
+
+def test_path_moments_reads_n_from_the_grid():
+    # One mean and standard error of v v^T per H, n x n from the samplers' grid;
+    # no samplers, no moments.
+    grid = 0.25 * np.arange(1, 9)
+    samplers = {h: fbm.PathSampler(grid, h, "cholesky") for h in (0.3, 0.7)}
+    moments = fbm.path_moments(samplers, 500, 3)
+    assert sorted(moments) == [0.3, 0.7]
+    for h, (emp, se) in moments.items():
+        assert emp.shape == se.shape == (8, 8)
+        exact = fbm.covariance(grid[:, None], grid[None, :], h)
+        assert np.max(np.abs(emp - exact) / se) <= 5.0
+    assert fbm.path_moments({}, 500, 3) == {}

@@ -264,6 +264,21 @@ def test_checks_default_to_their_rows_tolerance():
         assert rep.tolerance == idn.DEFAULT_TOLERANCES[rep.identity_name], rep.identity_name
 
 
+def test_fokker_planck_check_is_the_worst_residual_about_x0():
+    # 81 points on x0 + [-4, 4]; at x0 = 0 the grid the runner once fixed.
+    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
+    rep = idn.fokker_planck_check(chan, 1.0)
+    res = idn.fokker_planck_residual(chan, 1.0, np.linspace(-4, 4, 81))
+    assert rep.lhs == np.max(np.abs(res)) and rep.rhs == 0.0 and rep.passed
+    assert rep.tolerance == idn.DEFAULT_TOLERANCES["fokker-planck"]
+    assert rep.method_notes == ("max |residual| over x in [-4,4], 81 pts; "
+                                "richardson fd_step=0.001")
+    assert "[1.5,9.5]" in idn.fokker_planck_check(
+        ch.multiplicative(sg.sqrt_one_plus_square(), 5.5, 0.75), 1.0).method_notes
+    with pytest.raises(DomainError, match="needs a multiplicative channel"):
+        idn.fokker_planck_check(ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), 1.0)
+
+
 def test_fokker_planck_heat_equation():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     res = idn.fokker_planck_residual(chan, 1.0, np.linspace(-4, 4, 81))

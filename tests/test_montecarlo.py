@@ -11,22 +11,27 @@ from fbm_infoflow import montecarlo as mc, sigma as sg
 from fbm_infoflow.errors import DomainError
 
 
+def _x_squared(v):
+    """g = x^2, read from the Values the oracle hands g."""
+    return v.x ** 2
+
+
 def test_constant_function_zero_error():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
-    est = mc.mc_expectation(chan, 1.0, lambda x: np.ones_like(x), 1000, 0)
+    est = mc.mc_expectation(chan, 1.0, lambda v: np.ones_like(v.x), 1000, 0)
     assert est.mean == 1.0
     assert est.std_error == 0.0
 
 
 def test_gaussian_second_moment():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.75)
-    est = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 200_000, 17)
+    est = mc.mc_expectation(chan, 1.0, lambda v: v.x ** 2, 200_000, 17)
     assert abs(est.mean - 1.0) <= 4 * est.std_error
 
 
 def test_additive_gaussian_moments():
     chan = ch.additive(ch.gaussian_law(2.0, 0.5), 0.5)
-    est = mc.mc_expectation(chan, 1.0, lambda x: x, 200_000, 5)
+    est = mc.mc_expectation(chan, 1.0, lambda v: v.x, 200_000, 5)
     assert abs(est.mean - 2.0) <= 4 * est.std_error
 
 
@@ -72,7 +77,7 @@ def test_blocked_oracle_is_the_plain_estimator(chan):
 
     def g(x):
         return np.sin(x) + x ** 2
-    est = mc.mc_expectation(chan, t, g, n, seed)
+    est = mc.mc_expectation(chan, t, lambda v: g(v.x), n, seed)
     streams = np.random.SeedSequence(seed).spawn(3)
     draws = np.concatenate([mc.sample_endpoint(chan, t, nb, np.random.default_rng(ss))
                             for ss, nb in zip(streams, (mc._BATCH, mc._BATCH, 5))])
@@ -97,9 +102,9 @@ def test_sampled_path_inverts_only_the_starts(monkeypatch):
     n = mc._BATCH + mc._BLOCK + 3
     for rhs in (idn.debruijn_rhs(x, 1.0), idn.kl_flow_rhs(x, y, 1.0)):
         assert math.isfinite(rhs.value())
-        est = mc.mc_expectation(x, 1.0, rhs.g, n, 5, rhs.fields)
+        est = mc.mc_expectation(x, 1.0, rhs.g, n, 5, *rhs.fields[1:])
         assert math.isfinite(est.mean) and est.std_error > 0
-    mc.mc_expectation(x, 1.0, np.square, n, 5)
+    mc.mc_expectation(x, 1.0, lambda v: np.square(v.x), n, 5)
     p, q = ch.density_at(x, 1.0), ch.density_at(y, 1.0)
     assert nf.entropy(p) > 0 and nf.kl_divergence(p, q) > 0
     assert len(built) > 2 and inverted == [1, 1]      # x0 = 0 and y0 = 1
@@ -149,14 +154,14 @@ def test_one_seed_draws_each_block_once(memo, monkeypatch):
     # drawn through a memo that keeps nothing.
     n = 2 * mc._BATCH + 5
     law = ch.gaussian_law(0.0, 1.0)
-    a = mc.mc_expectation(ch.additive(law, 0.3), 0.5, np.square, n, 3)
+    a = mc.mc_expectation(ch.additive(law, 0.3), 0.5, _x_squared, n, 3)
     assert memo.cache_info().misses == 3
-    b = mc.mc_expectation(ch.additive(law, 0.75), 2.0, np.square, n, 3)
+    b = mc.mc_expectation(ch.additive(law, 0.75), 2.0, _x_squared, n, 3)
     assert memo.cache_info().misses == 3
     nothing_kept = functools.lru_cache(maxsize=0)(memo.__wrapped__)
     monkeypatch.setattr(mc, "_normal_block", nothing_kept)
-    assert b == mc.mc_expectation(ch.additive(law, 0.75), 2.0, np.square, n, 3)
-    assert a == mc.mc_expectation(ch.additive(law, 0.3), 0.5, np.square, n, 3)
+    assert b == mc.mc_expectation(ch.additive(law, 0.75), 2.0, _x_squared, n, 3)
+    assert a == mc.mc_expectation(ch.additive(law, 0.3), 0.5, _x_squared, n, 3)
     assert nothing_kept.cache_info().misses == 6
 
 
@@ -173,7 +178,7 @@ def test_flow_and_gaussian_channels_share_blocks(memo):
         ref = np.clip(rng.standard_normal(1000) * math.sqrt(field.var), -field.z_edge,
                       field.z_edge)
         assert np.array_equal(z, ref) and gen.bit_generator.state == rng.bit_generator.state
-        mc.mc_expectation(chan, t, np.square, 1000, 8)
+        mc.mc_expectation(chan, t, _x_squared, 1000, 8)
         assert memo.cache_info().misses == 2          # this draw's block and the seed's
     law = ch.gaussian_law(0.0, 1.0)
     x = mc.sample_endpoint(ch.additive(law, 0.5), 2.0, 1000, np.random.default_rng(8))
@@ -189,7 +194,7 @@ def test_memo_memory_is_bounded(memo):
     chan = ch.additive(ch.gaussian_law(0.0, 1.0), 0.5)
     tracemalloc.start()
     try:
-        mc.mc_expectation(chan, 1.0, lambda x: x, 4_000_000, 9)
+        mc.mc_expectation(chan, 1.0, lambda v: v.x, 4_000_000, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,11 +210,11 @@ def test_oracle_working_set_is_bounded(memo):
     # (1.77 MiB measured; 2.52 MiB with blocks of 2^15).
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5)
     rhs = idn.debruijn_rhs(chan, 1.0)
-    warm = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 1, rhs.fields)    # memo warm
+    warm = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 1)     # memo warm
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        est = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 1, rhs.fields)
+        est = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,7 +232,7 @@ def test_draw_above_batch_is_not_kept(memo):
 def test_grid_law_mixture_sampling():
     grid = np.linspace(-1, 1, 2001)
     chan = ch.additive(ch.grid_law(grid, np.full(grid.size, 0.5)), 0.5)
-    est = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 200_000, 29)
+    est = mc.mc_expectation(chan, 1.0, _x_squared, 200_000, 29)
     # Var(U[-1,1]) + t^{2H} = 1/3 + 1
     assert abs(est.mean - (1.0 / 3.0 + 1.0)) <= 4 * est.std_error
 
@@ -238,7 +243,7 @@ def test_grid_law_samples_its_interpolant():
     # points, about 15 standard errors away.
     grid = np.linspace(-1.0, 1.0, 9)
     chan = ch.additive(ch.grid_law(grid, np.full(grid.size, 0.5)), 0.5)
-    est = mc.mc_expectation(chan, 1e-6, np.square, 200_000, 41)
+    est = mc.mc_expectation(chan, 1e-6, _x_squared, 200_000, 41)
     assert abs(est.mean - 1.0 / 3.0) <= 4 * est.std_error
     assert abs(est.mean - 0.34375) >= 10 * est.std_error
 
@@ -246,17 +251,42 @@ def test_grid_law_samples_its_interpolant():
 def test_bit_identical_reproducibility():
     chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.6),
     chan = chan[0]
-    a = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 50_000, 123)
-    b = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 50_000, 123)
+    a = mc.mc_expectation(chan, 1.0, _x_squared, 50_000, 123)
+    b = mc.mc_expectation(chan, 1.0, _x_squared, 50_000, 123)
     assert a == b
-    c = mc.mc_expectation(chan, 1.0, lambda x: x ** 2, 50_000, 124)
+    c = mc.mc_expectation(chan, 1.0, _x_squared, 50_000, 124)
     assert c.mean != a.mean
 
 
 def test_n_too_small_rejected():
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     with pytest.raises(DomainError):
-        mc.mc_expectation(chan, 1.0, lambda x: x, 10, 0)
+        mc.mc_expectation(chan, 1.0, lambda v: v.x, 10, 0)
+
+
+@pytest.mark.parametrize("n, seed", [(100.5, 0), (99, 0), (True, 0), ("1000", 0),
+                                     (1000, -1), (1000, 1.5), (1000, math.nan)])
+def test_bad_count_or_seed_rejected(n, seed):
+    # numpy's TypeError or ValueError once, from inside the batch loop.
+    chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
+    with pytest.raises(DomainError, match="mc_expectation needs a whole"):
+        mc.mc_expectation(chan, 1.0, lambda v: v.x, n, seed)
+
+
+def test_whole_float_count_and_seed_are_their_ints():
+    chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
+    assert (mc.mc_expectation(chan, 1.0, _x_squared, 1e3, 2.0)
+            == mc.mc_expectation(chan, 1.0, _x_squared, 1000, np.int64(2)))
+
+
+def test_oracle_reads_the_law_it_samples():
+    # One law of X_t, density_at(channel, t), for the draws and for g's Values: the
+    # De Bruijn g at t = 1 on sqrt1p, H = 0.75, has E[g] = 1.606.  Draws at t = 1
+    # read through the fields of t = 2 once gave -0.054.
+    chan = ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.75)
+    rhs = idn.debruijn_rhs(chan, 1.0)
+    est = mc.mc_expectation(chan, 1.0, rhs.g, 100_000, 3)
+    assert abs(rhs.scale * est.mean - rhs.value()) <= 4 * abs(rhs.scale) * est.std_error
 
 
 def test_running_moments_matches_numpy():
@@ -339,4 +369,4 @@ def test_non_finite_or_nonpositive_time_rejected(t):
     # t = nan once gave McEstimate(mean=nan, std_error=nan).
     chan = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
     with pytest.raises(DomainError):
-        mc.mc_expectation(chan, t, lambda x: x, 1000, 0)
+        mc.mc_expectation(chan, t, lambda v: v.x, 1000, 0)
