@@ -13,16 +13,20 @@ approximations in numpy.
 `density_at` gives a GaussianField, a FlowField (X = Phi(z0 + Z), Z ~ N(0, var),
 under a non-constant sigma) or a GridField (a grid law plus N(0, s)), each
 holding only what it means; a DensityField is a plain density, for tests and
-user code.  Every field has a window [lo, hi], the array callables pdf and
-score_fn, and `at`, which reads its law as `Values`: ln p, the score and, for a
-divergence, ln(p/q) and q's score, in closed form where the type has one; the
-three that density_at builds also `draw` samples in the coordinate `at` reads.
+user code.  Every field has a window [lo, hi] in x, the array callables pdf and
+score_fn, and `at`, which reads its law at points u of its own coordinate, x =
+field.x(u), as `Values`: ln p, the score and, for a divergence, ln(p/q) and q's
+score, in closed form where the type has one.  The three that density_at builds
+read u as an offset from their centre, so that no point rounds to an ulp of it:
+x - mean, x less the grid's midpoint, or z.  They `draw` samples as offsets, and
+give the window u in +-edge and the first step of infofunc's trapezoid rule.
 Every flow field of one sigma reads one Lamperti table, which `channels` alone
 builds, once, out to sigma's edge or _Z_REACH.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -70,8 +74,9 @@ class GaussianLaw:
 class GridLaw:
     """X_0 with the piecewise-linear density through (grid, values), 0 off the grid.
     The law keeps read-only float copies of grid and values and, computed once when
-    it is built, its decomposition: the slopes of its interpolant on the grid's
-    intervals, its kinks (y_k, J_k, S_k) as GridField reads them, and the weights
+    it is built, its centre (grid[0] + grid[-1]) / 2, the grid's offsets from it and
+    its decomposition: the slopes of its interpolant on the grid's intervals, its
+    kinks (y_k, J_k, S_k) as GridField reads them, y_k an offset too, and the weights
     of its hat mixture, which GridField.draw samples from.  Two grid laws are equal
     when their grids and values are."""
 
@@ -98,13 +103,16 @@ class GridLaw:
         jump[0], jump[-1] = v[0], -v[-1]
         bend = np.diff(slopes, prepend=0.0, append=0.0)
         kink = (jump != 0.0) | (bend != 0.0)
-        kinks = (g[kink], jump[kink], bend[kink])
+        centre = float(g[0] + g[-1]) / 2
+        offsets = g - centre
+        kinks = (offsets[kink], jump[kink], bend[kink])
         hats = v * np.convolve(dy, [1.0, 1.0])
         hats /= hats.sum()
-        for a in (g, v, slopes, hats, *kinks):
+        for a in (g, v, offsets, slopes, hats, *kinks):
             a.flags.writeable = False
         # Into the instance's dict, since a frozen dataclass refuses setattr.
-        vars(self).update(grid=g, values=v, slopes=slopes, kinks=kinks, hat_weights=hats)
+        vars(self).update(grid=g, values=v, centre=centre, offsets=offsets, slopes=slopes,
+                          kinks=kinks, hat_weights=hats)
 
     def __eq__(self, other):
         if not isinstance(other, GridLaw):
@@ -164,12 +172,23 @@ def additive(initial, hurst):
 
 
 class Values:
-    """A field p read at points x by p.at(u, q), u the field's own coordinate, with a
-    divergence's second field q: p's density, ln p and score there, and ln(p/q) and
-    q's score, each computed on first use, here from the fields' pdf and score_fn."""
+    """A field p read by p.at(u, q) at points u of its own coordinate, with a
+    divergence's second field q: the points x = p.x(u), the density of u by which
+    a rule weights g (`weight`), and p's density, ln p and score there, and ln(p/q)
+    and q's score, each computed on first use, here from the fields' pdf and
+    score_fn.  A Gaussian q is read at its own offset from its mean, and a grid q
+    at x less its centre."""
 
-    def __init__(self, x, p, q=None):
-        self.x, self._p, self._q = x, p, q
+    def __init__(self, u, p, q=None):
+        self.u, self._p, self._q = u, p, q
+
+    @functools.cached_property
+    def x(self):
+        return self._p.x(self.u)
+
+    @functools.cached_property
+    def weight(self):
+        return self.pdf
 
     @functools.cached_property
     def pdf(self):
@@ -190,22 +209,29 @@ class Values:
         SupportError where p has mass and that density is at most _TINY."""
         q = self._q
         if isinstance(q, GaussianField):
-            return self.logp - q.at(self.x).logp
+            return self.logp - q.at(self._offset(q)).logp
         qx = q.pdf(self.x)
         self._check_support(qx <= _TINY)
         return self.logp - np.log(np.maximum(qx, _TINY))
 
     @functools.cached_property
     def score_q(self):
-        """q's score; a grid q's is q'/q from its density clamped at _TINY, so
-        SupportError where p has mass and that density is at most _TINY."""
+        """q's score; a Gaussian q's in closed form, a grid q's q'/q from its density
+        clamped at _TINY, so SupportError where p has mass and that density is at
+        most _TINY."""
         q = self._q
+        if isinstance(q, GaussianField):
+            return q.at(self._offset(q)).score
         if isinstance(q, GridField):
-            f, df = q.derivatives(self.x, 1)
+            f, df = q.derivatives(self.x - q.centre, 1)
             self._check_support(f <= _TINY)
             return _score(f, df)
         self._check_support()
         return q.score_fn(self.x)
+
+    def _offset(self, q):
+        """The points as offsets from a Gaussian q's mean."""
+        return self.x - q.mean
 
     def _check_support(self, empty=False):
         """SupportError at the points x where p has mass (density at least 1e-12) and
@@ -222,31 +248,50 @@ class Values:
 
 
 class _GaussianValues(Values):
-    """A Gaussian field's Values at x: ln p and the score's derivative in closed form."""
+    """A Gaussian field's Values at offsets u = x - mean, in closed form: p, ln p, the
+    score -u/v and its derivative -1/v.  A Gaussian q sits at u + (mean_p - mean_q),
+    which carries no ulp of either mean."""
+
+    @functools.cached_property
+    def pdf(self):
+        v = self._p.variance
+        return np.exp(-0.5 * self.u ** 2 / v) / math.sqrt(2 * math.pi * v)
 
     @functools.cached_property
     def logp(self):
-        m, v = self._p.mean, self._p.variance
-        return -0.5 * (self.x - m) ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+        v = self._p.variance
+        return -0.5 * self.u ** 2 / v - 0.5 * math.log(2.0 * math.pi * v)
+
+    @functools.cached_property
+    def score(self):
+        return -self.u / self._p.variance
 
     @functools.cached_property
     def dscore(self):
-        return np.full(np.shape(self.x), -1.0 / self._p.variance)[()]
+        return np.full(np.shape(self.u), -1.0 / self._p.variance)[()]
+
+    def _offset(self, q):
+        return self.u + (self._p.mean - q.mean)
 
 
 class _FlowValues(Values):
-    """A flow field's Values at x = Phi(z0 + z), in closed form from the offsets z:
-    ln p = -z^2/(2 var) - ln sqrt(2 pi var) - ln sigma(x) and
-    score = -z/(var sigma(x)) - sigma'(x)/sigma(x).  A q of the same table and var
-    sits at the offset z + dz, dz = z0(p) - z0(q), so ln(p/q) = dz (z + dz/2) / var,
-    where sigma cancels and nothing underflows; any other q is read as Values reads
-    it, at x."""
+    """A flow field's Values at offsets z, x = Phi(z0 + z), in closed form from z: the
+    weight is the N(0, var) density of z, ln p = -z^2/(2 var) - ln sqrt(2 pi var) -
+    ln sigma(x) and score = -z/(var sigma(x)) - sigma'(x)/sigma(x).  A q of the same
+    table and var sits at the offset z + dz, dz = z0(p) - z0(q), so ln(p/q) =
+    dz (z + dz/2) / var, where sigma cancels and nothing underflows; any other q is
+    read as Values reads it, at x."""
 
     def __init__(self, z, p, q=None):
-        super().__init__(p.x(z), p, q)
+        super().__init__(z, p, q)
         self.z = z
         shared = isinstance(q, FlowField) and q.table is p.table and q.var == p.var
         self._dz = p.z0 - q.z0 if shared else None
+
+    @functools.cached_property
+    def weight(self):
+        var = self._p.var
+        return 1.0 / math.sqrt(2.0 * math.pi * var) * np.exp(-0.5 * self.z * self.z / var)
 
     @functools.cached_property
     def _sigma(self):
@@ -285,12 +330,12 @@ class _FlowValues(Values):
 
 
 class _GridValues(Values):
-    """A grid field's Values at x: its density, score and the score's derivative
-    from one pass of its kernel, which gives p, p' and p" at once."""
+    """A grid field's Values at offsets u from its centre: its density, score and the
+    score's derivative from one pass of its kernel, which gives p, p' and p" at once."""
 
     @functools.cached_property
     def _derivatives(self):
-        return self._p.derivatives(self.x, 2)
+        return self._p.derivatives(self.u, 2)
 
     @functools.cached_property
     def pdf(self):
@@ -308,20 +353,27 @@ class _GridValues(Values):
 @dataclass(frozen=True)
 class DensityField:
     """A plain one-dimensional density with support [lo, hi]: its pdf and score,
-    which infofunc integrates by its adaptive Gauss-Kronrod rule over [lo, hi]."""
+    which infofunc integrates by its adaptive Gauss-Kronrod rule over [lo, hi].
+    Its coordinate is x itself."""
 
     lo: float
     hi: float
     pdf: Callable = field(repr=False)
     score_fn: Callable = field(repr=False)
+    centre = 0.0
 
-    def at(self, x, q=None):
-        return Values(x, self, q)
+    def x(self, u):
+        return u
+
+    def at(self, u, q=None):
+        return Values(u, self, q)
 
 
 @dataclass(frozen=True)
 class GaussianField:
-    """N(mean, variance) on the window mean +- _FIELD_STD std, with the x rule's step std/4."""
+    """N(mean, variance), read at offsets u = x - mean from its centre, the mean, on
+    the window u in +-edge, edge = _FIELD_STD sd, with the trapezoid rule's first
+    step sd/4; in x, that window is [lo, hi] = mean -+ edge."""
 
     mean: float
     variance: float
@@ -329,25 +381,25 @@ class GaussianField:
     def __post_init__(self):
         _check_normal("Gaussian field", self.mean, self.variance)
         sd = math.sqrt(self.variance)
-        vars(self).update(lo=self.mean - _FIELD_STD * sd, hi=self.mean + _FIELD_STD * sd,
-                          step=sd / 4)
+        edge = _FIELD_STD * sd
+        vars(self).update(centre=self.mean, lo=self.mean - edge, hi=self.mean + edge,
+                          edge=edge, step=sd / 4)
+
+    def x(self, u):
+        return self.mean + u
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (np.exp(-0.5 * (x - self.mean) ** 2 / self.variance)
-                / math.sqrt(2 * math.pi * self.variance))
+        return self.at(np.asarray(x, dtype=float) - self.mean).pdf
 
     def score_fn(self, x):
-        return (self.mean - np.asarray(x, dtype=float)) / self.variance
+        return self.at(np.asarray(x, dtype=float) - self.mean).score
 
-    def at(self, x, q=None):
-        return _GaussianValues(x, self, q)
+    def at(self, u, q=None):
+        return _GaussianValues(u, self, q)
 
     def draw(self, normals, rng):
-        """Samples x = mean + sd N, N a block of standard normals."""
-        x = normals * math.sqrt(self.variance)
-        x += self.mean
-        return x
+        """Offsets u = sd N, N a block of standard normals."""
+        return normals * math.sqrt(self.variance)
 
 
 def gaussian_field(mean, variance):
@@ -368,7 +420,7 @@ def _z0(sigma, x0):
     return float(doss.invert_phi(_lamperti(sigma), x0))
 
 
-def _multiplicative_field(channel, t):
+def _multiplicative_field(channel, var):
     """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
     on the window z0 +- z_edge: _Z_STD std, or less where the table ends nearer, at
     sigma's edge or _Z_REACH.  FlowEscapeError if z0 lies past the table's reach, or
@@ -376,7 +428,6 @@ def _multiplicative_field(channel, t):
     X_t ~ N(x0, c^2 var), and FlowEscapeError if x0 lies outside sigma's working
     domain or that law's mass past it is above ABS_TOL."""
     sig = channel.sigma
-    var = float(t) ** (2.0 * channel.hurst.value)
     if sig.kind == "constant":
         (lo, hi), x0 = sig.domain, channel.x0
         if not lo <= x0 <= hi:
@@ -413,8 +464,10 @@ def _multiplicative_field(channel, t):
 @dataclass(frozen=True, eq=False)
 class FlowField:
     """X = Phi(z0 + Z), Z ~ N(0, var) cut at +-z_edge, Phi the flow of sigma's Lamperti
-    table, on the window [lo, hi] = Phi(z0 -+ z_edge).  Its Values are read at offsets
-    z, in closed form.  Two flow fields are equal when they are one object."""
+    table, read at offsets z from z0 on the window z in +-edge, edge = z_edge, with the
+    trapezoid rule's first step sd/4; in x, that window is [lo, hi] = Phi(z0 -+ z_edge).
+    Its Values are closed forms in z.  Two flow fields are equal when they are one
+    object."""
 
     table: doss.PhiSolution
     z0: float
@@ -423,7 +476,7 @@ class FlowField:
 
     def __post_init__(self):
         lo, hi = self.x(np.array([-self.z_edge, self.z_edge])).tolist()
-        vars(self).update(lo=lo, hi=hi)
+        vars(self).update(lo=lo, hi=hi, edge=self.z_edge, step=math.sqrt(self.var) / 4)
 
     def x(self, z):
         return self.table(self.z0 + z)
@@ -527,15 +580,17 @@ def _erfc(w, e):
 
 @dataclass(frozen=True)
 class GridField:
-    """Law of X_0 + N(0, s) for a grid law, read as its piecewise-linear interpolant
-    p0 = sum_k J_k 1{x >= y_k} + S_k (x - y_k)_+ over the kinks y_k, with value jumps
-    J_k and slope jumps S_k, on the grid +- _FIELD_STD sd, sd = sqrt(s), with the x
-    rule's step sd/4.  With u_k = x - y_k and a_k = u_k / sd, a kink adds J_k Phi(a_k)
-    and Bachelier's ramp S_k (u_k Phi(a_k) + sd phi(a_k)).  A kink at or left of x
-    (u_k >= 0) enters through Q = 1 - Phi around p0(x), so that every term is a tail
+    """Law of X_0 + N(0, s) for a grid law, read at offsets u = x - c from the law's
+    centre c, as its piecewise-linear interpolant p0 = sum_k J_k 1{u >= y_k} +
+    S_k (u - y_k)_+ over the kinks y_k (offsets too), with value jumps J_k and slope
+    jumps S_k.  Its window is u in +-edge, edge = half the grid's width + _FIELD_STD sd,
+    sd = sqrt(s), with the trapezoid rule's first step sd/4; in x, [lo, hi] = the grid
+    +- _FIELD_STD sd.  With u_k = u - y_k and a_k = u_k / sd, a kink adds J_k Phi(a_k)
+    and Bachelier's ramp S_k (u_k Phi(a_k) + sd phi(a_k)).  A kink at or left of u
+    (u_k >= 0) enters through Q = 1 - Phi around p0(u), so that every term is a tail
     and none cancels:
-        p  = p0(x) + sum_k S_k sd psi(|a_k|) - sgn(u_k) J_k Q(|a_k|)
-        p' = p0'(x) + sum_k J_k phi(a_k) / sd - sgn(u_k) S_k Q(|a_k|)
+        p  = p0(u) + sum_k S_k sd psi(|a_k|) - sgn(u_k) J_k Q(|a_k|)
+        p' = p0'(u) + sum_k J_k phi(a_k) / sd - sgn(u_k) S_k Q(|a_k|)
         p" = sum_k (S_k - J_k a_k / sd) phi(a_k) / sd
     with psi(a) = phi(a) - a Q(a), sgn(0) = +1, and p0, p0' right-continuous, so a
     point on a kink takes the same side in both."""
@@ -545,56 +600,60 @@ class GridField:
 
     def __post_init__(self):
         sd, y = math.sqrt(self.s), self.law.grid
-        vars(self).update(sd=sd, step=sd / 4, lo=float(y[0] - _FIELD_STD * sd),
-                          hi=float(y[-1] + _FIELD_STD * sd),
+        vars(self).update(sd=sd, step=sd / 4, centre=self.law.centre,
+                          edge=float(y[-1] - y[0]) / 2 + _FIELD_STD * sd,
+                          lo=float(y[0] - _FIELD_STD * sd), hi=float(y[-1] + _FIELD_STD * sd),
                           _rows=max(1, _KERNEL_ENTRIES // (8 * self.law.kinks[0].size)))
 
-    def derivatives(self, x, order):
-        """p and its first `order` x-derivatives, numpy scalars for a scalar x; a
-        block of _rows points at a time, about 8 rows x kinks buffers live."""
-        y, v, slope = self.law.grid, self.law.values, self.law.slopes
+    def x(self, u):
+        return self.centre + u
+
+    def derivatives(self, u, order):
+        """p and its first `order` x-derivatives at offsets u, numpy scalars for a
+        scalar u; a block of _rows points at a time, about 8 rows x kinks buffers live."""
+        y, v, slope = self.law.offsets, self.law.values, self.law.slopes
         yk, jk, sk = self.law.kinks
         s, sd, rows = self.s, self.sd, self._rows
-        xa = np.asarray(x, dtype=float).ravel()
-        sums = np.empty((order + 1, xa.size))
-        for i in range(0, xa.size, rows):
-            xb = xa[i:i + rows]
-            j = np.searchsorted(y, xb, side="right") - 1
+        ua = np.asarray(u, dtype=float).ravel()
+        sums = np.empty((order + 1, ua.size))
+        for i in range(0, ua.size, rows):
+            ub = ua[i:i + rows]
+            j = np.searchsorted(y, ub, side="right") - 1
             inside = (j >= 0) & (j < slope.size)        # p0 is 0 off [y_0, y_last)
             j[~inside] = 0
             m0 = np.where(inside, slope[j], 0.0)
-            u = np.subtract.outer(xb, yk)
-            w = np.abs(u)
+            uk = np.subtract.outer(ub, yk)
+            w = np.abs(uk)
             w *= 1.0 / (sd * math.sqrt(2.0))            # |a| / sqrt 2
             e = _exp_minus_square(w)                    # sqrt(2 pi) phi(a)
             q, ramp = _erfc(w, e)                       # 2 Q(|a|), sqrt(2) psi(|a|)
-            np.copysign(q, u, out=q)
-            sums[0, i:i + rows] = (np.where(inside, v[j] + m0 * (xb - y[j]), 0.0)
+            np.copysign(q, uk, out=q)
+            sums[0, i:i + rows] = (np.where(inside, v[j] + m0 * (ub - y[j]), 0.0)
                                    + (sd / math.sqrt(2.0)) * (ramp @ sk) - 0.5 * (q @ jk))
             if order > 0:
                 sums[1, i:i + rows] = m0 + (e @ jk) / (_SQRT_2PI * sd) - 0.5 * (q @ sk)
             if order > 1:
-                u *= e
-                sums[2, i:i + rows] = ((e @ sk) - (u @ jk) / s) / (_SQRT_2PI * sd)
-        return [o.reshape(np.shape(x))[()] for o in sums]
+                uk *= e
+                sums[2, i:i + rows] = ((e @ sk) - (uk @ jk) / s) / (_SQRT_2PI * sd)
+        return [o.reshape(np.shape(u))[()] for o in sums]
 
     def pdf(self, x):
-        return self.derivatives(x, 0)[0]
+        return self.derivatives(np.asarray(x, dtype=float) - self.centre, 0)[0]
 
     def score_fn(self, x):
-        return _score(*self.derivatives(x, 1))
+        return _score(*self.derivatives(np.asarray(x, dtype=float) - self.centre, 1))
 
-    def at(self, x, q=None):
-        return _GridValues(x, self, q)
+    def at(self, u, q=None):
+        return _GridValues(u, self, q)
 
     def draw(self, normals, rng):
-        """Samples x = X_0 + sd N, N a block of standard normals and X_0, from rng, the
-        law's interpolant, a mixture of hat functions: a grid point each by its
+        """Offsets u = (X_0 - c) + sd N, N a block of standard normals and X_0, from rng,
+        the law's interpolant, a mixture of hat functions: a grid point each by its
         hat weight, then triangular noise over its two neighbouring intervals."""
-        x, y = normals * self.sd, self.law.grid
+        u, y = normals * self.sd, self.law.offsets
         k = np.repeat(np.arange(y.size), rng.multinomial(normals.size, self.law.hat_weights))
-        x += rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
-        return x
+        u += rng.triangular(y[np.maximum(k - 1, 0)], y[k], y[np.minimum(k + 1, y.size - 1)])
+        return u
 
 
 def _score(f, df):
@@ -609,14 +668,22 @@ def _dscore(f, df, d2f):
 
 
 def density_at(channel, t):
-    """Law of X_t as a GaussianField, FlowField or GridField. Requires 0 < t < inf."""
+    """Law of X_t as a GaussianField, FlowField or GridField.  Requires 0 < t < inf,
+    and s = t^{2H}, the variance of B^H_t, a normal float: DegenerateTimeError where
+    it underflows below sys.float_info.min, since X_t is then X_0 to working
+    precision."""
     if not math.isfinite(t):
         raise DomainError(f"density_at requires a finite t, not {t}")
     if t <= 0:
         raise DegenerateTimeError("density_at requires t > 0")
+    h = channel.hurst.value
+    s = float(t) ** (2.0 * h)
+    if s < sys.float_info.min:
+        raise DegenerateTimeError(
+            f"t = {t:g} with H = {h:g} gives t^(2H) = {s:g}, below the smallest normal "
+            f"float {sys.float_info.min:g}")
     if channel.variant == "multiplicative":
-        return _multiplicative_field(channel, t)
-    s = float(t) ** (2.0 * channel.hurst.value)
+        return _multiplicative_field(channel, s)
     law = channel.initial
     if isinstance(law, GaussianLaw):
         return gaussian_field(law.mean, law.variance + s)

@@ -3,13 +3,15 @@
 Entropy, generalized Fisher information, KL divergence, relative Fisher
 information and entropy power.  Each functional is one expectation E_p[g(v)],
 v the fields' `channels.Values` at X (x, ln p, the score and, for a divergence,
-ln(p/q) and q's score), evaluated by `expect_values` by a rule its fields' types
-pick.  Flow fields take the trapezoid rule `_trapezoid`, whose step halves until
-two sums agree to the tolerances, in z, where their Values are closed forms;
-Gaussian and grid fields take it in x over p's own window.  It converges
-geometrically on these integrands.  Any other pair goes to `expect_gauss_kronrod`,
-an adaptive Gauss-Kronrod rule in x over p's own window and the reference the
-trapezoid rule is tested against.  A weight b is an array callable, None meaning 1.
+ln(p/q) and q's score), evaluated by `expect_values`.  Every field that
+`channels.density_at` builds takes the trapezoid rule `_trapezoid` in its own
+coordinate u, an offset from its centre, over its window u in +-edge, weighted by
+the density of u its Values give; the step starts at the field's own and halves
+until two sums agree to the tolerances, which on these integrands comes
+geometrically fast.  A plain `channels.DensityField` goes to
+`expect_gauss_kronrod`, an adaptive Gauss-Kronrod rule in x over p's window and the
+reference the trapezoid rule is tested against.  A weight b is an array callable,
+None meaning 1.
 """
 
 import math
@@ -30,21 +32,20 @@ def expect_values(p, g, q=None):
     """E_p[g(v)], v the fields' channels.Values at X ~ p; q, when given, is the
     second field of a divergence and must contain p's support.  Every rule
     integrates over p's own window and reads q there."""
-    fields = (p,) if q is None else (p, q)
-    if all(isinstance(f, ch.FlowField) for f in fields):
-        norm = 1.0 / math.sqrt(2.0 * math.pi * p.var)
+    if isinstance(p, ch.DensityField):
+        return expect_gauss_kronrod(p, g, q)
 
-        def weighted(z):
-            return norm * np.exp(-0.5 * z * z / p.var) * g(p.at(z, q))
-        return _trapezoid(weighted, -p.z_edge, p.z_edge, math.sqrt(p.var) / 4.0)
-    if all(isinstance(f, (ch.GaussianField, ch.GridField)) for f in fields):
-        return _trapezoid(_weighted_x(p, g, q), p.lo, p.hi, min(f.step for f in fields))
-    return expect_gauss_kronrod(p, g, q)
+    def weighted(u):
+        v = p.at(u, q)
+        w = v.weight
+        return np.where(w > _TINY, w * g(v), 0.0)
+    return _trapezoid(weighted, -p.edge, p.edge, p.step)
 
 
 def expect_gauss_kronrod(p, g, q=None):
     """expect_values by the adaptive Gauss-Kronrod rule in x over p's window, for fields
-    of any type: pairs with no common rule, and the runner's cross-check of the z rule."""
+    of any type: plain densities, tests of the trapezoid rule, and the runner's
+    cross-check of the z rule."""
     value, _, _, *failure = integrate.quad(_weighted_x(p, g, q), p.lo, p.hi, epsabs=ABS_TOL,
                                            epsrel=REL_TOL, limit=_LIMIT)
     if failure:
@@ -53,9 +54,13 @@ def expect_gauss_kronrod(p, g, q=None):
 
 
 def _weighted_x(p, g, q):
-    """x -> p(x) g(v), v p's Values at x (a flow p's from pdf, score_fn), 0 at p(x) <= _TINY."""
+    """x -> p(x) g(v), v p's Values at x, 0 at p(x) <= _TINY: a flow p's from its pdf and
+    score_fn, as a plain density's, and any other's read at x less its centre."""
+    if isinstance(p, ch.FlowField):
+        p = ch.DensityField(p.lo, p.hi, p.pdf, p.score_fn)
+
     def weighted(x):
-        v = ch.Values(x, p, q) if isinstance(p, ch.FlowField) else p.at(x, q)
+        v = p.at(x - p.centre, q)
         f = v.pdf
         return np.where(f > _TINY, f * g(v), 0.0)
     return weighted

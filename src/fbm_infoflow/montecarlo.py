@@ -3,8 +3,10 @@
 Because X_t = Phi(z0 + B^H_t), or X_0 + B^H_t, only the law of the endpoint is
 sampled, by the `draw` of the field `channels.density_at` builds; no path
 simulation is needed.  The oracle reads its draws through that same field's
-`at`, as `channels.Values`, so the law it samples is the law it reads.  A flow
-field's draws stay in z, which its `at` reads, so no draw inverts phi.  Each
+`at`, as `channels.Values`, so the law it samples is the law it reads.  Every
+field draws offsets from its centre, the coordinate its `at` reads, so no draw
+rounds to an ulp of a mean far from 0, and a flow field's draws stay in z, so
+no draw inverts phi.  Each
 batch is evaluated in blocks of _BLOCK draws: on a flow channel a block holds
 about seven block-sized float arrays at once (phi's index and Horner
 temporaries, x, sigma, sigma', the score and g's products), and one 1e5-draw
@@ -111,8 +113,9 @@ def _standard_normal(rng, n):
 
 
 def sample_endpoint(channel, t, n, rng):
-    """n samples of X_t, in the coordinate its field's `at` reads, from one block
-    of n standard normals (and, for a grid law, rng's later draws)."""
+    """n samples of X_t as offsets u from its field's centre, which the field's `at`
+    reads and its x(u) maps to X_t, from one block of n standard normals (and, for
+    a grid law, rng's later draws)."""
     return ch.density_at(channel, t).draw(_standard_normal(rng, n), rng)
 
 

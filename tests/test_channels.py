@@ -361,12 +361,16 @@ _kink_cases = pytest.mark.parametrize(
 
 @_kink_cases
 def test_grid_field_matches_kink_sum(law, s):
+    # The field reads offsets u from the grid's midpoint.  u = x - midpoint rounds
+    # near x = 0, so the kink sum reads the point f.x(u) that u stands for.
     f = ch.GridField(law, s)
     x = np.concatenate([np.linspace(f.lo, f.hi, 101), law.grid[::40], law.grid[-1:]])
-    pdf, score, dscore = _kink_sum(law, s, x.tolist())
-    np.testing.assert_allclose(f.pdf(x), pdf, rtol=1e-12, atol=0.0)
+    u = x - f.centre
+    v = f.at(u)
+    pdf, score, dscore = _kink_sum(law, s, f.x(u).tolist())
+    np.testing.assert_allclose(v.pdf, pdf, rtol=1e-12, atol=0.0)
     # The float sum's own rounding in the tails bounds how close score and dscore come.
-    for got, want in ((f.score_fn(x), score), (f.at(x).dscore, dscore)):
+    for got, want in ((v.score, score), (v.dscore, dscore)):
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
@@ -374,10 +378,10 @@ def test_grid_field_matches_kink_sum(law, s):
 def test_grid_field_blocks_do_not_change_values(law, s, monkeypatch):
     x = np.random.default_rng(1).uniform(law.grid[0] - 1.0, law.grid[-1] + 1.0, 301)
     f = ch.GridField(law, s)
-    want = [f.pdf(x), f.score_fn(x), f.at(x).dscore]
+    want = [f.pdf(x), f.score_fn(x), f.at(x - f.centre).dscore]
     monkeypatch.setattr(ch, "_KERNEL_ENTRIES", 0)        # one point a block
     f = ch.GridField(law, s)
-    pdf, score, dscore = f.pdf(x), f.score_fn(x), f.at(x).dscore
+    pdf, score, dscore = f.pdf(x), f.score_fn(x), f.at(x - f.centre).dscore
     np.testing.assert_allclose(pdf, want[0], rtol=1e-13, atol=0.0)
     assert np.max(np.abs(score - want[1])) <= 1e-13 * np.max(np.abs(want[1]))
     # dscore = f''/f - score^2 cancels; its rounding is relative to score^2.
@@ -491,6 +495,21 @@ def test_degenerate_time():
         ch.density_at(c, 0.0)
 
 
+@pytest.mark.parametrize("chan", [
+    ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.9),
+    ch.multiplicative(sg.constant(1.0), 0.0, 0.9),
+    ch.additive(ch.gaussian_law(0.0, 1.0), 0.9),
+    ch.additive(_uniform_law(), 0.9)], ids=["flow", "constant", "gaussian", "grid"])
+@pytest.mark.parametrize("t, s", [(1e-200, "0"), (1e-172, "2.51189e-310")])
+def test_time_whose_variance_underflows_is_degenerate(chan, t, s):
+    # t^{2H} below the smallest normal float: a flow field divided by 0 in its window's
+    # mass, and an additive Gaussian read N(m, v + 0) as a law of X_t.
+    with pytest.raises(DegenerateTimeError, match=rf"t = {t:g} with H = 0.9 gives "
+                                                  rf"t\^\(2H\) = {s}, below the smallest"):
+        ch.density_at(chan, t)
+    assert ch.density_at(chan, 1e-170)      # t^{2H} = 1e-306 is a normal float
+
+
 def test_coarse_grid_law_convolves_at_small_t():
     # The 11-point uniform law at t = 0.01, where the kernel std 0.1 is half a grid
     # step: the point-mass reading refused it, and the interpolant is exact.
@@ -520,15 +539,16 @@ def test_grid_law_validation():
 
 
 def _decomposition(y, v):
-    """A grid law's interval slopes, kinks (y_k, J_k, S_k) and hat-mixture
-    probabilities, from scratch."""
+    """A grid law's interval slopes, kinks (y_k, J_k, S_k), y_k an offset from the
+    grid's midpoint, and hat-mixture probabilities, from scratch."""
     slopes = np.diff(v) / np.diff(y)
     jump = np.zeros_like(v)
     jump[0], jump[-1] = v[0], -v[-1]
     bend = np.diff(slopes, prepend=0.0, append=0.0)
     kink = (jump != 0.0) | (bend != 0.0)
     hats = v * np.convolve(np.diff(y), [1.0, 1.0])
-    return slopes, (y[kink], jump[kink], bend[kink]), hats / hats.sum()
+    offsets = y - (y[0] + y[-1]) / 2
+    return slopes, (offsets[kink], jump[kink], bend[kink]), hats / hats.sum()
 
 
 _TENT_GRID = np.linspace(-1.0, 1.0, 9)
@@ -544,7 +564,7 @@ def test_grid_field_reads_the_laws_decomposition(law):
         np.testing.assert_array_equal(stored, fresh)
     np.testing.assert_array_equal(law.hat_weights, hats)
     # The law's arrays are read-only, so the decomposition cannot go stale.
-    for a in (law.grid, law.values, law.slopes, law.hat_weights, *law.kinks):
+    for a in (law.grid, law.values, law.offsets, law.slopes, law.hat_weights, *law.kinks):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     # A field built on a from-scratch decomposition gives the same values.
@@ -554,8 +574,8 @@ def test_grid_field_reads_the_laws_decomposition(law):
     x = np.linspace(law.grid[0] - 1.0, law.grid[-1] + 1.0, 257)
     for s in (1e-4, 0.5):
         f, g = ch.GridField(law, s), ch.GridField(fresh, s)
-        for got, want in zip((f.pdf(x), f.score_fn(x), f.at(x).dscore),
-                             (g.pdf(x), g.score_fn(x), g.at(x).dscore)):
+        for got, want in zip((f.pdf(x), f.score_fn(x), f.at(x - f.centre).dscore),
+                             (g.pdf(x), g.score_fn(x), g.at(x - g.centre).dscore)):
             np.testing.assert_array_equal(got, want)
 
 

@@ -449,6 +449,26 @@ def test_constant_sigma_reads_its_working_domain(domain, cause):
     assert row.extras["error"].startswith(f"debruijn-mult t=1 H=0.5: FlowEscapeError: {cause}")
 
 
+_GAUSSIAN = {"initial": {"kind": "gaussian"}}
+
+
+@pytest.mark.parametrize("suite, channel, t, h", [
+    ("debruijn-mult", _SQRT1P["channel"], 1e-200, 0.9),
+    ("debruijn-additive", {"initial": {"kind": "grid"}}, 1e-200, 0.9),
+    ("debruijn-additive", _GAUSSIAN, 1e-200, 0.9),
+    ("entropy-power", _GAUSSIAN, 1e-160, 0.99),
+    ("fokker-planck", _SQRT1P["channel"], 1e-160, 0.99)])
+def test_time_whose_variance_underflows_is_an_error_row(suite, channel, t, h):
+    # t^{2H} below the smallest normal float.  The first three aborted the run with a
+    # ZeroDivisionError, Fokker-Planck wrote a NaN row with no error, and the Gaussian
+    # De Bruijn row passed, reading X_t as X_0.
+    code, rows, _ = cli.run_suite({"suites": [suite], "channel": channel, "t_grid": [t],
+                                   "hurst_grid": [h], "min_t": t})
+    (row,) = rows
+    assert code == 3 and not row.passed
+    assert row.extras["error"].startswith(f"{suite} t={t:g} H={h:g}: DegenerateTimeError: t = ")
+
+
 def test_fbm_stats_samples_through_fbm(monkeypatch):
     # The first fbm-stats cell samples every H of the grid by fbm.path_moments, once
     # a method; the next cell reads its figures.

@@ -67,7 +67,7 @@ def test_debruijn_g_evaluates_sigma_three_times_a_point():
     g = rhs.g(v)
     assert sum(points) == 3 * 101
     assert np.array_equal(g, _old_debruijn_g(sig, field.at(v.z)))
-    plain = ch.Values(v.x, field)
+    plain = ch.Values(v.x, ch.DensityField(field.lo, field.hi, field.pdf, field.score_fn))
     assert np.array_equal(rhs.g(plain), _old_debruijn_g(sig, plain))
 
 
@@ -153,6 +153,26 @@ def test_additive_rhs_is_the_unit_sigma_case():
                     h * t ** (2 * h - 1) / (2.0 + t ** (2 * h)), abs=1e-12)
 
 
+@pytest.mark.parametrize("chan", [
+    ch.additive(ch.gaussian_law(1e6, 1.0), 0.5),
+    ch.additive(ch.gaussian_law(1e10, 1.0), 0.5),
+    ch.additive(ch.gaussian_law(1e12, 1.0), 0.5),
+    ch.additive(ch.grid_law(np.linspace(1e8 - 1, 1e8 + 1, 2001), np.full(2001, 0.5)), 0.5),
+    ch.multiplicative(sg.constant(1.0, (-2e12, 2e12)), 1e12, 0.5)],
+    ids=["N(1e6,1)", "N(1e10,1)", "N(1e12,1)", "uniform-1e8+-1", "constant-x0=1e12"])
+def test_checks_far_from_zero(chan):
+    # The rule's nodes were once mean + k step, each rounded to ulp(mean): entropy
+    # power read |lhs - rhs| = 5.7e-4, 0.19 and 5.2e-3 on the first, second and fourth
+    # channels, De Bruijn 4.3e-5 and 1.3e-6 on the second and fourth, and the third and
+    # fifth raised QuadratureError.  Read at offsets from the centre, they read as at 0.
+    checks = [idn.debruijn_check]
+    if chan.variant == "additive":
+        checks.append(idn.entropy_power_check)
+    for check in checks:
+        rep = check(chan, 1.0)
+        assert rep.passed, rep
+
+
 def test_kl_flow_same_start_is_zero():
     s = sg.constant(1.0)
     x = ch.multiplicative(s, 0.0, 0.6)
@@ -175,7 +195,7 @@ def test_kl_flow_gaussian_value():
 
 @pytest.mark.parametrize("y0", [5.0, 15.0, 30.0])
 def test_kl_flow_far_gaussian_pair(y0):
-    # A Gaussian q has a density on all of R: the x rule keeps p's whole domain
+    # A Gaussian q has a density on all of R: the rule keeps p's whole window
     # even where it no longer meets q's.
     s = sg.constant(1.0)
     x, y = ch.multiplicative(s, 0.0, 0.5), ch.multiplicative(s, y0, 0.5)

@@ -295,6 +295,34 @@ def test_x_rule_skips_points_where_the_density_underflows():
     assert abs(got - ref) <= nf.ABS_TOL + nf.REL_TOL * abs(ref)
 
 
+# A grid of 1/16 steps on [-1, 1]: m + k/16 is exact for a whole m up to 2^48.
+_STEPS = np.arange(-16, 17) / 16.0
+_BUMP = np.exp(-3.0 * _STEPS ** 2) * (1.0 + _STEPS / 2)
+
+
+def _started_at(m):
+    """The law at t = 1 of an additive Gaussian start, an additive grid law and a
+    constant sigma, each started at m."""
+    chans = (ch.additive(ch.gaussian_law(m, 0.5), 0.5),
+             ch.additive(ch.grid_law(m + _STEPS, _BUMP / np.trapezoid(_BUMP, _STEPS)), 0.3),
+             ch.multiplicative(sg.constant(1.5, (-2e12, 2e12)), m, 0.75))
+    return [ch.density_at(c, 1.0) for c in chans]
+
+
+def _moments(f):
+    """Entropy, J_1 and E[dscore] of f."""
+    return [nf.expect_values(f, g) for g in (
+        lambda v: -v.logp, lambda v: v.score ** 2, lambda v: v.dscore)]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(10 ** 3, 10 ** 12))
+def test_a_start_far_from_zero_reads_as_at_zero(m):
+    # Nodes mean + k step once rounded to ulp(m), and with them ln p and the score.
+    for f, near in zip(_started_at(float(m)), _started_at(0.0)):
+        np.testing.assert_allclose(_moments(f), _moments(near), rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(_mean, _var, _shift, _ratio, st.booleans())
 def test_kl_and_fisher_nonnegative(mean, var, shift, ratio, tagged):

@@ -37,10 +37,10 @@ def test_additive_gaussian_moments():
 
 def test_gaussian_law_draws_no_component_index():
     # X_t ~ N(m, v + t^{2H}) from one block of normals, and nothing else: X_0 and
-    # B^H_t were once two blocks.
+    # B^H_t were once two blocks.  The draws are offsets from m; field.x reads X_t.
     chan = ch.additive(ch.gaussian_law(2.0, 0.5), 0.75)
     gen = np.random.default_rng(4)
-    x = mc.sample_endpoint(chan, 1.5, 1000, gen)
+    x = ch.density_at(chan, 1.5).x(mc.sample_endpoint(chan, 1.5, 1000, gen))
     rng = np.random.default_rng(4)
     assert np.array_equal(x, rng.standard_normal(1000) * math.sqrt(0.5 + 1.5 ** 1.5) + 2.0)
     assert gen.bit_generator.state == rng.bit_generator.state
@@ -81,7 +81,7 @@ def test_blocked_oracle_is_the_plain_estimator(chan):
     streams = np.random.SeedSequence(seed).spawn(3)
     draws = np.concatenate([mc.sample_endpoint(chan, t, nb, np.random.default_rng(ss))
                             for ss, nb in zip(streams, (mc._BATCH, mc._BATCH, 5))])
-    values = g(field.x(draws) if isinstance(field, ch.FlowField) else draws)
+    values = g(field.x(draws))
     assert est.mean == pytest.approx(np.mean(values), rel=1e-13)
     assert est.std_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(n), rel=1e-10)
 
@@ -136,13 +136,14 @@ def _plain_endpoint(law, t, h, n, rng):
     ch.gaussian_law(2.0, 0.5),
     ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5))], ids=["gaussian", "grid"])
 def test_memo_hit_is_a_fresh_draw(memo, law):
-    # Each law draws one normal block (a grid law's own noise is triangular).
+    # Each law draws one normal block (a grid law's own noise is triangular), as
+    # offsets from its centre; field.x reads X_t.
     chan = ch.additive(law, 0.75)
     rng = np.random.default_rng(4)
     ref = _plain_endpoint(law, 1.5, 0.75, 1000, rng)
     for _ in range(2):                  # a miss, then a hit
         gen = np.random.default_rng(4)
-        x = mc.sample_endpoint(chan, 1.5, 1000, gen)
+        x = ch.density_at(chan, 1.5).x(mc.sample_endpoint(chan, 1.5, 1000, gen))
         assert memo.cache_info().misses == 1
         assert np.array_equal(x, ref)
         assert gen.bit_generator.state == rng.bit_generator.state
