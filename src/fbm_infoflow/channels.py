@@ -1,11 +1,11 @@
 """Channel models and the density fields they give.
 
-Two channel variants are supported: the multiplicative model
-dX = sigma(X) o dB^H with X_0 = x0 (density by push-forward through the
-Doss-Sussmann flow) and the additive model X_t = X_0 + B^H_t, the same
-equation with sigma = 1 and a random start.  A Gaussian initial law gives the
-Gaussian with B^H_t's variance added.  A grid law is read as its
-piecewise-linear interpolant, and its convolution with N(0, t^{2H}) is exact:
+A channel is one equation, dX = sigma(X) o dB^H, from a start: a point x0, or a
+Gaussian or grid initial law under a constant sigma = c, where
+X_t = X_0 + c B^H_t.  Under a non-constant sigma, X_t is the push-forward of
+z0 + B^H_t through the Doss-Sussmann flow, z0 = Phi^-1(x0).  A Gaussian law gives
+the Gaussian with c^2 t^{2H} added to its variance.  A grid law is read as its
+piecewise-linear interpolant, and its convolution with N(0, c^2 t^{2H}) is exact:
 one Gaussian CDF term per jump of the interpolant's value and one Bachelier
 ramp term per jump of its slope, with erfc from Cody's (1969) rational
 approximations in numpy.
@@ -48,9 +48,9 @@ _FLOWS = 8              # Lamperti tables kept, one per sigma
 _STARTS = 64            # starts x0 whose z0 on their sigma's table are kept
 _Z_REACH = 64.0         # a table runs at most this far each way from its anchor in z:
                         # 64 000 nodes at doss's 2e-3 spacing, 3x sqrt1p's whole table
-_FIELD_STD = 10.0       # additive field domain: mean +/- 10 std
+_FIELD_STD = 10.0       # Gaussian and grid field windows: +/- 10 std past the law
 _KERNEL_ENTRIES = 1 << 16   # entries of one block's buffers in all: 512 kB, in L2
-UNIT_SIGMA = constant(1.0)  # the additive channel's sigma
+UNIT_SIGMA = constant(1.0)  # a law start's default sigma
 
 
 def _check_normal(what, mean, variance):
@@ -134,10 +134,9 @@ def grid_law(grid, values):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A multiplicative channel, started at the point x0 under sigma, or an additive
-    one, started from an initial law: it holds exactly one of x0 and initial, and
-    `variant` follows from which.  An additive channel's sigma is UNIT_SIGMA, or any
-    other constant 1."""
+    """dX = sigma(X) o dB^H from a start: the point x0, or X_0 ~ initial, a GaussianLaw
+    or GridLaw, under a constant sigma.  It holds exactly one of x0 and initial, and
+    `variant` follows from which; sigma defaults to UNIT_SIGMA under a law."""
 
     hurst: HurstParameter
     sigma: Optional[SigmaModel] = None
@@ -147,14 +146,16 @@ class ChannelSpec:
     def __post_init__(self):
         if (self.x0 is None) == (self.initial is None):
             raise DomainError("a channel holds a start x0 or an initial law, exactly one")
+        sigma = UNIT_SIGMA if self.sigma is None else self.sigma
         if self.initial is None:
             if self.sigma is None or not math.isfinite(self.x0):
-                raise DomainError("multiplicative channel needs sigma and a finite x0, "
+                raise DomainError("a channel from a point needs sigma and a finite x0, "
                                   f"not x0 = {self.x0}")
-        elif self.sigma is not None and (self.sigma.kind, self.sigma.c) != ("constant", 1.0):
-            raise DomainError("additive channel has sigma = 1; it takes no other sigma")
-        vars(self).update(hurst=as_hurst(self.hurst),
-                          sigma=UNIT_SIGMA if self.sigma is None else self.sigma)
+        elif not isinstance(self.initial, (GaussianLaw, GridLaw)):
+            raise DomainError(f"an initial law is a GaussianLaw or GridLaw, not {self.initial!r}")
+        elif sigma.kind != "constant":
+            raise DomainError(f"an initial law needs a constant sigma, not {sigma.kind}")
+        vars(self).update(hurst=as_hurst(self.hurst), sigma=sigma)
 
     @property
     def variant(self):
@@ -420,27 +421,12 @@ def _z0(sigma, x0):
     return float(doss.invert_phi(_lamperti(sigma), x0))
 
 
-def _multiplicative_field(channel, var):
+def _flow_field(channel, var):
     """X_t = Phi(z0 + Z), Z ~ N(0, var), Phi the flow of sigma's table, z0 = Phi^-1(x0),
     on the window z0 +- z_edge: _Z_STD std, or less where the table ends nearer, at
     sigma's edge or _Z_REACH.  FlowEscapeError if z0 lies past the table's reach, or
-    the N(0, var) mass beyond z_edge is above ABS_TOL.  Under a constant sigma = c,
-    X_t ~ N(x0, c^2 var), and FlowEscapeError if x0 lies outside sigma's working
-    domain or that law's mass past it is above ABS_TOL."""
+    the N(0, var) mass beyond z_edge is above ABS_TOL."""
     sig = channel.sigma
-    if sig.kind == "constant":
-        (lo, hi), x0 = sig.domain, channel.x0
-        if not lo <= x0 <= hi:
-            raise FlowEscapeError(
-                f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
-        law = gaussian_field(x0, sig.c ** 2 * var)
-        w = math.sqrt(2.0 * law.variance)
-        dropped = 0.5 * (math.erfc((x0 - lo) / w) + math.erfc((hi - x0) / w))
-        if dropped > ABS_TOL:
-            raise FlowEscapeError(
-                f"sigma's working domain [{lo:g}, {hi:g}] cuts {dropped:.3g} of the mass "
-                f"of X_t from x0 = {x0:g}, above {ABS_TOL:g}")
-        return law
     sd = math.sqrt(var)
     table = _lamperti(sig)
     z0 = _z0(sig, channel.x0)
@@ -668,10 +654,13 @@ def _dscore(f, df, d2f):
 
 
 def density_at(channel, t):
-    """Law of X_t as a GaussianField, FlowField or GridField.  Requires 0 < t < inf,
-    and s = t^{2H}, the variance of B^H_t, a normal float: DegenerateTimeError where
-    it underflows below sys.float_info.min, since X_t is then X_0 to working
-    precision."""
+    """Law of X_t: a FlowField under a non-constant sigma; under a constant sigma = c,
+    X_0 + N(0, s'), s' = c^2 s: GaussianField(x0, s') from a point, FlowEscapeError if
+    x0 lies outside sigma's working domain or that law's mass past it is above
+    ABS_TOL, GaussianField(m, v + s') from N(m, v) and GridField(law, s') from a grid
+    law.  Requires 0 < t < inf, and s = t^{2H}, the variance of B^H_t, a normal float:
+    DegenerateTimeError where it underflows below sys.float_info.min, since X_t is
+    then X_0 to working precision."""
     if not math.isfinite(t):
         raise DomainError(f"density_at requires a finite t, not {t}")
     if t <= 0:
@@ -682,9 +671,21 @@ def density_at(channel, t):
         raise DegenerateTimeError(
             f"t = {t:g} with H = {h:g} gives t^(2H) = {s:g}, below the smallest normal "
             f"float {sys.float_info.min:g}")
-    if channel.variant == "multiplicative":
-        return _multiplicative_field(channel, s)
-    law = channel.initial
+    sig, law = channel.sigma, channel.initial
+    if sig.kind != "constant":
+        return _flow_field(channel, s)
+    s *= sig.c ** 2
     if isinstance(law, GaussianLaw):
         return gaussian_field(law.mean, law.variance + s)
-    return GridField(law, s)
+    if isinstance(law, GridLaw):
+        return GridField(law, s)
+    (lo, hi), x0 = sig.domain, channel.x0
+    if not lo <= x0 <= hi:
+        raise FlowEscapeError(f"x0 = {x0:g} lies outside sigma's working domain [{lo:g}, {hi:g}]")
+    w = math.sqrt(2.0 * s)
+    dropped = 0.5 * (math.erfc((x0 - lo) / w) + math.erfc((hi - x0) / w))
+    if dropped > ABS_TOL:
+        raise FlowEscapeError(
+            f"sigma's working domain [{lo:g}, {hi:g}] cuts {dropped:.3g} of the mass "
+            f"of X_t from x0 = {x0:g}, above {ABS_TOL:g}")
+    return gaussian_field(x0, s)

@@ -55,8 +55,8 @@ def covariance(s, t, h):
     h = as_hurst(h)
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(s < 0) or np.any(t < 0):
-        raise DomainError("fBm covariance requires s, t >= 0")
+    if not np.all((s >= 0) & (s < np.inf) & (t >= 0) & (t < np.inf)):   # NaN compares false
+        raise DomainError("fBm covariance requires finite s, t >= 0")
     two_h = 2.0 * h.value
     return 0.5 * (t ** two_h + s ** two_h - np.abs(t - s) ** two_h)
 
@@ -73,8 +73,8 @@ def _validate_grid(grid):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise GridError("grid must be a non-empty 1-d array")
-    if np.any(grid <= 0):
-        raise GridError("grid times must be strictly positive")
+    if not np.all((grid > 0) & (grid < np.inf)):       # NaN compares false
+        raise GridError("grid times must be finite and strictly positive")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise GridError("grid must be strictly increasing")
     return grid

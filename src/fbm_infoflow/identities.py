@@ -4,15 +4,16 @@ Each check builds the left- and right-hand side of one identity by
 independent numerical routes (finite differences in time on one side,
 quadrature of Fisher-type functionals on the other) and reports the
 discrepancy against a tolerance.  Every check takes one channel and one time
-t and returns an `IdentityReport`.  There is one De Bruijn check for both
-channel families: the additive channel X_0 + B^H_t is the unit-sigma case.
+t and returns an `IdentityReport`.  A channel is dX = sigma(X) o dB^H from a
+point or an initial law, and each check takes any start its formula holds for:
+entropy power needs a constant sigma, and the rest take every channel.
 The De Bruijn and KL identities write their rhs once, as an `Rhs` definition
 rhs = scale * E[g(v)], v the fields' `channels.Values` at X_t: the check
 integrates it and hands it to the runner on its report, as `definition`, so that
 the runner's x-space cross-check and Monte Carlo oracle evaluate the object the
 check integrated.  g reads the score from v, which a flow field gives in closed
 form from z.  The Fokker-Planck check reads its residual on a grid about the
-start x0, where X_t has its mass.
+start's centre, where X_t has its mass.
 """
 
 import functools
@@ -138,14 +139,15 @@ def debruijn_check(channel, t, fd_step=None, tol=None):
     """Entropy flow of dX = sigma(X) o dB^H against its Fisher-information form.
 
     rhs = H t^{2H-1} { J_{sigma^2}(X_t) - E[sigma''(X_t) sigma(X_t) + sigma'(X_t)^2] };
-    on an additive channel sigma = 1 and rhs = H t^{2H-1} J_1(X_t).  tol defaults
-    to the row's DEFAULT_TOLERANCES entry, debruijn-mult's or debruijn-additive's.
+    under a constant sigma = c, rhs = H t^{2H-1} c^2 J_1(X_t).  The row is
+    debruijn-mult from a point and debruijn-additive from a law, and tol defaults to
+    its DEFAULT_TOLERANCES entry.
     """
     fd_step = _check_step(t, fd_step)
     lhs = richardson_derivative(
         lambda s: nf.entropy(ch.density_at(channel, s)), t, fd_step)
     definition = debruijn_rhs(channel, t)
-    name = "debruijn-mult" if channel.variant == "multiplicative" else "debruijn-additive"
+    name = "debruijn-mult" if channel.initial is None else "debruijn-additive"
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     return _report(name, t, channel.hurst.value, lhs, definition.value(), tol,
                    notes=f"richardson fd_step={fd_step:g}", definition=definition)
@@ -173,14 +175,11 @@ def kl_flow_check(x_channel, y_channel, t, fd_step=None,
                   tol=DEFAULT_TOLERANCES["kl-flow"]):
     """d/dt K(X_t || Y_t) against -H t^{2H-1} J_{sigma^2}(X_t || Y_t).
 
-    Both channels must be multiplicative with the same diffusion coefficient
-    and Hurst parameter; a custom coefficient counts as the same only when it
-    is the same model object.  Also records whether the KL values at
-    t - delta, t, t + delta are non-increasing.
+    The channels must share the diffusion coefficient and Hurst parameter, and
+    may start anywhere, from a point or a law; a custom coefficient counts as the
+    same only when it is the same model object.  Also records whether the KL
+    values at t - delta, t, t + delta are non-increasing.
     """
-    for c in (x_channel, y_channel):
-        if c.variant != "multiplicative":
-            raise DomainError("kl_flow_check needs multiplicative channels")
     if x_channel.hurst.value != y_channel.hurst.value:
         raise DomainError("channels must share the Hurst parameter")
     sx, sy = x_channel.sigma, y_channel.sigma
@@ -231,8 +230,6 @@ def fokker_planck_residual(channel, t, x_grid, fd_step=None):
     evaluated on x_grid.  Each derivative of P is richardson_derivative's: in t
     at fd_step, in x at step 5e-3; sigma's derivatives are analytic.
     """
-    if channel.variant != "multiplicative":
-        raise DomainError("fokker_planck_residual needs a multiplicative channel")
     fd_step = _check_step(t, fd_step)
     x = np.asarray(x_grid, dtype=float)
     sig = channel.sigma
@@ -257,11 +254,11 @@ def fokker_planck_residual(channel, t, x_grid, fd_step=None):
 
 
 def fokker_planck_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["fokker-planck"]):
-    """The largest |fokker_planck_residual| on 81 points x0 + [-4, 4], against 0."""
-    if channel.variant != "multiplicative":
-        raise DomainError("fokker_planck_check needs a multiplicative channel")
+    """The largest |fokker_planck_residual| on 81 points m + [-4, 4], against 0: m is
+    x0 from a point, and the centre of X_t's field from a law."""
     fd_step = _check_step(t, fd_step)
-    x = channel.x0 + np.linspace(-4.0, 4.0, 81)
+    centre = channel.x0 if channel.initial is None else ch.density_at(channel, t).centre
+    x = centre + np.linspace(-4.0, 4.0, 81)
     worst = float(np.max(np.abs(fokker_planck_residual(channel, t, x, fd_step))))
     return _report("fokker-planck", t, channel.hurst.value, worst, 0.0, tol,
                    notes=f"max |residual| over x in [{x[0]:g},{x[-1]:g}], {x.size} pts; "
@@ -278,16 +275,16 @@ def stein_check(mu, variance, r, r_prime, tol=DEFAULT_TOLERANCES["stein"]):
 
 
 def entropy_power_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["entropy-power"]):
-    """d^2N/dt^2 of the entropy power N(X_t) of an additive channel, by
-    richardson_derivative at fd_step, against 2 N g with
-    g(t, H, X_t) = H(2H-1) t^{2H-2} J_1 - 2 H^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)];
+    """d^2N/dt^2 of the entropy power N(X_t) of a channel with a constant sigma = c,
+    X_t = X_0 + c B^H_t, by richardson_derivative at fd_step, against 2 N g with
+    g(t, H, X_t) = c^2 H(2H-1) t^{2H-2} J_1 - 2 (c^2 H)^2 t^{4H-2} Var[d_x^2 ln p_t(X_t)];
     g > 0 makes N convex at t, else concave.  g uses J_1 = -E[d_x^2 ln p_t] and
-    dJ_1/dt = -2H t^{2H-1} E[(d_x^2 ln p_t)^2], not a time difference of J_1.  The
-    tolerance is tol * max(1, |2 N g|)."""
-    if channel.variant != "additive":
-        raise DomainError("entropy_power_check needs an additive channel")
+    dJ_1/dt = -2 c^2 H t^{2H-1} E[(d_x^2 ln p_t)^2], not a time difference of J_1.
+    The tolerance is tol * max(1, |2 N g|)."""
+    if channel.sigma.kind != "constant":
+        raise DomainError(f"entropy_power_check needs a constant sigma, not {channel.sigma.kind}")
     fd_step = _check_step(t, fd_step)
-    hv = channel.hurst.value
+    hv, c2 = channel.hurst.value, channel.sigma.c ** 2
 
     @functools.cache    # the rhs and both second differences share N(X_t)
     def n_at(s):
@@ -296,8 +293,8 @@ def entropy_power_check(channel, t, fd_step=None, tol=DEFAULT_TOLERANCES["entrop
     field_t = ch.density_at(channel, t)
     mean_d2 = nf.expect_values(field_t, lambda v: v.dscore)
     var_d2 = nf.expect_values(field_t, lambda v: (v.dscore - mean_d2) ** 2)
-    g = (hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * -mean_d2
-         - 2.0 * hv ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
+    g = (c2 * hv * (2.0 * hv - 1.0) * t ** (2.0 * hv - 2.0) * -mean_d2
+         - 2.0 * (c2 * hv) ** 2 * t ** (4.0 * hv - 2.0) * var_d2)
     n = n_at(t)
     rhs = 2.0 * n * g
     d2n = richardson_derivative(n_at, t, fd_step, order=2)

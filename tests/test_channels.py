@@ -522,6 +522,9 @@ def test_coarse_grid_law_convolves_at_small_t():
 
 def test_grid_law_validation():
     grid = np.linspace(-1, 1, 101)
+    for bad in (grid[::-1], np.where(np.arange(101) == 50, grid[49], grid)):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            ch.grid_law(bad, np.full(101, 0.5))
     with pytest.raises(DomainError):
         ch.grid_law(grid, np.full(101, 1.0))   # integrates to 2
     with pytest.raises(DomainError):
@@ -579,14 +582,32 @@ def test_grid_field_reads_the_laws_decomposition(law):
             np.testing.assert_array_equal(got, want)
 
 
-def test_additive_channel_takes_only_the_unit_sigma():
-    # A sigma other than 1 on an additive channel was once accepted and never read.
-    law = ch.gaussian_law(0.0, 1.0)
+@pytest.mark.parametrize("law", [ch.gaussian_law(0.5, 2.0), _uniform_law(4.0, 6.0, 11)],
+                         ids=["gaussian", "grid"])
+def test_a_law_start_takes_any_constant_sigma(law):
+    # A law took only sigma = 1 once.  Under sigma = c, X_t = X_0 + c B^H_t; at c = 1
+    # the fields are those of the unit sigma, bit for bit.
     assert ch.additive(law, 0.5).sigma is ch.UNIT_SIGMA
-    for sigma in (sg.constant(1.0), sg.constant(1.0, domain=(-10.0, 10.0))):
+    for sigma in (sg.constant(1.0), sg.constant(1.0, domain=(-10.0, 10.0)), sg.constant(2.0)):
         assert ch.ChannelSpec(0.5, sigma=sigma, initial=law).sigma is sigma
-    for sigma in (sg.sqrt_one_plus_square(), sg.constant(2.0)):
-        with pytest.raises(DomainError):
+    for h, t in ((0.3, 0.5), (0.75, 2.0)):
+        unit = ch.density_at(ch.additive(law, h), t)
+        assert ch.density_at(ch.ChannelSpec(h, sigma=sg.constant(1.0), initial=law), t) == unit
+        two = ch.density_at(ch.ChannelSpec(h, sigma=sg.constant(2.0), initial=law), t)
+        s = 4.0 * t ** (2.0 * h)
+        assert two == (ch.gaussian_field(law.mean, law.variance + s)
+                       if isinstance(law, ch.GaussianLaw) else ch.GridField(law, s))
+
+
+@pytest.mark.parametrize("sigma", [
+    sg.sqrt_one_plus_square(),
+    sg.custom(lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x, (-5.0, 5.0))],
+    ids=["sqrt1p", "custom"])
+def test_a_law_start_needs_a_constant_sigma(sigma):
+    # X_0 ~ law under a non-constant sigma needs X_0's law in the flow's coordinate,
+    # which no field reads.
+    for law in (_LAW, _uniform_law(n=11)):
+        with pytest.raises(DomainError, match="initial law needs a constant sigma"):
             ch.ChannelSpec(hurst=0.5, sigma=sigma, initial=law)
 
 
@@ -663,13 +684,15 @@ _LAW = ch.gaussian_law(0.0, 1.0)
     lambda: ch.gaussian_law(0.0, math.nan),
     lambda: ch.gaussian_law(0.0, math.inf),
     lambda: ch.gaussian_law(0.0, 0.0),
+    lambda: ch.additive((0.0, 1.0), 0.5),
 ], ids=["x0-and-law", "x0-and-law-no-sigma", "neither", "neither-no-sigma", "x0-nan",
         "x0-inf", "x0-minus-inf", "mean-nan", "mean-inf", "variance-nan", "variance-inf",
-        "variance-zero"])
+        "variance-zero", "law-a-tuple"])
 def test_meaningless_channel_inputs_raise(build):
-    # Each but the last was accepted: a channel holding both a start and a law read
-    # one and ignored the other, and a NaN or infinite mean, variance or x0 reached
-    # the trapezoid rule as a bare ValueError.
+    # Each but variance-zero was accepted: a channel holding both a start and a law
+    # read one and ignored the other, a NaN or infinite mean, variance or x0 reached
+    # the trapezoid rule as a bare ValueError, and a tuple for a law raised a bare
+    # AttributeError in density_at.
     with pytest.raises(DomainError):
         build()
 

@@ -250,6 +250,19 @@ def test_fbm_sample_csv(tmp_path):
     assert [r[1] for r in rows[1:]] == [f"{v:.17g}" for v in values[0]]
 
 
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+@pytest.mark.parametrize("dt", ["nan", "inf", "0"])
+def test_fbm_sample_rejects_a_step_that_gives_no_times(tmp_path, dt, method):
+    # --dt nan or inf once wrote four rows of NaN with Cholesky and exited 0.
+    out = tmp_path / "path.csv"
+    result = CliRunner().invoke(main, [
+        "fbm", "sample", "--h", "0.5", "--n", "4", "--dt", dt, "--method", method,
+        "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "grid times must be finite and strictly positive" in result.output
+    assert not out.exists()
+
+
 def test_fbm_stats_cell_memory_is_bounded():
     # The standard errors once came from a (paths x n x n) product tensor:
     # 630 MiB per cell at 64 grid points and 10 000 paths.  Holding every path

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -32,6 +33,15 @@ def test_covariance_symmetry_and_diagonal():
 def test_negative_time_raises():
     with pytest.raises(DomainError):
         fbm.covariance(-1.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("s, t", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.0, [0.5, math.inf])],
+                         ids=["s-nan", "t-nan", "s-inf", "t-inf"])
+def test_covariance_rejects_a_time_that_is_not_finite(s, t):
+    # A NaN passed the s < 0 test, and the covariance read NaN.
+    with pytest.raises(DomainError, match="finite"):
+        fbm.covariance(s, t, 0.5)
 
 
 def test_single_point_variance():
@@ -161,6 +171,21 @@ def test_seed_reproducibility():
 def test_circulant_rejects_nonuniform_grid():
     with pytest.raises(GridError):
         fbm.sample_paths([0.1, 0.2, 0.5], 0.5, method="circulant")
+
+
+@pytest.mark.parametrize("method", ["cholesky", "circulant"])
+@pytest.mark.parametrize("grid, match", [
+    ([], "non-empty 1-d"), ([[0.5, 1.0]], "non-empty 1-d"),
+    ([0.0, 0.5], "strictly positive"), ([-0.5, 0.5], "strictly positive"),
+    ([math.nan] * 4, "finite"), ([math.inf] * 4, "finite"), ([0.5, math.nan, 1.5], "finite"),
+    ([0.5, 0.5, 1.0], "strictly increasing"), ([1.0, 0.5], "strictly increasing")],
+    ids=["empty", "2-d", "zero", "negative", "nan", "inf", "one-nan", "repeated",
+         "decreasing"])
+def test_sampler_rejects_a_grid_that_is_not_one_of_times(grid, match, method):
+    # A NaN or infinite grid gave Cholesky paths of NaN, and the circulant sampler
+    # blamed uniformity.
+    with pytest.raises(GridError, match=match):
+        fbm.sample_paths(grid, 0.5, method=method)
 
 
 def test_invalid_hurst_rejected():

@@ -113,10 +113,23 @@ def test_bad_time_is_blamed_on_t(check, t, error):
         check(t)
 
 
-def test_wrong_variant_rejected():
-    mult = ch.multiplicative(sg.constant(1.0), 0.0, 0.5)
-    with pytest.raises(DomainError):
-        idn.entropy_power_check(mult, 1.0)
+def test_entropy_power_needs_a_constant_sigma():
+    # The closed-form g holds for X_0 + c B^H_t, from a point or a law; a point
+    # under sigma = 1 was once refused for not holding a law.
+    with pytest.raises(DomainError, match="needs a constant sigma, not sqrt1p"):
+        idn.entropy_power_check(ch.multiplicative(sg.sqrt_one_plus_square(), 0.0, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0])
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.75])
+def test_entropy_power_from_a_point(c, h):
+    # X_t ~ N(x0, c^2 t^{2H}): N = c^2 t^{2H}, and d^2N/dt^2 = 2H(2H-1) c^2 t^{2H-2}.
+    for t in (0.5, 1.0, 2.0):
+        rep = idn.entropy_power_check(ch.multiplicative(sg.constant(c), 0.5, h), t)
+        assert rep.passed, rep
+        assert rep.extras["entropy_power"] == pytest.approx(c * c * t ** (2 * h), rel=1e-12)
+        assert rep.rhs == pytest.approx(
+            2 * h * (2 * h - 1) * c * c * t ** (2 * h - 2), rel=1e-9, abs=1e-12)
 
 
 def test_additive_gaussian_rhs_value():
@@ -165,10 +178,7 @@ def test_checks_far_from_zero(chan):
     # power read |lhs - rhs| = 5.7e-4, 0.19 and 5.2e-3 on the first, second and fourth
     # channels, De Bruijn 4.3e-5 and 1.3e-6 on the second and fourth, and the third and
     # fifth raised QuadratureError.  Read at offsets from the centre, they read as at 0.
-    checks = [idn.debruijn_check]
-    if chan.variant == "additive":
-        checks.append(idn.entropy_power_check)
-    for check in checks:
+    for check in (idn.debruijn_check, idn.entropy_power_check):
         rep = check(chan, 1.0)
         assert rep.passed, rep
 
@@ -250,6 +260,34 @@ def test_kl_flow_check_integrates_each_kl_once(monkeypatch):
     assert rep.passed and rep.extras["monotone"]
 
 
+_UNIFORM = np.linspace(-1.0, 1.0, 2001)
+_LAW_PAIRS = {
+    "gaussian": (ch.gaussian_law(0.0, 1.0), ch.gaussian_law(0.7, 1.0)),
+    "grid": (ch.grid_law(_UNIFORM, np.full(2001, 0.5)),
+             ch.grid_law(_UNIFORM + 0.5, np.full(2001, 0.5)))}
+
+
+@pytest.mark.parametrize("pair", _LAW_PAIRS.values(), ids=_LAW_PAIRS.keys())
+@pytest.mark.parametrize("h", [0.3, 0.5, 0.75])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_kl_flow_from_two_laws(pair, h, t):
+    # X_0 + B^H_t against Y_0 + B^H_t: a law start was once refused.  Two Gaussians
+    # of variance 1 + s at distance d have K = d^2 / (2 (1 + s)), so that
+    # dK/dt = -H t^{2H-1} d^2 / (1 + s)^2 = -H t^{2H-1} J(X_t || Y_t).
+    x, y = (ch.additive(law, h) for law in pair)
+    rep = idn.kl_flow_check(x, y, t)
+    assert rep.passed and rep.extras["monotone"], rep
+    if isinstance(pair[0], ch.GaussianLaw):
+        v = 1.0 + t ** (2 * h)
+        assert rep.rhs == pytest.approx(-h * t ** (2 * h - 1) * 0.49 / v ** 2, rel=1e-12)
+
+
+def test_kl_flow_needs_one_hurst_parameter():
+    s = sg.constant(1.0)
+    with pytest.raises(DomainError, match="share the Hurst parameter"):
+        idn.kl_flow_check(ch.multiplicative(s, 0.0, 0.5), ch.multiplicative(s, 1.0, 0.6), 1.0)
+
+
 def test_kl_flow_nonconstant_sigma():
     s = sg.sqrt_one_plus_square()
     x = ch.multiplicative(s, 0.0, 0.6)
@@ -295,8 +333,13 @@ def test_fokker_planck_check_is_the_worst_residual_about_x0():
                                 "richardson fd_step=0.001")
     assert "[1.5,9.5]" in idn.fokker_planck_check(
         ch.multiplicative(sg.sqrt_one_plus_square(), 5.5, 0.75), 1.0).method_notes
-    with pytest.raises(DomainError, match="needs a multiplicative channel"):
-        idn.fokker_planck_check(ch.additive(ch.gaussian_law(0.0, 1.0), 0.5), 1.0)
+    # From a law, the grid centres on X_t's field: the mean, or the grid's midpoint.
+    grid = np.linspace(4.0, 6.0, 2001)
+    for law, where in ((ch.gaussian_law(3.0, 1.0), "[-1,7]"),
+                       (ch.grid_law(grid, np.full(grid.size, 0.5)), "[1,9]")):
+        rep = idn.fokker_planck_check(ch.additive(law, 0.5), 1.0)
+        assert f"x in {where}, 81 pts" in rep.method_notes
+        assert rep.passed and rep.lhs <= 1e-9, rep
 
 
 def test_fokker_planck_heat_equation():
@@ -451,6 +494,23 @@ def test_fisher_information_is_minus_mean_score_derivative(law):
             field = ch.density_at(ch.additive(law, h), t)
             j1 = nf.generalized_fisher(field)
             assert -nf.expect_values(field, lambda v: v.dscore) == pytest.approx(j1, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [
+    ch.gaussian_law(0.5, 2.0),
+    ch.grid_law(np.linspace(-1, 1, 2001), np.full(2001, 0.5))], ids=["gaussian", "grid"])
+@pytest.mark.parametrize("h", [0.3, 0.75])
+def test_law_under_a_constant_sigma_of_two(law, h):
+    # X_t = X_0 + 2 B^H_t: De Bruijn's rhs and entropy power's g carry c^2 = 4; from
+    # N(m, v), h(X_t) = ln(2 pi e (v + 4 t^{2H})) / 2.
+    chan = ch.ChannelSpec(h, sigma=sg.constant(2.0), initial=law)
+    for t in (0.5, 1.0, 2.0):
+        rep = idn.debruijn_check(chan, t)
+        assert rep.identity_name == "debruijn-additive" and rep.passed, rep
+        if isinstance(law, ch.GaussianLaw):
+            s = 4.0 * t ** (2 * h)
+            assert rep.rhs == pytest.approx(h * s / (t * (2.0 + s)), rel=1e-12)
+        assert idn.entropy_power_check(chan, t).passed
 
 
 def test_entropy_power_step_error():

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import fbm_infoflow
-from fbm_infoflow import cli
+from fbm_infoflow import channels, cli
 
 PACKAGE = Path(fbm_infoflow.__file__).parent
 
@@ -41,6 +41,16 @@ def test_only_channels_imports_doss():
     importers = {path.stem for path in PACKAGE.glob("*.py")
                  if "doss" in _package_imports(path)}
     assert importers <= {"channels", "__init__"} and "channels" in importers
+
+
+def test_no_module_reads_a_channels_variant():
+    # A channel is a sigma and a start, and density_at alone decides the law of X_t
+    # from them: no module branches on the `variant` that channels defines.
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "variant"}
+    assert readers == set()
+    assert "variant" in vars(channels.ChannelSpec)
 
 
 def test_montecarlo_imports_neither_infofunc_nor_scipy():
